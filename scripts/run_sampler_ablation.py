@@ -9,14 +9,11 @@ class-balanced samplers equalize the shares.
 """
 import argparse
 
-import numpy as np
-
 from lobmix import (
-    LabeledDataset,
-    MixConfig,
     analytic_occurrence,
     empirical_occurrence,
     exponential_counts,
+    labels_only_dataset,
     make_batch,
 )
 from lobmix.occurrence import COMBO_NAMES, default_head_set, parse_combo
@@ -33,8 +30,7 @@ def main() -> None:
     args = parser.parse_args()
 
     counts = exponential_counts(args.n_max, args.classes, args.rho)
-    labels = np.repeat(np.arange(args.classes), list(counts))
-    dataset = LabeledDataset(np.zeros((labels.size, 1)), labels, args.classes)
+    dataset = labels_only_dataset(counts)
     index = dataset.class_index()
     head = default_head_set(counts)
 
@@ -44,7 +40,7 @@ def main() -> None:
     for name in COMBO_NAMES:
         combo = parse_combo(name, args.alpha)
         analytic = analytic_occurrence(combo, index)
-        batch = make_batch(dataset, index, args.samples, MixConfig(args.alpha), combo.kinds, args.seed)
+        batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, args.seed)
         measured = empirical_occurrence([batch], args.classes, head_set=head)
         print(
             f"{name:8s} {analytic.balance_ratio:17.4f} "

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import longtail
-from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset
-from .mixer import MixConfig, make_batch
+from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_value
+from .mixer import make_batch
 from .occurrence import (
     COMBO_NAMES,
     OccurrenceReport,
@@ -78,18 +78,27 @@ class Cifar10Spec:
 
 
 def _dataset_spec_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = json_value(d, dict, "dataset").get("kind")
     if kind == "synth":
-        return SynthSpec(
-            classes=int(d["classes"]),
-            dim=int(d["dim"]),
-            separation=float(d["separation"]),
-            base_per_class=int(d["base_per_class"]),
-            test_per_class=int(d["test_per_class"]),
-        )
+        ints = {k: json_value(d[k], int, f"dataset.{k}") for k in ("classes", "dim", "base_per_class", "test_per_class")}
+        return SynthSpec(separation=float(json_value(d["separation"], float, "dataset.separation")), **ints)
     if kind == "cifar10":
-        return Cifar10Spec(train_paths=tuple(d["train_paths"]), test_path=d.get("test_path"))
+        paths = json_value(d["train_paths"], list, "dataset.train_paths")
+        test_path = d.get("test_path")
+        return Cifar10Spec(
+            train_paths=tuple(json_value(p, str, "dataset.train_paths entry") for p in paths),
+            test_path=None if test_path is None else json_value(test_path, str, "dataset.test_path"),
+        )
     raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+# JSON type of each train setting; lr_decay_epochs holds integers and
+# defer_epoch may also be null.
+TRAIN_TYPES = {
+    "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
+    "lr_decay_epochs": list, "lr_decay_factor": float, "alpha": float, "strategy": str,
+    "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
+}
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,15 @@ class TrainSettings:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainSettings":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(json_value(d, dict, "train")) - set(TRAIN_TYPES)
         if unknown:
             raise ValueError(f"unknown train settings: {sorted(unknown)}")
-        d = dict(d)
+        missing = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing train settings: {missing}")
+        d = {k: v if k == "defer_epoch" and v is None else json_value(v, TRAIN_TYPES[k], f"train.{k}") for k, v in d.items()}
         if "lr_decay_epochs" in d:
-            d["lr_decay_epochs"] = tuple(d["lr_decay_epochs"])
+            d["lr_decay_epochs"] = tuple(json_value(e, int, "train.lr_decay_epochs entry") for e in d["lr_decay_epochs"])
         return cls(**d)
 
 
@@ -146,12 +157,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        out_dir = json_value(d, dict, "config").get("out_dir")
         return cls(
             dataset=_dataset_spec_from_dict(d["dataset"]),
-            profile=ImbalanceProfile.from_dict(d["profile"]),
+            profile=ImbalanceProfile.from_dict(json_value(d["profile"], dict, "profile")),
             train=TrainSettings.from_dict(d["train"]),
-            seed=int(d.get("seed", 0)),
-            out_dir=d.get("out_dir"),
+            seed=json_value(d.get("seed", 0), int, "seed"),
+            out_dir=None if out_dir is None else json_value(out_dir, str, "out_dir"),
         )
 
     def train_config(self) -> TrainConfig:
@@ -253,19 +265,12 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _labels_only_dataset(counts: ClassCounts) -> LabeledDataset:
-    # Occurrence statistics depend only on labels and mixing ratios, so a
-    # placeholder feature column stands in for the real data.
-    labels = np.repeat(np.arange(len(counts)), list(counts))
-    return LabeledDataset(np.zeros((labels.shape[0], 1)), labels, len(counts))
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.load(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = ClassCounts(manifest.counts)
-    dataset = _labels_only_dataset(counts)
+    dataset = longtail.labels_only_dataset(counts)
     index = dataset.class_index()
     head = default_head_set(counts)
     combo_names = list(COMBO_NAMES) if args.combo == "all" else [args.combo]
@@ -280,7 +285,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 dataset,
                 index,
                 args.samples,
-                MixConfig(args.alpha),
+                args.alpha,
                 combo.kinds,
                 child_seed(args.seed, "analyze", name),
             )

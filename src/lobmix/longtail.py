@@ -23,6 +23,21 @@ CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
 CIFAR10_CLASSES = 10
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_value(value, kind: type, name: str):
+    """Return ``value`` if it holds a JSON value of ``kind``, else raise ValueError.
+
+    ``kind`` is int, float, str, list or dict. Any number passes as a float;
+    booleans pass as neither.
+    """
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -84,7 +99,11 @@ class ImbalanceProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImbalanceProfile":
-        return cls(kind=d["kind"], rho=float(d["rho"]), n_max=int(d["n_max"]))
+        return cls(
+            kind=d["kind"],
+            rho=float(json_value(d["rho"], float, "profile.rho")),
+            n_max=json_value(d["n_max"], int, "profile.n_max"),
+        )
 
 
 def _validate_profile_args(n_max: int, num_classes: int, rho: float) -> None:
@@ -161,6 +180,17 @@ class LabeledDataset:
 
     def class_index(self) -> "ClassIndex":
         return ClassIndex.from_labels(self.labels, self.num_classes)
+
+
+def labels_only_dataset(counts) -> LabeledDataset:
+    """``counts[k]`` examples of class k, in class order, with one zero feature column.
+
+    Sampling and occurrence statistics depend only on labels and mixing
+    ratios, so the placeholder column stands in for real features.
+    """
+    counts = [int(n) for n in counts]
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return LabeledDataset(np.zeros((labels.size, 1)), labels, len(counts))
 
 
 @dataclass(frozen=True)

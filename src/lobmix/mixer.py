@@ -8,32 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .longtail import ClassIndex, LabeledDataset
-from .samplers import CB, IB, SamplerKind, SamplerState, pair_stream
+from .samplers import SamplerKind, SamplerState, pair_stream
 from .seeds import make_rng
-
-
-class MixKind(str, Enum):
-    VANILLA = "vanilla"
-    LOB = "lob"
-
-
-@dataclass(frozen=True)
-class MixConfig:
-    """Mixing-ratio shape (Beta(alpha, alpha)) and pairing strategy."""
-
-    alpha: float
-    kind: MixKind = MixKind.VANILLA
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(self, "kind", MixKind(self.kind))
 
 
 _LAM_EPS = 1e-7
@@ -107,13 +88,13 @@ class BatchMeta:
 class MixedBatch:
     """A batch of mixed examples stored as parallel arrays.
 
-    ``features`` is (B, D), ``labels`` the (B, C) soft-label rows, ``lams``
-    the per-example mixing ratios, and ``src`` the (B, 4) provenance columns
-    (index_i, index_j, class_i, class_j).
+    Row r is fully described by ``src[r] = (i, j, c_i, c_j)`` and
+    ``lams[r] = lam``: ``features[r] = lam * x_i + (1 - lam) * x_j`` and its
+    target puts lam on class c_i and 1 - lam on class c_j (all of it on c_i
+    when the classes coincide), as :func:`mix_pair` does for one pair.
     """
 
     features: np.ndarray
-    labels: np.ndarray
     lams: np.ndarray
     src: np.ndarray
     meta: BatchMeta
@@ -124,25 +105,6 @@ class MixedBatch:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> MixedExample:
-        return MixedExample(
-            features=self.features[i],
-            label=SoftLabel(self.labels[i]),
-            lam=float(self.lams[i]),
-            src=tuple(int(v) for v in self.src[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def examples(self) -> list[MixedExample]:
-        return list(self)
-
-    @property
-    def num_classes(self) -> int:
-        return self.labels.shape[1]
 
 
 def mix_pair(
@@ -171,58 +133,44 @@ def mix_pair(
     )
 
 
+def pair_weights(class_i: np.ndarray, class_j: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Target mass on (class_i, class_j) per row: (lam, 1 - lam), or (1, 0) where they coincide.
+
+    These are the nonzero entries of :meth:`SoftLabel.mixed`, bitwise:
+    complement-stable ratios make lam + (1 - lam) exactly 1.
+    """
+    w_i = np.where(class_i == class_j, 1.0, lam)
+    return w_i, 1.0 - w_i
+
+
 def make_batch(
     dataset: LabeledDataset,
     index: ClassIndex,
     batch_size: int,
-    cfg: MixConfig,
+    alpha: float,
     kinds: tuple[SamplerKind, SamplerKind],
     seed: int,
 ) -> MixedBatch:
-    """Mix ``batch_size`` pairs drawn by two independent samplers of the given kinds."""
+    """Mix ``batch_size`` pairs drawn by two independent samplers of the given kinds.
+
+    ``(IB, IB)`` is vanilla mixing and ``(CB, CB)`` label-occurrence-balanced
+    mixing; mixing ratios are drawn from Beta(alpha, alpha).
+    """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     s1 = SamplerState.create(kinds[0], index, seed, "pair-a")
     s2 = SamplerState.create(kinds[1], index, seed, "pair-b")
     pairs = pair_stream(s1, s2, batch_size)
-    lam = np.atleast_1d(sample_lambda(cfg.alpha, make_rng(seed, "mixing"), size=batch_size))
-    mu = 1.0 - lam
+    lam = np.atleast_1d(sample_lambda(alpha, make_rng(seed, "mixing"), size=batch_size))
 
     i, j = pairs[:, 0], pairs[:, 1]
-    ci = dataset.labels[i]
-    cj = dataset.labels[j]
-    features = lam[:, None] * dataset.features[i] + mu[:, None] * dataset.features[j]
-    labels = np.zeros((batch_size, dataset.num_classes))
-    rows = np.arange(batch_size)
-    np.add.at(labels, (rows, ci), lam)
-    np.add.at(labels, (rows, cj), mu)
-
-    meta = BatchMeta(sampler_kinds=(kinds[0], kinds[1]), alpha=cfg.alpha, seed=seed)
+    features = lam[:, None] * dataset.features[i] + (1.0 - lam)[:, None] * dataset.features[j]
     return MixedBatch(
         features=features,
-        labels=labels,
         lams=lam,
-        src=np.stack([i, j, ci, cj], axis=1),
-        meta=meta,
+        src=np.stack([i, j, dataset.labels[i], dataset.labels[j]], axis=1),
+        meta=BatchMeta(sampler_kinds=(kinds[0], kinds[1]), alpha=alpha, seed=seed),
     )
-
-
-def make_batch_vanilla(
-    dataset: LabeledDataset, index: ClassIndex, batch_size: int, cfg: MixConfig, seed: int
-) -> MixedBatch:
-    """Classic mixing: both pair members drawn instance-balanced."""
-    if cfg.kind is not MixKind.VANILLA:
-        raise ValueError(f"expected a vanilla mix config, got kind={cfg.kind.value}")
-    return make_batch(dataset, index, batch_size, cfg, (IB, IB), seed)
-
-
-def make_batch_lob(
-    dataset: LabeledDataset, index: ClassIndex, batch_size: int, cfg: MixConfig, seed: int
-) -> MixedBatch:
-    """Label-occurrence-balanced mixing: both pair members drawn class-balanced."""
-    if cfg.kind is not MixKind.LOB:
-        raise ValueError(f"expected a lob mix config, got kind={cfg.kind.value}")
-    return make_batch(dataset, index, batch_size, cfg, (CB, CB), seed)
 
 
 def write_batch_audit(path: str | Path, batch: MixedBatch) -> None:

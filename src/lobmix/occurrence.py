@@ -139,8 +139,9 @@ class OccurrenceTally:
                 raise ValueError("head set must be nonempty when supplied")
 
     def add(self, batch: MixedBatch) -> None:
-        if batch.num_classes != self.num_classes:
-            raise ValueError(f"batch has {batch.num_classes} classes, tally expects {self.num_classes}")
+        classes = batch.src[:, 2:4]
+        if classes.min() < 0 or classes.max() >= self.num_classes:
+            raise ValueError(f"batch class ids must lie in [0, {self.num_classes}) for this tally")
         lam = batch.lams
         mu = 1.0 - lam
         ci = batch.src[:, 2]
@@ -196,25 +197,6 @@ def empirical_occurrence(
     for batch in batches:
         tally.add(batch)
     return tally.report()
-
-
-def head_label_incidence(batches: Sequence[MixedBatch], head_set: Iterable[int]) -> float:
-    """Fraction of mixed examples with at least one source in the head set."""
-    head = frozenset(int(k) for k in head_set)
-    if not head:
-        raise ValueError("head set must be nonempty")
-    batches = list(batches)
-    if not batches:
-        raise ValueError("need at least one batch")
-    head_arr = np.fromiter(head, dtype=np.int64)
-    hits = 0
-    total = 0
-    for batch in batches:
-        ci = batch.src[:, 2]
-        cj = batch.src[:, 3]
-        hits += int(np.count_nonzero(np.isin(ci, head_arr) | np.isin(cj, head_arr)))
-        total += len(batch)
-    return hits / total
 
 
 def default_head_set(counts: ClassCounts | Sequence[int]) -> frozenset[int]:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .longtail import LabeledDataset
-from .mixer import MixConfig, MixedBatch, MixKind, make_batch_lob, make_batch_vanilla
-from .samplers import IB, SamplerState, sample_batch
+from .mixer import MixedBatch, make_batch, pair_weights
+from .samplers import CB, IB, SamplerKind, SamplerState, sample_batch
 from .seeds import child_seed, make_rng
 
 ARCHITECTURES = ("linear", "mlp1")
@@ -116,11 +116,28 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
-def _loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def _loss_and_grad(
+    params: ModelParams, x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
+) -> tuple[float, list[np.ndarray]]:
+    """Mean mixed cross entropy and its gradient for targets given as class pairs.
+
+    Row r's target carries :func:`pair_weights` on classes c_i and c_j.
+    Cross entropy is linear in the target, so the loss is the two weighted
+    terms and the logit gradient is ``probs`` minus a two-element scatter,
+    through flat indices; no (B, C) target is built.
+    """
     n = x.shape[0]
-    probs, z, h = _forward_parts(params, x)
-    loss = float(soft_cross_entropy(probs, targets).mean())
-    dlogits = (probs - targets) / n
+    dlogits, z, h = _forward_parts(params, x)
+    flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
+    rows = np.arange(n) * dlogits.shape[1]
+    at_i, at_j = rows + c_i, rows + c_j
+    w_i, w_j = pair_weights(c_i, c_j, lam)
+    log_i = np.log(np.maximum(flat[at_i], 1e-12))
+    log_j = np.log(np.maximum(flat[at_j], 1e-12))
+    loss = float((-(w_i * log_i + w_j * log_j)).mean())
+    flat[at_i] -= w_i
+    flat[at_j] -= w_j
+    dlogits /= n
     if params.arch == "linear":
         return loss, [z.T @ dlogits, dlogits.sum(axis=0)]
     w1, b1, w2, b2 = params.weights
@@ -132,7 +149,7 @@ def _loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> t
 
 def grad(params: ModelParams, batch: MixedBatch) -> list[np.ndarray]:
     """Exact gradient of the mean soft cross entropy over a mixed batch."""
-    return _loss_and_grad(params, batch.features, batch.labels)[1]
+    return _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)[1]
 
 
 @dataclass(frozen=True)
@@ -249,25 +266,18 @@ def evaluate(params: ModelParams, test: LabeledDataset, groups: dict[int, str]) 
     )
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     decayed = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
     return cfg.lr * cfg.lr_decay_factor**decayed
 
 
-def _epoch_mix_kind(cfg: TrainConfig, epoch: int) -> MixKind | None:
+def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[SamplerKind, SamplerKind] | None:
+    """Samplers feeding the mixer in this epoch; None for unmixed (ERM) batches."""
     if cfg.strategy is Strategy.ERM:
         return None
-    if cfg.strategy is Strategy.MIXUP:
-        return MixKind.VANILLA
-    if cfg.strategy is Strategy.LOB:
-        return MixKind.LOB
-    return MixKind.VANILLA if epoch < cfg.switch_epoch else MixKind.LOB
+    if cfg.strategy is Strategy.MIXUP or (cfg.strategy is Strategy.DEFERRED and epoch < cfg.switch_epoch):
+        return (IB, IB)
+    return (CB, CB)
 
 
 def train(
@@ -302,24 +312,17 @@ def train(
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
-        mix_kind = _epoch_mix_kind(cfg, epoch)
+        kinds = _epoch_sampler_kinds(cfg, epoch)
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
             batch_seed = child_seed(cfg.seed, "batch", epoch, b)
-            if mix_kind is None:
-                state = SamplerState.create(IB, index, batch_seed, "erm")
-                rows = sample_batch(state, cfg.batch_size)
-                x = train_ds.features[rows]
-                targets = _one_hot(train_ds.labels[rows], train_ds.num_classes)
-            elif mix_kind is MixKind.VANILLA:
-                batch = make_batch_vanilla(train_ds, index, cfg.batch_size, MixConfig(cfg.alpha), batch_seed)
-                x, targets = batch.features, batch.labels
+            if kinds is None:
+                rows = sample_batch(SamplerState.create(IB, index, batch_seed, "erm"), cfg.batch_size)
+                labels = train_ds.labels[rows]
+                loss, grads = _loss_and_grad(params, train_ds.features[rows], labels, labels, 1.0)
             else:
-                batch = make_batch_lob(
-                    train_ds, index, cfg.batch_size, MixConfig(cfg.alpha, MixKind.LOB), batch_seed
-                )
-                x, targets = batch.features, batch.labels
-            loss, grads = _loss_and_grad(params, x, targets)
+                batch = make_batch(train_ds, index, cfg.batch_size, cfg.alpha, kinds, batch_seed)
+                loss, grads = _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss

@@ -16,7 +16,6 @@ from lobmix import (
     IB,
     ClassCounts,
     LabeledDataset,
-    MixConfig,
     SamplerCombo,
     SamplerState,
     Strategy,
@@ -39,6 +38,8 @@ from lobmix import (
 from lobmix.cli import main
 from lobmix.seeds import make_rng
 from lobmix.trainer import init_params
+
+from conftest import dense_targets
 
 # Reference empirical values for this sampler ablation on the 10-class
 # rho=10 profile. Reported alongside the analytic check only: the protocol
@@ -93,7 +94,7 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
 def test_criterion_2_empirical_matches_analytic(lt_dataset, lt_index):
     started = time.perf_counter()
     for kinds in ((IB, IB), (IB, CB), (CB, CB)):
-        batch = make_batch(lt_dataset, lt_index, 200_000, MixConfig(1.0), kinds, seed=2025)
+        batch = make_batch(lt_dataset, lt_index, 200_000, 1.0, kinds, seed=2025)
         empirical = empirical_occurrence([batch], 10)
         analytic = analytic_occurrence(SamplerCombo(kinds), lt_index)
         deviation = np.abs(empirical.ratios - analytic.ratios).max()
@@ -177,8 +178,8 @@ def test_criterion_6_gradient_matches_finite_differences():
         counts = [int(c) for c in rng.integers(2, 6, size=num_classes)]
         labels = np.repeat(np.arange(num_classes), counts)
         ds = LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
-        cfg = MixConfig(1.0)
-        batch = make_batch(ds, ds.class_index(), batch_size, cfg, (IB, IB), int(rng.integers(1 << 31)))
+        batch = make_batch(ds, ds.class_index(), batch_size, 1.0, (IB, IB), int(rng.integers(1 << 31)))
+        targets = dense_targets(ds, batch)
         params = init_params(arch, dim, num_classes, seed=int(rng.integers(1 << 31)), hidden=4)
 
         analytic = _flatten(grad(params, batch))
@@ -193,7 +194,7 @@ def test_criterion_6_gradient_matches_finite_differences():
                 probe[idx] += sign * step
                 chunks = np.split(probe, np.cumsum(sizes)[:-1])
                 params.weights = [c.reshape(s) for c, s in zip(chunks, shapes)]
-                loss = float(soft_cross_entropy(forward(params, batch.features), batch.labels).mean())
+                loss = float(soft_cross_entropy(forward(params, batch.features), targets).mean())
                 losses.append(loss)
             numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
         params.weights = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from lobmix import (
     exponential_counts,
     write_cifar10_binary,
 )
-from lobmix.cli import ExperimentConfig, config_hash, load_config, main
+from lobmix.cli import TRAIN_TYPES, ExperimentConfig, TrainSettings, config_hash, load_config, main
 
 
 @pytest.fixture()
@@ -190,6 +191,47 @@ class TestTrainCommand:
         config_path.write_text(json.dumps(base_config()))
         assert main(["train", "--config", str(config_path)]) != 0
         assert "output directory" in capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("train", "epochs", "2", "train.epochs must be an integer"),
+            ("train", "alpha", "1.0", "train.alpha must be a number"),
+            ("train", "lr_decay_epochs", 5, "train.lr_decay_epochs must be a list"),
+            ("train", "lr_decay_epochs", [2.5], "train.lr_decay_epochs entry must be an integer"),
+            ("train", "defer_epoch", "2", "train.defer_epoch must be an integer"),
+            ("train", "momentum", True, "train.momentum must be a number"),
+            ("profile", "rho", None, "profile.rho must be a number"),
+            ("dataset", "classes", None, "dataset.classes must be an integer"),
+            (None, "seed", None, "seed must be an integer"),
+            (None, "out_dir", 5, "out_dir must be a string"),
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, message):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        (cfg[section] if section else cfg)[key] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_train_setting_rejected(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["train"]["lr"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: missing train settings: ['lr']"]
+        assert not (tmp_path / "run").exists()
+
+    def test_train_types_cover_every_setting(self):
+        assert set(TRAIN_TYPES) == {f.name for f in dataclasses.fields(TrainSettings)}
 
 
 class TestReport:

@@ -10,17 +10,15 @@ from lobmix import (
     CB,
     IB,
     LabeledDataset,
-    MixConfig,
-    MixKind,
     empirical_occurrence,
     make_batch,
-    make_batch_lob,
-    make_batch_vanilla,
     mix_pair,
     sample_lambda,
 )
-from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, write_batch_audit
+from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights, write_batch_audit
 from lobmix.seeds import make_rng
+
+from conftest import mix_pair_rows
 
 
 def stabilized(x: float) -> float:
@@ -138,81 +136,70 @@ class TestBatchMakers:
         labels = np.repeat(np.arange(len(counts)), counts)
         return LabeledDataset(rng.normal(size=(labels.size, 3)), labels, len(counts))
 
-    def test_kind_mismatch_rejected(self):
-        ds = self._dataset([10, 10])
-        index = ds.class_index()
-        with pytest.raises(ValueError):
-            make_batch_vanilla(ds, index, 4, MixConfig(1.0, MixKind.LOB), 0)
-        with pytest.raises(ValueError):
-            make_batch_lob(ds, index, 4, MixConfig(1.0, MixKind.VANILLA), 0)
-
     def test_deterministic(self):
         ds = self._dataset([40, 20, 10])
         index = ds.class_index()
-        for maker, cfg in (
-            (make_batch_vanilla, MixConfig(0.5)),
-            (make_batch_lob, MixConfig(0.5, MixKind.LOB)),
-        ):
-            one = maker(ds, index, 64, cfg, 99)
-            two = maker(ds, index, 64, cfg, 99)
+        for kinds in ((IB, IB), (CB, CB)):
+            one = make_batch(ds, index, 64, 0.5, kinds, 99)
+            two = make_batch(ds, index, 64, 0.5, kinds, 99)
             assert np.array_equal(one.features, two.features)
-            assert np.array_equal(one.labels, two.labels)
             assert np.array_equal(one.lams, two.lams)
             assert np.array_equal(one.src, two.src)
 
     def test_single_example_batch(self):
         ds = self._dataset([5, 5])
-        batch = make_batch_vanilla(ds, ds.class_index(), 1, MixConfig(1.0), 7)
+        batch = make_batch(ds, ds.class_index(), 1, 1.0, (IB, IB), 7)
         assert len(batch) == 1
-        example = batch[0]
-        assert 0.0 < example.lam < 1.0
-        i, j, ci, cj = example.src
+        assert 0.0 < batch.lams[0] < 1.0
+        i, j, ci, cj = batch.src[0]
         assert ds.labels[i] == ci and ds.labels[j] == cj
 
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])
         index = ds.class_index()
-        batch = make_batch(ds, index, 32, MixConfig(0.7), (IB, CB), 1234)
-        again = make_batch(
-            ds, index, len(batch), MixConfig(batch.meta.alpha), batch.meta.sampler_kinds, batch.meta.seed
-        )
+        batch = make_batch(ds, index, 32, 0.7, (IB, CB), 1234)
+        again = make_batch(ds, index, len(batch), batch.meta.alpha, batch.meta.sampler_kinds, batch.meta.seed)
         assert np.array_equal(batch.features, again.features)
-        assert np.array_equal(batch.labels, again.labels)
+        assert np.array_equal(batch.lams, again.lams)
+        assert np.array_equal(batch.src, again.src)
 
     def test_features_are_convex_blends(self):
         ds = self._dataset([20, 20])
-        batch = make_batch_lob(ds, ds.class_index(), 256, MixConfig(1.0, MixKind.LOB), 5)
+        batch = make_batch(ds, ds.class_index(), 256, 1.0, (CB, CB), 5)
         i, j = batch.src[:, 0], batch.src[:, 1]
         expect = batch.lams[:, None] * ds.features[i] + (1.0 - batch.lams)[:, None] * ds.features[j]
         assert np.array_equal(batch.features, expect)
 
     def test_labels_on_simplex(self):
         ds = self._dataset([20, 20, 20])
-        batch = make_batch_vanilla(ds, ds.class_index(), 512, MixConfig(0.2), 6)
-        assert np.all(batch.labels >= 0.0)
-        assert np.allclose(batch.labels.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        batch = make_batch(ds, ds.class_index(), 512, 0.2, (IB, IB), 6)
+        classes = batch.src[:, 2:4]
+        assert classes.min() >= 0 and classes.max() < 3
+        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
+        assert np.all(w_i > 0.0) and np.all(w_j >= 0.0)
+        assert np.array_equal(w_i + w_j, np.ones(len(batch)))
 
     def test_single_class_labels(self):
         ds = LabeledDataset(np.zeros((8, 2)), np.zeros(8, dtype=np.int64), 1)
-        batch = make_batch_lob(ds, ds.class_index(), 16, MixConfig(1.0, MixKind.LOB), 3)
-        assert np.array_equal(batch.labels, np.ones((16, 1)))
+        batch = make_batch(ds, ds.class_index(), 16, 1.0, (CB, CB), 3)
+        assert np.array_equal(batch.src[:, 2:4], np.zeros((16, 2), dtype=np.int64))
+        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
+        assert np.array_equal(w_i, np.ones(16)) and np.array_equal(w_j, np.zeros(16))
 
     def test_vanilla_on_balanced_data_is_uniform(self):
         ds = self._dataset([300, 300, 300])
-        batch = make_batch_vanilla(ds, ds.class_index(), 60_000, MixConfig(1.0), 8)
+        batch = make_batch(ds, ds.class_index(), 60_000, 1.0, (IB, IB), 8)
         report = empirical_occurrence([batch], 3)
         assert np.all(np.abs(report.ratios - 1.0 / 3.0) <= 0.006)
 
     def test_lob_mass_uniform_on_longtail(self, lt_counts, lt_dataset):
-        batch = make_batch_lob(
-            lt_dataset, lt_dataset.class_index(), 100_000, MixConfig(1.0, MixKind.LOB), 13
-        )
+        batch = make_batch(lt_dataset, lt_dataset.class_index(), 100_000, 1.0, (CB, CB), 13)
         report = empirical_occurrence([batch], 10)
         assert np.all(np.abs(report.ratios - 0.1) <= 0.005)
 
     def test_audit_dump(self, tmp_path):
         ds = self._dataset([6, 6])
-        batch = make_batch_vanilla(ds, ds.class_index(), 5, MixConfig(1.0), 2)
+        batch = make_batch(ds, ds.class_index(), 5, 1.0, (IB, IB), 2)
         path = tmp_path / "audit.jsonl"
         write_batch_audit(path, batch)
         lines = path.read_text().strip().splitlines()
@@ -220,3 +207,29 @@ class TestBatchMakers:
         record = json.loads(lines[0])
         assert set(record) == {"lambda", "src_i", "src_j", "class_i", "class_j"}
         assert record["lambda"] == float(batch.lams[0])
+
+
+class TestBatchMatchesMixPair:
+    @given(
+        counts=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        alpha=st.sampled_from([0.2, 1.0, 3.0]),
+        kinds=st.sampled_from([(IB, IB), (IB, CB), (CB, CB)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_scalar_reference(self, counts, alpha, kinds, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        ds = LabeledDataset(rng.normal(scale=10.0, size=(labels.size, 3)), labels, len(counts))
+        batch = make_batch(ds, ds.class_index(), 24, alpha, kinds, seed)
+        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
+        for r, ref in enumerate(mix_pair_rows(ds, batch)):
+            i, j, ci, cj = batch.src[r]
+            assert ref.src == (i, j, ci, cj) and ref.lam == batch.lams[r]
+            assert np.array_equal(batch.features[r], ref.features)
+            assert ref.label.weights[ci] == w_i[r]
+            if ci == cj:
+                assert w_i[r] == 1.0 and w_j[r] == 0.0
+            else:
+                assert ref.label.weights[cj] == w_j[r]
+            assert np.count_nonzero(ref.label.weights) == (1 if ci == cj else 2)

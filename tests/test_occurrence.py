@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from lobmix import (
     CB,
     IB,
-    MixConfig,
     SamplerCombo,
     analytic_occurrence,
     balance_ratio,
     empirical_occurrence,
-    head_label_incidence,
+    labels_only_dataset,
     make_batch,
 )
 from lobmix.mixer import BatchMeta, MixedBatch
@@ -27,8 +26,6 @@ from lobmix.occurrence import (
     parse_combo,
     write_occurrence_csv,
 )
-
-from conftest import labels_only_dataset
 
 
 def rational_gamma(kinds, counts):
@@ -92,16 +89,9 @@ class TestAnalytic:
             assert np.array_equal(reports[0].ratios, other.ratios)
 
 
-def single_example_batch(lam, class_i, class_j, num_classes):
-    labels = np.zeros((1, num_classes))
-    if class_i == class_j:
-        labels[0, class_i] = 1.0
-    else:
-        labels[0, class_i] = lam
-        labels[0, class_j] = 1.0 - lam
+def single_example_batch(lam, class_i, class_j):
     return MixedBatch(
         features=np.zeros((1, 2)),
-        labels=labels,
         lams=np.array([lam]),
         src=np.array([[0, 1, class_i, class_j]]),
         meta=BatchMeta((IB, IB), 1.0, 0),
@@ -110,7 +100,7 @@ def single_example_batch(lam, class_i, class_j, num_classes):
 
 class TestEmpirical:
     def test_single_example_definition(self):
-        report = empirical_occurrence([single_example_batch(0.7, 2, 5, 10)], 10)
+        report = empirical_occurrence([single_example_batch(0.7, 2, 5)], 10)
         expect = np.zeros(10)
         expect[2], expect[5] = 0.7, 0.3
         assert np.allclose(report.ratios, expect, rtol=0, atol=1e-15)
@@ -121,11 +111,17 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_occurrence([], 4)
 
+    @pytest.mark.parametrize("class_i,class_j", [(0, 4), (-1, 0), (4, 1)])
+    def test_class_ids_outside_tally_rejected(self, class_i, class_j):
+        tally = OccurrenceTally(4)
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            tally.add(single_example_batch(0.5, class_i, class_j))
+
     @pytest.mark.parametrize("kinds", [(IB, IB), (IB, CB), (CB, IB), (CB, CB)])
     def test_converges_to_analytic(self, kinds, lt_dataset):
         index = lt_dataset.class_index()
         n = 100_000
-        batch = make_batch(lt_dataset, index, n, MixConfig(1.0), kinds, 4242)
+        batch = make_batch(lt_dataset, index, n, 1.0, kinds, 4242)
         empirical = empirical_occurrence([batch], 10)
         analytic = analytic_occurrence(SamplerCombo(kinds), index)
 
@@ -141,20 +137,20 @@ class TestEmpirical:
         index = lt_dataset.class_index()
         analytic = analytic_occurrence(SamplerCombo((CB, CB)), index)
         for alpha, seed in ((0.2, 1), (2.0, 2)):
-            batch = make_batch(lt_dataset, index, 100_000, MixConfig(alpha), (CB, CB), seed)
+            batch = make_batch(lt_dataset, index, 100_000, alpha, (CB, CB), seed)
             empirical = empirical_occurrence([batch], 10)
             assert np.all(np.abs(empirical.ratios - analytic.ratios) <= 0.005)
 
     def test_mass_sums_to_one(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 50_000, MixConfig(1.0), (IB, CB), 7)
+        batch = make_batch(lt_dataset, index, 50_000, 1.0, (IB, CB), 7)
         report = empirical_occurrence([batch], 10)
         assert abs(math.fsum(report.ratios) - 1.0) <= 1e-12
 
     def test_tally_merge_order_invariant(self, lt_dataset):
         index = lt_dataset.class_index()
         batches = [
-            make_batch(lt_dataset, index, 5_000, MixConfig(1.0), (IB, CB), seed) for seed in (1, 2, 3)
+            make_batch(lt_dataset, index, 5_000, 1.0, (IB, CB), seed) for seed in (1, 2, 3)
         ]
         combined = empirical_occurrence(batches, 10)
         left = OccurrenceTally(10)
@@ -178,42 +174,46 @@ class TestBalanceRatio:
         assert balance_ratio(report) == 10.0
 
     def test_zero_entry_raises(self):
-        report = empirical_occurrence([single_example_batch(0.7, 2, 5, 10)], 10)
+        report = empirical_occurrence([single_example_batch(0.7, 2, 5)], 10)
         with pytest.raises(UnrepresentedClassError, match="zero occurrence"):
             balance_ratio(report)
+
+
+def head_incidence(batches, num_classes, head_set):
+    return empirical_occurrence(batches, num_classes, head_set=head_set).head_incidence
 
 
 class TestHeadLabelIncidence:
     def test_all_classes_head(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 1_000, MixConfig(1.0), (IB, IB), 3)
-        assert head_label_incidence([batch], set(range(10))) == 1.0
+        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), 3)
+        assert head_incidence([batch], 10, set(range(10))) == 1.0
 
     def test_ib_ib_half_mass(self):
         # head classes hold exactly half the examples: expect 1 - 0.5**2
         ds = labels_only_dataset([500, 500, 250, 250, 250, 250])
         index = ds.class_index()
-        batch = make_batch(ds, index, 100_000, MixConfig(1.0), (IB, IB), 11)
-        incidence = head_label_incidence([batch], {0, 1})
+        batch = make_batch(ds, index, 100_000, 1.0, (IB, IB), 11)
+        incidence = head_incidence([batch], 6, {0, 1})
         assert abs(incidence - 0.75) <= 0.01
 
     def test_cb_cb_three_of_ten(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 100_000, MixConfig(1.0), (CB, CB), 19)
-        incidence = head_label_incidence([batch], {0, 1, 2})
+        batch = make_batch(lt_dataset, index, 100_000, 1.0, (CB, CB), 19)
+        incidence = head_incidence([batch], 10, {0, 1, 2})
         assert abs(incidence - 0.51) <= 0.01
 
     def test_validation(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 10, MixConfig(1.0), (IB, IB), 3)
-        with pytest.raises(ValueError):
-            head_label_incidence([batch], set())
-        with pytest.raises(ValueError):
-            head_label_incidence([], {0})
+        batch = make_batch(lt_dataset, index, 10, 1.0, (IB, IB), 3)
+        with pytest.raises(ValueError, match="head set"):
+            head_incidence([batch], 10, set())
+        with pytest.raises(ValueError, match="no mixed examples"):
+            head_incidence([], 10, {0})
 
     def test_report_field_only_with_head_set(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 1_000, MixConfig(1.0), (IB, IB), 3)
+        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), 3)
         bare = empirical_occurrence([batch], 10)
         assert bare.head_incidence is None
         with_head = empirical_occurrence([batch], 10, head_set={0, 1})
@@ -233,7 +233,7 @@ class TestHelpers:
     def test_csv_emission(self, tmp_path, lt_counts, lt_dataset):
         index = lt_dataset.class_index()
         analytic = analytic_occurrence(SamplerCombo((IB, CB)), index)
-        batch = make_batch(lt_dataset, index, 2_000, MixConfig(1.0), (IB, CB), 5)
+        batch = make_batch(lt_dataset, index, 2_000, 1.0, (IB, CB), 5)
         empirical = empirical_occurrence([batch], 10)
         path = tmp_path / "occurrence.csv"
         write_occurrence_csv(path, list(lt_counts), analytic, empirical)

@@ -10,13 +10,12 @@ from lobmix import (
     IB,
     SamplerKind,
     SamplerState,
+    labels_only_dataset,
     next_index,
     pair_stream,
     sample_batch,
     selection_probability,
 )
-
-from conftest import labels_only_dataset
 
 
 class TestSelectionProbability:

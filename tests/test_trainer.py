@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from lobmix import (
+    CB,
+    IB,
     ClassCounts,
     LabeledDataset,
-    MixConfig,
     Strategy,
     TrainConfig,
     evaluate,
     forward,
     grad,
     longtail_split,
-    make_batch_vanilla,
+    make_batch,
     soft_cross_entropy,
     synth_gaussian_mixture,
     train,
@@ -22,18 +23,41 @@ from lobmix import (
 from lobmix.trainer import (
     ModelParams,
     TrainingDiverged,
+    _forward_parts,
     _loss_and_grad,
     default_groups,
     init_params,
     write_history_csv,
 )
 
+from conftest import dense_targets
 
-def random_mixed_batch(rng, dim, num_classes, batch_size):
+
+def random_dataset(rng, dim, num_classes):
     counts = [max(2, int(c)) for c in rng.integers(2, 8, size=num_classes)]
     labels = np.repeat(np.arange(num_classes), counts)
-    ds = LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
-    return make_batch_vanilla(ds, ds.class_index(), batch_size, MixConfig(1.0), int(rng.integers(1 << 31)))
+    return LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
+
+
+def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
+    ds = random_dataset(rng, dim, num_classes)
+    return make_batch(ds, ds.class_index(), batch_size, 1.0, kinds, int(rng.integers(1 << 31)))
+
+
+def two_hot_loss_and_grad(params, batch):
+    return _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)
+
+
+def dense_loss_and_grad(params, x, targets):
+    """Reference: mean soft cross entropy and its gradient from (B, C) target rows."""
+    probs, z, h = _forward_parts(params, x)
+    loss = float(soft_cross_entropy(probs, targets).mean())
+    dlogits = (probs - targets) / x.shape[0]
+    if params.arch == "linear":
+        return loss, [z.T @ dlogits, dlogits.sum(axis=0)]
+    w1, b1, w2, b2 = params.weights
+    dpre = (dlogits @ w2.T) * (1.0 - h * h)
+    return loss, [z.T @ dpre, dpre.sum(axis=0), h.T @ dlogits, dlogits.sum(axis=0)]
 
 
 def flatten(weights):
@@ -59,7 +83,7 @@ def numeric_grad(params, batch, step=1e-5):
             feature_offset=params.feature_offset,
             feature_scale=params.feature_scale,
         )
-        return float(soft_cross_entropy(forward(probe, batch.features), batch.labels).mean())
+        return two_hot_loss_and_grad(probe, batch)[0]
 
     for idx in range(flat.size):
         plus = flat.copy()
@@ -166,7 +190,6 @@ class TestGrad:
         doubled = dataclasses.replace(
             batch,
             features=np.concatenate([batch.features, batch.features]),
-            labels=np.concatenate([batch.labels, batch.labels]),
             lams=np.concatenate([batch.lams, batch.lams]),
             src=np.concatenate([batch.src, batch.src]),
         )
@@ -182,10 +205,39 @@ class TestGrad:
             lr_decay_epochs=(), strategy=Strategy.ERM, seed=0,
         )
         params, _ = train(train_ds, test_ds, cfg)
-        labels = np.zeros((len(train_ds), 2))
-        labels[np.arange(len(train_ds)), train_ds.labels] = 1.0
-        _, grads = _loss_and_grad(params, train_ds.features, labels)
+        _, grads = _loss_and_grad(params, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
         assert np.linalg.norm(flatten(grads)) <= 1e-3
+
+
+class TestTwoHotLoss:
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    @pytest.mark.parametrize("kinds", [(IB, IB), (CB, CB)])
+    def test_equals_dense_soft_cross_entropy(self, arch, kinds):
+        rng = np.random.default_rng(2718)
+        for _ in range(20):
+            ds = random_dataset(rng, dim=5, num_classes=4)
+            batch = make_batch(ds, ds.class_index(), 64, 1.0, kinds, int(rng.integers(1 << 31)))
+            params = init_params(arch, 5, 4, seed=int(rng.integers(1 << 31)), hidden=6)
+            targets = dense_targets(ds, batch)
+            loss, grads = two_hot_loss_and_grad(params, batch)
+            ref_loss, ref_grads = dense_loss_and_grad(params, batch.features, targets)
+            assert np.array_equal(loss, ref_loss)
+            assert np.array_equal(
+                loss, soft_cross_entropy(forward(params, batch.features), targets).mean()
+            )
+            for g, ref in zip(grads, ref_grads):
+                assert np.array_equal(g, ref)
+
+    def test_unmixed_rows_equal_one_hot(self):
+        rng = np.random.default_rng(31)
+        ds = random_dataset(rng, dim=3, num_classes=5)
+        params = init_params("linear", 3, 5, seed=4)
+        one_hot = np.eye(5)[ds.labels]
+        loss, grads = _loss_and_grad(params, ds.features, ds.labels, ds.labels, 1.0)
+        ref_loss, ref_grads = dense_loss_and_grad(params, ds.features, one_hot)
+        assert loss == ref_loss
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
 
 
 def quick_split(seed=0, separation=4.0, counts=(120, 60, 30)):
