@@ -10,6 +10,7 @@ class-balanced samplers equalize the shares.
 import argparse
 
 from lobmix import (
+    TrainConfig,
     analytic_occurrence,
     empirical_occurrence,
     exponential_counts,
@@ -24,7 +25,7 @@ def main() -> None:
     parser.add_argument("--n-max", type=int, default=5000)
     parser.add_argument("--classes", type=int, default=10)
     parser.add_argument("--rho", type=float, default=10.0)
-    parser.add_argument("--alpha", type=float, default=1.0)
+    parser.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     parser.add_argument("--samples", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

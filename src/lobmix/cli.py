@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import longtail
-from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_value
+from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
 from .mixer import make_batch
 from .occurrence import (
     COMBO_NAMES,
@@ -39,7 +39,6 @@ from .seeds import child_seed
 from .trainer import Strategy, TrainConfig, default_groups, evaluate, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
-DEFAULT_ALPHA = 1.0  # the usual choice at this scale; 0.2 is common for very large image corpora
 DONE_MARKER = "DONE"
 
 
@@ -71,7 +70,7 @@ class Cifar10Spec:
     """Binary-batch source: train files are subsampled, the test file is used as-is."""
 
     train_paths: tuple[str, ...]
-    test_path: str | None = None
+    test_path: str
 
     def to_dict(self) -> dict:
         return {"kind": "cifar10", "train_paths": list(self.train_paths), "test_path": self.test_path}
@@ -84,15 +83,15 @@ def _dataset_spec_from_dict(d: dict):
         return SynthSpec(separation=float(json_value(d["separation"], float, "dataset.separation")), **ints)
     if kind == "cifar10":
         paths = json_value(d["train_paths"], list, "dataset.train_paths")
-        test_path = d.get("test_path")
         return Cifar10Spec(
             train_paths=tuple(json_value(p, str, "dataset.train_paths entry") for p in paths),
-            test_path=None if test_path is None else json_value(test_path, str, "dataset.test_path"),
+            test_path=json_value(d.get("test_path"), str, "dataset.test_path"),
         )
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-# JSON type of each train setting; lr_decay_epochs holds integers and
+# JSON type of each train setting: the TrainConfig fields except the seed,
+# which a config gives at the top level. lr_decay_epochs holds integers and
 # defer_epoch may also be null.
 TRAIN_TYPES = {
     "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
@@ -101,57 +100,39 @@ TRAIN_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    """TrainConfig fields minus the seed (which lives at the experiment level)."""
-
-    epochs: int
-    batches_per_epoch: int
-    batch_size: int
-    lr: float
-    lr_decay_epochs: tuple[int, ...] = ()
-    lr_decay_factor: float = 0.1
-    alpha: float = DEFAULT_ALPHA
-    strategy: str = "mixup"
-    defer_epoch: int | None = None
-    arch: str = "linear"
-    hidden: int = 32
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["lr_decay_epochs"] = list(self.lr_decay_epochs)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSettings":
-        unknown = set(json_value(d, dict, "train")) - set(TRAIN_TYPES)
-        if unknown:
-            raise ValueError(f"unknown train settings: {sorted(unknown)}")
-        missing = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING and f.name not in d]
-        if missing:
-            raise ValueError(f"missing train settings: {missing}")
-        d = {k: v if k == "defer_epoch" and v is None else json_value(v, TRAIN_TYPES[k], f"train.{k}") for k, v in d.items()}
-        if "lr_decay_epochs" in d:
-            d["lr_decay_epochs"] = tuple(json_value(e, int, "train.lr_decay_epochs entry") for e in d["lr_decay_epochs"])
-        return cls(**d)
+def _train_config_from_dict(d: dict, seed: int) -> TrainConfig:
+    """Check a config's ``train`` section against TRAIN_TYPES and build the run's TrainConfig."""
+    unknown = set(json_value(d, dict, "train")) - set(TRAIN_TYPES)
+    if unknown:
+        raise ValueError(f"unknown train settings: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"missing train settings: {missing}")
+    for k, v in d.items():
+        if not (k == "defer_epoch" and v is None):
+            json_value(v, TRAIN_TYPES[k], f"train.{k}")
+    json_ints(d.get("lr_decay_epochs", []), "train.lr_decay_epochs")
+    return TrainConfig(seed=seed, **d)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One training run: its data, long-tail profile and train settings (``train.seed`` is the run's seed)."""
+
     dataset: SynthSpec | Cifar10Spec
     profile: ImbalanceProfile
-    train: TrainSettings
-    seed: int = 0
+    train: TrainConfig
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
+        train = dataclasses.asdict(self.train)
+        seed = train.pop("seed")
+        train.update(strategy=self.train.strategy.value, lr_decay_epochs=list(self.train.lr_decay_epochs))
         return {
             "dataset": self.dataset.to_dict(),
             "profile": self.profile.to_dict(),
-            "train": self.train.to_dict(),
-            "seed": self.seed,
+            "train": train,
+            "seed": seed,
             "out_dir": self.out_dir,
         }
 
@@ -161,13 +142,9 @@ class ExperimentConfig:
         return cls(
             dataset=_dataset_spec_from_dict(d["dataset"]),
             profile=ImbalanceProfile.from_dict(json_value(d["profile"], dict, "profile")),
-            train=TrainSettings.from_dict(d["train"]),
-            seed=json_value(d.get("seed", 0), int, "seed"),
+            train=_train_config_from_dict(d["train"], json_value(d.get("seed", 0), int, "seed")),
             out_dir=None if out_dir is None else json_value(out_dir, str, "out_dir"),
         )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **dataclasses.asdict(self.train))
 
     def family_dict(self) -> dict:
         """Config with run-identity fields removed, for cross-run compatibility checks."""
@@ -179,13 +156,41 @@ class ExperimentConfig:
         return d
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+def load_config(
+    path: str | Path,
+    seed: int | None = None,
+    strategy: str | None = None,
+    alpha: float | None = None,
+    out_dir: str | None = None,
+) -> ExperimentConfig:
+    """Parse and check a config file.
+
+    Each argument that is not None replaces the file's value before anything
+    is checked, so an override can make a config valid: a deferred config
+    with no switch epoch runs as ``strategy="mixup"``.
+    """
+    d = json_value(json.loads(Path(path).read_text()), dict, "config")
+    top = {k: v for k, v in (("seed", seed), ("out_dir", out_dir)) if v is not None}
+    settings = {k: v for k, v in (("strategy", strategy), ("alpha", alpha)) if v is not None}
+    if settings:
+        top["train"] = {**json_value(d["train"], dict, "train"), **settings}
+    return ExperimentConfig.from_dict({**d, **top})
+
+
+def _cifar10_base(paths) -> tuple[LabeledDataset, str]:
+    """The records of CIFAR-10 binary files, concatenated in order, and the manifest source naming them."""
+    for p in paths:
+        if not Path(p).exists():
+            raise FileNotFoundError(f"base dataset file not found: {p}")
+    bases = [longtail.load_cifar10_binary(p) for p in paths]
+    features = np.concatenate([b.features for b in bases])
+    labels = np.concatenate([b.labels for b in bases])
+    return LabeledDataset(features, labels, longtail.CIFAR10_CLASSES), ";".join(str(p) for p in paths)
 
 
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
-    dataset_seed = child_seed(cfg.seed, "dataset")
+    dataset_seed = child_seed(cfg.train.seed, "dataset")
     if isinstance(cfg.dataset, SynthSpec):
         spec = cfg.dataset
         base_counts = ClassCounts((spec.base_per_class,) * spec.classes)
@@ -200,19 +205,10 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
             profile=cfg.profile,
         )
         return train_ds, test_ds, manifest
-    spec = cfg.dataset
-    bases = [longtail.load_cifar10_binary(p) for p in spec.train_paths]
-    features = np.concatenate([b.features for b in bases])
-    labels = np.concatenate([b.labels for b in bases])
-    base = LabeledDataset(features, labels, longtail.CIFAR10_CLASSES)
+    base, source = _cifar10_base(cfg.dataset.train_paths)
     counts = cfg.profile.class_counts(base.num_classes)
-    train_ds, manifest = longtail.subsample_longtail(
-        base, counts, dataset_seed, source=";".join(spec.train_paths), profile=cfg.profile
-    )
-    if spec.test_path is None:
-        raise ValueError("cifar10 training config needs test_path")
-    test_ds = longtail.load_cifar10_binary(spec.test_path)
-    return train_ds, test_ds, manifest
+    train_ds, manifest = longtail.subsample_longtail(base, counts, dataset_seed, source=source, profile=cfg.profile)
+    return train_ds, longtail.load_cifar10_binary(cfg.dataset.test_path), manifest
 
 
 def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
@@ -221,17 +217,8 @@ def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
 
 
 def cmd_build_lt(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.base:
-        for p in args.base:
-            if not Path(p).exists():
-                raise FileNotFoundError(f"base dataset file not found: {p}")
-        bases = [longtail.load_cifar10_binary(p) for p in args.base]
-        features = np.concatenate([b.features for b in bases])
-        labels = np.concatenate([b.labels for b in bases])
-        base = LabeledDataset(features, labels, longtail.CIFAR10_CLASSES)
-        source = ";".join(str(p) for p in args.base)
+        base, source = _cifar10_base(args.base)
     elif args.synth_classes:
         per_class = args.synth_per_class
         base_counts = ClassCounts((per_class,) * args.synth_classes)
@@ -249,6 +236,8 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     profile = _profile_from_args(args, n_max)
     counts = profile.class_counts(base.num_classes)
     _, manifest = longtail.subsample_longtail(base, counts, args.seed, source=source, profile=profile)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     manifest.save(out / "manifest.json")
 
     resolved = {
@@ -337,37 +326,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    overrides: dict = {}
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if overrides:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **overrides))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=str(args.out))
+    cfg = load_config(args.config, seed=args.seed, strategy=args.strategy, alpha=args.alpha, out_dir=args.out)
     if cfg.out_dir is None:
         raise ValueError("no output directory: set out_dir in the config or pass --out")
+    # every input is read before the run directory exists
+    train_ds, test_ds, manifest = resolve_datasets(cfg)
 
-    train_cfg = cfg.train_config()  # validates, including the deferred switch epoch
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
     # hash identifies the experiment, not where its outputs land
     digest = config_hash({k: v for k, v in resolved.items() if k != "out_dir"})
     _write_json(out / "config.json", resolved)
-
-    train_ds, test_ds, manifest = resolve_datasets(cfg)
     manifest.save(out / "manifest.json")
-    params, history = train(train_ds, test_ds, train_cfg)
+    params, history = train(train_ds, test_ds, cfg.train)
     write_history_csv(out / "history.csv", history)
     report = evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
     _write_json(out / "eval.json", {"config_sha256": digest, **report.to_dict()})
     (out / DONE_MARKER).write_text(digest + "\n")
-    print(f"strategy={train_cfg.strategy.value} balanced_acc={format_float(report.balanced_accuracy)}")
+    print(f"strategy={cfg.train.strategy.value} balanced_acc={format_float(report.balanced_accuracy)}")
     print(f"run dir: {out}")
     return 0
 
@@ -459,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--combo", choices=[*COMBO_NAMES, "all"], default="all")
     p.add_argument("--samples", type=int, default=100_000, help="mixed examples per combo; 0 = analytic only")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -470,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
     p.add_argument(
         "--alpha", type=float, default=None,
-        help="Beta shape override (config default 1.0; 0.2 is the usual choice for very large image corpora)",
+        help=f"Beta shape override (config default {TrainConfig.alpha}; "
+        "0.2 is the usual choice for very large image corpora)",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)

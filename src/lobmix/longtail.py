@@ -38,6 +38,14 @@ def json_value(value, kind: type, name: str):
     return value
 
 
+def json_ints(value, name: str) -> list:
+    """Return ``value`` if it holds a JSON list of integers, else raise ValueError."""
+    for v in json_value(value, list, name):
+        if type(v) is not int:  # cheap test first: manifests hold up to millions of entries
+            json_value(v, int, f"{name} entry")
+    return value
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -246,8 +254,8 @@ class DatasetManifest:
     kept_indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        object.__setattr__(self, "kept_indices", tuple(tuple(int(i) for i in idx) for idx in self.kept_indices))
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
+        object.__setattr__(self, "kept_indices", tuple(tuple(map(int, idx)) for idx in self.kept_indices))
         if len(self.counts) != len(self.kept_indices):
             raise ValueError("one kept-index list per class required")
         for n, idx in zip(self.counts, self.kept_indices):
@@ -265,13 +273,14 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
-        profile = ImbalanceProfile.from_dict(d["profile"]) if d.get("profile") else None
+        profile = json_value(d, dict, "manifest").get("profile")
+        kept = json_value(d["kept_indices"], list, "manifest.kept_indices")
         return cls(
-            source=d["source"],
-            profile=profile,
-            seed=int(d["seed"]),
-            counts=tuple(d["counts"]),
-            kept_indices=tuple(tuple(idx) for idx in d["kept_indices"]),
+            source=json_value(d["source"], str, "manifest.source"),
+            profile=ImbalanceProfile.from_dict(json_value(profile, dict, "manifest.profile")) if profile else None,
+            seed=json_value(d["seed"], int, "manifest.seed"),
+            counts=json_ints(d["counts"], "manifest.counts"),
+            kept_indices=[json_ints(idx, f"manifest.kept_indices[{k}]") for k, idx in enumerate(kept)],
         )
 
     def save(self, path: str | Path) -> None:

@@ -154,13 +154,15 @@ def grad(params: ModelParams, batch: MixedBatch) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run; the CLI's ``train`` config section holds every field but ``seed``."""
+
     epochs: int
     batches_per_epoch: int
     batch_size: int
     lr: float
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay_factor: float = 0.1
-    alpha: float = 1.0
+    alpha: float = 1.0  # the usual choice at this scale; 0.2 is common for very large image corpora
     strategy: Strategy = Strategy.MIXUP
     seed: int = 0
     defer_epoch: int | None = None

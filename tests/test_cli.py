@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ import pytest
 from lobmix import (
     DatasetManifest,
     LabeledDataset,
+    TrainConfig,
     exponential_counts,
     write_cifar10_binary,
 )
-from lobmix.cli import TRAIN_TYPES, ExperimentConfig, TrainSettings, config_hash, load_config, main
+from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -24,6 +29,26 @@ def cifar_file(tmp_path):
     path = tmp_path / "batch.bin"
     write_cifar10_binary(ds, path)
     return path
+
+
+def cifar_config(train_paths, test_path, out_dir=None):
+    """base_config with a CIFAR-10 binary source."""
+    cfg = base_config(out_dir)
+    cfg["dataset"] = {"kind": "cifar10", "train_paths": [str(p) for p in train_paths], "test_path": str(test_path)}
+    cfg["profile"] = {"kind": "exponential", "rho": 5, "n_max": 40}
+    return cfg
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def assert_one_error(capsys, message):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
 
 
 def base_config(out_dir=None):
@@ -75,8 +100,9 @@ class TestBuildLt:
 
     def test_missing_base(self, tmp_path, capsys):
         code = main(["build-lt", "--base", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "x")])
-        assert code != 0
-        assert "error" in capsys.readouterr().err
+        assert code == 2
+        assert_one_error(capsys, "base dataset file not found")
+        assert not (tmp_path / "x").exists()
 
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
@@ -93,6 +119,80 @@ class TestBuildLt:
         for out in outs:
             main(["build-lt", "--base", str(cifar_file), "--rho", "5", "--seed", "7", "--out", str(out)])
         assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
+
+
+class TestTwoFileCifar:
+    """Several CIFAR-10 files are one base: their records concatenated in order."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, cifar_file):
+        """a.bin and b.bin split cifar_file's records unevenly; ab.bin is their concatenation."""
+        raw = cifar_file.read_bytes()
+        cut = 3073 * 430
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "ab.bin"]
+        for path, data in zip(paths, (raw[:cut], raw[cut:], raw)):
+            path.write_bytes(data)
+        return paths
+
+    @staticmethod
+    def manifest(out):
+        return DatasetManifest.load(out / "manifest.json").to_dict()
+
+    def test_build_lt(self, tmp_path, files):
+        a, b, ab = files
+        outs = [tmp_path / "two", tmp_path / "one"]
+        for out, base in zip(outs, ([a, b], [ab])):
+            assert main(["build-lt", "--base", *map(str, base), "--rho", "10", "--seed", "3", "--out", str(out)]) == 0
+        two, one = map(self.manifest, outs)
+        assert two["source"] == f"{a};{b}"
+        assert two == {**one, "source": two["source"]}
+        assert max(max(idx) for idx in two["kept_indices"]) >= 430  # records of b.bin are kept
+
+    def test_train(self, tmp_path, files, cifar_file):
+        a, b, ab = files
+        outs = [tmp_path / "two", tmp_path / "one"]
+        for out, paths in zip(outs, ([a, b], [ab])):
+            config = write_config(tmp_path, cifar_config(paths, cifar_file))
+            assert main(["train", "--config", str(config), "--strategy", "lob", "--out", str(out)]) == 0
+        two, one = map(self.manifest, outs)
+        assert two["source"] == f"{a};{b}"
+        assert two == {**one, "source": two["source"]}
+        assert max(max(idx) for idx in two["kept_indices"]) >= 430
+        assert (outs[0] / "history.csv").read_bytes() == (outs[1] / "history.csv").read_bytes()
+        evals = [json.loads((out / "eval.json").read_text()) for out in outs]
+        for e in evals:
+            e.pop("config_sha256")  # hashes the config, which names the files
+        assert evals[0] == evals[1]
+
+
+class TestMalformedManifest:
+    @pytest.fixture()
+    def manifest_dict(self, tmp_path):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "4", "--synth-per-class", "20", "--rho", "4", "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("seed", None, "manifest.seed must be an integer, got None"),
+            ("counts", ["a", 10, 5, 5], "manifest.counts entry must be an integer, got 'a'"),
+            ("counts", {"0": 20}, "manifest.counts must be a list"),
+            ("source", 7, "manifest.source must be a string, got 7"),
+            ("kept_indices", [[0.5], [], [], []], "manifest.kept_indices[0] entry must be an integer, got 0.5"),
+            ("kept_indices", [5], "manifest.kept_indices[0] must be a list, got 5"),
+            ("profile", 3, "manifest.profile must be an object, got 3"),
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, capsys, manifest_dict, key, value, message):
+        manifest_dict[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest_dict))
+        capsys.readouterr()
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
+        assert_one_error(capsys, message)
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -192,6 +292,41 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path)]) != 0
         assert "output directory" in capsys.readouterr().err
 
+    @staticmethod
+    def deferred_without_switch(tmp_path):
+        cfg = base_config()
+        cfg["train"]["strategy"] = "deferred"
+        del cfg["train"]["lr_decay_epochs"]
+        return write_config(tmp_path, cfg)
+
+    def test_strategy_override_applies_before_checks(self, tmp_path):
+        config_path = self.deferred_without_switch(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--strategy", "mixup", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["train"]["strategy"] == "mixup"
+
+    def test_deferred_without_switch_rejected(self, tmp_path, capsys):
+        config_path = self.deferred_without_switch(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--strategy", "deferred", "--out", str(out)]) == 2
+        assert_one_error(capsys, "deferred strategy needs defer_epoch or at least one lr decay epoch")
+        assert not out.exists()
+
+    def test_missing_cifar_train_file_leaves_no_directory(self, tmp_path, capsys, cifar_file):
+        config_path = write_config(tmp_path, cifar_config([cifar_file, tmp_path / "nope.bin"], cifar_file))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert_one_error(capsys, f"base dataset file not found: {tmp_path / 'nope.bin'}")
+        assert not out.exists()
+
+    def test_cifar_config_needs_test_path(self, tmp_path, capsys, cifar_file):
+        cfg = cifar_config([cifar_file], cifar_file)
+        del cfg["dataset"]["test_path"]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert_one_error(capsys, "dataset.test_path must be a string, got None")
+        assert not out.exists()
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize(
@@ -231,7 +366,14 @@ class TestMalformedConfig:
         assert not (tmp_path / "run").exists()
 
     def test_train_types_cover_every_setting(self):
-        assert set(TRAIN_TYPES) == {f.name for f in dataclasses.fields(TrainSettings)}
+        assert set(TRAIN_TYPES) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+
+    def test_seed_only_at_top_level(self, tmp_path, capsys):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["train"]["seed"] = 3
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown train settings: ['seed']"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestReport:
@@ -316,3 +458,17 @@ class TestConfigRoundTrip:
         bad["train"]["typo_field"] = 1
         with pytest.raises(ValueError, match="typo_field"):
             ExperimentConfig.from_dict(bad)
+
+    def test_seed_written_once_at_top_level(self):
+        d = ExperimentConfig.from_dict(base_config()).to_dict()
+        assert d["seed"] == 0 and "seed" not in d["train"]
+        assert set(d["train"]) == set(TRAIN_TYPES)
+
+    def test_strategy_comparison_script_config(self):
+        spec = importlib.util.spec_from_file_location("strategy_comparison", REPO / "scripts" / "run_strategy_comparison.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        raw = script.experiment_config()
+        cfg = ExperimentConfig.from_dict(raw)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg.to_dict()["train"].items() >= raw["train"].items()
