@@ -16,6 +16,7 @@ from lobmix import (
     exponential_counts,
     labels_only_dataset,
     make_batch,
+    make_rng,
 )
 from lobmix.occurrence import COMBO_NAMES, default_head_set, parse_combo
 
@@ -41,7 +42,8 @@ def main() -> None:
     for name in COMBO_NAMES:
         combo = parse_combo(name, args.alpha)
         analytic = analytic_occurrence(combo, index)
-        batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, args.seed)
+        rng = make_rng(args.seed, "analyze:" + name)
+        batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, rng)
         measured = empirical_occurrence([batch], args.classes, head_set=head)
         print(
             f"{name:8s} {analytic.balance_ratio:17.4f} "

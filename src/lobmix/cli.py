@@ -35,7 +35,7 @@ from .occurrence import (
     parse_combo,
     write_occurrence_csv,
 )
-from .seeds import child_seed
+from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
 from .trainer import Strategy, TrainConfig, default_groups, evaluate, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
@@ -83,6 +83,8 @@ def _dataset_spec_from_dict(d: dict):
         return SynthSpec(separation=float(json_value(d["separation"], float, "dataset.separation")), **ints)
     if kind == "cifar10":
         paths = json_value(d["train_paths"], list, "dataset.train_paths")
+        if not paths:
+            raise ValueError("dataset.train_paths must name at least one file")
         return Cifar10Spec(
             train_paths=tuple(json_value(p, str, "dataset.train_paths entry") for p in paths),
             test_path=json_value(d.get("test_path"), str, "dataset.test_path"),
@@ -134,11 +136,15 @@ class ExperimentConfig:
             "train": train,
             "seed": seed,
             "out_dir": self.out_dir,
+            "rng_layout": RNG_LAYOUT,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         out_dir = json_value(d, dict, "config").get("out_dir")
+        layout = json_value(d.get("rng_layout", RNG_LAYOUT), int, "rng_layout")
+        if layout != RNG_LAYOUT:
+            raise ValueError(f"rng_layout {layout} is not this version's random-stream layout {RNG_LAYOUT}")
         return cls(
             dataset=_dataset_spec_from_dict(d["dataset"]),
             profile=ImbalanceProfile.from_dict(json_value(d["profile"], dict, "profile")),
@@ -151,6 +157,7 @@ class ExperimentConfig:
         d = self.to_dict()
         d.pop("seed")
         d.pop("out_dir")
+        d.pop("rng_layout")  # report checks layouts on their own
         d["train"].pop("strategy")
         d["train"].pop("defer_epoch")
         return d
@@ -190,24 +197,23 @@ def _cifar10_base(paths) -> tuple[LabeledDataset, str]:
 
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
-    dataset_seed = child_seed(cfg.train.seed, "dataset")
     if isinstance(cfg.dataset, SynthSpec):
         spec = cfg.dataset
         base_counts = ClassCounts((spec.base_per_class,) * spec.classes)
-        base = longtail.synth_gaussian_mixture(spec.classes, base_counts, spec.dim, spec.separation, dataset_seed)
+        base = longtail.synth_gaussian_mixture(spec.classes, base_counts, spec.dim, spec.separation, cfg.train.seed)
         counts = cfg.profile.class_counts(spec.classes)
         train_ds, test_ds, manifest = longtail.longtail_split(
             base,
             counts,
             spec.test_per_class,
-            dataset_seed,
+            cfg.train.seed,
             source=f"synth:classes={spec.classes},dim={spec.dim},separation={spec.separation}",
             profile=cfg.profile,
         )
         return train_ds, test_ds, manifest
     base, source = _cifar10_base(cfg.dataset.train_paths)
     counts = cfg.profile.class_counts(base.num_classes)
-    train_ds, manifest = longtail.subsample_longtail(base, counts, dataset_seed, source=source, profile=cfg.profile)
+    train_ds, manifest = longtail.subsample_longtail(base, counts, cfg.train.seed, source=source, profile=cfg.profile)
     return train_ds, longtail.load_cifar10_binary(cfg.dataset.test_path), manifest
 
 
@@ -223,7 +229,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
         per_class = args.synth_per_class
         base_counts = ClassCounts((per_class,) * args.synth_classes)
         base = longtail.synth_gaussian_mixture(
-            args.synth_classes, base_counts, args.synth_dim, args.synth_separation, child_seed(args.seed, "dataset")
+            args.synth_classes, base_counts, args.synth_dim, args.synth_separation, args.seed
         )
         source = f"synth:classes={args.synth_classes},dim={args.synth_dim},separation={args.synth_separation}"
     else:
@@ -246,6 +252,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
         "profile": profile.to_dict(),
         "seed": args.seed,
         "counts": list(counts),
+        "rng_layout": RNG_LAYOUT,
     }
     _write_json(out / "build_info.json", {"config_sha256": config_hash(resolved), **resolved})
     print(f"class counts: {list(counts)}")
@@ -255,6 +262,12 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.alpha > 0:
+        raise ValueError(f"--alpha must be positive, got {args.alpha}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
     manifest = DatasetManifest.load(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,15 +283,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analytic = analytic_occurrence(combo, index)
         empirical: OccurrenceReport | None = None
         if args.samples > 0:
-            batch = make_batch(
-                dataset,
-                index,
-                args.samples,
-                args.alpha,
-                combo.kinds,
-                child_seed(args.seed, "analyze", name),
-            )
+            batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, make_rng(args.seed, "analyze:" + name))
             empirical = empirical_occurrence([batch], len(counts), head_set=head)
+            del batch  # freed before the next combo's batch is drawn, which keeps peak RSS down
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
         _write_json(
@@ -300,6 +307,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "alpha": args.alpha,
         "seed": args.seed,
+        "rng_layout": RNG_LAYOUT,
     }
     digest = config_hash(resolved)
     with (out / "occurrence_summary.csv").open("w", newline="") as fh:
@@ -366,6 +374,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     runs = _finished_runs(args.runs)
     if not runs:
         raise ValueError("no completed runs found (missing DONE markers?)")
+    # a config.json without rng_layout was written under layout 1
+    layouts = sorted({cfg.get("rng_layout", 1) for _, cfg, _ in runs})
+    if len(layouts) > 1:
+        raise ValueError(f"runs mix random-stream layouts {layouts}; aggregate runs of one layout")
     families = {config_hash(ExperimentConfig.from_dict(cfg).family_dict()) for _, cfg, _ in runs}
     if len(families) > 1:
         raise ValueError(f"runs mix {len(families)} incompatible configurations; aggregate one family at a time")

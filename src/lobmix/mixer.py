@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .longtail import ClassIndex, LabeledDataset
-from .samplers import SamplerKind, SamplerState, pair_stream
-from .seeds import make_rng
+from .samplers import SamplerKind, sample_batch
 
 
 _LAM_EPS = 1e-7
@@ -76,15 +75,6 @@ class MixedExample:
 
 
 @dataclass(frozen=True)
-class BatchMeta:
-    """Everything needed to regenerate a batch from the source dataset."""
-
-    sampler_kinds: tuple[SamplerKind, SamplerKind]
-    alpha: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class MixedBatch:
     """A batch of mixed examples stored as parallel arrays.
 
@@ -97,7 +87,6 @@ class MixedBatch:
     features: np.ndarray
     lams: np.ndarray
     src: np.ndarray
-    meta: BatchMeta
 
     def __post_init__(self) -> None:
         if len(self.features) == 0:
@@ -149,27 +138,23 @@ def make_batch(
     batch_size: int,
     alpha: float,
     kinds: tuple[SamplerKind, SamplerKind],
-    seed: int,
+    rng: np.random.Generator,
 ) -> MixedBatch:
     """Mix ``batch_size`` pairs drawn by two independent samplers of the given kinds.
 
     ``(IB, IB)`` is vanilla mixing and ``(CB, CB)`` label-occurrence-balanced
-    mixing; mixing ratios are drawn from Beta(alpha, alpha).
+    mixing; mixing ratios are drawn from Beta(alpha, alpha). Member a, then
+    member b, then the ratios are drawn from ``rng`` in that fixed order, so
+    the generator's address regenerates the batch.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    s1 = SamplerState.create(kinds[0], index, seed, "pair-a")
-    s2 = SamplerState.create(kinds[1], index, seed, "pair-b")
-    pairs = pair_stream(s1, s2, batch_size)
-    lam = np.atleast_1d(sample_lambda(alpha, make_rng(seed, "mixing"), size=batch_size))
-
-    i, j = pairs[:, 0], pairs[:, 1]
+    i = sample_batch(kinds[0], index, rng, batch_size)
+    j = sample_batch(kinds[1], index, rng, batch_size)
+    lam = sample_lambda(alpha, rng, size=batch_size)
     features = lam[:, None] * dataset.features[i] + (1.0 - lam)[:, None] * dataset.features[j]
     return MixedBatch(
         features=features,
         lams=lam,
         src=np.stack([i, j, dataset.labels[i], dataset.labels[j]], axis=1),
-        meta=BatchMeta(sampler_kinds=(kinds[0], kinds[1]), alpha=alpha, seed=seed),
     )
 
 

@@ -142,17 +142,11 @@ class OccurrenceTally:
         classes = batch.src[:, 2:4]
         if classes.min() < 0 or classes.max() >= self.num_classes:
             raise ValueError(f"batch class ids must lie in [0, {self.num_classes}) for this tally")
-        lam = batch.lams
-        mu = 1.0 - lam
-        ci = batch.src[:, 2]
-        cj = batch.src[:, 3]
-        mass = np.array(
-            [
-                math.fsum(lam[ci == k]) + math.fsum(mu[cj == k])
-                for k in range(self.num_classes)
-            ]
+        ci, cj = classes.T
+        self._masses.append(
+            np.bincount(ci, weights=batch.lams, minlength=self.num_classes)
+            + np.bincount(cj, weights=1.0 - batch.lams, minlength=self.num_classes)
         )
-        self._masses.append(mass)
         self._examples += len(batch)
         if self.head_set is not None:
             head = np.fromiter(self.head_set, dtype=np.int64)
@@ -168,9 +162,7 @@ class OccurrenceTally:
     def report(self) -> OccurrenceReport:
         if self._examples == 0:
             raise ValueError("no mixed examples tallied")
-        mass = np.array(
-            [math.fsum(chunk[k] for chunk in self._masses) for k in range(self.num_classes)]
-        )
+        mass = np.array([math.fsum(per_class) for per_class in zip(*self._masses)])
         total = math.fsum(mass)
         ratios = mass / total
         spread = float(ratios.max() / ratios.min()) if ratios.min() > 0 else None

@@ -13,7 +13,6 @@ from enum import Enum
 import numpy as np
 
 from .longtail import ClassIndex
-from .seeds import make_rng
 
 
 class SamplerKind(str, Enum):
@@ -63,65 +62,17 @@ def selection_probability(kind: SamplerKind, index: ClassIndex) -> SamplingDistr
     return SamplingDistribution(probs)
 
 
-@dataclass
-class SamplerState:
-    """Owns one random stream and draws example indices with replacement."""
-
-    kind: SamplerKind
-    index: ClassIndex
-    rng: np.random.Generator
-    draws: int = 0
-
-    @classmethod
-    def create(cls, kind: SamplerKind, index: ClassIndex, seed: int, stream: str | int = 0) -> "SamplerState":
-        """Build a state on its own stream derived from (seed, stream id, kind)."""
-        return cls(kind=kind, index=index, rng=make_rng(seed, "sampler", stream, kind.value))
-
-
-def sample_batch(state: SamplerState, batch_size: int) -> np.ndarray:
-    """Draw ``batch_size`` i.i.d. example indices."""
+def sample_batch(kind: SamplerKind, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:
+    """Draw ``batch_size`` i.i.d. example indices from ``rng`` with the given sampler kind."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    index = state.index
-    if state.kind is IB:
-        out = state.rng.integers(0, index.total, size=batch_size)
+    if kind is IB:
+        out = rng.integers(0, index.total, size=batch_size)
     else:
         counts = index.counts
         if np.any(counts == 0):
             raise ValueError("class-balanced sampling requires every class to be populated")
-        classes = state.rng.integers(0, index.num_classes, size=batch_size)
-        within = state.rng.integers(0, counts[classes])
+        classes = rng.integers(0, index.num_classes, size=batch_size)
+        within = rng.integers(0, counts[classes])
         out = index.flat[index.offsets[classes] + within]
-    state.draws += batch_size
     return out.astype(np.int64)
-
-
-def next_index(state: SamplerState) -> int:
-    """Draw a single example index (one step of the batch sampler)."""
-    return int(sample_batch(state, 1)[0])
-
-
-def _stream_position(rng: np.random.Generator) -> tuple:
-    st = rng.bit_generator.state
-    inner = st["state"]
-    return (
-        st["bit_generator"],
-        tuple(np.asarray(inner["counter"]).tolist()),
-        tuple(np.asarray(inner["key"]).tolist()),
-        st.get("buffer_pos"),
-    )
-
-
-def pair_stream(s1: SamplerState, s2: SamplerState, batch_size: int) -> np.ndarray:
-    """Draw ``batch_size`` independent index pairs, first column from s1, second from s2.
-
-    The two states must hold distinct streams; pairing a stream with itself
-    (or an identically positioned clone) would correlate the draws.
-    """
-    if s1.rng is s2.rng:
-        raise ValueError("pair_stream requires two independent streams, got a shared generator")
-    if _stream_position(s1.rng) == _stream_position(s2.rng):
-        raise ValueError("pair_stream requires two independent streams, got identically seeded generators")
-    first = sample_batch(s1, batch_size)
-    second = sample_batch(s2, batch_size)
-    return np.stack([first, second], axis=1)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .longtail import LabeledDataset
 from .mixer import MixedBatch, make_batch, pair_weights
-from .samplers import CB, IB, SamplerKind, SamplerState, sample_batch
-from .seeds import child_seed, make_rng
+from .samplers import CB, IB, SamplerKind, sample_batch
+from .seeds import make_rng
 
 ARCHITECTURES = ("linear", "mlp1")
 
@@ -289,10 +289,10 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """SGD on soft cross entropy with the configured batch source.
 
-    The per-batch seeds depend only on (cfg.seed, epoch, batch), never on the
-    strategy, so runs that share a seed follow identical trajectories until
-    their batch sources first differ (the deferred/vanilla equivalence before
-    the switch epoch).
+    Each batch draws from ``make_rng(cfg.seed, "batch", epoch, b)``, whatever
+    the strategy, so runs that share a seed follow identical trajectories
+    until their batch sources first differ (the deferred/vanilla equivalence
+    before the switch epoch).
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
@@ -304,7 +304,7 @@ def train(
         cfg.arch,
         train_ds.dim,
         train_ds.num_classes,
-        seed=child_seed(cfg.seed, "init"),
+        seed=cfg.seed,
         hidden=cfg.hidden,
         feature_offset=offset,
         feature_scale=scale,
@@ -317,13 +317,13 @@ def train(
         kinds = _epoch_sampler_kinds(cfg, epoch)
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
-            batch_seed = child_seed(cfg.seed, "batch", epoch, b)
+            rng = make_rng(cfg.seed, "batch", epoch, b)
             if kinds is None:
-                rows = sample_batch(SamplerState.create(IB, index, batch_seed, "erm"), cfg.batch_size)
+                rows = sample_batch(IB, index, rng, cfg.batch_size)
                 labels = train_ds.labels[rows]
                 loss, grads = _loss_and_grad(params, train_ds.features[rows], labels, labels, 1.0)
             else:
-                batch = make_batch(train_ds, index, cfg.batch_size, cfg.alpha, kinds, batch_seed)
+                batch = make_batch(train_ds, index, cfg.batch_size, cfg.alpha, kinds, rng)
                 loss, grads = _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")

@@ -17,7 +17,6 @@ from lobmix import (
     ClassCounts,
     LabeledDataset,
     SamplerCombo,
-    SamplerState,
     Strategy,
     TrainConfig,
     analytic_occurrence,
@@ -94,7 +93,7 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
 def test_criterion_2_empirical_matches_analytic(lt_dataset, lt_index):
     started = time.perf_counter()
     for kinds in ((IB, IB), (IB, CB), (CB, CB)):
-        batch = make_batch(lt_dataset, lt_index, 200_000, 1.0, kinds, seed=2025)
+        batch = make_batch(lt_dataset, lt_index, 200_000, 1.0, kinds, make_rng(2025, "test"))
         empirical = empirical_occurrence([batch], 10)
         analytic = analytic_occurrence(SamplerCombo(kinds), lt_index)
         deviation = np.abs(empirical.ratios - analytic.ratios).max()
@@ -105,8 +104,7 @@ def test_criterion_2_empirical_matches_analytic(lt_dataset, lt_index):
 
 
 def test_criterion_3_sampler_distributions(lt_counts, lt_dataset, lt_index):
-    state = SamplerState.create(CB, lt_index, seed=31337)
-    draws = sample_batch(state, 1_000_000)
+    draws = sample_batch(CB, lt_index, make_rng(31337, "test"), 1_000_000)
     observed = np.bincount(lt_dataset.labels[draws], minlength=10)
     expected = np.full(10, draws.size / 10)
     statistic = ((observed - expected) ** 2 / expected).sum()
@@ -178,7 +176,8 @@ def test_criterion_6_gradient_matches_finite_differences():
         counts = [int(c) for c in rng.integers(2, 6, size=num_classes)]
         labels = np.repeat(np.arange(num_classes), counts)
         ds = LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
-        batch = make_batch(ds, ds.class_index(), batch_size, 1.0, (IB, IB), int(rng.integers(1 << 31)))
+        batch_rng = make_rng(int(rng.integers(1 << 31)), "test")
+        batch = make_batch(ds, ds.class_index(), batch_size, 1.0, (IB, IB), batch_rng)
         targets = dense_targets(ds, batch)
         params = init_params(arch, dim, num_classes, seed=int(rng.integers(1 << 31)), hidden=4)
 

@@ -15,6 +15,7 @@ from lobmix import (
     write_cifar10_binary,
 )
 from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main
+from lobmix.seeds import RNG_LAYOUT
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -235,6 +236,28 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert all(row["gamma_empirical"] == "" for row in rows)
 
+    def test_rng_layout_recorded(self, tmp_path, manifest_path):
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(manifest_path), "--samples", "100", "--out", str(out)]) == 0
+        info = json.loads((out / "analyze_info.json").read_text())
+        assert info["rng_layout"] == RNG_LAYOUT
+        assert info["config_sha256"] == config_hash({k: v for k, v in info.items() if k != "config_sha256"})
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--alpha", "0", "--alpha must be positive, got 0.0"),
+            ("--seed", "-5", "--seed must fit in 64 bits, got -5"),
+            ("--samples", "-3", "--samples must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_setting_rejected(self, tmp_path, capsys, manifest_path, flag, value, message):
+        out = tmp_path / "occ"
+        capsys.readouterr()
+        assert main(["analyze", "--manifest", str(manifest_path), flag, value, "--out", str(out)]) == 2
+        assert_one_error(capsys, message)
+        assert not out.exists()
+
     def test_single_combo(self, tmp_path, manifest_path):
         out = tmp_path / "occ1"
         assert main([
@@ -256,6 +279,7 @@ class TestTrainCommand:
         evaluation = json.loads((out / "eval.json").read_text())
         assert set(evaluation["group_accuracy"]) == {"head", "medium", "tail"}
         resolved = json.loads((out / "config.json").read_text())
+        assert resolved["rng_layout"] == RNG_LAYOUT
         expected = config_hash({k: v for k, v in resolved.items() if k != "out_dir"})
         assert (out / "DONE").read_text().strip() == expected
 
@@ -319,6 +343,13 @@ class TestTrainCommand:
         assert_one_error(capsys, f"base dataset file not found: {tmp_path / 'nope.bin'}")
         assert not out.exists()
 
+    def test_cifar_config_needs_train_path(self, tmp_path, capsys, cifar_file):
+        config_path = write_config(tmp_path, cifar_config([], cifar_file))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert_one_error(capsys, "dataset.train_paths must name at least one file")
+        assert not out.exists()
+
     def test_cifar_config_needs_test_path(self, tmp_path, capsys, cifar_file):
         cfg = cifar_config([cifar_file], cifar_file)
         del cfg["dataset"]["test_path"]
@@ -367,6 +398,13 @@ class TestMalformedConfig:
 
     def test_train_types_cover_every_setting(self):
         assert set(TRAIN_TYPES) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+
+    def test_other_rng_layout_rejected(self, tmp_path, capsys):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["rng_layout"] = RNG_LAYOUT - 1
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert_one_error(capsys, f"rng_layout {RNG_LAYOUT - 1} is not this version's random-stream layout")
+        assert not (tmp_path / "run").exists()
 
     def test_seed_only_at_top_level(self, tmp_path, capsys):
         cfg = base_config(out_dir=str(tmp_path / "run"))
@@ -418,6 +456,17 @@ class TestReport:
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         assert main(["report", str(dirs[0]), str(out)]) != 0
         assert "incompatible" in capsys.readouterr().err
+
+    def test_mixed_rng_layouts_rejected(self, tmp_path, capsys):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        # a run directory written before the layout was recorded has no rng_layout key
+        config_path = dirs[1] / "config.json"
+        older = json.loads(config_path.read_text())
+        del older["rng_layout"]
+        config_path.write_text(json.dumps(older))
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs)]) == 2
+        assert_one_error(capsys, f"runs mix random-stream layouts [1, {RNG_LAYOUT}]")
 
     def test_incomplete_runs_ignored(self, tmp_path):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
@@ -472,3 +521,19 @@ class TestConfigRoundTrip:
         cfg = ExperimentConfig.from_dict(raw)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.to_dict()["train"].items() >= raw["train"].items()
+
+
+class TestSamplerAblationScript:
+    def test_prints_three_combo_rows(self, monkeypatch, capsys):
+        path = REPO / "scripts" / "run_sampler_ablation.py"
+        spec = importlib.util.spec_from_file_location("sampler_ablation", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        argv = ["run_sampler_ablation.py", "--classes", "4", "--n-max", "50", "--samples", "2000"]
+        monkeypatch.setattr("sys.argv", argv)
+        script.main()
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        for combo in ("ib-ib", "ib-cb", "cb-cb"):
+            analytic, measured, incidence = map(float, rows[combo])
+            assert analytic >= 1.0 and measured >= 1.0 and 0.0 < incidence <= 1.0
+        assert float(rows["cb-cb"][0]) == 1.0

@@ -29,28 +29,28 @@ def stabilized(x: float) -> float:
 class TestSampleLambda:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            sample_lambda(0.0, make_rng(0))
+            sample_lambda(0.0, make_rng(0, "test"))
         with pytest.raises(ValueError):
-            sample_lambda(-1.0, make_rng(0))
+            sample_lambda(-1.0, make_rng(0, "test"))
 
     def test_open_interval_and_stability(self):
-        lam = sample_lambda(0.2, make_rng(123), size=200_000)
+        lam = sample_lambda(0.2, make_rng(123, "test"), size=200_000)
         assert lam.min() >= LAMBDA_MIN > 0.0
         assert lam.max() <= LAMBDA_MAX < 1.0
         assert np.all(1.0 - (1.0 - lam) == lam)
 
     def test_scalar_draw(self):
-        lam = sample_lambda(1.0, make_rng(5))
+        lam = sample_lambda(1.0, make_rng(5, "test"))
         assert isinstance(lam, float)
         assert 0.0 < lam < 1.0
 
     def test_symmetry_ks(self):
-        lam = sample_lambda(0.5, make_rng(77), size=100_000)
+        lam = sample_lambda(0.5, make_rng(77, "test"), size=100_000)
         result = stats.ks_2samp(lam, 1.0 - lam)
         assert result.pvalue > 0.001
 
     def test_uniform_moments_alpha_one(self):
-        lam = sample_lambda(1.0, make_rng(11), size=1_000_000)
+        lam = sample_lambda(1.0, make_rng(11, "test"), size=1_000_000)
         assert abs(lam.mean() - 0.5) <= 0.002
         assert abs(lam.var() - 1.0 / 12.0) <= 0.002
 
@@ -140,15 +140,15 @@ class TestBatchMakers:
         ds = self._dataset([40, 20, 10])
         index = ds.class_index()
         for kinds in ((IB, IB), (CB, CB)):
-            one = make_batch(ds, index, 64, 0.5, kinds, 99)
-            two = make_batch(ds, index, 64, 0.5, kinds, 99)
+            one = make_batch(ds, index, 64, 0.5, kinds, make_rng(99, "test"))
+            two = make_batch(ds, index, 64, 0.5, kinds, make_rng(99, "test"))
             assert np.array_equal(one.features, two.features)
             assert np.array_equal(one.lams, two.lams)
             assert np.array_equal(one.src, two.src)
 
     def test_single_example_batch(self):
         ds = self._dataset([5, 5])
-        batch = make_batch(ds, ds.class_index(), 1, 1.0, (IB, IB), 7)
+        batch = make_batch(ds, ds.class_index(), 1, 1.0, (IB, IB), make_rng(7, "test"))
         assert len(batch) == 1
         assert 0.0 < batch.lams[0] < 1.0
         i, j, ci, cj = batch.src[0]
@@ -157,22 +157,25 @@ class TestBatchMakers:
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])
         index = ds.class_index()
-        batch = make_batch(ds, index, 32, 0.7, (IB, CB), 1234)
-        again = make_batch(ds, index, len(batch), batch.meta.alpha, batch.meta.sampler_kinds, batch.meta.seed)
+        batch = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
+        again = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
         assert np.array_equal(batch.features, again.features)
         assert np.array_equal(batch.lams, again.lams)
         assert np.array_equal(batch.src, again.src)
+        other = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 6))
+        assert not np.array_equal(batch.lams, other.lams)
+        assert not np.array_equal(batch.src, other.src)
 
     def test_features_are_convex_blends(self):
         ds = self._dataset([20, 20])
-        batch = make_batch(ds, ds.class_index(), 256, 1.0, (CB, CB), 5)
+        batch = make_batch(ds, ds.class_index(), 256, 1.0, (CB, CB), make_rng(5, "test"))
         i, j = batch.src[:, 0], batch.src[:, 1]
         expect = batch.lams[:, None] * ds.features[i] + (1.0 - batch.lams)[:, None] * ds.features[j]
         assert np.array_equal(batch.features, expect)
 
     def test_labels_on_simplex(self):
         ds = self._dataset([20, 20, 20])
-        batch = make_batch(ds, ds.class_index(), 512, 0.2, (IB, IB), 6)
+        batch = make_batch(ds, ds.class_index(), 512, 0.2, (IB, IB), make_rng(6, "test"))
         classes = batch.src[:, 2:4]
         assert classes.min() >= 0 and classes.max() < 3
         w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
@@ -181,25 +184,25 @@ class TestBatchMakers:
 
     def test_single_class_labels(self):
         ds = LabeledDataset(np.zeros((8, 2)), np.zeros(8, dtype=np.int64), 1)
-        batch = make_batch(ds, ds.class_index(), 16, 1.0, (CB, CB), 3)
+        batch = make_batch(ds, ds.class_index(), 16, 1.0, (CB, CB), make_rng(3, "test"))
         assert np.array_equal(batch.src[:, 2:4], np.zeros((16, 2), dtype=np.int64))
         w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
         assert np.array_equal(w_i, np.ones(16)) and np.array_equal(w_j, np.zeros(16))
 
     def test_vanilla_on_balanced_data_is_uniform(self):
         ds = self._dataset([300, 300, 300])
-        batch = make_batch(ds, ds.class_index(), 60_000, 1.0, (IB, IB), 8)
+        batch = make_batch(ds, ds.class_index(), 60_000, 1.0, (IB, IB), make_rng(8, "test"))
         report = empirical_occurrence([batch], 3)
         assert np.all(np.abs(report.ratios - 1.0 / 3.0) <= 0.006)
 
     def test_lob_mass_uniform_on_longtail(self, lt_counts, lt_dataset):
-        batch = make_batch(lt_dataset, lt_dataset.class_index(), 100_000, 1.0, (CB, CB), 13)
+        batch = make_batch(lt_dataset, lt_dataset.class_index(), 100_000, 1.0, (CB, CB), make_rng(13, "test"))
         report = empirical_occurrence([batch], 10)
         assert np.all(np.abs(report.ratios - 0.1) <= 0.005)
 
     def test_audit_dump(self, tmp_path):
         ds = self._dataset([6, 6])
-        batch = make_batch(ds, ds.class_index(), 5, 1.0, (IB, IB), 2)
+        batch = make_batch(ds, ds.class_index(), 5, 1.0, (IB, IB), make_rng(2, "test"))
         path = tmp_path / "audit.jsonl"
         write_batch_audit(path, batch)
         lines = path.read_text().strip().splitlines()
@@ -221,7 +224,7 @@ class TestBatchMatchesMixPair:
         rng = np.random.default_rng(seed)
         labels = np.repeat(np.arange(len(counts)), counts)
         ds = LabeledDataset(rng.normal(scale=10.0, size=(labels.size, 3)), labels, len(counts))
-        batch = make_batch(ds, ds.class_index(), 24, alpha, kinds, seed)
+        batch = make_batch(ds, ds.class_index(), 24, alpha, kinds, make_rng(seed, "test"))
         w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
         for r, ref in enumerate(mix_pair_rows(ds, batch)):
             i, j, ci, cj = batch.src[r]

@@ -16,8 +16,9 @@ from lobmix import (
     empirical_occurrence,
     labels_only_dataset,
     make_batch,
+    make_rng,
 )
-from lobmix.mixer import BatchMeta, MixedBatch
+from lobmix.mixer import MixedBatch
 from lobmix.occurrence import (
     OccurrenceReport,
     OccurrenceTally,
@@ -94,7 +95,6 @@ def single_example_batch(lam, class_i, class_j):
         features=np.zeros((1, 2)),
         lams=np.array([lam]),
         src=np.array([[0, 1, class_i, class_j]]),
-        meta=BatchMeta((IB, IB), 1.0, 0),
     )
 
 
@@ -121,7 +121,7 @@ class TestEmpirical:
     def test_converges_to_analytic(self, kinds, lt_dataset):
         index = lt_dataset.class_index()
         n = 100_000
-        batch = make_batch(lt_dataset, index, n, 1.0, kinds, 4242)
+        batch = make_batch(lt_dataset, index, n, 1.0, kinds, make_rng(4242, "test"))
         empirical = empirical_occurrence([batch], 10)
         analytic = analytic_occurrence(SamplerCombo(kinds), index)
 
@@ -137,20 +137,28 @@ class TestEmpirical:
         index = lt_dataset.class_index()
         analytic = analytic_occurrence(SamplerCombo((CB, CB)), index)
         for alpha, seed in ((0.2, 1), (2.0, 2)):
-            batch = make_batch(lt_dataset, index, 100_000, alpha, (CB, CB), seed)
+            batch = make_batch(lt_dataset, index, 100_000, alpha, (CB, CB), make_rng(seed, "test"))
             empirical = empirical_occurrence([batch], 10)
             assert np.all(np.abs(empirical.ratios - analytic.ratios) <= 0.005)
 
     def test_mass_sums_to_one(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 50_000, 1.0, (IB, CB), 7)
+        batch = make_batch(lt_dataset, index, 50_000, 1.0, (IB, CB), make_rng(7, "test"))
         report = empirical_occurrence([batch], 10)
         assert abs(math.fsum(report.ratios) - 1.0) <= 1e-12
+
+    def test_tally_matches_per_class_fsum(self, lt_dataset):
+        batch = make_batch(lt_dataset, lt_dataset.class_index(), 100_000, 1.0, (IB, CB), make_rng(17, "test"))
+        ci, cj, lam = batch.src[:, 2], batch.src[:, 3], batch.lams
+        mass = [math.fsum(lam[ci == k]) + math.fsum(1.0 - lam[cj == k]) for k in range(10)]
+        expect = np.array(mass) / math.fsum(mass)
+        report = empirical_occurrence([batch], 10)
+        assert np.allclose(report.ratios, expect, rtol=1e-12, atol=0)
 
     def test_tally_merge_order_invariant(self, lt_dataset):
         index = lt_dataset.class_index()
         batches = [
-            make_batch(lt_dataset, index, 5_000, 1.0, (IB, CB), seed) for seed in (1, 2, 3)
+            make_batch(lt_dataset, index, 5_000, 1.0, (IB, CB), make_rng(seed, "test")) for seed in (1, 2, 3)
         ]
         combined = empirical_occurrence(batches, 10)
         left = OccurrenceTally(10)
@@ -186,26 +194,26 @@ def head_incidence(batches, num_classes, head_set):
 class TestHeadLabelIncidence:
     def test_all_classes_head(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), 3)
+        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), make_rng(3, "test"))
         assert head_incidence([batch], 10, set(range(10))) == 1.0
 
     def test_ib_ib_half_mass(self):
         # head classes hold exactly half the examples: expect 1 - 0.5**2
         ds = labels_only_dataset([500, 500, 250, 250, 250, 250])
         index = ds.class_index()
-        batch = make_batch(ds, index, 100_000, 1.0, (IB, IB), 11)
+        batch = make_batch(ds, index, 100_000, 1.0, (IB, IB), make_rng(11, "test"))
         incidence = head_incidence([batch], 6, {0, 1})
         assert abs(incidence - 0.75) <= 0.01
 
     def test_cb_cb_three_of_ten(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 100_000, 1.0, (CB, CB), 19)
+        batch = make_batch(lt_dataset, index, 100_000, 1.0, (CB, CB), make_rng(19, "test"))
         incidence = head_incidence([batch], 10, {0, 1, 2})
         assert abs(incidence - 0.51) <= 0.01
 
     def test_validation(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 10, 1.0, (IB, IB), 3)
+        batch = make_batch(lt_dataset, index, 10, 1.0, (IB, IB), make_rng(3, "test"))
         with pytest.raises(ValueError, match="head set"):
             head_incidence([batch], 10, set())
         with pytest.raises(ValueError, match="no mixed examples"):
@@ -213,7 +221,7 @@ class TestHeadLabelIncidence:
 
     def test_report_field_only_with_head_set(self, lt_dataset):
         index = lt_dataset.class_index()
-        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), 3)
+        batch = make_batch(lt_dataset, index, 1_000, 1.0, (IB, IB), make_rng(3, "test"))
         bare = empirical_occurrence([batch], 10)
         assert bare.head_incidence is None
         with_head = empirical_occurrence([batch], 10, head_set={0, 1})
@@ -233,7 +241,7 @@ class TestHelpers:
     def test_csv_emission(self, tmp_path, lt_counts, lt_dataset):
         index = lt_dataset.class_index()
         analytic = analytic_occurrence(SamplerCombo((IB, CB)), index)
-        batch = make_batch(lt_dataset, index, 2_000, 1.0, (IB, CB), 5)
+        batch = make_batch(lt_dataset, index, 2_000, 1.0, (IB, CB), make_rng(5, "test"))
         empirical = empirical_occurrence([batch], 10)
         path = tmp_path / "occurrence.csv"
         write_occurrence_csv(path, list(lt_counts), analytic, empirical)

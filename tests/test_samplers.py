@@ -9,10 +9,9 @@ from lobmix import (
     CB,
     IB,
     SamplerKind,
-    SamplerState,
     labels_only_dataset,
-    next_index,
-    pair_stream,
+    make_batch,
+    make_rng,
     sample_batch,
     selection_probability,
 )
@@ -63,16 +62,19 @@ class TestSelectionProbability:
             selection_probability(CB, index)
 
 
+def pairs(ds, kinds, seed, n):
+    """The (i, j) columns of a mixed batch: one pair member from each sampler."""
+    return make_batch(ds, ds.class_index(), n, 1.0, kinds, make_rng(seed, "test")).src[:, :2]
+
+
 class TestDraws:
     def test_class_balanced_frequencies(self, lt_dataset):
-        state = SamplerState.create(CB, lt_dataset.class_index(), seed=2024)
-        draws = sample_batch(state, 1_000_000)
+        draws = sample_batch(CB, lt_dataset.class_index(), make_rng(2024, "test"), 1_000_000)
         freq = np.bincount(lt_dataset.labels[draws], minlength=10) / draws.size
         assert np.all(np.abs(freq - 0.1) <= 0.001)
 
     def test_instance_balanced_head_frequency(self, lt_dataset):
-        state = SamplerState.create(IB, lt_dataset.class_index(), seed=2024)
-        draws = sample_batch(state, 1_000_000)
+        draws = sample_batch(IB, lt_dataset.class_index(), make_rng(2024, "test"), 1_000_000)
         head_freq = np.mean(lt_dataset.labels[draws] == 0)
         expected = 5000 / 20434
         assert abs(head_freq - expected) <= 0.02 * expected
@@ -80,8 +82,7 @@ class TestDraws:
     @pytest.mark.parametrize("kind", [IB, CB])
     def test_chi_square_goodness_of_fit(self, kind, lt_counts, lt_dataset):
         index = lt_dataset.class_index()
-        state = SamplerState.create(kind, index, seed=99)
-        draws = sample_batch(state, 1_000_000)
+        draws = sample_batch(kind, index, make_rng(99, "test"), 1_000_000)
         observed = np.bincount(lt_dataset.labels[draws], minlength=10)
         mass = selection_probability(kind, index).class_mass(index)
         expected = mass * draws.size
@@ -92,79 +93,42 @@ class TestDraws:
         from lobmix import LabeledDataset
 
         ds = LabeledDataset(np.zeros((7, 1)), np.zeros(7, dtype=np.int64), 1)
-        state = SamplerState.create(CB, ds.class_index(), seed=5)
-        draws = sample_batch(state, 200)
+        draws = sample_batch(CB, ds.class_index(), make_rng(5, "test"), 200)
         assert np.all(ds.labels[draws] == 0)
-
-    def test_draw_counter(self, lt_dataset):
-        state = SamplerState.create(IB, lt_dataset.class_index(), seed=1)
-        sample_batch(state, 10)
-        next_index(state)
-        assert state.draws == 11
 
 
 class TestSampleBatch:
     def test_rejects_empty_batch(self, lt_dataset):
-        state = SamplerState.create(CB, lt_dataset.class_index(), seed=3)
         with pytest.raises(ValueError):
-            sample_batch(state, 0)
-
-    def test_single_draw_matches_next_index(self, lt_dataset):
-        index = lt_dataset.class_index()
-        a = SamplerState.create(CB, index, seed=77)
-        b = SamplerState.create(CB, index, seed=77)
-        assert int(sample_batch(a, 1)[0]) == next_index(b)
+            sample_batch(CB, lt_dataset.class_index(), make_rng(3, "test"), 0)
 
     def test_equal_seeds_equal_batches(self, lt_dataset):
         index = lt_dataset.class_index()
-        a = SamplerState.create(CB, index, seed=31, stream="x")
-        b = SamplerState.create(CB, index, seed=31, stream="x")
-        assert np.array_equal(sample_batch(a, 256), sample_batch(b, 256))
+        a = sample_batch(CB, index, make_rng(31, "x"), 256)
+        b = sample_batch(CB, index, make_rng(31, "x"), 256)
+        assert np.array_equal(a, b)
 
 
 class TestPairStream:
     def test_class_pair_frequencies(self):
-        index = labels_only_dataset([100, 100]).class_index()
-        labels = labels_only_dataset([100, 100]).labels
-        s1 = SamplerState.create(CB, index, seed=8, stream="a")
-        s2 = SamplerState.create(CB, index, seed=8, stream="b")
-        pairs = pair_stream(s1, s2, 100_000)
-        combos = labels[pairs[:, 0]] * 2 + labels[pairs[:, 1]]
-        freq = np.bincount(combos, minlength=4) / pairs.shape[0]
+        ds = labels_only_dataset([100, 100])
+        drawn = pairs(ds, (CB, CB), 8, 100_000)
+        combos = ds.labels[drawn[:, 0]] * 2 + ds.labels[drawn[:, 1]]
+        freq = np.bincount(combos, minlength=4) / drawn.shape[0]
         assert np.all(np.abs(freq - 0.25) <= 0.01)
 
-    def test_rejects_shared_generator(self, lt_dataset):
-        index = lt_dataset.class_index()
-        s1 = SamplerState.create(CB, index, seed=4, stream="a")
-        s2 = SamplerState(kind=CB, index=index, rng=s1.rng)
-        with pytest.raises(ValueError, match="independent"):
-            pair_stream(s1, s2, 4)
-
-    def test_rejects_identically_seeded_clone(self, lt_dataset):
-        index = lt_dataset.class_index()
-        s1 = SamplerState.create(CB, index, seed=4, stream="a")
-        s2 = SamplerState.create(CB, index, seed=4, stream="a")
-        with pytest.raises(ValueError, match="independent"):
-            pair_stream(s1, s2, 4)
-
     def test_mixed_kind_marginals(self, lt_counts, lt_dataset):
-        index = lt_dataset.class_index()
-        s1 = SamplerState.create(IB, index, seed=12, stream="a")
-        s2 = SamplerState.create(CB, index, seed=12, stream="b")
-        pairs = pair_stream(s1, s2, 200_000)
-        first = np.bincount(lt_dataset.labels[pairs[:, 0]], minlength=10) / pairs.shape[0]
-        second = np.bincount(lt_dataset.labels[pairs[:, 1]], minlength=10) / pairs.shape[0]
+        drawn = pairs(lt_dataset, (IB, CB), 12, 200_000)
+        first = np.bincount(lt_dataset.labels[drawn[:, 0]], minlength=10) / drawn.shape[0]
+        second = np.bincount(lt_dataset.labels[drawn[:, 1]], minlength=10) / drawn.shape[0]
         ib_expected = np.array(list(lt_counts)) / lt_counts.total
         assert np.all(np.abs(first - ib_expected) <= 0.005)
         assert np.all(np.abs(second - 0.1) <= 0.005)
 
     def test_class_id_correlation(self, lt_dataset):
-        index = lt_dataset.class_index()
-        s1 = SamplerState.create(CB, index, seed=60, stream="a")
-        s2 = SamplerState.create(CB, index, seed=60, stream="b")
-        pairs = pair_stream(s1, s2, 1_000_000)
-        c1 = lt_dataset.labels[pairs[:, 0]].astype(np.float64)
-        c2 = lt_dataset.labels[pairs[:, 1]].astype(np.float64)
+        drawn = pairs(lt_dataset, (CB, CB), 60, 1_000_000)
+        c1 = lt_dataset.labels[drawn[:, 0]].astype(np.float64)
+        c2 = lt_dataset.labels[drawn[:, 1]].astype(np.float64)
         corr = np.corrcoef(c1, c2)[0, 1]
         assert abs(corr) <= 0.01
 

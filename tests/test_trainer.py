@@ -16,6 +16,7 @@ from lobmix import (
     grad,
     longtail_split,
     make_batch,
+    make_rng,
     soft_cross_entropy,
     synth_gaussian_mixture,
     train,
@@ -41,7 +42,7 @@ def random_dataset(rng, dim, num_classes):
 
 def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
     ds = random_dataset(rng, dim, num_classes)
-    return make_batch(ds, ds.class_index(), batch_size, 1.0, kinds, int(rng.integers(1 << 31)))
+    return make_batch(ds, ds.class_index(), batch_size, 1.0, kinds, make_rng(int(rng.integers(1 << 31)), "test"))
 
 
 def two_hot_loss_and_grad(params, batch):
@@ -216,7 +217,7 @@ class TestTwoHotLoss:
         rng = np.random.default_rng(2718)
         for _ in range(20):
             ds = random_dataset(rng, dim=5, num_classes=4)
-            batch = make_batch(ds, ds.class_index(), 64, 1.0, kinds, int(rng.integers(1 << 31)))
+            batch = make_batch(ds, ds.class_index(), 64, 1.0, kinds, make_rng(int(rng.integers(1 << 31)), "test"))
             params = init_params(arch, 5, 4, seed=int(rng.integers(1 << 31)), hidden=6)
             targets = dense_targets(ds, batch)
             loss, grads = two_hot_loss_and_grad(params, batch)
@@ -252,13 +253,30 @@ class TestTrain:
         params, history = train(train_ds, test_ds, cfg)
         fresh = init_params(
             cfg.arch, train_ds.dim, train_ds.num_classes,
-            seed=__import__("lobmix.seeds", fromlist=["child_seed"]).child_seed(cfg.seed, "init"),
-            hidden=cfg.hidden,
+            seed=cfg.seed, hidden=cfg.hidden,
         )
         for w, w0 in zip(params.weights, fresh.weights):
             assert np.array_equal(w, w0)
         accs = [row.balanced_acc for row in history]
         assert len(set(accs)) == 1
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_generator_per_batch(self, monkeypatch, strategy):
+        import lobmix.trainer
+
+        addresses = []
+
+        def recording(*address):
+            addresses.append(address)
+            return make_rng(*address)
+
+        monkeypatch.setattr(lobmix.trainer, "make_rng", recording)
+        train_ds, test_ds, _ = quick_split()
+        cfg = TrainConfig(
+            epochs=2, batches_per_epoch=3, batch_size=8, lr=0.1, lr_decay_epochs=(1,), strategy=strategy, seed=5
+        )
+        train(train_ds, test_ds, cfg)
+        assert addresses == [(5, "init")] + [(5, "batch", e, b) for e in range(2) for b in range(3)]
 
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
