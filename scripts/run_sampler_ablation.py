@@ -18,7 +18,8 @@ from lobmix import (
     make_batch,
     make_rng,
 )
-from lobmix.occurrence import COMBO_NAMES, default_head_set, parse_combo
+from lobmix.occurrence import COMBO_NAMES, parse_combo
+from lobmix.trainer import default_groups
 
 
 def main() -> None:
@@ -34,10 +35,10 @@ def main() -> None:
     counts = exponential_counts(args.n_max, args.classes, args.rho)
     dataset = labels_only_dataset(counts)
     index = dataset.class_index()
-    head = default_head_set(counts)
+    head = {k for k, group in default_groups(counts).items() if group == "head"}
 
     print(f"counts: {list(counts)}")
-    print(f"head classes (n_k above median): {sorted(head)}")
+    print(f"head classes (largest third by n_k): {sorted(head)}")
     print(f"{'combo':8s} {'analytic max/min':>17s} {'measured max/min':>17s} {'head incidence':>15s}")
     for name in COMBO_NAMES:
         combo = parse_combo(name, args.alpha)

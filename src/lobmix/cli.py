@@ -29,7 +29,6 @@ from .occurrence import (
     COMBO_NAMES,
     OccurrenceReport,
     analytic_occurrence,
-    default_head_set,
     empirical_occurrence,
     format_float,
     parse_combo,
@@ -235,7 +234,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     else:
         raise ValueError("provide --base file(s) or a --synth-classes spec")
 
-    present = base.class_sizes()
+    present = base.class_index().counts
     if np.any(present == 0):
         raise ValueError("base dataset is missing examples for some class")
     n_max = args.n_max if args.n_max else int(present.min())
@@ -268,13 +267,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if not 0 <= args.seed <= MAX_SEED:
         raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
-    manifest = DatasetManifest.load(args.manifest)
+    raw = Path(args.manifest).read_bytes()
+    manifest = DatasetManifest.from_dict(json.loads(raw))
+    # identify the manifest by content so outputs are relocatable
+    manifest_sha256 = hashlib.sha256(raw).hexdigest()
+    del raw  # not held while the batches are drawn
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = ClassCounts(manifest.counts)
     dataset = longtail.labels_only_dataset(counts)
     index = dataset.class_index()
-    head = default_head_set(counts)
+    head = {k for k, group in default_groups(counts).items() if group == "head"}
     combo_names = list(COMBO_NAMES) if args.combo == "all" else [args.combo]
 
     summary_rows = []
@@ -301,8 +304,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     resolved = {
         "command": "analyze",
-        # identify the manifest by content so outputs are relocatable
-        "manifest_sha256": hashlib.sha256(Path(args.manifest).read_bytes()).hexdigest(),
+        "manifest_sha256": manifest_sha256,
         "combos": combo_names,
         "samples": args.samples,
         "alpha": args.alpha,

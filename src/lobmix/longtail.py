@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,12 +30,16 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a l
 def json_value(value, kind: type, name: str):
     """Return ``value`` if it holds a JSON value of ``kind``, else raise ValueError.
 
-    ``kind`` is int, float, str, list or dict. Any number passes as a float;
-    booleans pass as neither.
+    ``kind`` is int, float, str, list or dict. Any number that fits a finite
+    float passes as a float (``json`` reads ``NaN`` and ``Infinity``, which
+    do not); booleans pass as neither.
     """
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    # NaN fails both comparisons; an int beyond them would overflow float()
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -183,60 +188,58 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def class_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def class_index(self) -> "ClassIndex":
         return ClassIndex.from_labels(self.labels, self.num_classes)
 
 
 def labels_only_dataset(counts) -> LabeledDataset:
-    """``counts[k]`` examples of class k, in class order, with one zero feature column.
+    """``counts[k]`` examples of class k, in class order, with zero feature columns.
 
     Sampling and occurrence statistics depend only on labels and mixing
-    ratios, so the placeholder column stands in for real features.
+    ratios, so the features are an (N, 0) matrix: it holds no bytes, and
+    blending its rows costs nothing.
     """
     counts = [int(n) for n in counts]
     labels = np.repeat(np.arange(len(counts)), counts)
-    return LabeledDataset(np.zeros((labels.size, 1)), labels, len(counts))
+    return LabeledDataset(np.zeros((labels.size, 0)), labels, len(counts))
 
 
 @dataclass(frozen=True)
 class ClassIndex:
-    """Per-class lists of example indices; the index sets partition 0..N-1."""
+    """Example indices grouped by class: one stable sort of the labels.
 
-    per_class: tuple[np.ndarray, ...]
-    total: int
+    ``flat`` lists 0..N-1 class by class, ascending within each class, and
+    ``counts[k]`` is the size of class k, so class k's block of ``flat``
+    starts at ``offsets[k]``.
+    """
 
-    def __post_init__(self) -> None:
-        per_class = tuple(np.asarray(idx, dtype=np.int64) for idx in self.per_class)
-        if sum(idx.size for idx in per_class) != self.total:
-            raise ValueError("index lists must cover the dataset exactly")
-        object.__setattr__(self, "per_class", per_class)
+    flat: np.ndarray
+    counts: np.ndarray
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, num_classes: int) -> "ClassIndex":
         labels = np.asarray(labels, dtype=np.int64)
-        per_class = tuple(np.flatnonzero(labels == k) for k in range(num_classes))
-        return cls(per_class, int(labels.shape[0]))
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ValueError(f"labels must lie in [0, {num_classes})")
+        return cls(np.argsort(labels, kind="stable"), np.bincount(labels, minlength=num_classes))
 
     @property
     def num_classes(self) -> int:
-        return len(self.per_class)
+        return self.counts.shape[0]
 
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return np.array([idx.size for idx in self.per_class], dtype=np.int64)
-
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """All indices concatenated class by class (for vectorized gathers)."""
-        return np.concatenate(self.per_class) if self.total else np.empty(0, dtype=np.int64)
+    @property
+    def total(self) -> int:
+        return self.flat.shape[0]
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """Start offset of each class block inside :attr:`flat`."""
-        return np.concatenate([[0], np.cumsum(self.counts[:-1])]).astype(np.int64)
+        return np.cumsum(self.counts) - self.counts
+
+    def members(self, k: int) -> np.ndarray:
+        """Indices of class k's examples, ascending (``flatnonzero(labels == k)``)."""
+        start = self.offsets[k]
+        return self.flat[start : start + self.counts[k]]
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,7 @@ def subsample_longtail(
     index = base.class_index()
     kept: list[np.ndarray] = []
     for k, want in enumerate(counts):
-        have = index.per_class[k]
+        have = index.members(k)
         if have.size < want:
             raise ValueError(f"class {k} has {have.size} examples, need {want}")
         chosen = np.sort(rng.choice(have, size=want, replace=False))
@@ -382,7 +385,7 @@ def longtail_split(
     test_idx: list[np.ndarray] = []
     pools: list[np.ndarray] = []
     for k, want in enumerate(counts):
-        have = index.per_class[k]
+        have = index.members(k)
         if have.size < want + test_per_class:
             raise ValueError(f"class {k} has {have.size} examples, need {want + test_per_class}")
         held = np.sort(rng.choice(have, size=test_per_class, replace=False))

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .longtail import ClassCounts, ClassIndex
+from .longtail import ClassIndex
 from .mixer import MixedBatch
 from .samplers import CB, IB, SamplerKind
 
@@ -189,13 +189,6 @@ def empirical_occurrence(
     for batch in batches:
         tally.add(batch)
     return tally.report()
-
-
-def default_head_set(counts: ClassCounts | Sequence[int]) -> frozenset[int]:
-    """Classes larger than the median class size."""
-    arr = np.asarray(list(counts), dtype=np.float64)
-    median = float(np.median(arr))
-    return frozenset(int(k) for k in np.flatnonzero(arr > median))
 
 
 def format_float(x: float) -> str:

@@ -43,7 +43,7 @@ class SamplingDistribution:
 
     def class_mass(self, index: ClassIndex) -> np.ndarray:
         """Total selection probability per class."""
-        return np.array([self.probs[idx].sum() for idx in index.per_class])
+        return np.array([self.probs[index.members(k)].sum() for k in range(index.num_classes)])
 
 
 def selection_probability(kind: SamplerKind, index: ClassIndex) -> SamplingDistribution:
@@ -53,12 +53,10 @@ def selection_probability(kind: SamplerKind, index: ClassIndex) -> SamplingDistr
     probs = np.empty(index.total, dtype=np.float64)
     if kind is IB:
         probs.fill(1.0 / index.total)
+    elif np.any(index.counts == 0):
+        raise ValueError("class-balanced sampling requires every class to be populated")
     else:
-        num_classes = index.num_classes
-        for idx in index.per_class:
-            if idx.size == 0:
-                raise ValueError("class-balanced sampling requires every class to be populated")
-            probs[idx] = 1.0 / (idx.size * num_classes)
+        probs[index.flat] = np.repeat(1.0 / (index.counts * index.num_classes), index.counts)
     return SamplingDistribution(probs)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,10 @@ class TestMalformedConfig:
             ("dataset", "classes", None, "dataset.classes must be an integer"),
             (None, "seed", None, "seed must be an integer"),
             (None, "out_dir", 5, "out_dir must be a string"),
+            # json reads NaN and Infinity as floats
+            ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
+            ("dataset", "separation", float("inf"), "dataset.separation must be a finite number, got inf"),
+            ("profile", "rho", 10**400, "profile.rho must be a finite number"),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -384,6 +389,12 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert message in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_alpha_override_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, base_config(out_dir=str(tmp_path / "run")))
+        assert main(["train", "--config", str(config_path), "--alpha", "inf"]) == 2
+        assert_one_error(capsys, "train.alpha must be a finite number, got inf")
         assert not (tmp_path / "run").exists()
 
     def test_missing_train_setting_rejected(self, tmp_path, capsys):
@@ -537,3 +548,12 @@ class TestSamplerAblationScript:
             analytic, measured, incidence = map(float, rows[combo])
             assert analytic >= 1.0 and measured >= 1.0 and 0.0 < incidence <= 1.0
         assert float(rows["cb-cb"][0]) == 1.0
+
+
+class TestReadme:
+    def test_library_snippet_runs(self, capsys):
+        blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == "10.0"  # the analytic ib-ib balance the snippet's comment states

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lobmix import (
     ClassCounts,
+    ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
@@ -126,7 +127,7 @@ class TestSubsample:
     def test_exact_sizes(self):
         base = _balanced_base(1000)
         sub, manifest = subsample_longtail(base, ClassCounts((1000, 100)), seed=5)
-        assert list(sub.class_sizes()) == [1000, 100]
+        assert list(sub.class_index().counts) == [1000, 100]
         assert manifest.counts == (1000, 100)
 
     def test_same_seed_same_indices(self):
@@ -171,8 +172,8 @@ class TestLongtailSplit:
     def test_balanced_test_disjoint_train(self):
         base = _balanced_base(150, num_classes=4, dim=2)
         train, test, manifest = longtail_split(base, ClassCounts((100, 50, 25, 13)), 20, seed=2)
-        assert list(train.class_sizes()) == [100, 50, 25, 13]
-        assert list(test.class_sizes()) == [20] * 4
+        assert list(train.class_index().counts) == [100, 50, 25, 13]
+        assert list(test.class_index().counts) == [20] * 4
         train_rows = {tuple(r) for r in train.features}
         test_rows = {tuple(r) for r in test.features}
         assert not train_rows & test_rows
@@ -187,7 +188,7 @@ class TestSynthGaussianMixture:
     def test_sizes(self):
         ds = synth_gaussian_mixture(2, ClassCounts((100, 10)), 2, 5.0, seed=8)
         assert len(ds) == 110
-        assert list(ds.class_sizes()) == [100, 10]
+        assert list(ds.class_index().counts) == [100, 10]
 
     def test_deterministic(self):
         a = synth_gaussian_mixture(3, ClassCounts((50, 20, 10)), 4, 3.0, seed=21)
@@ -269,3 +270,25 @@ class TestLabeledDataset:
             LabeledDataset(np.zeros(4), np.array([0]), 2)
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 3)), np.array([0]), 2)
+
+
+class TestClassIndex:
+    @given(labels=st.lists(st.integers(0, 30), max_size=200), extra=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_groups_labels_by_class(self, labels, extra):
+        # sparse labels leave interior classes empty; extra > 0 adds empty classes at the end
+        labels = np.array(labels, dtype=np.int64)
+        num_classes = int(labels.max(initial=-1)) + 1 + extra
+        index = ClassIndex.from_labels(labels, num_classes)
+        counts = np.bincount(labels, minlength=num_classes)
+        assert index.num_classes == num_classes
+        assert index.total == labels.size
+        assert np.array_equal(index.counts, counts)
+        for k in range(num_classes):
+            assert index.offsets[k] == counts[:k].sum()
+            assert np.array_equal(index.members(k), np.flatnonzero(labels == k))
+
+    @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 3, 1]])
+    def test_rejects_labels_outside_range(self, labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            ClassIndex.from_labels(np.array(labels), 3)

@@ -23,10 +23,10 @@ from lobmix.occurrence import (
     OccurrenceReport,
     OccurrenceTally,
     UnrepresentedClassError,
-    default_head_set,
     parse_combo,
     write_occurrence_csv,
 )
+from lobmix.trainer import default_groups
 
 
 def rational_gamma(kinds, counts):
@@ -230,7 +230,9 @@ class TestHeadLabelIncidence:
 
 class TestHelpers:
     def test_default_head_set(self, lt_counts):
-        assert default_head_set(lt_counts) == frozenset({0, 1, 2, 3, 4})
+        # analyze's head set: the classes default_groups labels "head", the largest ceil(C/3)
+        head = {k for k, group in default_groups(lt_counts).items() if group == "head"}
+        assert head == {0, 1, 2, 3}
 
     def test_parse_combo(self):
         combo = parse_combo("ib-cb", alpha=0.5)

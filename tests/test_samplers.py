@@ -57,7 +57,7 @@ class TestSelectionProbability:
     def test_rejects_empty_class(self):
         from lobmix import ClassIndex
 
-        index = ClassIndex((np.arange(10), np.empty(0, dtype=np.int64)), 10)
+        index = ClassIndex.from_labels(np.zeros(10, dtype=np.int64), 2)  # class 1 is empty
         with pytest.raises(ValueError):
             selection_probability(CB, index)
 
