@@ -10,15 +10,15 @@ class-balanced samplers equalize the shares.
 import argparse
 
 from lobmix import (
+    COMBOS,
     TrainConfig,
     analytic_occurrence,
+    draw_pairs,
     empirical_occurrence,
     exponential_counts,
     labels_only_dataset,
-    make_batch,
     make_rng,
 )
-from lobmix.occurrence import COMBO_NAMES, parse_combo
 from lobmix.trainer import default_groups
 
 
@@ -40,12 +40,10 @@ def main() -> None:
     print(f"counts: {list(counts)}")
     print(f"head classes (largest third by n_k): {sorted(head)}")
     print(f"{'combo':8s} {'analytic max/min':>17s} {'measured max/min':>17s} {'head incidence':>15s}")
-    for name in COMBO_NAMES:
-        combo = parse_combo(name, args.alpha)
-        analytic = analytic_occurrence(combo, index)
-        rng = make_rng(args.seed, "analyze:" + name)
-        batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, rng)
-        measured = empirical_occurrence([batch], args.classes, head_set=head)
+    for name, kinds in COMBOS.items():
+        analytic = analytic_occurrence(kinds, index)
+        i, j, lam = draw_pairs(kinds, index, args.alpha, make_rng(args.seed, "analyze:" + name), args.samples)
+        measured = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, args.classes, head_set=head)
         print(
             f"{name:8s} {analytic.balance_ratio:17.4f} "
             f"{measured.balance_ratio:17.4f} {measured.head_incidence:15.4f}"

@@ -24,16 +24,8 @@ import numpy as np
 
 from . import longtail
 from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
-from .mixer import make_batch
-from .occurrence import (
-    COMBO_NAMES,
-    OccurrenceReport,
-    analytic_occurrence,
-    empirical_occurrence,
-    format_float,
-    parse_combo,
-    write_occurrence_csv,
-)
+from .mixer import draw_pairs
+from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
 from .trainer import Strategy, TrainConfig, default_groups, evaluate, train, write_history_csv
 
@@ -272,23 +264,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # identify the manifest by content so outputs are relocatable
     manifest_sha256 = hashlib.sha256(raw).hexdigest()
     del raw  # not held while the batches are drawn
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     counts = ClassCounts(manifest.counts)
     dataset = longtail.labels_only_dataset(counts)
     index = dataset.class_index()
     head = {k for k, group in default_groups(counts).items() if group == "head"}
-    combo_names = list(COMBO_NAMES) if args.combo == "all" else [args.combo]
+    combo_names = list(COMBOS) if args.combo == "all" else [args.combo]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
     for name in combo_names:
-        combo = parse_combo(name, args.alpha)
-        analytic = analytic_occurrence(combo, index)
+        analytic = analytic_occurrence(COMBOS[name], index)
         empirical: OccurrenceReport | None = None
         if args.samples > 0:
-            batch = make_batch(dataset, index, args.samples, args.alpha, combo.kinds, make_rng(args.seed, "analyze:" + name))
-            empirical = empirical_occurrence([batch], len(counts), head_set=head)
-            del batch  # freed before the next combo's batch is drawn, which keeps peak RSS down
+            i, j, lam = draw_pairs(COMBOS[name], index, args.alpha, make_rng(args.seed, "analyze:" + name), args.samples)
+            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head_set=head)
+            del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
         _write_json(
@@ -366,8 +357,12 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
         marker = path / DONE_MARKER
         if not marker.exists():
             continue
-        config = json.loads((path / "config.json").read_text())
-        evaluation = json.loads((path / "eval.json").read_text())
+        config = json_value(json.loads((path / "config.json").read_text()), dict, str(path / "config.json"))
+        evaluation = json_value(json.loads((path / "eval.json").read_text()), dict, str(path / "eval.json"))
+        # train writes DONE last, holding the hash it also wrote into eval.json
+        digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
+        if not marker.read_text().strip() == evaluation.get("config_sha256") == digest:
+            raise ValueError(f"run directory {path} is partial or altered: DONE, eval.json and config.json disagree")
         runs.append((path, config, evaluation))
     return runs
 
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="label-occurrence reports per sampler combo")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--combo", choices=[*COMBO_NAMES, "all"], default="all")
+    p.add_argument("--combo", choices=[*COMBOS, "all"], default="all")
     p.add_argument("--samples", type=int, default=100_000, help="mixed examples per combo; 0 = analytic only")
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     p.add_argument("--seed", type=int, default=0)

@@ -18,38 +18,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .longtail import ClassIndex
-from .mixer import MixedBatch
 from .samplers import CB, IB, SamplerKind
 
 
-class UnrepresentedClassError(ValueError):
-    """A class received zero occurrence mass, so max/min is undefined."""
-
-
-@dataclass(frozen=True)
-class SamplerCombo:
-    """A pair of sampler kinds feeding the mixer, plus the Beta shape."""
-
-    kinds: tuple[SamplerKind, SamplerKind]
-    alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", (SamplerKind(self.kinds[0]), SamplerKind(self.kinds[1])))
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    @property
-    def name(self) -> str:
-        short = {IB: "ib", CB: "cb"}
-        return f"{short[self.kinds[0]]}-{short[self.kinds[1]]}"
-
-
-COMBO_NAMES = ("ib-ib", "ib-cb", "cb-cb")
-
-
-def parse_combo(name: str, alpha: float = 1.0) -> SamplerCombo:
-    first, second = name.strip().lower().split("-")
-    return SamplerCombo((SamplerKind.parse(first), SamplerKind.parse(second)), alpha)
+# The sampler kinds feeding the mixer, by the combo names the CLI accepts.
+COMBOS = {"ib-ib": (IB, IB), "ib-cb": (IB, CB), "cb-cb": (CB, CB)}
 
 
 @dataclass(frozen=True)
@@ -83,14 +56,6 @@ class OccurrenceReport:
         }
 
 
-def balance_ratio(report: OccurrenceReport) -> float:
-    """Max over min occurrence ratio; raises if a class is unrepresented."""
-    if report.balance_ratio is None:
-        zero = int(np.argmin(report.ratios))
-        raise UnrepresentedClassError(f"class {zero} has zero occurrence mass")
-    return report.balance_ratio
-
-
 def _class_mass_fractions(kind: SamplerKind, counts: Sequence[int]) -> list[Fraction]:
     num_classes = len(counts)
     if kind is CB:
@@ -99,8 +64,8 @@ def _class_mass_fractions(kind: SamplerKind, counts: Sequence[int]) -> list[Frac
     return [Fraction(int(n), total) for n in counts]
 
 
-def analytic_occurrence(combo: SamplerCombo, index: ClassIndex) -> OccurrenceReport:
-    """Expected occurrence ratios for a sampler combo, in exact arithmetic.
+def analytic_occurrence(kinds: tuple[SamplerKind, SamplerKind], index: ClassIndex) -> OccurrenceReport:
+    """Expected occurrence ratios for a pair of sampler kinds, in exact arithmetic.
 
     In expectation each pair member contributes half of the mass (the mixing
     ratio distribution is symmetric), so the ratio for class k is the mean of
@@ -109,86 +74,48 @@ def analytic_occurrence(combo: SamplerCombo, index: ClassIndex) -> OccurrenceRep
     counts = [int(n) for n in index.counts]
     if any(n == 0 for n in counts):
         raise ValueError("analytic occurrence requires every class to be populated")
-    m1 = _class_mass_fractions(combo.kinds[0], counts)
-    m2 = _class_mass_fractions(combo.kinds[1], counts)
+    m1 = _class_mass_fractions(kinds[0], counts)
+    m2 = _class_mass_fractions(kinds[1], counts)
     gammas = [(a + b) / 2 for a, b in zip(m1, m2)]
     ratios = np.array([float(g) for g in gammas])
     spread = float(max(gammas) / min(gammas))
     return OccurrenceReport(ratios=ratios, balance_ratio=spread, sample_count=0)
 
 
-@dataclass
-class OccurrenceTally:
-    """Mergeable accumulator of per-class mixing-ratio mass.
-
-    Partial tallies from independent workers can be merged in any order; the
-    final per-class sums use compensated summation, so the report does not
-    depend on merge order.
-    """
-
-    num_classes: int
-    head_set: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        self._masses: list[np.ndarray] = []
-        self._examples = 0
-        self._head_hits = 0
-        if self.head_set is not None:
-            self.head_set = frozenset(int(k) for k in self.head_set)
-            if not self.head_set:
-                raise ValueError("head set must be nonempty when supplied")
-
-    def add(self, batch: MixedBatch) -> None:
-        classes = batch.src[:, 2:4]
-        if classes.min() < 0 or classes.max() >= self.num_classes:
-            raise ValueError(f"batch class ids must lie in [0, {self.num_classes}) for this tally")
-        ci, cj = classes.T
-        self._masses.append(
-            np.bincount(ci, weights=batch.lams, minlength=self.num_classes)
-            + np.bincount(cj, weights=1.0 - batch.lams, minlength=self.num_classes)
-        )
-        self._examples += len(batch)
-        if self.head_set is not None:
-            head = np.fromiter(self.head_set, dtype=np.int64)
-            self._head_hits += int(np.count_nonzero(np.isin(ci, head) | np.isin(cj, head)))
-
-    def merge(self, other: "OccurrenceTally") -> None:
-        if other.num_classes != self.num_classes or other.head_set != self.head_set:
-            raise ValueError("cannot merge tallies with different class counts or head sets")
-        self._masses.extend(other._masses)
-        self._examples += other._examples
-        self._head_hits += other._head_hits
-
-    def report(self) -> OccurrenceReport:
-        if self._examples == 0:
-            raise ValueError("no mixed examples tallied")
-        mass = np.array([math.fsum(per_class) for per_class in zip(*self._masses)])
-        total = math.fsum(mass)
-        ratios = mass / total
-        spread = float(ratios.max() / ratios.min()) if ratios.min() > 0 else None
-        incidence = self._head_hits / self._examples if self.head_set is not None else None
-        return OccurrenceReport(
-            ratios=ratios,
-            balance_ratio=spread,
-            sample_count=self._examples,
-            head_incidence=incidence,
-        )
-
-
 def empirical_occurrence(
-    batches: Iterable[MixedBatch],
+    c_i: np.ndarray,
+    c_j: np.ndarray,
+    lam: np.ndarray,
     num_classes: int,
     head_set: Iterable[int] | None = None,
 ) -> OccurrenceReport:
-    """Measured occurrence ratios over generated batches.
+    """Measured occurrence ratios over mixed rows given as class pairs and ratios.
 
-    Each example contributes lam to its first source class and 1 - lam to
-    its second; ratios are the per-class shares of the accumulated mass.
+    Row r contributes ``lam[r]`` to class ``c_i[r]`` and ``1 - lam[r]`` to
+    class ``c_j[r]``; ratios are the per-class shares of the summed mass.
     """
-    tally = OccurrenceTally(num_classes, frozenset(head_set) if head_set is not None else None)
-    for batch in batches:
-        tally.add(batch)
-    return tally.report()
+    if head_set is not None:
+        head = np.fromiter(set(head_set), dtype=np.int64)
+        if head.size == 0:
+            raise ValueError("head set must be nonempty when supplied")
+    c_i, c_j, lam = np.asarray(c_i), np.asarray(c_j), np.asarray(lam, dtype=np.float64)
+    if c_i.size == 0:
+        raise ValueError("no mixed examples tallied")
+    if min(c_i.min(), c_j.min()) < 0 or max(c_i.max(), c_j.max()) >= num_classes:
+        raise ValueError(f"batch class ids must lie in [0, {num_classes}) for this tally")
+    mass = np.bincount(c_i, weights=lam, minlength=num_classes) + np.bincount(
+        c_j, weights=1.0 - lam, minlength=num_classes
+    )
+    ratios = mass / math.fsum(mass)
+    incidence = None
+    if head_set is not None:
+        incidence = int(np.count_nonzero(np.isin(c_i, head) | np.isin(c_j, head))) / c_i.size
+    return OccurrenceReport(
+        ratios=ratios,
+        balance_ratio=float(ratios.max() / ratios.min()) if ratios.min() > 0 else None,
+        sample_count=c_i.size,
+        head_incidence=incidence,
+    )
 
 
 def format_float(x: float) -> str:

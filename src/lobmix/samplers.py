@@ -7,7 +7,6 @@ the class, so each example in class k is selected with probability
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,35 +18,13 @@ class SamplerKind(str, Enum):
     INSTANCE_BALANCED = "instance_balanced"
     CLASS_BALANCED = "class_balanced"
 
-    @classmethod
-    def parse(cls, text: str) -> "SamplerKind":
-        aliases = {"ib": cls.INSTANCE_BALANCED, "cb": cls.CLASS_BALANCED}
-        key = text.strip().lower()
-        if key in aliases:
-            return aliases[key]
-        return cls(key)
-
 
 IB = SamplerKind.INSTANCE_BALANCED
 CB = SamplerKind.CLASS_BALANCED
 
 
-@dataclass(frozen=True)
-class SamplingDistribution:
-    """Per-example selection probabilities over 0..N-1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-
-    def class_mass(self, index: ClassIndex) -> np.ndarray:
-        """Total selection probability per class."""
-        return np.array([self.probs[index.members(k)].sum() for k in range(index.num_classes)])
-
-
-def selection_probability(kind: SamplerKind, index: ClassIndex) -> SamplingDistribution:
-    """Selection distribution implied by a sampler kind on a class index."""
+def selection_probability(kind: SamplerKind, index: ClassIndex) -> np.ndarray:
+    """Per-example selection probabilities over 0..N-1 implied by a sampler kind on a class index."""
     if index.total == 0:
         raise ValueError("empty dataset")
     probs = np.empty(index.total, dtype=np.float64)
@@ -57,7 +34,7 @@ def selection_probability(kind: SamplerKind, index: ClassIndex) -> SamplingDistr
         raise ValueError("class-balanced sampling requires every class to be populated")
     else:
         probs[index.flat] = np.repeat(1.0 / (index.counts * index.num_classes), index.counts)
-    return SamplingDistribution(probs)
+    return probs
 
 
 def sample_batch(kind: SamplerKind, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:

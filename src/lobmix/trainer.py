@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .longtail import LabeledDataset
-from .mixer import MixedBatch, make_batch, pair_weights
+from .mixer import blend, draw_pairs, pair_weights
 from .samplers import CB, IB, SamplerKind, sample_batch
 from .seeds import make_rng
 
@@ -43,14 +43,6 @@ class ModelParams:
     weights: list[np.ndarray]
     feature_offset: np.ndarray
     feature_scale: np.ndarray
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            feature_offset=self.feature_offset.copy(),
-            feature_scale=self.feature_scale.copy(),
-        )
 
 
 def init_params(
@@ -116,7 +108,7 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
-def _loss_and_grad(
+def loss_and_grad(
     params: ModelParams, x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
 ) -> tuple[float, list[np.ndarray]]:
     """Mean mixed cross entropy and its gradient for targets given as class pairs.
@@ -145,11 +137,6 @@ def _loss_and_grad(
     db2 = dlogits.sum(axis=0)
     dpre = (dlogits @ w2.T) * (1.0 - h * h)
     return loss, [z.T @ dpre, dpre.sum(axis=0), dw2, db2]
-
-
-def grad(params: ModelParams, batch: MixedBatch) -> list[np.ndarray]:
-    """Exact gradient of the mean soft cross entropy over a mixed batch."""
-    return _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)[1]
 
 
 @dataclass(frozen=True)
@@ -250,12 +237,10 @@ def evaluate(params: ModelParams, test: LabeledDataset, groups: dict[int, str]) 
     """Argmax predictions scored as per-class recall plus group means."""
     probs = forward(params, test.features)
     predicted = probs.argmax(axis=1)
-    recalls = np.empty(test.num_classes)
-    for k in range(test.num_classes):
-        mask = test.labels == k
-        if not mask.any():
-            raise ValueError(f"class {k} missing from the evaluation set")
-        recalls[k] = float(np.mean(predicted[mask] == k))
+    sizes = np.bincount(test.labels, minlength=test.num_classes)
+    if np.any(sizes == 0):
+        raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
+    recalls = np.bincount(test.labels, weights=predicted == test.labels, minlength=test.num_classes) / sizes
     group_acc: dict[str, float | None] = {}
     for name in GROUP_NAMES:
         members = [k for k in range(test.num_classes) if groups.get(k) == name]
@@ -318,13 +303,14 @@ def train(
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
             rng = make_rng(cfg.seed, "batch", epoch, b)
-            if kinds is None:
-                rows = sample_batch(IB, index, rng, cfg.batch_size)
-                labels = train_ds.labels[rows]
-                loss, grads = _loss_and_grad(params, train_ds.features[rows], labels, labels, 1.0)
+            if kinds is None:  # unmixed rows: each example paired with itself
+                i = j = sample_batch(IB, index, rng, cfg.batch_size)
+                lam = 1.0
+                x = train_ds.features[i]
             else:
-                batch = make_batch(train_ds, index, cfg.batch_size, cfg.alpha, kinds, rng)
-                loss, grads = _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)
+                i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, cfg.batch_size)
+                x = blend(train_ds.features, i, j, lam)
+            loss, grads = loss_and_grad(params, x, train_ds.labels[i], train_ds.labels[j], lam)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss

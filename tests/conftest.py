@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from lobmix import ClassCounts, LabeledDataset, exponential_counts, labels_only_dataset, mix_pair
+from lobmix import ClassCounts, LabeledDataset, exponential_counts, labels_only_dataset
 
 # Exponential profile for 10 classes at imbalance 10, largest class 5000.
 # Frozen from an independent evaluation of n_max * rho**(-k/9) with half-up
@@ -20,14 +22,80 @@ def lt_dataset(lt_counts) -> LabeledDataset:
     return labels_only_dataset(lt_counts)
 
 
-def mix_pair_rows(dataset: LabeledDataset, batch) -> list:
-    """Every row of a mixed batch rebuilt by the scalar reference ``mix_pair``."""
+# Dense scalar reference for one mixed row: the oracle that the vectorized
+# blend, pair_weights and two-term loss are checked against.
+
+
+@dataclass(frozen=True)
+class SoftLabel:
+    """Probability vector over classes."""
+
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+
+    @classmethod
+    def one_hot(cls, label: int, num_classes: int) -> "SoftLabel":
+        w = np.zeros(num_classes)
+        w[label] = 1.0
+        return cls(w)
+
+    @classmethod
+    def mixed(cls, class_i: int, class_j: int, lam: float, num_classes: int) -> "SoftLabel":
+        if class_i == class_j:
+            return cls.one_hot(class_i, num_classes)
+        w = np.zeros(num_classes)
+        w[class_i] = lam
+        w[class_j] = 1.0 - lam
+        return cls(w)
+
+
+@dataclass(frozen=True)
+class MixedExample:
+    """One mixed example: convex feature blend, soft label, and provenance."""
+
+    features: np.ndarray
+    label: SoftLabel
+    lam: float
+    src: tuple[int, int, int, int]  # (index_i, index_j, class_i, class_j)
+
+
+def mix_pair(
+    x_i: np.ndarray,
+    y_i: int,
+    x_j: np.ndarray,
+    y_j: int,
+    lam: float,
+    num_classes: int,
+    src: tuple[int, int] | None = None,
+) -> MixedExample:
+    """Blend two labeled examples: lam * (x_i, y_i) + (1 - lam) * (x_j, y_j)."""
+    x_i = np.asarray(x_i, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)
+    if x_i.shape != x_j.shape:
+        raise ValueError(f"feature shape mismatch: {x_i.shape} vs {x_j.shape}")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"mixing ratio must lie strictly inside (0, 1), got {lam}")
+    mu = 1.0 - lam
+    i, j = src if src is not None else (-1, -1)
+    return MixedExample(
+        features=lam * x_i + mu * x_j,
+        label=SoftLabel.mixed(int(y_i), int(y_j), lam, num_classes),
+        lam=lam,
+        src=(int(i), int(j), int(y_i), int(y_j)),
+    )
+
+
+def mix_pair_rows(dataset: LabeledDataset, i, j, lam) -> list:
+    """Every mixed row ``(i[r], j[r], lam[r])`` rebuilt by the scalar reference ``mix_pair``."""
+    y = dataset.labels
     return [
-        mix_pair(dataset.features[i], ci, dataset.features[j], cj, float(lam), dataset.num_classes, src=(i, j))
-        for (i, j, ci, cj), lam in zip(batch.src, batch.lams)
+        mix_pair(dataset.features[a], y[a], dataset.features[b], y[b], float(m), dataset.num_classes, src=(a, b))
+        for a, b, m in zip(i, j, lam)
     ]
 
 
-def dense_targets(dataset: LabeledDataset, batch) -> np.ndarray:
-    """The (B, C) soft-label rows of a mixed batch, from ``mix_pair``."""
-    return np.stack([row.label.weights for row in mix_pair_rows(dataset, batch)])
+def dense_targets(dataset: LabeledDataset, i, j, lam) -> np.ndarray:
+    """The (B, C) soft-label rows of mixed rows ``(i, j, lam)``, from ``mix_pair``."""
+    return np.stack([row.label.weights for row in mix_pair_rows(dataset, i, j, lam)])

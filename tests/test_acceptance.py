@@ -16,17 +16,17 @@ from lobmix import (
     IB,
     ClassCounts,
     LabeledDataset,
-    SamplerCombo,
     Strategy,
     TrainConfig,
     analytic_occurrence,
+    blend,
+    draw_pairs,
     empirical_occurrence,
     exponential_counts,
     forward,
-    grad,
+    loss_and_grad,
     longtail_split,
-    make_batch,
-    mix_pair,
+    pair_weights,
     sample_batch,
     sample_lambda,
     selection_probability,
@@ -61,7 +61,7 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
     assert tuple(lt_counts) == (5000, 3871, 2997, 2321, 1797, 1391, 1077, 834, 646, 500)
 
     reports = {
-        name: analytic_occurrence(SamplerCombo(kinds), lt_index)
+        name: analytic_occurrence(kinds, lt_index)
         for name, kinds in (("ib-ib", (IB, IB)), ("ib-cb", (IB, CB)), ("cb-cb", (CB, CB)))
     }
     assert reports["ib-ib"].balance_ratio == 10.0
@@ -93,9 +93,9 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
 def test_criterion_2_empirical_matches_analytic(lt_dataset, lt_index):
     started = time.perf_counter()
     for kinds in ((IB, IB), (IB, CB), (CB, CB)):
-        batch = make_batch(lt_dataset, lt_index, 200_000, 1.0, kinds, make_rng(2025, "test"))
-        empirical = empirical_occurrence([batch], 10)
-        analytic = analytic_occurrence(SamplerCombo(kinds), lt_index)
+        i, j, lam = draw_pairs(kinds, lt_index, 1.0, make_rng(2025, "test"), 200_000)
+        empirical = empirical_occurrence(lt_dataset.labels[i], lt_dataset.labels[j], lam, 10)
+        analytic = analytic_occurrence(kinds, lt_index)
         deviation = np.abs(empirical.ratios - analytic.ratios).max()
         assert deviation <= 0.005, f"{kinds}: max deviation {deviation}"
     elapsed = time.perf_counter() - started
@@ -115,7 +115,7 @@ def test_criterion_3_sampler_distributions(lt_counts, lt_dataset, lt_index):
     num_classes = len(lt_counts)
     for n_k in lt_counts:
         assert sum([Fraction(1, n_k * num_classes)] * n_k) == Fraction(1, num_classes)
-    mass = selection_probability(CB, lt_index).class_mass(lt_index)
+    mass = np.bincount(lt_dataset.labels, weights=selection_probability(CB, lt_index))
     assert np.allclose(mass, 0.1, rtol=0, atol=1e-12)
     announce(3, "class-balanced draws match their distribution")
 
@@ -134,6 +134,15 @@ def test_criterion_5_mixer_algebra():
     lam_stream = make_rng(606, "lambda")
     eps = np.finfo(np.float64).eps
     cases = 10_000
+    first, second = np.array([0]), np.array([1])
+
+    def mix(features, labels, a, b, lam):
+        """The blended row and its per-class target mass, as training computes them."""
+        lam = np.array([lam])
+        w_a, w_b = pair_weights(labels[a], labels[b], lam)
+        weights = np.bincount(np.concatenate([labels[a], labels[b]]), weights=np.concatenate([w_a, w_b]), minlength=6)
+        return blend(features, a, b, lam)[0], weights
+
     for _ in range(cases):
         dim = int(rng.integers(1, 6))
         x_i = (10.0 ** rng.integers(-2, 3)) * rng.standard_normal(dim)
@@ -141,25 +150,25 @@ def test_criterion_5_mixer_algebra():
         y_i = int(rng.integers(0, 6))
         y_j = int(rng.integers(0, 6))
         lam = sample_lambda(float(rng.uniform(0.2, 3.0)), lam_stream)
-        out = mix_pair(x_i, y_i, x_j, y_j, lam, 6)
+        features, labels = np.stack([x_i, x_j]), np.array([y_i, y_j])
+        out, weights = mix(features, labels, first, second, lam)
 
-        weights = out.label.weights
         assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
         assert abs(weights.sum() - 1.0) <= 1e-9
 
         lo, hi = np.minimum(x_i, x_j), np.maximum(x_i, x_j)
         slack = 4 * eps * np.maximum(np.abs(lo), np.abs(hi))
-        assert np.all(out.features >= lo - slack) and np.all(out.features <= hi + slack)
+        assert np.all(out >= lo - slack) and np.all(out <= hi + slack)
 
-        swapped = mix_pair(x_j, y_j, x_i, y_i, 1.0 - lam, 6)
-        assert np.array_equal(out.features, swapped.features)
-        assert np.array_equal(out.label.weights, swapped.label.weights)
+        swapped, swapped_weights = mix(features, labels, second, first, 1.0 - lam)
+        assert np.array_equal(out, swapped)
+        assert np.array_equal(weights, swapped_weights)
 
         near_one = 1.0 - (1.0 - (1.0 - 2.0**-40))
-        limit = mix_pair(x_i, y_i, x_j, y_j, near_one, 6)
+        limit, limit_weights = mix(features, labels, first, second, near_one)
         scale = max(np.abs(x_i).max(), np.abs(x_j).max(), 1.0)
-        assert np.all(np.abs(limit.features - x_i) <= 1e-9 * scale)
-        assert limit.label.weights[y_i] >= 1.0 - 1e-9
+        assert np.all(np.abs(limit - x_i) <= 1e-9 * scale)
+        assert limit_weights[y_i] >= 1.0 - 1e-9
     announce(5, f"mixer algebra over {cases} randomized cases")
 
 
@@ -177,11 +186,12 @@ def test_criterion_6_gradient_matches_finite_differences():
         labels = np.repeat(np.arange(num_classes), counts)
         ds = LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
         batch_rng = make_rng(int(rng.integers(1 << 31)), "test")
-        batch = make_batch(ds, ds.class_index(), batch_size, 1.0, (IB, IB), batch_rng)
-        targets = dense_targets(ds, batch)
+        i, j, lam = draw_pairs((IB, IB), ds.class_index(), 1.0, batch_rng, batch_size)
+        x = blend(ds.features, i, j, lam)
+        targets = dense_targets(ds, i, j, lam)
         params = init_params(arch, dim, num_classes, seed=int(rng.integers(1 << 31)), hidden=4)
 
-        analytic = _flatten(grad(params, batch))
+        analytic = _flatten(loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)[1])
         shapes = [w.shape for w in params.weights]
         sizes = [w.size for w in params.weights]
         flat = _flatten(params.weights)
@@ -193,7 +203,7 @@ def test_criterion_6_gradient_matches_finite_differences():
                 probe[idx] += sign * step
                 chunks = np.split(probe, np.cumsum(sizes)[:-1])
                 params.weights = [c.reshape(s) for c, s in zip(chunks, shapes)]
-                loss = float(soft_cross_entropy(forward(params, batch.features), targets).mean())
+                loss = float(soft_cross_entropy(forward(params, x), targets).mean())
                 losses.append(loss)
             numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
         params.weights = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]

@@ -196,6 +196,24 @@ class TestMalformedManifest:
         assert_one_error(capsys, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ([5, 0], "every class needs at least one example, got (5, 0)"),
+            ([3], "need at least 2 classes"),
+        ],
+    )
+    def test_bad_counts_rejected(self, tmp_path, capsys, manifest_dict, counts, message):
+        # kept_indices match the counts, so the manifest itself parses
+        manifest_dict.update(counts=counts, kept_indices=[list(range(n)) for n in counts])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest_dict))
+        capsys.readouterr()
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
+        assert_one_error(capsys, message)
+        assert not out.exists()
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -475,9 +493,36 @@ class TestReport:
         older = json.loads(config_path.read_text())
         del older["rng_layout"]
         config_path.write_text(json.dumps(older))
+        # such a run's DONE and eval.json hold the hash of that config.json without out_dir
+        digest = config_hash({k: v for k, v in older.items() if k != "out_dir"})
+        evaluation = json.loads((dirs[1] / "eval.json").read_text())
+        (dirs[1] / "eval.json").write_text(json.dumps({**evaluation, "config_sha256": digest}))
+        (dirs[1] / "DONE").write_text(digest + "\n")
         capsys.readouterr()
         assert main(["report", *map(str, dirs)]) == 2
         assert_one_error(capsys, f"runs mix random-stream layouts [1, {RNG_LAYOUT}]")
+
+    @pytest.mark.parametrize(
+        "alteration", ["truncated DONE", "edited config.json", "eval.json of another run", "eval.json not an object"]
+    )
+    def test_altered_run_rejected(self, tmp_path, capsys, alteration):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        run = dirs[1]
+        message = f"run directory {run} is partial or altered"
+        if alteration == "truncated DONE":
+            (run / "DONE").write_text((run / "DONE").read_text()[:10])
+        elif alteration == "edited config.json":
+            config = json.loads((run / "config.json").read_text())
+            config["train"]["lr"] = 0.5
+            (run / "config.json").write_text(json.dumps(config))
+        elif alteration == "eval.json of another run":
+            (run / "eval.json").write_bytes((dirs[0] / "eval.json").read_bytes())
+        else:
+            (run / "eval.json").write_text("[]")
+            message = f"{run / 'eval.json'} must be an object, got []"
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs)]) == 2
+        assert_one_error(capsys, message)
 
     def test_incomplete_runs_ignored(self, tmp_path):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))

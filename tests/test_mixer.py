@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +8,16 @@ from lobmix import (
     CB,
     IB,
     LabeledDataset,
+    blend,
+    draw_pairs,
     empirical_occurrence,
-    make_batch,
-    mix_pair,
+    pair_weights,
     sample_lambda,
 )
-from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights, write_batch_audit
+from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
 from lobmix.seeds import make_rng
 
-from conftest import mix_pair_rows
+from conftest import mix_pair, mix_pair_rows
 
 
 def stabilized(x: float) -> float:
@@ -129,6 +128,12 @@ class TestMixPairProperties:
         assert np.array_equal(out.label.weights, swapped.label.weights)
 
 
+def mixed_rows(ds, size, alpha, kinds, rng):
+    """``(i, j, c_i, c_j, lam)`` and the blended features of ``size`` drawn rows."""
+    i, j, lam = draw_pairs(kinds, ds.class_index(), alpha, rng, size)
+    return i, j, ds.labels[i], ds.labels[j], lam, blend(ds.features, i, j, lam)
+
+
 class TestBatchMakers:
     def _dataset(self, counts):
         counts = list(counts)
@@ -138,78 +143,60 @@ class TestBatchMakers:
 
     def test_deterministic(self):
         ds = self._dataset([40, 20, 10])
-        index = ds.class_index()
         for kinds in ((IB, IB), (CB, CB)):
-            one = make_batch(ds, index, 64, 0.5, kinds, make_rng(99, "test"))
-            two = make_batch(ds, index, 64, 0.5, kinds, make_rng(99, "test"))
-            assert np.array_equal(one.features, two.features)
-            assert np.array_equal(one.lams, two.lams)
-            assert np.array_equal(one.src, two.src)
+            one = mixed_rows(ds, 64, 0.5, kinds, make_rng(99, "test"))
+            two = mixed_rows(ds, 64, 0.5, kinds, make_rng(99, "test"))
+            for a, b in zip(one, two):
+                assert np.array_equal(a, b)
 
     def test_single_example_batch(self):
         ds = self._dataset([5, 5])
-        batch = make_batch(ds, ds.class_index(), 1, 1.0, (IB, IB), make_rng(7, "test"))
-        assert len(batch) == 1
-        assert 0.0 < batch.lams[0] < 1.0
-        i, j, ci, cj = batch.src[0]
-        assert ds.labels[i] == ci and ds.labels[j] == cj
+        i, j, lam = draw_pairs((IB, IB), ds.class_index(), 1.0, make_rng(7, "test"), 1)
+        assert i.shape == j.shape == lam.shape == (1,)
+        assert 0.0 < lam[0] < 1.0
+        assert blend(ds.features, i, j, lam).shape == (1, 3)
 
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])
-        index = ds.class_index()
-        batch = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
-        again = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
-        assert np.array_equal(batch.features, again.features)
-        assert np.array_equal(batch.lams, again.lams)
-        assert np.array_equal(batch.src, again.src)
-        other = make_batch(ds, index, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 6))
-        assert not np.array_equal(batch.lams, other.lams)
-        assert not np.array_equal(batch.src, other.src)
+        batch = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
+        again = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
+        for a, b in zip(batch, again):
+            assert np.array_equal(a, b)
+        other = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 6))
+        assert not np.array_equal(batch[4], other[4])
+        assert not np.array_equal(np.stack(batch[:4]), np.stack(other[:4]))
 
     def test_features_are_convex_blends(self):
         ds = self._dataset([20, 20])
-        batch = make_batch(ds, ds.class_index(), 256, 1.0, (CB, CB), make_rng(5, "test"))
-        i, j = batch.src[:, 0], batch.src[:, 1]
-        expect = batch.lams[:, None] * ds.features[i] + (1.0 - batch.lams)[:, None] * ds.features[j]
-        assert np.array_equal(batch.features, expect)
+        i, j, _, _, lam, features = mixed_rows(ds, 256, 1.0, (CB, CB), make_rng(5, "test"))
+        expect = lam[:, None] * ds.features[i] + (1.0 - lam)[:, None] * ds.features[j]
+        assert np.array_equal(features, expect)
 
     def test_labels_on_simplex(self):
         ds = self._dataset([20, 20, 20])
-        batch = make_batch(ds, ds.class_index(), 512, 0.2, (IB, IB), make_rng(6, "test"))
-        classes = batch.src[:, 2:4]
-        assert classes.min() >= 0 and classes.max() < 3
-        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
+        _, _, c_i, c_j, lam, _ = mixed_rows(ds, 512, 0.2, (IB, IB), make_rng(6, "test"))
+        assert min(c_i.min(), c_j.min()) >= 0 and max(c_i.max(), c_j.max()) < 3
+        w_i, w_j = pair_weights(c_i, c_j, lam)
         assert np.all(w_i > 0.0) and np.all(w_j >= 0.0)
-        assert np.array_equal(w_i + w_j, np.ones(len(batch)))
+        assert np.array_equal(w_i + w_j, np.ones(512))
 
     def test_single_class_labels(self):
         ds = LabeledDataset(np.zeros((8, 2)), np.zeros(8, dtype=np.int64), 1)
-        batch = make_batch(ds, ds.class_index(), 16, 1.0, (CB, CB), make_rng(3, "test"))
-        assert np.array_equal(batch.src[:, 2:4], np.zeros((16, 2), dtype=np.int64))
-        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
+        _, _, c_i, c_j, lam, _ = mixed_rows(ds, 16, 1.0, (CB, CB), make_rng(3, "test"))
+        assert np.array_equal(np.stack([c_i, c_j]), np.zeros((2, 16), dtype=np.int64))
+        w_i, w_j = pair_weights(c_i, c_j, lam)
         assert np.array_equal(w_i, np.ones(16)) and np.array_equal(w_j, np.zeros(16))
 
     def test_vanilla_on_balanced_data_is_uniform(self):
         ds = self._dataset([300, 300, 300])
-        batch = make_batch(ds, ds.class_index(), 60_000, 1.0, (IB, IB), make_rng(8, "test"))
-        report = empirical_occurrence([batch], 3)
+        _, _, c_i, c_j, lam, _ = mixed_rows(ds, 60_000, 1.0, (IB, IB), make_rng(8, "test"))
+        report = empirical_occurrence(c_i, c_j, lam, 3)
         assert np.all(np.abs(report.ratios - 1.0 / 3.0) <= 0.006)
 
     def test_lob_mass_uniform_on_longtail(self, lt_counts, lt_dataset):
-        batch = make_batch(lt_dataset, lt_dataset.class_index(), 100_000, 1.0, (CB, CB), make_rng(13, "test"))
-        report = empirical_occurrence([batch], 10)
+        _, _, c_i, c_j, lam, _ = mixed_rows(lt_dataset, 100_000, 1.0, (CB, CB), make_rng(13, "test"))
+        report = empirical_occurrence(c_i, c_j, lam, 10)
         assert np.all(np.abs(report.ratios - 0.1) <= 0.005)
-
-    def test_audit_dump(self, tmp_path):
-        ds = self._dataset([6, 6])
-        batch = make_batch(ds, ds.class_index(), 5, 1.0, (IB, IB), make_rng(2, "test"))
-        path = tmp_path / "audit.jsonl"
-        write_batch_audit(path, batch)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 5
-        record = json.loads(lines[0])
-        assert set(record) == {"lambda", "src_i", "src_j", "class_i", "class_j"}
-        assert record["lambda"] == float(batch.lams[0])
 
 
 class TestBatchMatchesMixPair:
@@ -224,12 +211,12 @@ class TestBatchMatchesMixPair:
         rng = np.random.default_rng(seed)
         labels = np.repeat(np.arange(len(counts)), counts)
         ds = LabeledDataset(rng.normal(scale=10.0, size=(labels.size, 3)), labels, len(counts))
-        batch = make_batch(ds, ds.class_index(), 24, alpha, kinds, make_rng(seed, "test"))
-        w_i, w_j = pair_weights(batch.src[:, 2], batch.src[:, 3], batch.lams)
-        for r, ref in enumerate(mix_pair_rows(ds, batch)):
-            i, j, ci, cj = batch.src[r]
-            assert ref.src == (i, j, ci, cj) and ref.lam == batch.lams[r]
-            assert np.array_equal(batch.features[r], ref.features)
+        i, j, c_i, c_j, lam, features = mixed_rows(ds, 24, alpha, kinds, make_rng(seed, "test"))
+        w_i, w_j = pair_weights(c_i, c_j, lam)
+        for r, ref in enumerate(mix_pair_rows(ds, i, j, lam)):
+            ci, cj = c_i[r], c_j[r]
+            assert ref.src == (i[r], j[r], ci, cj) and ref.lam == lam[r]
+            assert np.array_equal(features[r], ref.features)
             assert ref.label.weights[ci] == w_i[r]
             if ci == cj:
                 assert w_i[r] == 1.0 and w_j[r] == 0.0

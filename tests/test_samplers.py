@@ -8,9 +8,8 @@ from scipy import stats
 from lobmix import (
     CB,
     IB,
-    SamplerKind,
+    draw_pairs,
     labels_only_dataset,
-    make_batch,
     make_rng,
     sample_batch,
     selection_probability,
@@ -19,22 +18,22 @@ from lobmix import (
 
 class TestSelectionProbability:
     def test_class_balanced_formula(self, lt_dataset):
-        dist = selection_probability(CB, lt_dataset.class_index())
+        probs = selection_probability(CB, lt_dataset.class_index())
         # smallest class has 500 examples in a 10-class index
-        assert dist.probs[-1] == pytest.approx(2.0e-4, abs=0)
-        assert dist.probs[-1] == 1.0 / (500 * 10)
+        assert probs[-1] == pytest.approx(2.0e-4, abs=0)
+        assert probs[-1] == 1.0 / (500 * 10)
 
     def test_instance_balanced_uniform(self, lt_dataset):
         index = lt_dataset.class_index()
-        dist = selection_probability(IB, index)
+        probs = selection_probability(IB, index)
         assert index.total == 20434
-        assert np.all(dist.probs == 1.0 / 20434)
+        assert np.all(probs == 1.0 / 20434)
 
     def test_balanced_dataset_kinds_agree(self):
         index = labels_only_dataset([50] * 4).class_index()
         ib = selection_probability(IB, index)
         cb = selection_probability(CB, index)
-        assert np.array_equal(ib.probs, cb.probs)
+        assert np.array_equal(ib, cb)
 
     def test_class_masses_exact(self, lt_counts, lt_dataset):
         """Rational oracle: per-class CB mass is exactly 1/C, IB mass n_k/N."""
@@ -44,14 +43,13 @@ class TestSelectionProbability:
         for k, n_k in enumerate(lt_counts):
             assert sum([Fraction(1, n_k * num_classes)] * n_k) == Fraction(1, num_classes)
             assert sum([Fraction(1, total)] * n_k) == Fraction(n_k, total)
-        cb = selection_probability(CB, index)
-        mass = cb.class_mass(index)
+        mass = np.bincount(lt_dataset.labels, weights=selection_probability(CB, index))
         assert np.allclose(mass, 1.0 / num_classes, rtol=0, atol=1e-12)
 
     def test_total_probability(self, lt_dataset):
         index = lt_dataset.class_index()
         for kind in (IB, CB):
-            probs = selection_probability(kind, index).probs
+            probs = selection_probability(kind, index)
             assert abs(math.fsum(probs) - 1.0) <= 1e-12
 
     def test_rejects_empty_class(self):
@@ -63,8 +61,9 @@ class TestSelectionProbability:
 
 
 def pairs(ds, kinds, seed, n):
-    """The (i, j) columns of a mixed batch: one pair member from each sampler."""
-    return make_batch(ds, ds.class_index(), n, 1.0, kinds, make_rng(seed, "test")).src[:, :2]
+    """The (i, j) columns of drawn mixed rows: one pair member from each sampler."""
+    i, j, _ = draw_pairs(kinds, ds.class_index(), 1.0, make_rng(seed, "test"), n)
+    return np.stack([i, j], axis=1)
 
 
 class TestDraws:
@@ -84,7 +83,7 @@ class TestDraws:
         index = lt_dataset.class_index()
         draws = sample_batch(kind, index, make_rng(99, "test"), 1_000_000)
         observed = np.bincount(lt_dataset.labels[draws], minlength=10)
-        mass = selection_probability(kind, index).class_mass(index)
+        mass = np.bincount(lt_dataset.labels, weights=selection_probability(kind, index))
         expected = mass * draws.size
         statistic = ((observed - expected) ** 2 / expected).sum()
         assert statistic < stats.chi2.ppf(0.999, df=9)
@@ -131,11 +130,3 @@ class TestPairStream:
         c2 = lt_dataset.labels[drawn[:, 1]].astype(np.float64)
         corr = np.corrcoef(c1, c2)[0, 1]
         assert abs(corr) <= 0.01
-
-
-class TestSamplerKind:
-    def test_parse_aliases(self):
-        assert SamplerKind.parse("ib") is IB
-        assert SamplerKind.parse("class_balanced") is CB
-        with pytest.raises(ValueError):
-            SamplerKind.parse("nope")

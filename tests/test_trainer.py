@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +10,12 @@ from lobmix import (
     LabeledDataset,
     Strategy,
     TrainConfig,
+    blend,
+    draw_pairs,
     evaluate,
     forward,
-    grad,
+    loss_and_grad,
     longtail_split,
-    make_batch,
     make_rng,
     soft_cross_entropy,
     synth_gaussian_mixture,
@@ -25,7 +25,6 @@ from lobmix.trainer import (
     ModelParams,
     TrainingDiverged,
     _forward_parts,
-    _loss_and_grad,
     default_groups,
     init_params,
     write_history_csv,
@@ -40,13 +39,14 @@ def random_dataset(rng, dim, num_classes):
     return LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
 
 
+def mixed_batch(ds, batch_size, kinds, rng):
+    """``(x, c_i, c_j, lam)`` of drawn mixed rows, the arguments of ``loss_and_grad`` after ``params``."""
+    i, j, lam = draw_pairs(kinds, ds.class_index(), 1.0, make_rng(int(rng.integers(1 << 31)), "test"), batch_size)
+    return blend(ds.features, i, j, lam), ds.labels[i], ds.labels[j], lam
+
+
 def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
-    ds = random_dataset(rng, dim, num_classes)
-    return make_batch(ds, ds.class_index(), batch_size, 1.0, kinds, make_rng(int(rng.integers(1 << 31)), "test"))
-
-
-def two_hot_loss_and_grad(params, batch):
-    return _loss_and_grad(params, batch.features, batch.src[:, 2], batch.src[:, 3], batch.lams)
+    return mixed_batch(random_dataset(rng, dim, num_classes), batch_size, kinds, rng)
 
 
 def dense_loss_and_grad(params, x, targets):
@@ -84,7 +84,7 @@ def numeric_grad(params, batch, step=1e-5):
             feature_offset=params.feature_offset,
             feature_scale=params.feature_scale,
         )
-        return two_hot_loss_and_grad(probe, batch)[0]
+        return loss_and_grad(probe, *batch)[0]
 
     for idx in range(flat.size):
         plus = flat.copy()
@@ -180,7 +180,7 @@ class TestGrad:
         for _ in range(10):
             batch = random_mixed_batch(rng, dim=4, num_classes=3, batch_size=6)
             params = init_params(arch, 4, 3, seed=int(rng.integers(1 << 31)), hidden=hidden or 6)
-            analytic = flatten(grad(params, batch))
+            analytic = flatten(loss_and_grad(params, *batch)[1])
             numeric = numeric_grad(params, batch)
             denom = max(np.linalg.norm(numeric), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom <= 1e-4
@@ -188,14 +188,9 @@ class TestGrad:
     def test_duplicated_batch_same_gradient(self):
         rng = np.random.default_rng(7)
         batch = random_mixed_batch(rng, dim=3, num_classes=4, batch_size=8)
-        doubled = dataclasses.replace(
-            batch,
-            features=np.concatenate([batch.features, batch.features]),
-            lams=np.concatenate([batch.lams, batch.lams]),
-            src=np.concatenate([batch.src, batch.src]),
-        )
+        doubled = [np.concatenate([column, column]) for column in batch]
         params = init_params("linear", 3, 4, seed=11)
-        for g1, g2 in zip(grad(params, batch), grad(params, doubled)):
+        for g1, g2 in zip(loss_and_grad(params, *batch)[1], loss_and_grad(params, *doubled)[1]):
             assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
     def test_gradient_small_after_convergence(self):
@@ -206,7 +201,7 @@ class TestGrad:
             lr_decay_epochs=(), strategy=Strategy.ERM, seed=0,
         )
         params, _ = train(train_ds, test_ds, cfg)
-        _, grads = _loss_and_grad(params, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
+        _, grads = loss_and_grad(params, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
         assert np.linalg.norm(flatten(grads)) <= 1e-3
 
 
@@ -217,15 +212,15 @@ class TestTwoHotLoss:
         rng = np.random.default_rng(2718)
         for _ in range(20):
             ds = random_dataset(rng, dim=5, num_classes=4)
-            batch = make_batch(ds, ds.class_index(), 64, 1.0, kinds, make_rng(int(rng.integers(1 << 31)), "test"))
+            seed = int(rng.integers(1 << 31))
+            i, j, lam = draw_pairs(kinds, ds.class_index(), 1.0, make_rng(seed, "test"), 64)
+            x = blend(ds.features, i, j, lam)
             params = init_params(arch, 5, 4, seed=int(rng.integers(1 << 31)), hidden=6)
-            targets = dense_targets(ds, batch)
-            loss, grads = two_hot_loss_and_grad(params, batch)
-            ref_loss, ref_grads = dense_loss_and_grad(params, batch.features, targets)
+            targets = dense_targets(ds, i, j, lam)
+            loss, grads = loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)
+            ref_loss, ref_grads = dense_loss_and_grad(params, x, targets)
             assert np.array_equal(loss, ref_loss)
-            assert np.array_equal(
-                loss, soft_cross_entropy(forward(params, batch.features), targets).mean()
-            )
+            assert np.array_equal(loss, soft_cross_entropy(forward(params, x), targets).mean())
             for g, ref in zip(grads, ref_grads):
                 assert np.array_equal(g, ref)
 
@@ -234,7 +229,7 @@ class TestTwoHotLoss:
         ds = random_dataset(rng, dim=3, num_classes=5)
         params = init_params("linear", 3, 5, seed=4)
         one_hot = np.eye(5)[ds.labels]
-        loss, grads = _loss_and_grad(params, ds.features, ds.labels, ds.labels, 1.0)
+        loss, grads = loss_and_grad(params, ds.features, ds.labels, ds.labels, 1.0)
         ref_loss, ref_grads = dense_loss_and_grad(params, ds.features, one_hot)
         assert loss == ref_loss
         for g, ref in zip(grads, ref_grads):
@@ -397,10 +392,19 @@ class TestEvaluate:
         report = evaluate(params, test, default_groups([10, 10, 10]))
         assert report.balanced_accuracy == pytest.approx(report.per_class_recall.mean())
 
+    def test_recalls_equal_per_class_loop(self):
+        rng = np.random.default_rng(23)
+        labels = rng.permutation(np.repeat(np.arange(7), [1, 3, 7, 12, 29, 50, 97]))
+        test = LabeledDataset(rng.normal(size=(labels.size, 4)), labels, 7)
+        params = init_params("linear", 4, 7, seed=6)
+        predicted = forward(params, test.features).argmax(axis=1)
+        loop = [float(np.mean(predicted[labels == k] == k)) for k in range(7)]
+        assert np.array_equal(evaluate(params, test, default_groups([1] * 7)).per_class_recall, loop)
+
     def test_missing_class_rejected(self):
         labels = np.zeros(5, dtype=np.int64)
         test = LabeledDataset(np.zeros((5, 2)), labels, 2)
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="class 1 missing"):
             evaluate(init_params("linear", 2, 2, seed=0), test, {0: "head", 1: "tail"})
 
 
