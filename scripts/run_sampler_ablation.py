@@ -11,11 +11,11 @@ import argparse
 
 from lobmix import (
     COMBOS,
+    ImbalanceProfile,
     TrainConfig,
     analytic_occurrence,
     draw_pairs,
     empirical_occurrence,
-    exponential_counts,
     labels_only_dataset,
     make_rng,
 )
@@ -32,7 +32,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    counts = exponential_counts(args.n_max, args.classes, args.rho)
+    counts = ImbalanceProfile("exponential", args.rho, args.n_max).class_counts(args.classes)
     dataset = labels_only_dataset(counts)
     index = dataset.class_index()
     head = {k for k, group in default_groups(counts).items() if group == "head"}

@@ -186,26 +186,28 @@ def _cifar10_base(paths) -> tuple[LabeledDataset, str]:
     return LabeledDataset(features, labels, longtail.CIFAR10_CLASSES), ";".join(str(p) for p in paths)
 
 
+def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed: int) -> tuple[LabeledDataset, str]:
+    """A balanced Gaussian mixture of ``per_class`` examples per class, and the manifest source naming it."""
+    base = longtail.synth_gaussian_mixture(classes, ClassCounts((per_class,) * classes), dim, separation, seed)
+    return base, f"synth:classes={classes},dim={dim},separation={separation}"
+
+
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
+    seed = cfg.train.seed
     if isinstance(cfg.dataset, SynthSpec):
         spec = cfg.dataset
-        base_counts = ClassCounts((spec.base_per_class,) * spec.classes)
-        base = longtail.synth_gaussian_mixture(spec.classes, base_counts, spec.dim, spec.separation, cfg.train.seed)
+        base, source = _synth_base(spec.classes, spec.dim, spec.separation, spec.base_per_class, seed)
         counts = cfg.profile.class_counts(spec.classes)
-        train_ds, test_ds, manifest = longtail.longtail_split(
-            base,
-            counts,
-            spec.test_per_class,
-            cfg.train.seed,
-            source=f"synth:classes={spec.classes},dim={spec.dim},separation={spec.separation}",
-            profile=cfg.profile,
-        )
-        return train_ds, test_ds, manifest
+        return longtail.longtail_split(base, counts, spec.test_per_class, seed, source=source, profile=cfg.profile)
     base, source = _cifar10_base(cfg.dataset.train_paths)
+    test_ds = longtail.load_cifar10_binary(cfg.dataset.test_path)
+    sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
+    if np.any(sizes == 0):
+        raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
     counts = cfg.profile.class_counts(base.num_classes)
-    train_ds, manifest = longtail.subsample_longtail(base, counts, cfg.train.seed, source=source, profile=cfg.profile)
-    return train_ds, longtail.load_cifar10_binary(cfg.dataset.test_path), manifest
+    train_ds, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
+    return train_ds, test_ds, manifest
 
 
 def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
@@ -217,12 +219,9 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     if args.base:
         base, source = _cifar10_base(args.base)
     elif args.synth_classes:
-        per_class = args.synth_per_class
-        base_counts = ClassCounts((per_class,) * args.synth_classes)
-        base = longtail.synth_gaussian_mixture(
-            args.synth_classes, base_counts, args.synth_dim, args.synth_separation, args.seed
+        base, source = _synth_base(
+            args.synth_classes, args.synth_dim, args.synth_separation, args.synth_per_class, args.seed
         )
-        source = f"synth:classes={args.synth_classes},dim={args.synth_dim},separation={args.synth_separation}"
     else:
         raise ValueError("provide --base file(s) or a --synth-classes spec")
 
@@ -473,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .seeds import make_rng
 
-PROFILE_KINDS = ("exponential", "pareto", "step")
-
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
 CIFAR10_CLASSES = 10
 
@@ -83,6 +81,28 @@ class ClassCounts:
         return sum(self.counts)
 
 
+def _exponential(n_max: int, num_classes: int, rho: float) -> list[int]:
+    """Exponential decay: class k keeps n_max * rho^(-k/(C-1)) examples, rounded half-up."""
+    span = num_classes - 1
+    return [_round_half_up(n_max * rho ** (-k / span)) for k in range(num_classes)]
+
+
+def _pareto(n_max: int, num_classes: int, rho: float) -> list[int]:
+    """Pareto decay n_max * (k+1)^(-a), with a chosen so the last class keeps n_max/rho."""
+    a = math.log(rho) / math.log(num_classes) if rho > 1 else 0.0
+    return [_round_half_up(n_max * (k + 1) ** (-a)) for k in range(num_classes)]
+
+
+def _step(n_max: int, num_classes: int, rho: float) -> list[int]:
+    """Two-level profile: the first C//2 classes keep n_max, the rest n_max/rho."""
+    n_head = num_classes // 2
+    return [n_max] * n_head + [_round_half_up(n_max / rho)] * (num_classes - n_head)
+
+
+_PROFILE_FORMULAS = {"exponential": _exponential, "pareto": _pareto, "step": _step}
+PROFILE_KINDS = tuple(_PROFILE_FORMULAS)
+
+
 @dataclass(frozen=True)
 class ImbalanceProfile:
     """Shape of a long-tailed count profile.
@@ -98,14 +118,16 @@ class ImbalanceProfile:
     def __post_init__(self) -> None:
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
-        if self.rho < 1:
+        if not self.rho >= 1:  # written so that NaN fails too
             raise ValueError(f"imbalance ratio must be >= 1, got {self.rho}")
         if self.n_max < self.rho:
             raise ValueError(f"n_max={self.n_max} would shrink the smallest class below one example (rho={self.rho})")
 
     def class_counts(self, num_classes: int) -> ClassCounts:
-        builder = {"exponential": exponential_counts, "pareto": pareto_counts, "step": step_counts}[self.kind]
-        return builder(self.n_max, num_classes, self.rho)
+        """Per-class counts of this profile over ``num_classes`` classes, largest first."""
+        if num_classes < 2:  # the formulas divide by C-1 and log C
+            raise ValueError(f"need at least 2 classes, got {num_classes}")
+        return ClassCounts(_PROFILE_FORMULAS[self.kind](self.n_max, num_classes, self.rho))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "rho": self.rho, "n_max": self.n_max}
@@ -117,43 +139,6 @@ class ImbalanceProfile:
             rho=float(json_value(d["rho"], float, "profile.rho")),
             n_max=json_value(d["n_max"], int, "profile.n_max"),
         )
-
-
-def _validate_profile_args(n_max: int, num_classes: int, rho: float) -> None:
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if rho < 1:
-        raise ValueError(f"imbalance ratio must be >= 1, got {rho}")
-    if n_max < rho:
-        raise ValueError(f"n_max={n_max} < rho={rho}: smallest class would round to zero")
-
-
-def _checked(counts: list[int]) -> ClassCounts:
-    if any(c == 0 for c in counts):
-        raise ValueError(f"profile rounds a class to zero examples: {counts}")
-    return ClassCounts(tuple(counts))
-
-
-def exponential_counts(n_max: int, num_classes: int, rho: float) -> ClassCounts:
-    """Exponential decay: class k keeps n_max * rho^(-k/(C-1)) examples, rounded half-up."""
-    _validate_profile_args(n_max, num_classes, rho)
-    span = num_classes - 1
-    return _checked([_round_half_up(n_max * rho ** (-k / span)) for k in range(num_classes)])
-
-
-def pareto_counts(n_max: int, num_classes: int, rho: float) -> ClassCounts:
-    """Pareto decay n_max * (k+1)^(-a), with a chosen so the last class keeps n_max/rho."""
-    _validate_profile_args(n_max, num_classes, rho)
-    a = math.log(rho) / math.log(num_classes) if rho > 1 else 0.0
-    return _checked([_round_half_up(n_max * (k + 1) ** (-a)) for k in range(num_classes)])
-
-
-def step_counts(n_max: int, num_classes: int, rho: float) -> ClassCounts:
-    """Two-level profile: the first C//2 classes keep n_max, the rest n_max/rho."""
-    _validate_profile_args(n_max, num_classes, rho)
-    n_head = num_classes // 2
-    tail = _round_half_up(n_max / rho)
-    return _checked([n_max] * n_head + [tail] * (num_classes - n_head))
 
 
 def imbalance_ratio(counts: ClassCounts) -> float:
@@ -242,28 +227,41 @@ class ClassIndex:
         return self.flat[start : start + self.counts[k]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetManifest:
     """Reproducible record of a long-tailed subsampling run.
 
-    Re-applying ``kept_indices`` to the source dataset (or re-running the
-    subsampler with the recorded seed) reproduces the identical dataset.
+    ``kept_indices`` is one int64 array of the kept source indices, class by
+    class, ``counts[k]`` of them for class k: the ``(flat, counts)`` layout of
+    :class:`ClassIndex`. The constructor takes one index sequence per class,
+    as the JSON file holds them. Re-applying ``kept_indices`` to the source
+    dataset (or re-running the subsampler with the recorded seed) reproduces
+    the identical dataset.
     """
 
     source: str
     profile: ImbalanceProfile | None
     seed: int
     counts: tuple[int, ...]
-    kept_indices: tuple[tuple[int, ...], ...]
+    kept_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
-        object.__setattr__(self, "kept_indices", tuple(tuple(map(int, idx)) for idx in self.kept_indices))
-        if len(self.counts) != len(self.kept_indices):
+        counts = tuple(map(int, self.counts))
+        per_class = self.kept_indices
+        if len(counts) != len(per_class):
             raise ValueError("one kept-index list per class required")
-        for n, idx in zip(self.counts, self.kept_indices):
-            if n != len(idx):
-                raise ValueError("kept-index list length must match the class count")
+        if any(n != len(idx) for n, idx in zip(counts, per_class)):
+            raise ValueError("kept-index list length must match the class count")
+        flat = np.empty(sum(counts), dtype=np.int64)
+        start = 0
+        for n, idx in zip(counts, per_class):
+            try:
+                flat[start : start + n] = idx
+            except OverflowError:
+                raise ValueError("kept indices must fit in 64-bit integers") from None
+            start += n
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "kept_indices", flat)
 
     def to_dict(self) -> dict:
         return {
@@ -271,7 +269,7 @@ class DatasetManifest:
             "profile": self.profile.to_dict() if self.profile else None,
             "seed": self.seed,
             "counts": list(self.counts),
-            "kept_indices": [list(idx) for idx in self.kept_indices],
+            "kept_indices": [idx.tolist() for idx in np.split(self.kept_indices, np.cumsum(self.counts)[:-1])],
         }
 
     @classmethod
@@ -294,6 +292,21 @@ class DatasetManifest:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _pick(
+    base: LabeledDataset,
+    pools: list[np.ndarray],
+    counts: ClassCounts,
+    rng: np.random.Generator,
+    seed: int,
+    source: str,
+    profile: ImbalanceProfile | None,
+) -> tuple[LabeledDataset, DatasetManifest]:
+    """Keep counts[k] indices of pools[k], drawn uniformly without replacement, and the manifest recording them."""
+    kept = [np.sort(rng.choice(pool, size=want, replace=False)) for pool, want in zip(pools, counts)]
+    manifest = DatasetManifest(source=source, profile=profile, seed=seed, counts=tuple(counts), kept_indices=kept)
+    return apply_manifest(base, manifest), manifest
+
+
 def subsample_longtail(
     base: LabeledDataset,
     counts: ClassCounts,
@@ -308,29 +321,18 @@ def subsample_longtail(
     """
     if len(counts) != base.num_classes:
         raise ValueError(f"counts cover {len(counts)} classes but dataset has {base.num_classes}")
-    rng = make_rng(seed, "subsample")
     index = base.class_index()
-    kept: list[np.ndarray] = []
-    for k, want in enumerate(counts):
-        have = index.members(k)
+    pools = [index.members(k) for k in range(len(counts))]
+    for k, (have, want) in enumerate(zip(pools, counts)):
         if have.size < want:
             raise ValueError(f"class {k} has {have.size} examples, need {want}")
-        chosen = np.sort(rng.choice(have, size=want, replace=False))
-        kept.append(chosen)
-    manifest = DatasetManifest(
-        source=source,
-        profile=profile,
-        seed=seed,
-        counts=tuple(counts),
-        kept_indices=tuple(tuple(idx) for idx in kept),
-    )
-    return apply_manifest(base, manifest), manifest
+    return _pick(base, pools, counts, make_rng(seed, "subsample"), seed, source, profile)
 
 
 def apply_manifest(base: LabeledDataset, manifest: DatasetManifest) -> LabeledDataset:
     """Rebuild the subsampled dataset recorded by a manifest."""
-    order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in manifest.kept_indices])
-    return LabeledDataset(base.features[order], base.labels[order], base.num_classes)
+    kept = manifest.kept_indices
+    return LabeledDataset(base.features[kept], base.labels[kept], base.num_classes)
 
 
 def synth_gaussian_mixture(
@@ -380,6 +382,8 @@ def longtail_split(
     """
     if test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
+    if len(counts) != base.num_classes:
+        raise ValueError(f"counts cover {len(counts)} classes but dataset has {base.num_classes}")
     rng = make_rng(seed, "holdout")
     index = base.class_index()
     test_idx: list[np.ndarray] = []
@@ -391,18 +395,10 @@ def longtail_split(
         held = np.sort(rng.choice(have, size=test_per_class, replace=False))
         test_idx.append(held)
         pools.append(np.setdiff1d(have, held, assume_unique=True))
-    train_rng = make_rng(seed, "train-pick")
-    kept = [np.sort(train_rng.choice(pool, size=want, replace=False)) for pool, want in zip(pools, counts)]
-    manifest = DatasetManifest(
-        source=source,
-        profile=profile,
-        seed=seed,
-        counts=tuple(counts),
-        kept_indices=tuple(tuple(idx) for idx in kept),
-    )
+    train, manifest = _pick(base, pools, counts, make_rng(seed, "train-pick"), seed, source, profile)
     test_order = np.concatenate(test_idx)
     test = LabeledDataset(base.features[test_order], base.labels[test_order], base.num_classes)
-    return apply_manifest(base, manifest), test, manifest
+    return train, test, manifest
 
 
 def load_cifar10_binary(path: str | Path) -> LabeledDataset:

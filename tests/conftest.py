@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lobmix import ClassCounts, LabeledDataset, exponential_counts, labels_only_dataset
+from lobmix import ClassCounts, ImbalanceProfile, LabeledDataset, labels_only_dataset
 
 # Exponential profile for 10 classes at imbalance 10, largest class 5000.
 # Frozen from an independent evaluation of n_max * rho**(-k/9) with half-up
@@ -13,7 +13,7 @@ CIFAR_LT_RHO10 = (5000, 3871, 2997, 2321, 1797, 1391, 1077, 834, 646, 500)
 
 @pytest.fixture(scope="session")
 def lt_counts() -> ClassCounts:
-    return exponential_counts(5000, 10, 10)
+    return ImbalanceProfile("exponential", 10, 5000).class_counts(10)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from lobmix import (
     CB,
     IB,
     ClassCounts,
+    ImbalanceProfile,
     LabeledDataset,
     Strategy,
     TrainConfig,
@@ -22,7 +23,6 @@ from lobmix import (
     blend,
     draw_pairs,
     empirical_occurrence,
-    exponential_counts,
     forward,
     loss_and_grad,
     longtail_split,
@@ -215,7 +215,7 @@ def test_criterion_6_gradient_matches_finite_differences():
 
 def test_criterion_7_deferred_prefix_equivalence():
     base = synth_gaussian_mixture(6, ClassCounts((150,) * 6), 6, 3.0, seed=77)
-    train_ds, test_ds, _ = longtail_split(base, exponential_counts(100, 6, 10), 40, seed=77)
+    train_ds, test_ds, _ = longtail_split(base, ImbalanceProfile("exponential", 10, 100).class_counts(6), 40, seed=77)
     switch = 5
     common = dict(
         epochs=8, batches_per_epoch=10, batch_size=64, lr=0.4,
@@ -230,7 +230,7 @@ def test_criterion_7_deferred_prefix_equivalence():
 
 def test_criterion_8_lob_beats_vanilla_on_longtail():
     started = time.perf_counter()
-    counts = exponential_counts(500, 10, 100)
+    counts = ImbalanceProfile("exponential", 100, 500).class_counts(10)
 
     def run(seed, strategy):
         base = synth_gaussian_mixture(10, ClassCounts((700,) * 10), 10, 3.0, seed)

@@ -10,9 +10,9 @@ import pytest
 
 from lobmix import (
     DatasetManifest,
+    ImbalanceProfile,
     LabeledDataset,
     TrainConfig,
-    exponential_counts,
     write_cifar10_binary,
 )
 from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main
@@ -88,7 +88,7 @@ class TestBuildLt:
         ])
         assert code == 0
         manifest = DatasetManifest.load(out / "manifest.json")
-        assert manifest.counts == tuple(exponential_counts(100, 10, 10))
+        assert manifest.counts == tuple(ImbalanceProfile("exponential", 10, 100).class_counts(10))
         printed = capsys.readouterr().out
         assert "imbalance ratio: 10" in printed
         info = json.loads((out / "build_info.json").read_text())
@@ -105,6 +105,12 @@ class TestBuildLt:
         assert code == 2
         assert_one_error(capsys, "base dataset file not found")
         assert not (tmp_path / "x").exists()
+
+    def test_nan_rho_rejected(self, tmp_path, capsys):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "4", "--rho", "nan", "--out", str(out)]) == 2
+        assert_one_error(capsys, "imbalance ratio must be >= 1, got nan")
+        assert not out.exists()
 
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
@@ -212,6 +218,26 @@ class TestMalformedManifest:
         out = tmp_path / "occ"
         assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
         assert_one_error(capsys, message)
+        assert not out.exists()
+
+    def test_index_beyond_64_bits_rejected(self, tmp_path, capsys, manifest_dict):
+        manifest_dict["kept_indices"][0][0] = 2**70
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest_dict))
+        capsys.readouterr()
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
+        assert_one_error(capsys, "kept indices must fit in 64-bit integers")
+        assert not out.exists()
+
+    def test_directory_rejected(self, tmp_path, capsys):
+        # the build-lt output directory in place of its manifest.json
+        lt = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "4", "--synth-per-class", "20", "--rho", "4", "--out", str(lt)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(lt), "--out", str(out)]) == 2
+        assert_one_error(capsys, "Is a directory")
         assert not out.exists()
 
 
@@ -360,6 +386,22 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
         assert_one_error(capsys, f"base dataset file not found: {tmp_path / 'nope.bin'}")
+        assert not out.exists()
+
+    def test_directory_config_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert_one_error(capsys, "Is a directory")
+        assert not out.exists()
+
+    def test_cifar_test_file_missing_class_leaves_no_directory(self, tmp_path, capsys, cifar_file):
+        labels = np.repeat(np.arange(9), 5)
+        test_path = tmp_path / "test_nine.bin"
+        write_cifar10_binary(LabeledDataset(np.zeros((labels.size, 3072)), labels, 10), test_path)
+        config_path = write_config(tmp_path, cifar_config([cifar_file], test_path))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert_one_error(capsys, "class 9 missing from the evaluation set")
         assert not out.exists()
 
     def test_cifar_config_needs_train_path(self, tmp_path, capsys, cifar_file):

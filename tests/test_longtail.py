@@ -10,12 +10,9 @@ from lobmix import (
     ImbalanceProfile,
     LabeledDataset,
     apply_manifest,
-    exponential_counts,
     imbalance_ratio,
     load_cifar10_binary,
     longtail_split,
-    pareto_counts,
-    step_counts,
     subsample_longtail,
     synth_gaussian_mixture,
     write_cifar10_binary,
@@ -25,23 +22,27 @@ from lobmix.longtail import mixture_centers
 from conftest import CIFAR_LT_RHO10
 
 
+def profile_counts(kind, n_max, num_classes, rho):
+    return ImbalanceProfile(kind, rho, n_max).class_counts(num_classes)
+
+
 class TestExponentialCounts:
     def test_rho10_reference_vector(self):
-        assert tuple(exponential_counts(5000, 10, 10)) == CIFAR_LT_RHO10
+        assert tuple(profile_counts("exponential", 5000, 10, 10)) == CIFAR_LT_RHO10
 
     def test_rho1_is_balanced(self):
-        assert tuple(exponential_counts(5000, 10, 1)) == (5000,) * 10
+        assert tuple(profile_counts("exponential", 5000, 10, 1)) == (5000,) * 10
 
     def test_rho100(self):
         # interior values frozen from the same half-up evaluation script
-        assert tuple(exponential_counts(5000, 10, 100)) == (
+        assert tuple(profile_counts("exponential", 5000, 10, 100)) == (
             5000, 2997, 1797, 1077, 646, 387, 232, 139, 83, 50,
         )
 
     @pytest.mark.parametrize("bad", [(5000, 10, 0.5), (5000, 1, 10), (5, 10, 10)])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):
-            exponential_counts(*bad)
+            profile_counts("exponential", *bad)
 
     @given(
         rho=st.floats(1.0, 100.0),
@@ -53,14 +54,14 @@ class TestExponentialCounts:
         # the 1% ratio guarantee needs the smallest class to round off at
         # most half an example relative to 1% of itself, i.e. n_max/rho >= 50
         n_max = int(np.ceil(rho * scale))
-        counts = exponential_counts(n_max, num_classes, rho)
+        counts = profile_counts("exponential", n_max, num_classes, rho)
         assert all(a >= b for a, b in zip(counts, list(counts)[1:]))
         assert abs(imbalance_ratio(counts) - rho) / rho <= 0.01
 
 
 class TestParetoCounts:
     def test_esc50_shape(self):
-        counts = pareto_counts(32, 50, 10)
+        counts = profile_counts("pareto", 32, 50, 10)
         assert counts[0] == 32
         assert counts[49] == 3
         # training budget: 50-class pool of 2000 minus 8 held out per class
@@ -68,28 +69,28 @@ class TestParetoCounts:
         assert counts.total == 327
 
     def test_rho1_is_balanced(self):
-        assert tuple(pareto_counts(100, 5, 1)) == (100,) * 5
+        assert tuple(profile_counts("pareto", 100, 5, 1)) == (100,) * 5
 
     def test_endpoints(self):
-        counts = pareto_counts(100, 4, 10)
+        counts = profile_counts("pareto", 100, 4, 10)
         assert counts[0] == 100
         assert counts[3] == 10
 
     @given(rho=st.floats(1.0, 50.0), num_classes=st.integers(2, 60))
     @settings(max_examples=40, deadline=None)
     def test_nonincreasing(self, rho, num_classes):
-        counts = pareto_counts(int(np.ceil(rho * 60)), num_classes, rho)
+        counts = profile_counts("pareto", int(np.ceil(rho * 60)), num_classes, rho)
         assert all(a >= b for a, b in zip(counts, list(counts)[1:]))
 
 
 class TestStepCounts:
     def test_two_levels(self):
-        counts = step_counts(1000, 10, 10)
+        counts = profile_counts("step", 1000, 10, 10)
         assert tuple(counts) == (1000,) * 5 + (100,) * 5
         assert imbalance_ratio(counts) == 10.0
 
     def test_odd_class_count(self):
-        counts = step_counts(100, 5, 4)
+        counts = profile_counts("step", 100, 5, 4)
         assert tuple(counts) == (100, 100, 25, 25, 25)
 
 
@@ -116,6 +117,8 @@ class TestImbalanceProfile:
             ImbalanceProfile("pareto", 0.9, 100)
         with pytest.raises(ValueError):
             ImbalanceProfile("pareto", 200.0, 100)
+        with pytest.raises(ValueError, match="imbalance ratio must be >= 1, got nan"):
+            ImbalanceProfile("pareto", float("nan"), 100)
 
 
 def _balanced_base(per_class, num_classes=2, dim=3, seed=11):
@@ -134,7 +137,8 @@ class TestSubsample:
         base = _balanced_base(300)
         _, m1 = subsample_longtail(base, ClassCounts((300, 50)), seed=9)
         _, m2 = subsample_longtail(base, ClassCounts((300, 50)), seed=9)
-        assert m1.kept_indices == m2.kept_indices
+        assert m1.kept_indices.dtype == np.int64
+        assert np.array_equal(m1.kept_indices, m2.kept_indices)
 
     def test_full_counts_reproduce_base(self):
         base = _balanced_base(120)
@@ -156,7 +160,8 @@ class TestSubsample:
         path = tmp_path / "manifest.json"
         manifest.save(path)
         loaded = DatasetManifest.load(path)
-        assert loaded == manifest
+        assert loaded.to_dict() == manifest.to_dict()
+        assert np.array_equal(loaded.kept_indices, manifest.kept_indices)
         rebuilt = apply_manifest(base, loaded)
         assert np.array_equal(rebuilt.features, sub.features)
         assert np.array_equal(rebuilt.labels, sub.labels)
@@ -166,6 +171,25 @@ class TestSubsample:
         _, manifest = subsample_longtail(base, ClassCounts((200, 60, 20)), seed=3)
         again, _ = subsample_longtail(base, ClassCounts(manifest.counts), seed=manifest.seed)
         assert np.array_equal(apply_manifest(base, manifest).features, again.features)
+
+
+class TestManifestLayout:
+    @given(sizes=st.lists(st.integers(0, 6), min_size=2, max_size=6), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_flat_layout_matches_nested(self, sizes, data):
+        rows = 30
+        nested = [data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)) for n in sizes]
+        manifest = DatasetManifest("test", None, 0, sizes, nested)
+        assert manifest.kept_indices.dtype == np.int64
+        assert manifest.kept_indices.tolist() == [i for idx in nested for i in idx]
+        assert manifest.to_dict()["kept_indices"] == nested
+        assert DatasetManifest.from_dict(manifest.to_dict()).to_dict() == manifest.to_dict()
+        rng = np.random.default_rng(len(sizes))
+        base = LabeledDataset(rng.standard_normal((rows, 2)), rng.integers(0, 3, size=rows), 3)
+        rebuilt = apply_manifest(base, manifest)
+        gathers = [np.asarray(idx, dtype=np.int64) for idx in nested]
+        assert np.array_equal(rebuilt.features, np.concatenate([base.features[idx] for idx in gathers]))
+        assert np.array_equal(rebuilt.labels, np.concatenate([base.labels[idx] for idx in gathers]))
 
 
 class TestLongtailSplit:
@@ -182,6 +206,11 @@ class TestLongtailSplit:
         base = _balanced_base(30, num_classes=2)
         with pytest.raises(ValueError):
             longtail_split(base, ClassCounts((25, 25)), 10, seed=0)
+
+    def test_counts_must_cover_every_class(self):
+        base = _balanced_base(50, num_classes=4)
+        with pytest.raises(ValueError, match="counts cover 2 classes but dataset has 4"):
+            longtail_split(base, ClassCounts((30, 10)), 5, seed=0)
 
 
 class TestSynthGaussianMixture:
