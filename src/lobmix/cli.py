@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import longtail
+from .atomic import atomic_write
 from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
 from .mixer import draw_pairs
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
@@ -39,7 +40,8 @@ def config_hash(payload: dict) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "rng_layout": RNG_LAYOUT,
     }
     digest = config_hash(resolved)
-    with (out / "occurrence_summary.csv").open("w", newline="") as fh:
+    with atomic_write(out / "occurrence_summary.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["combo", "samples", "balance_ratio_analytic", "balance_ratio_empirical", "head_incidence", "config_sha256"]
@@ -343,7 +345,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_history_csv(out / "history.csv", history)
     report = evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
     _write_json(out / "eval.json", {"config_sha256": digest, **report.to_dict()})
-    (out / DONE_MARKER).write_text(digest + "\n")
+    with atomic_write(out / DONE_MARKER) as fh:  # last: DONE marks a whole run directory
+        fh.write(digest + "\n")
     print(f"strategy={cfg.train.strategy.value} balanced_acc={format_float(report.balanced_accuracy)}")
     print(f"run dir: {out}")
     return 0
@@ -416,7 +419,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             write_row(row)
 
     if args.out:
-        with Path(args.out).open("w", newline="") as fh:
+        with atomic_write(args.out, newline="") as fh:
             writer = csv.writer(fh)
             emit(writer.writerow)
     emit(lambda row: print(",".join(str(c) for c in row)))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .seeds import make_rng
 
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
@@ -285,7 +286,8 @@ class DatasetManifest:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -427,4 +429,5 @@ def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:
     out = np.empty((len(dataset), CIFAR10_RECORD_BYTES), dtype=np.uint8)
     out[:, 0] = dataset.labels
     out[:, 1:] = pixels.astype(np.uint8)
-    Path(path).write_bytes(out.tobytes())
+    with atomic_write(path, "wb") as fh:
+        fh.write(out.tobytes())

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .longtail import ClassIndex
 from .samplers import CB, IB, SamplerKind
 
@@ -130,7 +131,7 @@ def write_occurrence_csv(
     empirical: OccurrenceReport | None = None,
 ) -> None:
     """Per-class ratio table: class, n_k, gamma_analytic, gamma_empirical."""
-    with Path(path).open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "n_k", "gamma_analytic", "gamma_empirical"])
         for k, n_k in enumerate(counts):

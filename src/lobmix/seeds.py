@@ -1,10 +1,10 @@
 """Counter-addressed random streams: one keyed Philox generator per (root, name, counter).
 
 Every draw in lobmix comes from :func:`make_rng`. A stream is named by a
-root seed and a label ("batch", "init", "subsample", ...), which together
+root seed and a label ("epoch", "init", "subsample", ...), which together
 fix the Philox key; the counter words address a block inside that keyed
-stream, e.g. ``make_rng(seed, "batch", epoch, b)`` for one training batch
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
+stream, e.g. ``make_rng(seed, "epoch", epoch)`` for the rows of one training
+epoch (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ MAX_SEED = 2**64 - 1
 
 # Version of the mapping from (root, name, counter) to random numbers. Run
 # outputs record it, so runs drawn under different layouts are never mixed.
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 
 
 def _word(value: int, what: str) -> int:

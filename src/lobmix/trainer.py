@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .longtail import LabeledDataset
 from .mixer import blend, draw_pairs, pair_weights
 from .samplers import CB, IB, SamplerKind, sample_batch
@@ -274,10 +275,12 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """SGD on soft cross entropy with the configured batch source.
 
-    Each batch draws from ``make_rng(cfg.seed, "batch", epoch, b)``, whatever
-    the strategy, so runs that share a seed follow identical trajectories
-    until their batch sources first differ (the deferred/vanilla equivalence
-    before the switch epoch).
+    An epoch's ``batches_per_epoch * batch_size`` rows are drawn at once from
+    ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
+    ``b`` is rows ``[b * batch_size, (b + 1) * batch_size)``. Only indices,
+    classes and ratios are held (40 bytes a row); features are blended batch
+    by batch. Runs that share a seed follow identical trajectories until their
+    batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
@@ -297,20 +300,24 @@ def train(
     groups = default_groups(index.counts)
     velocity = [np.zeros_like(w) for w in params.weights]
     history: list[EpochStats] = []
+    rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
+        rng = make_rng(cfg.seed, "epoch", epoch)
+        if kinds is None:  # unmixed rows: each example paired with itself
+            i = j = sample_batch(IB, index, rng, rows_per_epoch)
+        else:
+            i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
+        c_i, c_j = train_ds.labels[i], train_ds.labels[j]
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
-            rng = make_rng(cfg.seed, "batch", epoch, b)
-            if kinds is None:  # unmixed rows: each example paired with itself
-                i = j = sample_batch(IB, index, rng, cfg.batch_size)
-                lam = 1.0
-                x = train_ds.features[i]
+            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            if kinds is None:
+                x, lam_b = train_ds.features[i[rows]], 1.0
             else:
-                i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, cfg.batch_size)
-                x = blend(train_ds.features, i, j, lam)
-            loss, grads = loss_and_grad(params, x, train_ds.labels[i], train_ds.labels[j], lam)
+                x, lam_b = blend(train_ds.features, i[rows], j[rows], lam[rows]), lam[rows]
+            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam_b)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss
@@ -344,7 +351,7 @@ def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:
     def cell(v: float | None) -> str:
         return format_float(v) if v is not None else ""
 
-    with Path(path).open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_loss", "balanced_acc", "head_acc", "med_acc", "tail_acc"])
         for row in history:

@@ -582,6 +582,80 @@ class TestReport:
         assert "no completed runs" in capsys.readouterr().err
 
 
+class _FullDisk:
+    """A file handle that writes half of its first chunk, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fail_writing(monkeypatch, name):
+    """Make the atomic write of every file called ``name`` fail half-way through."""
+    import builtins
+
+    import lobmix.atomic
+
+    def opener(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return _FullDisk(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(lobmix.atomic, "open", opener, raising=False)
+
+
+class TestAtomicWrites:
+    def test_failed_block_keeps_old_file(self, tmp_path):
+        from lobmix.atomic import atomic_write
+
+        path = tmp_path / "artifact.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError), atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt"]
+
+    @pytest.mark.parametrize("name", ["config.json", "manifest.json", "history.csv", "eval.json", "DONE"])
+    def test_train_failure_mid_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch, name):
+        order = ["config.json", "manifest.json", "history.csv", "eval.json", "DONE"]
+        config_path = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        fail_writing(monkeypatch, name)
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert_one_error(capsys, "No space left on device")
+        # the artifacts written before the failing one are whole; nothing else is there
+        assert sorted(p.name for p in out.iterdir()) == sorted(order[: order.index(name)])
+
+    def test_report_failure_mid_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, base_config())
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run)]) == 0
+        fail_writing(monkeypatch, "aggregate.csv")
+        assert main(["report", str(run), "--out", str(tmp_path / "aggregate.csv")]) == 2
+        assert_one_error(capsys, "No space left on device")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
+    @pytest.mark.parametrize("target", ["missing/aggregate.csv", "run"])
+    def test_open_or_replace_error_names_the_final_path(self, tmp_path, capsys, target):
+        config_path = write_config(tmp_path, base_config())
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run)]) == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["report", str(run), "--out", str(tmp_path / target)]) == 2
+        assert_one_error(capsys, f": '{tmp_path / target}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):
         config_path = tmp_path / "config.json"

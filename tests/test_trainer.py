@@ -17,6 +17,7 @@ from lobmix import (
     loss_and_grad,
     longtail_split,
     make_rng,
+    sample_batch,
     soft_cross_entropy,
     synth_gaussian_mixture,
     train,
@@ -256,7 +257,7 @@ class TestTrain:
         assert len(set(accs)) == 1
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_one_generator_per_batch(self, monkeypatch, strategy):
+    def test_one_generator_per_epoch(self, monkeypatch, strategy):
         import lobmix.trainer
 
         addresses = []
@@ -271,7 +272,46 @@ class TestTrain:
             epochs=2, batches_per_epoch=3, batch_size=8, lr=0.1, lr_decay_epochs=(1,), strategy=strategy, seed=5
         )
         train(train_ds, test_ds, cfg)
-        assert addresses == [(5, "init")] + [(5, "batch", e, b) for e in range(2) for b in range(3)]
+        assert addresses == [(5, "init")] + [(5, "epoch", e) for e in range(2)]
+
+    @pytest.mark.parametrize("strategy", [Strategy.LOB, Strategy.ERM, Strategy.DEFERRED])
+    def test_batches_are_slices_of_the_epoch_draw(self, monkeypatch, strategy):
+        import lobmix.trainer
+
+        seen = []
+
+        def recording(params, x, c_i, c_j, lam):
+            seen.append((x.copy(), c_i.copy(), c_j.copy(), lam if np.isscalar(lam) else lam.copy()))
+            return loss_and_grad(params, x, c_i, c_j, lam)
+
+        monkeypatch.setattr(lobmix.trainer, "loss_and_grad", recording)
+        train_ds, test_ds, _ = quick_split()
+        epochs, bpe, size, switch = 3, 4, 8, 2
+        cfg = TrainConfig(
+            epochs=epochs, batches_per_epoch=bpe, batch_size=size, lr=0.1, lr_decay_epochs=(switch,),
+            alpha=0.7, strategy=strategy, seed=9,
+        )
+        train(train_ds, test_ds, cfg)
+        assert len(seen) == epochs * bpe
+        index, features, labels = train_ds.class_index(), train_ds.features, train_ds.labels
+        for e in range(epochs):
+            rng = make_rng(9, "epoch", e)
+            if strategy is Strategy.ERM:
+                i = sample_batch(IB, index, rng, bpe * size)
+            else:
+                kinds = (IB, IB) if strategy is Strategy.DEFERRED and e < switch else (CB, CB)
+                i, j, lam = draw_pairs(kinds, index, 0.7, rng, bpe * size)
+            for b in range(bpe):
+                x, c_i, c_j, got_lam = seen[e * bpe + b]
+                rows = slice(b * size, (b + 1) * size)
+                if strategy is Strategy.ERM:
+                    assert np.array_equal(x, features[i[rows]])
+                    assert np.array_equal(c_i, labels[i[rows]]) and np.array_equal(c_j, labels[i[rows]])
+                    assert got_lam == 1.0
+                else:
+                    assert np.array_equal(x, blend(features, i[rows], j[rows], lam[rows]))
+                    assert np.array_equal(c_i, labels[i[rows]]) and np.array_equal(c_j, labels[j[rows]])
+                    assert np.array_equal(got_lam, lam[rows])
 
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
