@@ -28,7 +28,7 @@ from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDat
 from .mixer import draw_pairs
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
-from .trainer import Strategy, TrainConfig, default_groups, evaluate, train, write_history_csv
+from .trainer import Strategy, TrainConfig, default_groups, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -268,7 +268,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     counts = ClassCounts(manifest.counts)
     dataset = longtail.labels_only_dataset(counts)
     index = dataset.class_index()
-    head = {k for k, group in default_groups(counts).items() if group == "head"}
+    head = default_groups(counts) == 0
     combo_names = list(COMBOS) if args.combo == "all" else [args.combo]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,7 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         empirical: OccurrenceReport | None = None
         if args.samples > 0:
             i, j, lam = draw_pairs(COMBOS[name], index, args.alpha, make_rng(args.seed, "analyze:" + name), args.samples)
-            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head_set=head)
+            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head=head)
             del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
@@ -315,8 +315,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     name,
                     args.samples,
                     format_float(analytic.balance_ratio),
-                    format_float(empirical.balance_ratio) if empirical and empirical.balance_ratio else "",
-                    format_float(empirical.head_incidence) if empirical else "",
+                    format_float(empirical.balance_ratio if empirical else None),
+                    format_float(empirical.head_incidence if empirical else None),
                     digest,
                 ]
             )
@@ -341,10 +341,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     digest = config_hash({k: v for k, v in resolved.items() if k != "out_dir"})
     _write_json(out / "config.json", resolved)
     manifest.save(out / "manifest.json")
-    params, history = train(train_ds, test_ds, cfg.train)
+    _, history = train(train_ds, test_ds, cfg.train)
     write_history_csv(out / "history.csv", history)
-    report = evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
-    _write_json(out / "eval.json", {"config_sha256": digest, **report.to_dict()})
+    report = history[-1].report
+    _write_json(out / "eval.json", {"config_sha256": digest, **dataclasses.asdict(report)})
     with atomic_write(out / DONE_MARKER) as fh:  # last: DONE marks a whole run directory
         fh.write(digest + "\n")
     print(f"strategy={cfg.train.strategy.value} balanced_acc={format_float(report.balanced_accuracy)}")

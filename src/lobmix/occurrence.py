@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class OccurrenceReport:
     ``balance_ratio`` is max/min of the ratios, or None when some class got
     no mass at all. ``sample_count`` is 0 for analytic reports.
     ``head_incidence`` (fraction of examples touching a head class) is only
-    present when a head set was supplied.
+    present when a head mask was supplied.
     """
 
     ratios: np.ndarray
@@ -43,10 +43,6 @@ class OccurrenceReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=np.float64))
-
-    @property
-    def num_classes(self) -> int:
-        return self.ratios.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -88,17 +84,19 @@ def empirical_occurrence(
     c_j: np.ndarray,
     lam: np.ndarray,
     num_classes: int,
-    head_set: Iterable[int] | None = None,
+    head: np.ndarray | None = None,
 ) -> OccurrenceReport:
     """Measured occurrence ratios over mixed rows given as class pairs and ratios.
 
     Row r contributes ``lam[r]`` to class ``c_i[r]`` and ``1 - lam[r]`` to
     class ``c_j[r]``; ratios are the per-class shares of the summed mass.
+    Head incidence is the fraction of rows with ``head[c_i] | head[c_j]``, for
+    a boolean class mask ``head`` such as ``default_groups(counts) == 0``.
     """
-    if head_set is not None:
-        head = np.fromiter(set(head_set), dtype=np.int64)
-        if head.size == 0:
-            raise ValueError("head set must be nonempty when supplied")
+    if head is not None:
+        head = np.asarray(head)
+        if head.dtype != np.bool_ or head.shape != (num_classes,) or not head.any():
+            raise ValueError(f"head must be a boolean mask of {num_classes} classes, at least one of them True")
     c_i, c_j, lam = np.asarray(c_i), np.asarray(c_j), np.asarray(lam, dtype=np.float64)
     if c_i.size == 0:
         raise ValueError("no mixed examples tallied")
@@ -109,8 +107,8 @@ def empirical_occurrence(
     )
     ratios = mass / math.fsum(mass)
     incidence = None
-    if head_set is not None:
-        incidence = int(np.count_nonzero(np.isin(c_i, head) | np.isin(c_j, head))) / c_i.size
+    if head is not None:
+        incidence = int(np.count_nonzero(head[c_i] | head[c_j])) / c_i.size
     return OccurrenceReport(
         ratios=ratios,
         balance_ratio=float(ratios.max() / ratios.min()) if ratios.min() > 0 else None,
@@ -119,9 +117,9 @@ def empirical_occurrence(
     )
 
 
-def format_float(x: float) -> str:
-    """Six significant digits, the CSV emission convention."""
-    return f"{x:.6g}"
+def format_float(x: float | None) -> str:
+    """Six significant digits, the CSV emission convention; None is the empty cell."""
+    return "" if x is None else f"{x:.6g}"
 
 
 def write_occurrence_csv(

@@ -17,6 +17,7 @@ import numpy as np
 from .atomic import atomic_write
 from .longtail import LabeledDataset
 from .mixer import blend, draw_pairs, pair_weights
+from .occurrence import format_float
 from .samplers import CB, IB, SamplerKind, sample_batch
 from .seeds import make_rng
 
@@ -190,20 +191,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-class recalls with balanced / overall / per-group aggregates."""
+    """Per-class recalls with balanced / overall / per-group aggregates; reports compare with ``==``."""
 
-    per_class_recall: np.ndarray
+    per_class_recall: tuple[float, ...]
     balanced_accuracy: float
     overall_accuracy: float
     group_accuracy: dict[str, float | None]
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class_recall": [float(r) for r in self.per_class_recall],
-            "balanced_accuracy": self.balanced_accuracy,
-            "overall_accuracy": self.overall_accuracy,
-            "group_accuracy": dict(self.group_accuracy),
-        }
 
 
 @dataclass(frozen=True)
@@ -211,31 +204,29 @@ class EpochStats:
     epoch: int
     lr: float
     train_loss: float
-    balanced_acc: float
-    head_acc: float | None
-    med_acc: float | None
-    tail_acc: float | None
+    report: EvalReport
 
 
-def default_groups(counts) -> dict[int, str]:
-    """Rank-tercile grouping: largest third head, smallest third tail."""
+def default_groups(counts) -> np.ndarray:
+    """Rank-tercile grouping: ``g[k]`` is the GROUP_NAMES index of class k's group.
+
+    The largest ceil(C/3) classes are head (0) and the smallest ceil(C/3) tail (2); size ties break by class id.
+    """
     sizes = np.asarray(list(counts))
     num_classes = sizes.shape[0]
-    order = sorted(range(num_classes), key=lambda k: (-sizes[k], k))
+    order = np.argsort(-sizes, kind="stable")
     n_edge = max(1, int(np.ceil(num_classes / 3)))
-    groups = {}
-    for rank, k in enumerate(order):
-        if rank < n_edge:
-            groups[k] = "head"
-        elif rank >= num_classes - n_edge:
-            groups[k] = "tail"
-        else:
-            groups[k] = "medium"
+    groups = np.ones(num_classes, dtype=np.int64)
+    groups[order[num_classes - n_edge :]] = 2
+    groups[order[:n_edge]] = 0
     return groups
 
 
-def evaluate(params: ModelParams, test: LabeledDataset, groups: dict[int, str]) -> EvalReport:
-    """Argmax predictions scored as per-class recall plus group means."""
+def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
+    """Argmax predictions scored as per-class recall plus group means.
+
+    ``groups`` holds one GROUP_NAMES index per class; an empty group scores None.
+    """
     probs = forward(params, test.features)
     predicted = probs.argmax(axis=1)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
@@ -243,11 +234,11 @@ def evaluate(params: ModelParams, test: LabeledDataset, groups: dict[int, str]) 
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
     recalls = np.bincount(test.labels, weights=predicted == test.labels, minlength=test.num_classes) / sizes
     group_acc: dict[str, float | None] = {}
-    for name in GROUP_NAMES:
-        members = [k for k in range(test.num_classes) if groups.get(k) == name]
-        group_acc[name] = float(np.mean(recalls[members])) if members else None
+    for g, name in enumerate(GROUP_NAMES):
+        members = recalls[groups == g]
+        group_acc[name] = float(np.mean(members)) if members.size else None
     return EvalReport(
-        per_class_recall=recalls,
+        per_class_recall=tuple(recalls.tolist()),
         balanced_accuracy=float(recalls.mean()),
         overall_accuracy=float(np.mean(predicted == test.labels)),
         group_accuracy=group_acc,
@@ -281,6 +272,7 @@ def train(
     classes and ratios are held (40 bytes a row); features are blended batch
     by batch. Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
+    The test set is evaluated once an epoch, so ``history[-1].report`` scores the returned params.
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
@@ -330,27 +322,11 @@ def train(
                     w += v
                 else:
                     w -= lr * g
-        report = evaluate(params, test_ds, groups)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr,
-                train_loss=float(losses.mean()),
-                balanced_acc=report.balanced_accuracy,
-                head_acc=report.group_accuracy["head"],
-                med_acc=report.group_accuracy["medium"],
-                tail_acc=report.group_accuracy["tail"],
-            )
-        )
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
     return params, history
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:
-    from .occurrence import format_float
-
-    def cell(v: float | None) -> str:
-        return format_float(v) if v is not None else ""
-
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_loss", "balanced_acc", "head_acc", "med_acc", "tail_acc"])
@@ -360,9 +336,7 @@ def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:
                     row.epoch,
                     format_float(row.lr),
                     format_float(row.train_loss),
-                    format_float(row.balanced_acc),
-                    cell(row.head_acc),
-                    cell(row.med_acc),
-                    cell(row.tail_acc),
+                    format_float(row.report.balanced_accuracy),
+                    *(format_float(row.report.group_accuracy[name]) for name in GROUP_NAMES),
                 ]
             )

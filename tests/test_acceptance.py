@@ -240,8 +240,8 @@ def test_criterion_8_lob_beats_vanilla_on_longtail():
             lr_decay_epochs=(30, 37), alpha=1.0, strategy=strategy, seed=seed,
         )
         _, history = train(train_ds, test_ds, cfg)
-        last = history[-1]
-        return np.array([last.balanced_acc, last.head_acc, last.med_acc, last.tail_acc])
+        last = history[-1].report
+        return np.array([last.balanced_accuracy, *(last.group_accuracy[g] for g in ("head", "medium", "tail"))])
 
     seeds = range(5)
     vanilla = np.stack([run(seed, Strategy.MIXUP) for seed in seeds])

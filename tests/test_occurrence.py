@@ -158,48 +158,65 @@ class TestBalanceRatio:
         assert report.to_dict()["balance_ratio"] is None
 
 
-def head_incidence(rows, num_classes, head_set):
-    return empirical_occurrence(*rows, num_classes, head_set=head_set).head_incidence
+def head_incidence(rows, num_classes, head):
+    return empirical_occurrence(*rows, num_classes, head=head).head_incidence
 
 
 class TestHeadLabelIncidence:
     def test_all_classes_head(self, lt_dataset):
         rows = drawn_classes(lt_dataset, 1_000, 1.0, (IB, IB), make_rng(3, "test"))
-        assert head_incidence(rows, 10, set(range(10))) == 1.0
+        assert head_incidence(rows, 10, np.ones(10, dtype=bool)) == 1.0
 
     def test_ib_ib_half_mass(self):
         # head classes hold exactly half the examples: expect 1 - 0.5**2
         ds = labels_only_dataset([500, 500, 250, 250, 250, 250])
         rows = drawn_classes(ds, 100_000, 1.0, (IB, IB), make_rng(11, "test"))
-        incidence = head_incidence(rows, 6, {0, 1})
+        incidence = head_incidence(rows, 6, np.arange(6) < 2)
         assert abs(incidence - 0.75) <= 0.01
 
     def test_cb_cb_three_of_ten(self, lt_dataset):
         rows = drawn_classes(lt_dataset, 100_000, 1.0, (CB, CB), make_rng(19, "test"))
-        incidence = head_incidence(rows, 10, {0, 1, 2})
+        incidence = head_incidence(rows, 10, np.arange(10) < 3)
         assert abs(incidence - 0.51) <= 0.01
 
     def test_validation(self, lt_dataset):
         rows = drawn_classes(lt_dataset, 10, 1.0, (IB, IB), make_rng(3, "test"))
-        with pytest.raises(ValueError, match="head set"):
-            head_incidence(rows, 10, set())
+        with pytest.raises(ValueError, match="head"):
+            head_incidence(rows, 10, np.zeros(10, dtype=bool))
         empty = (np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
         with pytest.raises(ValueError, match="no mixed examples"):
-            head_incidence(empty, 10, {0})
+            head_incidence(empty, 10, np.arange(10) == 0)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            np.array([0, 1, 2, 3]),  # class ids, the old head-set spelling
+            (np.arange(10) < 4).astype(np.int64),  # 0/1 ints of the right length would index classes 0 and 1
+            (np.arange(10) < 4).astype(np.float64),
+            np.ones(9, dtype=bool),
+            np.ones(11, dtype=bool),
+            np.ones((1, 10), dtype=bool),
+            np.zeros(10, dtype=bool),
+        ],
+    )
+    def test_head_must_be_a_class_mask(self, lt_dataset, head):
+        rows = drawn_classes(lt_dataset, 10, 1.0, (IB, IB), make_rng(3, "test"))
+        with pytest.raises(ValueError, match="boolean mask of 10 classes"):
+            head_incidence(rows, 10, head)
 
     def test_report_field_only_with_head_set(self, lt_dataset):
         rows = drawn_classes(lt_dataset, 1_000, 1.0, (IB, IB), make_rng(3, "test"))
         bare = empirical_occurrence(*rows, 10)
         assert bare.head_incidence is None
-        with_head = empirical_occurrence(*rows, 10, head_set={0, 1})
+        with_head = empirical_occurrence(*rows, 10, head=np.arange(10) < 2)
         assert with_head.head_incidence is not None
 
 
 class TestHelpers:
     def test_default_head_set(self, lt_counts):
-        # analyze's head set: the classes default_groups labels "head", the largest ceil(C/3)
-        head = {k for k, group in default_groups(lt_counts).items() if group == "head"}
-        assert head == {0, 1, 2, 3}
+        # analyze's head mask: the classes default_groups puts in group 0 ("head"), the largest ceil(C/3)
+        head = default_groups(lt_counts) == 0
+        assert head.tolist() == [True] * 4 + [False] * 6
 
     def test_combos(self):
         assert COMBOS == {"ib-ib": (IB, IB), "ib-cb": (IB, CB), "cb-cb": (CB, CB)}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lobmix import (
     CB,
@@ -23,6 +25,7 @@ from lobmix import (
     train,
 )
 from lobmix.trainer import (
+    GROUP_NAMES,
     ModelParams,
     TrainingDiverged,
     _forward_parts,
@@ -253,7 +256,7 @@ class TestTrain:
         )
         for w, w0 in zip(params.weights, fresh.weights):
             assert np.array_equal(w, w0)
-        accs = [row.balanced_acc for row in history]
+        accs = [row.report.balanced_accuracy for row in history]
         assert len(set(accs)) == 1
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -325,7 +328,7 @@ class TestTrain:
         train_ds, test_ds, _ = longtail_split(base, ClassCounts((200, 200)), 80, seed=6)
         cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy=Strategy.ERM, seed=0)
         _, history = train(train_ds, test_ds, cfg)
-        assert history[-1].balanced_acc >= 0.99
+        assert history[-1].report.balanced_accuracy >= 0.99
 
     def test_divergence_aborts(self):
         # an oversized step on the weight-decay term grows the weights
@@ -354,6 +357,26 @@ class TestTrain:
             )
             params, history = train(train_ds, test_ds, cfg)
             assert len(history) == 2
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_evaluate_runs_once_per_epoch(self, monkeypatch, strategy):
+        import lobmix.trainer
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(lobmix.trainer, "evaluate", counting)
+        train_ds, test_ds, _ = quick_split(seed=15)
+        cfg = TrainConfig(
+            epochs=3, batches_per_epoch=4, batch_size=16, lr=0.2,
+            lr_decay_epochs=(1,), strategy=strategy, seed=4,
+        )
+        params, history = train(train_ds, test_ds, cfg)
+        assert len(calls) == cfg.epochs
+        assert history[-1].report == evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
 
     def test_momentum_and_weight_decay_paths(self):
         train_ds, test_ds, _ = quick_split(seed=11)
@@ -411,7 +434,7 @@ class TestEvaluate:
 
     def test_perfect_predictor(self):
         test = self._three_class_test_set()
-        groups = {0: "head", 1: "medium", 2: "tail"}
+        groups = np.array([0, 1, 2])  # head, medium, tail
         report = evaluate(self._identity_params(), test, groups)
         assert np.array_equal(report.per_class_recall, np.ones(3))
         assert report.balanced_accuracy == 1.0
@@ -423,14 +446,14 @@ class TestEvaluate:
         params = init_params("linear", 3, 3, seed=0)
         params.weights[0][:] = 0.0
         params.weights[1][:] = np.array([10.0, 0.0, 0.0])
-        report = evaluate(params, test, {0: "head", 1: "medium", 2: "tail"})
+        report = evaluate(params, test, np.array([0, 1, 2]))
         assert report.balanced_accuracy == pytest.approx(1.0 / 3.0)
 
     def test_balanced_accuracy_is_mean_recall(self):
         test = self._three_class_test_set()
         params = init_params("linear", 3, 3, seed=4)
         report = evaluate(params, test, default_groups([10, 10, 10]))
-        assert report.balanced_accuracy == pytest.approx(report.per_class_recall.mean())
+        assert report.balanced_accuracy == pytest.approx(np.mean(report.per_class_recall))
 
     def test_recalls_equal_per_class_loop(self):
         rng = np.random.default_rng(23)
@@ -445,13 +468,30 @@ class TestEvaluate:
         labels = np.zeros(5, dtype=np.int64)
         test = LabeledDataset(np.zeros((5, 2)), labels, 2)
         with pytest.raises(ValueError, match="class 1 missing"):
-            evaluate(init_params("linear", 2, 2, seed=0), test, {0: "head", 1: "tail"})
+            evaluate(init_params("linear", 2, 2, seed=0), test, np.array([0, 2]))
+
+
+def sorted_groups(counts):
+    """Oracle: the rank-tercile grouping as a class -> group-name dict, ranked with ``sorted``."""
+    sizes = list(counts)
+    num_classes = len(sizes)
+    order = sorted(range(num_classes), key=lambda k: (-sizes[k], k))
+    n_edge = max(1, math.ceil(num_classes / 3))
+    groups = {}
+    for rank, k in enumerate(order):
+        if rank < n_edge:
+            groups[k] = "head"
+        elif rank >= num_classes - n_edge:
+            groups[k] = "tail"
+        else:
+            groups[k] = "medium"
+    return groups
 
 
 class TestGroups:
     def test_terciles(self):
         groups = default_groups([100, 90, 80, 70, 60, 50, 40, 30, 20, 10])
-        assert [groups[k] for k in range(10)] == [
+        assert [GROUP_NAMES[g] for g in groups] == [
             "head", "head", "head", "head",
             "medium", "medium",
             "tail", "tail", "tail", "tail",
@@ -459,7 +499,15 @@ class TestGroups:
 
     def test_two_classes(self):
         groups = default_groups([10, 5])
-        assert groups == {0: "head", 1: "tail"}
+        assert groups.tolist() == [0, 2]  # head, tail
+
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=60))
+    def test_matches_sorted_oracle(self, counts):
+        # sizes from 1-4 make ties common, so the class-id tie-break is exercised
+        groups = default_groups(counts)
+        assert groups.shape == (len(counts),)
+        oracle = sorted_groups(counts)
+        assert [GROUP_NAMES[g] for g in groups] == [oracle[k] for k in range(len(counts))]
 
 
 class TestHistoryCsv:
