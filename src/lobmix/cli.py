@@ -28,7 +28,7 @@ from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDat
 from .mixer import draw_pairs
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
-from .trainer import Strategy, TrainConfig, default_groups, train, write_history_csv
+from .trainer import Strategy, TrainConfig, TrainingDiverged, default_groups, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -177,15 +177,20 @@ def load_config(
     return ExperimentConfig.from_dict({**d, **top})
 
 
-def _cifar10_base(paths) -> tuple[LabeledDataset, str]:
-    """The records of CIFAR-10 binary files, concatenated in order, and the manifest source naming them."""
+def _cifar10_base(paths) -> tuple[LabeledDataset, np.ndarray, str]:
+    """The records of CIFAR-10 binary files, concatenated in order, and the manifest source naming them.
+
+    The records come as a labels-only dataset, which is all the subsampler
+    reads, and their (N, 3072) uint8 pixels, so that only kept rows are ever
+    converted to float.
+    """
     for p in paths:
         if not Path(p).exists():
             raise FileNotFoundError(f"base dataset file not found: {p}")
-    bases = [longtail.load_cifar10_binary(p) for p in paths]
-    features = np.concatenate([b.features for b in bases])
-    labels = np.concatenate([b.labels for b in bases])
-    return LabeledDataset(features, labels, longtail.CIFAR10_CLASSES), ";".join(str(p) for p in paths)
+    records = [longtail.read_cifar10_records(p) for p in paths]
+    pixels, labels = (np.concatenate(parts) for parts in zip(*records))
+    base = LabeledDataset(np.empty((labels.size, 0)), labels, longtail.CIFAR10_CLASSES)
+    return base, pixels, ";".join(str(p) for p in paths)
 
 
 def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed: int) -> tuple[LabeledDataset, str]:
@@ -202,14 +207,16 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
         base, source = _synth_base(spec.classes, spec.dim, spec.separation, spec.base_per_class, seed)
         counts = cfg.profile.class_counts(spec.classes)
         return longtail.longtail_split(base, counts, spec.test_per_class, seed, source=source, profile=cfg.profile)
-    base, source = _cifar10_base(cfg.dataset.train_paths)
+    base, pixels, source = _cifar10_base(cfg.dataset.train_paths)
     test_ds = longtail.load_cifar10_binary(cfg.dataset.test_path)
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
     counts = cfg.profile.class_counts(base.num_classes)
-    train_ds, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
-    return train_ds, test_ds, manifest
+    kept, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
+    # scaling commutes with the gather: the bits of load_cifar10_binary's rows
+    features = pixels[manifest.kept_indices].astype(np.float64) / 255.0
+    return LabeledDataset(features, kept.labels, kept.num_classes), test_ds, manifest
 
 
 def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
@@ -219,7 +226,7 @@ def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
 
 def cmd_build_lt(args: argparse.Namespace) -> int:
     if args.base:
-        base, source = _cifar10_base(args.base)
+        base, _, source = _cifar10_base(args.base)
     elif args.synth_classes:
         base, source = _synth_base(
             args.synth_classes, args.synth_dim, args.synth_separation, args.synth_per_class, args.seed
@@ -475,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,6 +164,8 @@ class LabeledDataset:
             raise ValueError("labels must be one per feature row")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite, got NaN or infinity")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -366,7 +368,11 @@ def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) ->
     rng = make_rng(seed, "centers")
     dirs = rng.standard_normal((num_classes, dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    return separation * dirs / norms
+    with np.errstate(over="ignore"):  # an overflow leaves an infinity, rejected below
+        centers = separation * dirs / norms
+    if not np.isfinite(centers).all():
+        raise ValueError(f"separation {separation} puts class centers beyond the float range")
+    return centers
 
 
 def longtail_split(
@@ -403,8 +409,12 @@ def longtail_split(
     return train, test, manifest
 
 
-def load_cifar10_binary(path: str | Path) -> LabeledDataset:
-    """Parse the CIFAR-10 binary batch format (3073-byte records), pixels scaled to [0,1]."""
+def read_cifar10_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3072) uint8 pixels and (N,) int64 labels of a CIFAR-10 binary file (3073-byte records).
+
+    The pixels are a read-only view of the file's bytes: callers convert only
+    the rows they keep.
+    """
     raw = Path(path).read_bytes()
     if len(raw) % CIFAR10_RECORD_BYTES != 0:
         raise ValueError(
@@ -415,8 +425,19 @@ def load_cifar10_binary(path: str | Path) -> LabeledDataset:
     if labels.size and labels.max() >= CIFAR10_CLASSES:
         bad = int(labels.max())
         raise ValueError(f"{path}: label byte {bad} out of range 0-9")
-    features = records[:, 1:].astype(np.float64) / 255.0
-    return LabeledDataset(features, labels, CIFAR10_CLASSES)
+    return records[:, 1:], labels
+
+
+def load_cifar10_binary(path: str | Path) -> LabeledDataset:
+    """Parse a CIFAR-10 binary file with every pixel scaled to [0,1] as float64.
+
+    This converts every record. To keep some rows of a file, read its uint8
+    pixels with :func:`read_cifar10_records` and scale only the kept rows:
+    ``pixels[kept].astype(np.float64) / 255.0`` holds the same bits as
+    ``load_cifar10_binary(path).features[kept]``.
+    """
+    pixels, labels = read_cifar10_records(path)
+    return LabeledDataset(pixels.astype(np.float64) / 255.0, labels, CIFAR10_CLASSES)
 
 
 def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:

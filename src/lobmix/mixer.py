@@ -66,5 +66,16 @@ def draw_pairs(
 
 
 def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Feature rows ``lam * features[i] + (1 - lam) * features[j]``."""
-    return lam[:, None] * features[i] + (1.0 - lam)[:, None] * features[j]
+    """Feature rows ``lam * features[i] + (1 - lam) * features[j]``.
+
+    The rows are built in two new arrays, the gathered ``features[i]`` and
+    ``features[j]``, scaled and summed in place: the same IEEE operations in
+    the same order as the expression, so the same bits. ``features`` is not
+    changed.
+    """
+    rows = np.take(features, i, axis=0)
+    rows *= lam[:, None]
+    other = np.take(features, j, axis=0)
+    other *= (1.0 - lam)[:, None]
+    rows += other
+    return rows

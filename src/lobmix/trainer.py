@@ -82,8 +82,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _standardize(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """``(x - feature_offset) / feature_scale``, built in one new array."""
+    z = x - params.feature_offset
+    z /= params.feature_scale
+    return z
+
+
 def _forward_parts(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    z = (x - params.feature_offset) / params.feature_scale
+    return _forward_standardized(params, _standardize(params, x))
+
+
+def _forward_standardized(params: ModelParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Probabilities, ``z`` and the hidden activations (None for ``linear``) of standardized rows ``z``."""
     if params.arch == "linear":
         w, b = params.weights
         return _softmax(z @ w + b), z, None
@@ -222,12 +233,15 @@ def default_groups(counts) -> np.ndarray:
     return groups
 
 
-def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
+def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray, z: np.ndarray | None = None) -> EvalReport:
     """Argmax predictions scored as per-class recall plus group means.
 
     ``groups`` holds one GROUP_NAMES index per class; an empty group scores None.
+    ``z``, if given, is ``test.features`` already standardized by ``params``'
+    frozen transform (:func:`train` computes it once per run); the report is
+    the same as without it.
     """
-    probs = forward(params, test.features)
+    probs = forward(params, test.features) if z is None else _forward_standardized(params, z)[0]
     predicted = probs.argmax(axis=1)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
@@ -259,6 +273,7 @@ def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[SamplerKind, Sam
     return (CB, CB)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
@@ -272,7 +287,13 @@ def train(
     classes and ratios are held (40 bytes a row); features are blended batch
     by batch. Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
-    The test set is evaluated once an epoch, so ``history[-1].report`` scores the returned params.
+    The test set is standardized once per run, by the transform frozen from the
+    train split, and evaluated once an epoch, so ``history[-1].report`` scores
+    the returned params.
+
+    Numpy's overflow warnings are silenced. Features whose mean or spread
+    overflows raise ValueError, and a non-finite loss, or a non-finite weight
+    after an epoch, raises :class:`TrainingDiverged`.
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
@@ -280,6 +301,8 @@ def train(
     offset = train_ds.features.mean(axis=0)
     scale = train_ds.features.std(axis=0)
     scale[scale == 0] = 1.0
+    if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
+        raise ValueError("train features are too large to standardize: their mean or spread overflows")
     params = init_params(
         cfg.arch,
         train_ds.dim,
@@ -290,6 +313,7 @@ def train(
         feature_scale=scale,
     )
     groups = default_groups(index.counts)
+    test_z = _standardize(params, test_ds.features)
     velocity = [np.zeros_like(w) for w in params.weights]
     history: list[EpochStats] = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
@@ -322,7 +346,9 @@ def train(
                     w += v
                 else:
                     w -= lr * g
-        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
+        if not all(np.isfinite(w).all() for w in params.weights):
+            raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups, test_z)))
     return params, history
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from lobmix import (
     ImbalanceProfile,
     LabeledDataset,
     TrainConfig,
+    load_cifar10_binary,
+    subsample_longtail,
     write_cifar10_binary,
 )
-from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main
+from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main, resolve_datasets
 from lobmix.seeds import RNG_LAYOUT
 
 REPO = Path(__file__).resolve().parents[1]
@@ -171,6 +174,55 @@ class TestTwoFileCifar:
         for e in evals:
             e.pop("config_sha256")  # hashes the config, which names the files
         assert evals[0] == evals[1]
+
+
+    @staticmethod
+    def float_oracle(train_paths, test_path, profile, seed):
+        """Oracle: every record of every file as float64, concatenated, then subsampled."""
+        bases = [load_cifar10_binary(p) for p in train_paths]
+        features = np.concatenate([b.features for b in bases])
+        base = LabeledDataset(features, np.concatenate([b.labels for b in bases]), 10)
+        source = ";".join(str(p) for p in train_paths)
+        train, manifest = subsample_longtail(base, profile.class_counts(10), seed, source=source, profile=profile)
+        return train, load_cifar10_binary(test_path), manifest
+
+    @pytest.mark.parametrize("num_files", [1, 2])
+    def test_resolve_datasets_match_float_oracle(self, tmp_path, files, cifar_file, num_files):
+        paths = files[:2] if num_files == 2 else files[2:]
+        cfg = load_config(write_config(tmp_path, cifar_config(paths, cifar_file)), seed=6)
+        got = resolve_datasets(cfg)
+        want = self.float_oracle(paths, cifar_file, cfg.profile, 6)
+        for ds, oracle in zip(got[:2], want[:2]):
+            assert ds.features.dtype == np.float64
+            assert ds.features.tobytes() == oracle.features.tobytes()
+            assert np.array_equal(ds.labels, oracle.labels)
+        assert got[2].to_dict() == want[2].to_dict()
+
+    def test_build_lt_manifest_matches_float_oracle(self, tmp_path, files):
+        a, b, _ = files
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--base", str(a), str(b), "--rho", "10", "--seed", "3", "--out", str(out)]) == 0
+        profile = ImbalanceProfile("exponential", 10.0, 100)  # n_max: the smallest base class
+        _, _, manifest = self.float_oracle([a, b], a, profile, 3)
+        manifest.save(tmp_path / "oracle.json")
+        assert (out / "manifest.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    def test_resolve_datasets_memory(self, tmp_path, files):
+        """Only kept rows become float64: the traced peak stays within their bytes plus twice the files'."""
+        labels = np.repeat(np.arange(10), 20)
+        pixels = np.random.default_rng(5).integers(0, 256, size=(labels.size, 3072), dtype=np.uint8)
+        test_path = tmp_path / "test.bin"
+        write_cifar10_binary(LabeledDataset(pixels / 255.0, labels, 10), test_path)
+        paths = files[:2]
+        cfg = load_config(write_config(tmp_path, cifar_config(paths, test_path)), seed=6)
+        tracemalloc.start()
+        try:
+            train_ds, test_ds, _ = resolve_datasets(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        source_bytes = sum(Path(p).stat().st_size for p in (*paths, test_path))
+        assert peak <= train_ds.features.nbytes + test_ds.features.nbytes + 2 * source_bytes
 
 
 class TestMalformedManifest:
@@ -380,6 +432,29 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path), "--strategy", "deferred", "--out", str(out)]) == 2
         assert_one_error(capsys, "deferred strategy needs defer_epoch or at least one lr decay epoch")
         assert not out.exists()
+
+    def test_diverged_run_is_one_error_line(self, tmp_path, capsys):
+        # the first step overflows the weights, so the second batch's loss is NaN;
+        # numpy warnings are errors in this suite, so any warning on the way fails the test
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["train"].update(epochs=1, batches_per_epoch=2, lr=1e308, weight_decay=100.0, lr_decay_epochs=[])
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert_one_error(capsys, "non-finite loss nan at epoch 0, batch 1")
+        assert not (tmp_path / "run" / "DONE").exists()
+
+    @pytest.mark.parametrize(
+        "separation,message",
+        [
+            (1e308, "separation 1e+308 puts class centers beyond the float range"),
+            (1e306, "train features are too large to standardize: their mean or spread overflows"),
+        ],
+    )
+    def test_overflowing_features_rejected(self, tmp_path, capsys, separation, message):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["dataset"]["separation"] = separation
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert_one_error(capsys, message)
+        assert not (tmp_path / "run" / "DONE").exists()
 
     def test_missing_cifar_train_file_leaves_no_directory(self, tmp_path, capsys, cifar_file):
         config_path = write_config(tmp_path, cifar_config([cifar_file, tmp_path / "nope.bin"], cifar_file))

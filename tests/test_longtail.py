@@ -17,7 +17,7 @@ from lobmix import (
     synth_gaussian_mixture,
     write_cifar10_binary,
 )
-from lobmix.longtail import mixture_centers
+from lobmix.longtail import mixture_centers, read_cifar10_records
 
 from conftest import CIFAR_LT_RHO10
 
@@ -241,6 +241,11 @@ class TestSynthGaussianMixture:
         with pytest.raises(ValueError):
             synth_gaussian_mixture(3, ClassCounts((5, 5)), 2, 3.0, seed=0)
 
+    def test_centers_beyond_float_range_rejected(self):
+        # numpy warnings are errors in this suite, so an overflow warning fails the test
+        with pytest.raises(ValueError, match="separation 1e\\+308 puts class centers beyond the float range"):
+            synth_gaussian_mixture(3, ClassCounts((5, 5, 5)), 4, 1e308, seed=0)
+
 
 class TestCifar10Binary:
     def _random_cifar(self, n, seed=0):
@@ -268,6 +273,17 @@ class TestCifar10Binary:
         assert len(loaded) == 10
         assert loaded.num_classes == 10
         assert loaded.features.min() >= 0.0 and loaded.features.max() <= 1.0
+
+    def test_records_scale_to_loaded_features(self, tmp_path):
+        ds = self._random_cifar(40, seed=3)
+        path = tmp_path / "batch.bin"
+        write_cifar10_binary(ds, path)
+        pixels, labels = read_cifar10_records(path)
+        assert pixels.dtype == np.uint8 and pixels.shape == (40, 3072)
+        kept = np.array([39, 0, 7, 7, 21])
+        scaled = pixels[kept].astype(np.float64) / 255.0
+        assert scaled.tobytes() == load_cifar10_binary(path).features[kept].tobytes()
+        assert np.array_equal(labels, ds.labels)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -299,6 +315,13 @@ class TestLabeledDataset:
             LabeledDataset(np.zeros(4), np.array([0]), 2)
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 3)), np.array([0]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.zeros((3, 4))
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite, got NaN or infinity"):
+            LabeledDataset(features, np.array([0, 1, 1]), 2)
 
 
 class TestClassIndex:

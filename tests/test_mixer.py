@@ -227,3 +227,25 @@ class TestBatchMatchesMixPair:
             else:
                 assert ref.label.weights[cj] == w_j[r]
             assert np.count_nonzero(ref.label.weights) == (1 if ci == cj else 2)
+
+
+class TestBlend:
+    @given(
+        rows=st.integers(1, 6),
+        dim=st.integers(0, 5),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(rows=2, dim=3, picks=[(1, 1, 0.25), (1, 1, 0.25), (0, 1, 0.5)], seed=0)  # repeated rows and pairs
+    def test_bitwise_equal_to_expression(self, rows, dim, picks, seed):
+        features = np.random.default_rng(seed).normal(scale=10.0, size=(rows, dim))
+        before = features.copy()
+        i = np.array([a % rows for a, _, _ in picks])
+        j = np.array([b % rows for _, b, _ in picks])
+        lam = np.array([x for _, _, x in picks])
+        out = blend(features, i, j, lam)
+        expect = lam[:, None] * features[i] + (1 - lam)[:, None] * features[j]
+        assert out.shape == expect.shape and out.dtype == expect.dtype
+        assert out.tobytes() == expect.tobytes()
+        assert features.tobytes() == before.tobytes()

@@ -378,6 +378,27 @@ class TestTrain:
         assert len(calls) == cfg.epochs
         assert history[-1].report == evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
 
+    # deferred needs a switch epoch strictly inside the run, so it has no 1-epoch run
+    @pytest.mark.parametrize(
+        "strategy,epochs",
+        [(s, e) for s in Strategy for e in (1, 2, 3) if not (s is Strategy.DEFERRED and e == 1)],
+    )
+    def test_last_report_matches_fresh_evaluate(self, strategy, epochs):
+        train_ds, test_ds, _ = quick_split(seed=16)
+        cfg = TrainConfig(
+            epochs=epochs, batches_per_epoch=4, batch_size=16, lr=0.2,
+            lr_decay_epochs=(1,) if epochs > 1 else (), strategy=strategy, seed=5,
+        )
+        params, history = train(train_ds, test_ds, cfg)
+        assert history[-1].report == evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
+
+    def test_divergence_in_last_step_aborts(self):
+        # the loss is taken before each step, so only the weight check sees the last step overflow
+        train_ds, test_ds, _ = quick_split(seed=8)
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=8, lr=1e308, weight_decay=100.0, seed=1)
+        with pytest.raises(TrainingDiverged, match="non-finite weights after epoch 0"):
+            train(train_ds, test_ds, cfg)
+
     def test_momentum_and_weight_decay_paths(self):
         train_ds, test_ds, _ = quick_split(seed=11)
         cfg = TrainConfig(
@@ -463,6 +484,17 @@ class TestEvaluate:
         predicted = forward(params, test.features).argmax(axis=1)
         loop = [float(np.mean(predicted[labels == k] == k)) for k in range(7)]
         assert np.array_equal(evaluate(params, test, default_groups([1] * 7)).per_class_recall, loop)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_standardized_rows_give_the_same_report(self, arch):
+        rng = np.random.default_rng(29)
+        labels = rng.permutation(np.repeat(np.arange(4), 9))
+        test = LabeledDataset(rng.normal(loc=3.0, size=(labels.size, 5)), labels, 4)
+        offset, scale = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+        params = init_params(arch, 5, 4, seed=2, feature_offset=offset, feature_scale=scale)
+        groups = default_groups([9] * 4)
+        z = (test.features - offset) / scale
+        assert evaluate(params, test, groups, z) == evaluate(params, test, groups)
 
     def test_missing_class_rejected(self):
         labels = np.zeros(5, dtype=np.int64)
