@@ -1,13 +1,11 @@
 """Label-occurrence-balanced mixup for long-tailed classification."""
 
 from .longtail import (
-    ClassCounts,
     ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
     apply_manifest,
-    imbalance_ratio,
     labels_only_dataset,
     load_cifar10_binary,
     longtail_split,
@@ -17,7 +15,7 @@ from .longtail import (
 )
 from .mixer import blend, draw_pairs, pair_weights, sample_lambda
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence
-from .samplers import CB, IB, SamplerKind, sample_batch, selection_probability
+from .samplers import CB, IB, SamplerKind, sample_batch
 from .seeds import make_rng
 from .trainer import (
     EvalReport,
@@ -27,14 +25,13 @@ from .trainer import (
     evaluate,
     forward,
     loss_and_grad,
-    soft_cross_entropy,
+    standardize,
     train,
 )
 
 __all__ = [
     "CB",
     "COMBOS",
-    "ClassCounts",
     "ClassIndex",
     "DatasetManifest",
     "EvalReport",
@@ -53,7 +50,6 @@ __all__ = [
     "empirical_occurrence",
     "evaluate",
     "forward",
-    "imbalance_ratio",
     "labels_only_dataset",
     "load_cifar10_binary",
     "longtail_split",
@@ -62,8 +58,7 @@ __all__ = [
     "pair_weights",
     "sample_batch",
     "sample_lambda",
-    "selection_probability",
-    "soft_cross_entropy",
+    "standardize",
     "subsample_longtail",
     "synth_gaussian_mixture",
     "train",

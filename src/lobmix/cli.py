@@ -24,11 +24,11 @@ import numpy as np
 
 from . import longtail
 from .atomic import atomic_write
-from .longtail import ClassCounts, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
+from .longtail import DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
 from .mixer import draw_pairs
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
-from .trainer import Strategy, TrainConfig, TrainingDiverged, default_groups, train, write_history_csv
+from .trainer import Strategy, TrainConfig, TrainingDiverged, default_groups, standardize, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -195,7 +195,7 @@ def _cifar10_base(paths) -> tuple[LabeledDataset, np.ndarray, str]:
 
 def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed: int) -> tuple[LabeledDataset, str]:
     """A balanced Gaussian mixture of ``per_class`` examples per class, and the manifest source naming it."""
-    base = longtail.synth_gaussian_mixture(classes, ClassCounts((per_class,) * classes), dim, separation, seed)
+    base = longtail.synth_gaussian_mixture(classes, (per_class,) * classes, dim, separation, seed)
     return base, f"synth:classes={classes},dim={dim},separation={separation}"
 
 
@@ -255,7 +255,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     }
     _write_json(out / "build_info.json", {"config_sha256": config_hash(resolved), **resolved})
     print(f"class counts: {list(counts)}")
-    print(f"imbalance ratio: {format_float(longtail.imbalance_ratio(counts))}")
+    print(f"imbalance ratio: {format_float(max(counts) / min(counts))}")
     print(f"manifest: {out / 'manifest.json'}")
     return 0
 
@@ -272,7 +272,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # identify the manifest by content so outputs are relocatable
     manifest_sha256 = hashlib.sha256(raw).hexdigest()
     del raw  # not held while the batches are drawn
-    counts = ClassCounts(manifest.counts)
+    counts = manifest.counts
+    if len(counts) < 2:
+        raise ValueError("need at least 2 classes")
+    if min(counts) < 1:
+        raise ValueError(f"every class needs at least one example, got {counts}")
     dataset = longtail.labels_only_dataset(counts)
     index = dataset.class_index()
     head = default_groups(counts) == 0
@@ -338,8 +342,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, seed=args.seed, strategy=args.strategy, alpha=args.alpha, out_dir=args.out)
     if cfg.out_dir is None:
         raise ValueError("no output directory: set out_dir in the config or pass --out")
-    # every input is read before the run directory exists
+    # every input is read, and the features standardized in place, before the run directory exists
     train_ds, test_ds, manifest = resolve_datasets(cfg)
+    standardize(train_ds, test_ds)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,34 +55,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    """Per-class example counts, indexed by class id (largest class first)."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) < 2:
-            raise ValueError("need at least 2 classes")
-        if any(c < 1 for c in counts):
-            raise ValueError(f"every class needs at least one example, got {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 def _exponential(n_max: int, num_classes: int, rho: float) -> list[int]:
     """Exponential decay: class k keeps n_max * rho^(-k/(C-1)) examples, rounded half-up."""
     span = num_classes - 1
@@ -124,11 +97,11 @@ class ImbalanceProfile:
         if self.n_max < self.rho:
             raise ValueError(f"n_max={self.n_max} would shrink the smallest class below one example (rho={self.rho})")
 
-    def class_counts(self, num_classes: int) -> ClassCounts:
+    def class_counts(self, num_classes: int) -> tuple[int, ...]:
         """Per-class counts of this profile over ``num_classes`` classes, largest first."""
         if num_classes < 2:  # the formulas divide by C-1 and log C
             raise ValueError(f"need at least 2 classes, got {num_classes}")
-        return ClassCounts(_PROFILE_FORMULAS[self.kind](self.n_max, num_classes, self.rho))
+        return tuple(_PROFILE_FORMULAS[self.kind](self.n_max, num_classes, self.rho))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "rho": self.rho, "n_max": self.n_max}
@@ -140,11 +113,6 @@ class ImbalanceProfile:
             rho=float(json_value(d["rho"], float, "profile.rho")),
             n_max=json_value(d["n_max"], int, "profile.n_max"),
         )
-
-
-def imbalance_ratio(counts: ClassCounts) -> float:
-    """Largest class size divided by smallest class size."""
-    return max(counts) / min(counts)
 
 
 @dataclass(frozen=True)
@@ -299,7 +267,7 @@ class DatasetManifest:
 def _pick(
     base: LabeledDataset,
     pools: list[np.ndarray],
-    counts: ClassCounts,
+    counts: Sequence[int],
     rng: np.random.Generator,
     seed: int,
     source: str,
@@ -313,7 +281,7 @@ def _pick(
 
 def subsample_longtail(
     base: LabeledDataset,
-    counts: ClassCounts,
+    counts: Sequence[int],
     seed: int,
     source: str = "unspecified",
     profile: ImbalanceProfile | None = None,
@@ -341,7 +309,7 @@ def apply_manifest(base: LabeledDataset, manifest: DatasetManifest) -> LabeledDa
 
 def synth_gaussian_mixture(
     num_classes: int,
-    counts: ClassCounts,
+    counts: Sequence[int],
     dim: int,
     separation: float,
     seed: int,
@@ -353,6 +321,8 @@ def synth_gaussian_mixture(
         raise ValueError(f"separation must be positive, got {separation}")
     if len(counts) != num_classes:
         raise ValueError(f"counts cover {len(counts)} classes but num_classes={num_classes}")
+    if min(counts) < 1:
+        raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
     centers = mixture_centers(num_classes, dim, separation, seed)
     points_rng = make_rng(seed, "points")
     blocks = []
@@ -377,7 +347,7 @@ def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) ->
 
 def longtail_split(
     base: LabeledDataset,
-    counts: ClassCounts,
+    counts: Sequence[int],
     test_per_class: int,
     seed: int,
     source: str = "split",

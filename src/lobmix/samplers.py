@@ -23,20 +23,6 @@ IB = SamplerKind.INSTANCE_BALANCED
 CB = SamplerKind.CLASS_BALANCED
 
 
-def selection_probability(kind: SamplerKind, index: ClassIndex) -> np.ndarray:
-    """Per-example selection probabilities over 0..N-1 implied by a sampler kind on a class index."""
-    if index.total == 0:
-        raise ValueError("empty dataset")
-    probs = np.empty(index.total, dtype=np.float64)
-    if kind is IB:
-        probs.fill(1.0 / index.total)
-    elif np.any(index.counts == 0):
-        raise ValueError("class-balanced sampling requires every class to be populated")
-    else:
-        probs[index.flat] = np.repeat(1.0 / (index.counts * index.num_classes), index.counts)
-    return probs
-
-
 def sample_batch(kind: SamplerKind, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:
     """Draw ``batch_size`` i.i.d. example indices from ``rng`` with the given sampler kind."""
     if batch_size < 1:

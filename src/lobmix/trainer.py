@@ -39,24 +39,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class ModelParams:
-    """Weights plus the frozen feature standardization learned from the train split."""
+    """Architecture name and weights; the model reads feature rows as given (see :func:`standardize`)."""
 
     arch: str
     weights: list[np.ndarray]
-    feature_offset: np.ndarray
-    feature_scale: np.ndarray
 
 
-def init_params(
-    arch: str,
-    dim: int,
-    num_classes: int,
-    seed: int,
-    hidden: int = 32,
-    feature_offset: np.ndarray | None = None,
-    feature_scale: np.ndarray | None = None,
-) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); identity feature transform by default."""
+def init_params(arch: str, dim: int, num_classes: int, seed: int, hidden: int = 32) -> ModelParams:
+    """Gaussian init scaled by 1/sqrt(fan_in)."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}, expected one of {ARCHITECTURES}")
     rng = make_rng(seed, "init")
@@ -68,12 +58,34 @@ def init_params(
     for fan_in, fan_out in shapes:
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         weights.append(np.zeros(fan_out))
-    return ModelParams(
-        arch=arch,
-        weights=weights,
-        feature_offset=np.zeros(dim) if feature_offset is None else np.asarray(feature_offset, dtype=np.float64),
-        feature_scale=np.ones(dim) if feature_scale is None else np.asarray(feature_scale, dtype=np.float64),
-    )
+    return ModelParams(arch=arch, weights=weights)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
+    """Scale both feature matrices in place by the train split's column means and spreads.
+
+    Every column becomes ``(x - mean) / std`` of the train column, with a
+    zero spread taken as 1. The trainer works on the rows it is given, so
+    call this once on a pair of datasets before :func:`train`, as ``lobmix
+    train`` does; the rows of both change, and no copy is made. Train
+    features whose mean or spread overflows raise ValueError before any row
+    changes, and test features that overflow once scaled raise ValueError
+    after. Scaled train rows stay finite: each lies within sqrt(N) spreads
+    of the mean.
+    """
+    if np.may_share_memory(train.features, test.features):  # their rows would be scaled twice
+        raise ValueError("train and test features must be separate arrays")
+    offset = train.features.mean(axis=0)
+    scale = train.features.std(axis=0)
+    scale[scale == 0] = 1.0
+    if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
+        raise ValueError("train features are too large to standardize: their mean or spread overflows")
+    for x in (train.features, test.features):
+        x -= offset
+        x /= scale
+    if not np.isfinite(test.features).all():
+        raise ValueError("test features overflow when scaled by the train split's mean and spread")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -82,43 +94,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _standardize(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """``(x - feature_offset) / feature_scale``, built in one new array."""
-    z = x - params.feature_offset
-    z /= params.feature_scale
-    return z
-
-
-def _forward_parts(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    return _forward_standardized(params, _standardize(params, x))
-
-
-def _forward_standardized(params: ModelParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Probabilities, ``z`` and the hidden activations (None for ``linear``) of standardized rows ``z``."""
+def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Probabilities and the hidden activations (None for ``linear``) of rows ``x``."""
     if params.arch == "linear":
         w, b = params.weights
-        return _softmax(z @ w + b), z, None
+        return _softmax(x @ w + b), None
     w1, b1, w2, b2 = params.weights
-    h = np.tanh(z @ w1 + b1)
-    return _softmax(h @ w2 + b2), z, h
+    h = np.tanh(x @ w1 + b1)
+    return _softmax(h @ w2 + b2), h
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector or a batch of rows."""
+    """Class probabilities for one feature vector or a batch of rows, scaled like the rows the model trained on."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input features")
     single = x.ndim == 1
-    probs, _, _ = _forward_parts(params, np.atleast_2d(x))
+    probs, _ = _forward(params, np.atleast_2d(x))
     return probs[0] if single else probs
-
-
-def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
-    """Cross entropy -sum(target * log(probs)), with probs floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    losses = -(target * np.log(np.maximum(probs, 1e-12))).sum(axis=-1)
-    return float(losses) if losses.ndim == 0 else losses
 
 
 def loss_and_grad(
@@ -132,7 +125,7 @@ def loss_and_grad(
     through flat indices; no (B, C) target is built.
     """
     n = x.shape[0]
-    dlogits, z, h = _forward_parts(params, x)
+    dlogits, h = _forward(params, x)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     rows = np.arange(n) * dlogits.shape[1]
     at_i, at_j = rows + c_i, rows + c_j
@@ -144,12 +137,12 @@ def loss_and_grad(
     flat[at_j] -= w_j
     dlogits /= n
     if params.arch == "linear":
-        return loss, [z.T @ dlogits, dlogits.sum(axis=0)]
+        return loss, [x.T @ dlogits, dlogits.sum(axis=0)]
     w1, b1, w2, b2 = params.weights
     dw2 = h.T @ dlogits
     db2 = dlogits.sum(axis=0)
     dpre = (dlogits @ w2.T) * (1.0 - h * h)
-    return loss, [z.T @ dpre, dpre.sum(axis=0), dw2, db2]
+    return loss, [x.T @ dpre, dpre.sum(axis=0), dw2, db2]
 
 
 @dataclass(frozen=True)
@@ -233,15 +226,12 @@ def default_groups(counts) -> np.ndarray:
     return groups
 
 
-def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray, z: np.ndarray | None = None) -> EvalReport:
-    """Argmax predictions scored as per-class recall plus group means.
+def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
+    """Argmax predictions on the rows of ``test`` scored as per-class recall plus group means.
 
     ``groups`` holds one GROUP_NAMES index per class; an empty group scores None.
-    ``z``, if given, is ``test.features`` already standardized by ``params``'
-    frozen transform (:func:`train` computes it once per run); the report is
-    the same as without it.
     """
-    probs = forward(params, test.features) if z is None else _forward_standardized(params, z)[0]
+    probs, _ = _forward(params, test.features)
     predicted = probs.argmax(axis=1)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
@@ -287,33 +277,18 @@ def train(
     classes and ratios are held (40 bytes a row); features are blended batch
     by batch. Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
-    The test set is standardized once per run, by the transform frozen from the
-    train split, and evaluated once an epoch, so ``history[-1].report`` scores
-    the returned params.
+    The model works on the rows it is given: :func:`standardize` the two
+    datasets once beforehand. The test set is evaluated once an epoch, so
+    ``history[-1].report`` scores the returned params.
 
-    Numpy's overflow warnings are silenced. Features whose mean or spread
-    overflows raise ValueError, and a non-finite loss, or a non-finite weight
-    after an epoch, raises :class:`TrainingDiverged`.
+    Numpy's overflow warnings are silenced. A non-finite loss, or a non-finite
+    weight after an epoch, raises :class:`TrainingDiverged`.
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
     index = train_ds.class_index()
-    offset = train_ds.features.mean(axis=0)
-    scale = train_ds.features.std(axis=0)
-    scale[scale == 0] = 1.0
-    if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
-        raise ValueError("train features are too large to standardize: their mean or spread overflows")
-    params = init_params(
-        cfg.arch,
-        train_ds.dim,
-        train_ds.num_classes,
-        seed=cfg.seed,
-        hidden=cfg.hidden,
-        feature_offset=offset,
-        feature_scale=scale,
-    )
+    params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
     groups = default_groups(index.counts)
-    test_z = _standardize(params, test_ds.features)
     velocity = [np.zeros_like(w) for w in params.weights]
     history: list[EpochStats] = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
@@ -348,7 +323,7 @@ def train(
                     w -= lr * g
         if not all(np.isfinite(w).all() for w in params.weights):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
-        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups, test_z)))
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
     return params, history
 
 

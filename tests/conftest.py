@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lobmix import ClassCounts, ImbalanceProfile, LabeledDataset, labels_only_dataset
+from lobmix import IB, ClassIndex, ImbalanceProfile, LabeledDataset, SamplerKind, labels_only_dataset
 
 # Exponential profile for 10 classes at imbalance 10, largest class 5000.
 # Frozen from an independent evaluation of n_max * rho**(-k/9) with half-up
@@ -12,7 +12,7 @@ CIFAR_LT_RHO10 = (5000, 3871, 2997, 2321, 1797, 1391, 1077, 834, 646, 500)
 
 
 @pytest.fixture(scope="session")
-def lt_counts() -> ClassCounts:
+def lt_counts() -> tuple[int, ...]:
     return ImbalanceProfile("exponential", 10, 5000).class_counts(10)
 
 
@@ -99,3 +99,29 @@ def mix_pair_rows(dataset: LabeledDataset, i, j, lam) -> list:
 def dense_targets(dataset: LabeledDataset, i, j, lam) -> np.ndarray:
     """The (B, C) soft-label rows of mixed rows ``(i, j, lam)``, from ``mix_pair``."""
     return np.stack([row.label.weights for row in mix_pair_rows(dataset, i, j, lam)])
+
+
+# Oracles of the sampler distributions and of the trainer's loss: the
+# chi-square tests and the gradient checks compare against these.
+
+
+def selection_probability(kind: SamplerKind, index: ClassIndex) -> np.ndarray:
+    """Per-example selection probabilities over 0..N-1 implied by a sampler kind on a class index."""
+    if index.total == 0:
+        raise ValueError("empty dataset")
+    probs = np.empty(index.total, dtype=np.float64)
+    if kind is IB:
+        probs.fill(1.0 / index.total)
+    elif np.any(index.counts == 0):
+        raise ValueError("class-balanced sampling requires every class to be populated")
+    else:
+        probs[index.flat] = np.repeat(1.0 / (index.counts * index.num_classes), index.counts)
+    return probs
+
+
+def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
+    """Cross entropy -sum(target * log(probs)), with probs floored at 1e-12."""
+    probs = np.asarray(probs, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    losses = -(target * np.log(np.maximum(probs, 1e-12))).sum(axis=-1)
+    return float(losses) if losses.ndim == 0 else losses

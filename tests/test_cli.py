@@ -115,6 +115,12 @@ class TestBuildLt:
         assert_one_error(capsys, "imbalance ratio must be >= 1, got nan")
         assert not out.exists()
 
+    def test_empty_synth_class_rejected(self, tmp_path, capsys):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "3", "--synth-per-class", "0", "--out", str(out)]) == 2
+        assert_one_error(capsys, "every class needs at least one example, got (0, 0, 0)")
+        assert not out.exists()
+
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
         code = main([
@@ -454,7 +460,7 @@ class TestTrainCommand:
         cfg["dataset"]["separation"] = separation
         assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert_one_error(capsys, message)
-        assert not (tmp_path / "run" / "DONE").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_cifar_train_file_leaves_no_directory(self, tmp_path, capsys, cifar_file):
         config_path = write_config(tmp_path, cifar_config([cifar_file, tmp_path / "nope.bin"], cifar_file))

@@ -1,22 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobmix import (
-    ClassCounts,
     ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
     apply_manifest,
-    imbalance_ratio,
     load_cifar10_binary,
     longtail_split,
     subsample_longtail,
     synth_gaussian_mixture,
     write_cifar10_binary,
 )
+from lobmix.cli import main
 from lobmix.longtail import mixture_centers, read_cifar10_records
 
 from conftest import CIFAR_LT_RHO10
@@ -56,7 +57,7 @@ class TestExponentialCounts:
         n_max = int(np.ceil(rho * scale))
         counts = profile_counts("exponential", n_max, num_classes, rho)
         assert all(a >= b for a, b in zip(counts, list(counts)[1:]))
-        assert abs(imbalance_ratio(counts) - rho) / rho <= 0.01
+        assert abs(max(counts) / min(counts) - rho) / rho <= 0.01
 
 
 class TestParetoCounts:
@@ -65,8 +66,8 @@ class TestParetoCounts:
         assert counts[0] == 32
         assert counts[49] == 3
         # training budget: 50-class pool of 2000 minus 8 held out per class
-        assert counts.total <= 2000 - 8 * 50
-        assert counts.total == 327
+        assert sum(counts) <= 2000 - 8 * 50
+        assert sum(counts) == 327
 
     def test_rho1_is_balanced(self):
         assert tuple(profile_counts("pareto", 100, 5, 1)) == (100,) * 5
@@ -87,7 +88,7 @@ class TestStepCounts:
     def test_two_levels(self):
         counts = profile_counts("step", 1000, 10, 10)
         assert tuple(counts) == (1000,) * 5 + (100,) * 5
-        assert imbalance_ratio(counts) == 10.0
+        assert max(counts) / min(counts) == 10.0
 
     def test_odd_class_count(self):
         counts = profile_counts("step", 100, 5, 4)
@@ -95,20 +96,46 @@ class TestStepCounts:
 
 
 class TestImbalanceRatio:
-    def test_exponential_profile(self):
-        assert imbalance_ratio(ClassCounts(CIFAR_LT_RHO10)) == 10.0
+    """``build-lt`` prints the kept counts' largest over smallest class size."""
 
-    def test_balanced(self):
-        assert imbalance_ratio(ClassCounts((7,) * 5)) == 1.0
+    @staticmethod
+    def printed_ratio(tmp_path, capsys, classes, per_class, profile, rho):
+        out = tmp_path / "lt"
+        argv = [
+            "build-lt", "--synth-classes", str(classes), "--synth-dim", "2", "--synth-per-class", str(per_class),
+            "--profile", profile, "--rho", str(rho), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return DatasetManifest.load(out / "manifest.json").counts, lines[1]
 
-    def test_large_scale_profile(self):
-        assert imbalance_ratio(ClassCounts((1280, 640, 40, 5))) == 256.0
+    def test_exponential_profile(self, tmp_path, capsys):
+        counts, line = self.printed_ratio(tmp_path, capsys, 10, 5000, "exp", 10)
+        assert counts == CIFAR_LT_RHO10
+        assert line == "imbalance ratio: 10"
+
+    def test_balanced(self, tmp_path, capsys):
+        counts, line = self.printed_ratio(tmp_path, capsys, 5, 7, "exp", 1)
+        assert counts == (7,) * 5
+        assert line == "imbalance ratio: 1"
+
+    def test_large_scale_profile(self, tmp_path, capsys):
+        counts, line = self.printed_ratio(tmp_path, capsys, 4, 1280, "pareto", 256)
+        assert counts == (1280, 80, 16, 5)
+        assert line == "imbalance ratio: 256"
 
 
 class TestImbalanceProfile:
     def test_dispatch(self):
         profile = ImbalanceProfile("exponential", 10.0, 5000)
         assert tuple(profile.class_counts(10)) == CIFAR_LT_RHO10
+
+    @pytest.mark.parametrize("kind", ["exponential", "pareto", "step"])
+    def test_counts_are_a_tuple_of_ints(self, kind):
+        # the manifest's type: JSON writes it, and the largest over smallest is exact
+        counts = ImbalanceProfile(kind, 10.0, 100).class_counts(7)
+        assert type(counts) is tuple and all(type(n) is int and n >= 1 for n in counts)
+        assert json.loads(json.dumps(counts)) == list(counts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,27 +149,27 @@ class TestImbalanceProfile:
 
 
 def _balanced_base(per_class, num_classes=2, dim=3, seed=11):
-    counts = ClassCounts((per_class,) * num_classes)
+    counts = (per_class,) * num_classes
     return synth_gaussian_mixture(num_classes, counts, dim, 4.0, seed)
 
 
 class TestSubsample:
     def test_exact_sizes(self):
         base = _balanced_base(1000)
-        sub, manifest = subsample_longtail(base, ClassCounts((1000, 100)), seed=5)
+        sub, manifest = subsample_longtail(base, (1000, 100), seed=5)
         assert list(sub.class_index().counts) == [1000, 100]
         assert manifest.counts == (1000, 100)
 
     def test_same_seed_same_indices(self):
         base = _balanced_base(300)
-        _, m1 = subsample_longtail(base, ClassCounts((300, 50)), seed=9)
-        _, m2 = subsample_longtail(base, ClassCounts((300, 50)), seed=9)
+        _, m1 = subsample_longtail(base, (300, 50), seed=9)
+        _, m2 = subsample_longtail(base, (300, 50), seed=9)
         assert m1.kept_indices.dtype == np.int64
         assert np.array_equal(m1.kept_indices, m2.kept_indices)
 
     def test_full_counts_reproduce_base(self):
         base = _balanced_base(120)
-        sub, _ = subsample_longtail(base, ClassCounts((120, 120)), seed=1)
+        sub, _ = subsample_longtail(base, (120, 120), seed=1)
         # same rows up to ordering: compare per-class sorted feature blocks
         for k in range(2):
             got = np.sort(sub.features[sub.labels == k], axis=0)
@@ -152,11 +179,11 @@ class TestSubsample:
     def test_insufficient_class(self):
         base = _balanced_base(40)
         with pytest.raises(ValueError, match="class 1"):
-            subsample_longtail(base, ClassCounts((40, 41)), seed=0)
+            subsample_longtail(base, (40, 41), seed=0)
 
     def test_manifest_roundtrip(self, tmp_path):
         base = _balanced_base(200, num_classes=3)
-        sub, manifest = subsample_longtail(base, ClassCounts((200, 60, 20)), seed=3)
+        sub, manifest = subsample_longtail(base, (200, 60, 20), seed=3)
         path = tmp_path / "manifest.json"
         manifest.save(path)
         loaded = DatasetManifest.load(path)
@@ -168,8 +195,8 @@ class TestSubsample:
 
     def test_rerun_from_manifest_seed(self):
         base = _balanced_base(200, num_classes=3)
-        _, manifest = subsample_longtail(base, ClassCounts((200, 60, 20)), seed=3)
-        again, _ = subsample_longtail(base, ClassCounts(manifest.counts), seed=manifest.seed)
+        _, manifest = subsample_longtail(base, (200, 60, 20), seed=3)
+        again, _ = subsample_longtail(base, manifest.counts, seed=manifest.seed)
         assert np.array_equal(apply_manifest(base, manifest).features, again.features)
 
 
@@ -195,7 +222,7 @@ class TestManifestLayout:
 class TestLongtailSplit:
     def test_balanced_test_disjoint_train(self):
         base = _balanced_base(150, num_classes=4, dim=2)
-        train, test, manifest = longtail_split(base, ClassCounts((100, 50, 25, 13)), 20, seed=2)
+        train, test, manifest = longtail_split(base, (100, 50, 25, 13), 20, seed=2)
         assert list(train.class_index().counts) == [100, 50, 25, 13]
         assert list(test.class_index().counts) == [20] * 4
         train_rows = {tuple(r) for r in train.features}
@@ -205,28 +232,28 @@ class TestLongtailSplit:
     def test_insufficient_pool(self):
         base = _balanced_base(30, num_classes=2)
         with pytest.raises(ValueError):
-            longtail_split(base, ClassCounts((25, 25)), 10, seed=0)
+            longtail_split(base, (25, 25), 10, seed=0)
 
     def test_counts_must_cover_every_class(self):
         base = _balanced_base(50, num_classes=4)
         with pytest.raises(ValueError, match="counts cover 2 classes but dataset has 4"):
-            longtail_split(base, ClassCounts((30, 10)), 5, seed=0)
+            longtail_split(base, (30, 10), 5, seed=0)
 
 
 class TestSynthGaussianMixture:
     def test_sizes(self):
-        ds = synth_gaussian_mixture(2, ClassCounts((100, 10)), 2, 5.0, seed=8)
+        ds = synth_gaussian_mixture(2, (100, 10), 2, 5.0, seed=8)
         assert len(ds) == 110
         assert list(ds.class_index().counts) == [100, 10]
 
     def test_deterministic(self):
-        a = synth_gaussian_mixture(3, ClassCounts((50, 20, 10)), 4, 3.0, seed=21)
-        b = synth_gaussian_mixture(3, ClassCounts((50, 20, 10)), 4, 3.0, seed=21)
+        a = synth_gaussian_mixture(3, (50, 20, 10), 4, 3.0, seed=21)
+        b = synth_gaussian_mixture(3, (50, 20, 10), 4, 3.0, seed=21)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_class_means_near_centers(self):
-        counts = ClassCounts((400, 200, 100))
+        counts = (400, 200, 100)
         ds = synth_gaussian_mixture(3, counts, 4, 6.0, seed=17)
         centers = mixture_centers(3, 4, 6.0, seed=17)
         for k, n_k in enumerate(counts):
@@ -235,16 +262,21 @@ class TestSynthGaussianMixture:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(2, ClassCounts((5, 5)), 1, 3.0, seed=0)
+            synth_gaussian_mixture(2, (5, 5), 1, 3.0, seed=0)
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(2, ClassCounts((5, 5)), 2, 0.0, seed=0)
+            synth_gaussian_mixture(2, (5, 5), 2, 0.0, seed=0)
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(3, ClassCounts((5, 5)), 2, 3.0, seed=0)
+            synth_gaussian_mixture(3, (5, 5), 2, 3.0, seed=0)
+
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_class_without_examples_rejected(self, size):
+        with pytest.raises(ValueError, match=f"every class needs at least one example, got \\(5, {size}, 5\\)"):
+            synth_gaussian_mixture(3, (5, size, 5), 4, 3.0, seed=0)
 
     def test_centers_beyond_float_range_rejected(self):
         # numpy warnings are errors in this suite, so an overflow warning fails the test
         with pytest.raises(ValueError, match="separation 1e\\+308 puts class centers beyond the float range"):
-            synth_gaussian_mixture(3, ClassCounts((5, 5, 5)), 4, 1e308, seed=0)
+            synth_gaussian_mixture(3, (5, 5, 5), 4, 1e308, seed=0)
 
 
 class TestCifar10Binary:

@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lobmix import (
     CB,
     IB,
-    ClassCounts,
     LabeledDataset,
     Strategy,
     TrainConfig,
@@ -20,21 +21,24 @@ from lobmix import (
     longtail_split,
     make_rng,
     sample_batch,
-    soft_cross_entropy,
+    standardize,
     synth_gaussian_mixture,
     train,
 )
+from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
 from lobmix.trainer import (
     GROUP_NAMES,
     ModelParams,
     TrainingDiverged,
-    _forward_parts,
+    _forward,
     default_groups,
     init_params,
     write_history_csv,
 )
 
-from conftest import dense_targets
+from conftest import dense_targets, soft_cross_entropy
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_dataset(rng, dim, num_classes):
@@ -55,14 +59,14 @@ def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
 
 def dense_loss_and_grad(params, x, targets):
     """Reference: mean soft cross entropy and its gradient from (B, C) target rows."""
-    probs, z, h = _forward_parts(params, x)
+    probs, h = _forward(params, x)
     loss = float(soft_cross_entropy(probs, targets).mean())
     dlogits = (probs - targets) / x.shape[0]
     if params.arch == "linear":
-        return loss, [z.T @ dlogits, dlogits.sum(axis=0)]
+        return loss, [x.T @ dlogits, dlogits.sum(axis=0)]
     w1, b1, w2, b2 = params.weights
     dpre = (dlogits @ w2.T) * (1.0 - h * h)
-    return loss, [z.T @ dpre, dpre.sum(axis=0), h.T @ dlogits, dlogits.sum(axis=0)]
+    return loss, [x.T @ dpre, dpre.sum(axis=0), h.T @ dlogits, dlogits.sum(axis=0)]
 
 
 def flatten(weights):
@@ -82,13 +86,7 @@ def numeric_grad(params, batch, step=1e-5):
         return [c.reshape(s) for c, s in zip(chunks, shapes)]
 
     def loss_at(vec):
-        probe = ModelParams(
-            arch=params.arch,
-            weights=unflatten(vec),
-            feature_offset=params.feature_offset,
-            feature_scale=params.feature_scale,
-        )
-        return loss_and_grad(probe, *batch)[0]
+        return loss_and_grad(ModelParams(arch=params.arch, weights=unflatten(vec)), *batch)[0]
 
     for idx in range(flat.size):
         plus = flat.copy()
@@ -120,12 +118,7 @@ class TestForward:
 
     def test_shift_invariance(self):
         params = init_params("linear", 2, 3, seed=3)
-        shifted = ModelParams(
-            arch=params.arch,
-            weights=[params.weights[0].copy(), params.weights[1] + 7.5],
-            feature_offset=params.feature_offset,
-            feature_scale=params.feature_scale,
-        )
+        shifted = ModelParams(arch=params.arch, weights=[params.weights[0].copy(), params.weights[1] + 7.5])
         x = np.array([0.3, -1.2])
         assert np.allclose(forward(params, x), forward(shifted, x), rtol=0, atol=1e-12)
 
@@ -198,8 +191,9 @@ class TestGrad:
             assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
     def test_gradient_small_after_convergence(self):
-        base = synth_gaussian_mixture(2, ClassCounts((200, 200)), 3, 10.0, seed=4)
-        train_ds, test_ds, _ = longtail_split(base, ClassCounts((150, 150)), 50, seed=4)
+        base = synth_gaussian_mixture(2, (200, 200), 3, 10.0, seed=4)
+        train_ds, test_ds, _ = longtail_split(base, (150, 150), 50, seed=4)
+        standardize(train_ds, test_ds)
         cfg = TrainConfig(
             epochs=120, batches_per_epoch=10, batch_size=64, lr=1.0,
             lr_decay_epochs=(), strategy=Strategy.ERM, seed=0,
@@ -240,9 +234,85 @@ class TestTwoHotLoss:
             assert np.array_equal(g, ref)
 
 
+def labeled(features):
+    """The rows ``features`` as a 3-class dataset, classes in turn."""
+    return LabeledDataset(features, np.arange(len(features)) % 3, 3)
+
+
+class TestStandardize:
+    def test_in_place_and_bitwise_the_expression(self):
+        raw = np.random.default_rng(41).normal(loc=3.0, scale=2.0, size=(50, 4))
+        raw[:, 2] = 7.25  # no spread: the column is divided by 1
+        train_ds, test_ds = labeled(raw.copy()), labeled(raw[:9].copy())
+        rows = train_ds.features
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+        assert std[2] == 0.0
+        standardize(train_ds, test_ds)
+        assert train_ds.features is rows
+        assert train_ds.features.tobytes() == ((raw - mean) / np.where(std == 0, 1.0, std)).tobytes()
+        assert np.array_equal(train_ds.features[:, 2], np.zeros(50))
+
+    def test_test_set_uses_the_train_moments(self):
+        rng = np.random.default_rng(43)
+        train_raw, test_raw = rng.normal(size=(40, 3)), rng.normal(loc=5.0, scale=3.0, size=(12, 3))
+        train_ds, test_ds = labeled(train_raw.copy()), labeled(test_raw.copy())
+        standardize(train_ds, test_ds)
+        want = (test_raw - train_raw.mean(axis=0)) / train_raw.std(axis=0)
+        assert test_ds.features.tobytes() == want.tobytes()
+        assert np.all(test_ds.features.mean(axis=0) > 1.0)  # not the test set's own moments
+
+    def test_overflow_rejected_without_warning(self):
+        raw = np.full((4, 2), 1e308)  # finite rows whose column sums overflow
+        train_ds, test_ds = labeled(raw.copy()), labeled(raw[:3].copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large to standardize: their mean or spread overflows"):
+                standardize(train_ds, test_ds)
+        assert np.array_equal(train_ds.features, raw) and np.array_equal(test_ds.features, raw[:3])
+
+    def test_test_overflow_rejected_without_warning(self):
+        # the train moments are finite, but a test row lies beyond the float range once shifted
+        train_ds = labeled(np.array([[-8e307, 0.0], [-8e307, 1.0]]))
+        test_ds = labeled(np.array([[1.7e308, 0.0], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="test features overflow when scaled by the train split's mean"):
+                standardize(train_ds, test_ds)
+
+    def test_shared_rows_rejected(self):
+        raw = np.random.default_rng(47).normal(size=(12, 3))
+        ds = labeled(raw.copy())
+        for test_ds in (ds, LabeledDataset(ds.features[:6], ds.labels[:6], 3)):
+            with pytest.raises(ValueError, match="train and test features must be separate arrays"):
+                standardize(ds, test_ds)
+        assert np.array_equal(ds.features, raw)
+
+    @given(
+        raw=arrays(np.float64, (5, 3), elements=st.floats(-1e6, 1e6)),
+        rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blending_standardized_rows_is_standardizing_the_blend(self, raw, rows):
+        # standardization is affine and lam + (1 - lam) is exactly 1, so the two
+        # orders agree up to rounding: a few ulp of the operands' magnitude
+        i, j = (np.array(col, dtype=np.int64) for col in list(zip(*rows))[:2])
+        lam = np.clip([1.0 - (1.0 - r[2]) for r in rows], LAMBDA_MIN, LAMBDA_MAX)
+        train_ds, blended = labeled(raw.copy()), labeled(blend(raw, i, j, lam))
+        mean, spread = raw.mean(axis=0), raw.std(axis=0)
+        spread[spread == 0] = 1.0
+        standardize(train_ds, blended)
+        got = blend(train_ds.features, i, j, lam)
+        magnitude = (np.abs(raw[i]) + np.abs(raw[j]) + np.abs(mean)) / spread
+        tiny = np.finfo(np.float64).smallest_subnormal
+        assert np.all(np.abs(got - blended.features) <= 8 * EPS * magnitude + 4 * tiny * (1.0 + 1.0 / spread))
+
+
 def quick_split(seed=0, separation=4.0, counts=(120, 60, 30)):
-    base = synth_gaussian_mixture(len(counts), ClassCounts((200,) * len(counts)), 4, separation, seed)
-    return longtail_split(base, ClassCounts(counts), 40, seed)
+    """(train, test, manifest) of a small Gaussian mixture, with both feature sets standardized."""
+    base = synth_gaussian_mixture(len(counts), (200,) * len(counts), 4, separation, seed)
+    train_ds, test_ds, manifest = longtail_split(base, counts, 40, seed)
+    standardize(train_ds, test_ds)
+    return train_ds, test_ds, manifest
 
 
 class TestTrain:
@@ -324,8 +394,9 @@ class TestTrain:
         assert h1 == h2
 
     def test_erm_converges_on_separable_data(self):
-        base = synth_gaussian_mixture(2, ClassCounts((300, 300)), 4, 10.0, seed=6)
-        train_ds, test_ds, _ = longtail_split(base, ClassCounts((200, 200)), 80, seed=6)
+        base = synth_gaussian_mixture(2, (300, 300), 4, 10.0, seed=6)
+        train_ds, test_ds, _ = longtail_split(base, (200, 200), 80, seed=6)
+        standardize(train_ds, test_ds)
         cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy=Strategy.ERM, seed=0)
         _, history = train(train_ds, test_ds, cfg)
         assert history[-1].report.balanced_accuracy >= 0.99
@@ -484,17 +555,6 @@ class TestEvaluate:
         predicted = forward(params, test.features).argmax(axis=1)
         loop = [float(np.mean(predicted[labels == k] == k)) for k in range(7)]
         assert np.array_equal(evaluate(params, test, default_groups([1] * 7)).per_class_recall, loop)
-
-    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
-    def test_standardized_rows_give_the_same_report(self, arch):
-        rng = np.random.default_rng(29)
-        labels = rng.permutation(np.repeat(np.arange(4), 9))
-        test = LabeledDataset(rng.normal(loc=3.0, size=(labels.size, 5)), labels, 4)
-        offset, scale = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
-        params = init_params(arch, 5, 4, seed=2, feature_offset=offset, feature_scale=scale)
-        groups = default_groups([9] * 4)
-        z = (test.features - offset) / scale
-        assert evaluate(params, test, groups, z) == evaluate(params, test, groups)
 
     def test_missing_class_rejected(self):
         labels = np.zeros(5, dtype=np.int64)
