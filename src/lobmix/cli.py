@@ -263,6 +263,8 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.alpha > 0:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
+    if args.alpha == np.inf:  # Beta(inf, inf) ratios come out NaN
+        raise ValueError("--alpha must be finite, got inf")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if not 0 <= args.seed <= MAX_SEED:

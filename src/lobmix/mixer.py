@@ -73,9 +73,9 @@ def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray) -
     the same order as the expression, so the same bits. ``features`` is not
     changed.
     """
-    rows = np.take(features, i, axis=0)
+    rows = features.take(i, axis=0)
     rows *= lam[:, None]
-    other = np.take(features, j, axis=0)
+    other = features.take(j, axis=0)
     other *= (1.0 - lam)[:, None]
     rows += other
     return rows

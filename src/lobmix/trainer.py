@@ -89,9 +89,11 @@ def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place over the fresh ``logits`` and returned."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -114,35 +116,76 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
+def _target_plan(
+    c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float, batch_size: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat logit positions and target weights of rows' two classes, one batch of rows per row.
+
+    Row r of the draw is row ``r mod batch_size`` of its batch, so its
+    targets sit at flat positions ``(r mod batch_size) * num_classes + c``
+    of that batch's ``(batch_size, num_classes)`` logits. Both returned
+    arrays are ``(batches, 2 * batch_size)``: the c_i targets, then the c_j
+    targets, with :func:`pair_weights` in the same layout.
+    """
+    w_i, w_j = pair_weights(c_i, c_j, lam)
+    pos = np.concatenate((c_i.reshape(-1, batch_size), c_j.reshape(-1, batch_size)), axis=1)
+    pos += np.tile(np.arange(batch_size) * num_classes, 2)
+    weights = np.concatenate((w_i.reshape(-1, batch_size), w_j.reshape(-1, batch_size)), axis=1)
+    return pos, weights
+
+
+def _grad_step(
+    params: ModelParams, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray
+) -> list[np.ndarray]:
+    """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
+
+    Cross entropy is linear in the target, so the logit gradient is
+    ``probs`` minus ``weights`` scattered onto ``pos``; no (B, C) target is
+    built. The probabilities at ``pos`` are first copied into ``taken``, from
+    which :func:`_batch_losses` computes the loss.
+    """
+    dlogits, h = _forward(params, x)
+    flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
+    flat.take(pos, out=taken)
+    np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
+    dlogits /= x.shape[0]
+    if params.arch == "linear":
+        return [x.T @ dlogits, dlogits.sum(axis=0)]
+    w1, b1, w2, b2 = params.weights
+    dw2 = h.T @ dlogits
+    db2 = dlogits.sum(axis=0)
+    dpre = (dlogits @ w2.T) * (1.0 - h * h)
+    return [x.T @ dpre, dpre.sum(axis=0), dw2, db2]
+
+
+def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mean mixed cross entropy of each batch, from the (batches, 2B) ``taken`` probabilities of its targets.
+
+    Each row's loss is ``-(w_i * log p_i + w_j * log p_j)``, probabilities
+    floored at 1e-12.
+    """
+    terms = np.log(np.maximum(taken, 1e-12))
+    terms *= weights
+    half = taken.shape[1] // 2
+    rows = terms[:, :half] + terms[:, half:]
+    np.negative(rows, out=rows)
+    return rows.mean(axis=1)
+
+
 def loss_and_grad(
     params: ModelParams, x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
 ) -> tuple[float, list[np.ndarray]]:
     """Mean mixed cross entropy and its gradient for targets given as class pairs.
 
-    Row r's target carries :func:`pair_weights` on classes c_i and c_j.
-    Cross entropy is linear in the target, so the loss is the two weighted
-    terms and the logit gradient is ``probs`` minus a two-element scatter,
-    through flat indices; no (B, C) target is built.
+    Row r's target carries :func:`pair_weights` on classes c_i and c_j. This
+    is :func:`train`'s step on one batch: its target plan, gradient kernel
+    and loss reduction.
     """
     n = x.shape[0]
-    dlogits, h = _forward(params, x)
-    flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
-    rows = np.arange(n) * dlogits.shape[1]
-    at_i, at_j = rows + c_i, rows + c_j
-    w_i, w_j = pair_weights(c_i, c_j, lam)
-    log_i = np.log(np.maximum(flat[at_i], 1e-12))
-    log_j = np.log(np.maximum(flat[at_j], 1e-12))
-    loss = float((-(w_i * log_i + w_j * log_j)).mean())
-    flat[at_i] -= w_i
-    flat[at_j] -= w_j
-    dlogits /= n
-    if params.arch == "linear":
-        return loss, [x.T @ dlogits, dlogits.sum(axis=0)]
-    w1, b1, w2, b2 = params.weights
-    dw2 = h.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dpre = (dlogits @ w2.T) * (1.0 - h * h)
-    return loss, [x.T @ dpre, dpre.sum(axis=0), dw2, db2]
+    pos, weights = _target_plan(c_i, c_j, lam, n, params.weights[-1].shape[0])
+    taken = np.empty(pos.shape)
+    grads = _grad_step(params, x, pos[0], weights[0], taken[0])
+    return float(_batch_losses(taken, weights)[0]), grads
 
 
 @dataclass(frozen=True)
@@ -171,12 +214,18 @@ class TrainConfig:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
         if self.lr < 0:
             raise ValueError(f"learning rate must be non-negative, got {self.lr}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if any(b <= a for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
             raise ValueError(f"decay epochs must be strictly increasing, got {self.lr_decay_epochs}")
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("lr_decay_factor", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.strategy is Strategy.DEFERRED:
             if self.switch_epoch is None:
                 raise ValueError("deferred strategy needs defer_epoch or at least one lr decay epoch")
@@ -274,15 +323,19 @@ def train(
     An epoch's ``batches_per_epoch * batch_size`` rows are drawn at once from
     ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
     ``b`` is rows ``[b * batch_size, (b + 1) * batch_size)``. Only indices,
-    classes and ratios are held (40 bytes a row); features are blended batch
-    by batch. Runs that share a seed follow identical trajectories until their
+    ratios and the epoch's :func:`_target_plan` are held (72 bytes a row,
+    the taken target probabilities included); features are blended batch by
+    batch, and the batch losses are reduced once the epoch's steps are done.
+    Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     The model works on the rows it is given: :func:`standardize` the two
     datasets once beforehand. The test set is evaluated once an epoch, so
     ``history[-1].report`` scores the returned params.
 
-    Numpy's overflow warnings are silenced. A non-finite loss, or a non-finite
-    weight after an epoch, raises :class:`TrainingDiverged`.
+    Numpy's overflow warnings are silenced. A non-finite batch loss raises
+    :class:`TrainingDiverged` naming the epoch's first such batch, checked
+    once the epoch's steps are done; so does a non-finite weight after an
+    epoch.
     """
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
@@ -291,36 +344,40 @@ def train(
     groups = default_groups(index.counts)
     velocity = [np.zeros_like(w) for w in params.weights]
     history: list[EpochStats] = []
-    rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
+    size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
+    taken = np.empty((cfg.batches_per_epoch, 2 * size))
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
         rng = make_rng(cfg.seed, "epoch", epoch)
         if kinds is None:  # unmixed rows: each example paired with itself
             i = j = sample_batch(IB, index, rng, rows_per_epoch)
+            lam = 1.0
         else:
             i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
-        c_i, c_j = train_ds.labels[i], train_ds.labels[j]
-        losses = np.empty(cfg.batches_per_epoch)
+        pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size, train_ds.num_classes)
         for b in range(cfg.batches_per_epoch):
-            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            rows = slice(b * size, (b + 1) * size)
             if kinds is None:
-                x, lam_b = train_ds.features[i[rows]], 1.0
+                x = train_ds.features[i[rows]]
             else:
-                x, lam_b = blend(train_ds.features, i[rows], j[rows], lam[rows]), lam[rows]
-            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam_b)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
-            losses[b] = loss
-            for w, g, v in zip(params.weights, grads, velocity):
+                x = blend(train_ds.features, i[rows], j[rows], lam[rows])
+            grads = _grad_step(params, x, pos[b], weights[b], taken[b])
+            for w, g, v in zip(params.weights, grads, velocity):  # each g is a fresh array
                 if cfg.weight_decay:
-                    g = g + cfg.weight_decay * w
+                    g += cfg.weight_decay * w
+                g *= lr
                 if cfg.momentum:
                     v *= cfg.momentum
-                    v -= lr * g
+                    v -= g
                     w += v
                 else:
-                    w -= lr * g
+                    w -= g
+        losses = _batch_losses(taken, weights)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            b = int(finite.argmin())  # the first non-finite batch
+            raise TrainingDiverged(f"non-finite loss {float(losses[b])} at epoch {epoch}, batch {b}")
         if not all(np.isfinite(w).all() for w in params.weights):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
         history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))

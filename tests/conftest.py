@@ -3,7 +3,28 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lobmix import IB, ClassIndex, ImbalanceProfile, LabeledDataset, SamplerKind, labels_only_dataset
+from lobmix import (
+    IB,
+    ClassIndex,
+    ImbalanceProfile,
+    LabeledDataset,
+    SamplerKind,
+    blend,
+    draw_pairs,
+    evaluate,
+    labels_only_dataset,
+    loss_and_grad,
+    make_rng,
+    sample_batch,
+)
+from lobmix.trainer import (
+    EpochStats,
+    TrainingDiverged,
+    _epoch_lr,
+    _epoch_sampler_kinds,
+    default_groups,
+    init_params,
+)
 
 # Exponential profile for 10 classes at imbalance 10, largest class 5000.
 # Frozen from an independent evaluation of n_max * rho**(-k/9) with half-up
@@ -125,3 +146,52 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
     target = np.asarray(target, dtype=np.float64)
     losses = -(target * np.log(np.maximum(probs, 1e-12))).sum(axis=-1)
     return float(losses) if losses.ndim == 0 else losses
+
+
+# Reference of the trainer's loop: one loss_and_grad call per batch, with the
+# loss checked batch by batch. train hoists the per-row target work out of
+# its batch loop and must return the same bits.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
+    """``(params, history)`` of SGD run batch by batch through ``loss_and_grad``."""
+    index = train_ds.class_index()
+    params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
+    groups = default_groups(index.counts)
+    velocity = [np.zeros_like(w) for w in params.weights]
+    history = []
+    rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
+    for epoch in range(cfg.epochs):
+        lr = _epoch_lr(cfg, epoch)
+        kinds = _epoch_sampler_kinds(cfg, epoch)
+        rng = make_rng(cfg.seed, "epoch", epoch)
+        if kinds is None:
+            i = j = sample_batch(IB, index, rng, rows_per_epoch)
+        else:
+            i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
+        c_i, c_j = train_ds.labels[i], train_ds.labels[j]
+        losses = np.empty(cfg.batches_per_epoch)
+        for b in range(cfg.batches_per_epoch):
+            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            if kinds is None:
+                x, lam_b = train_ds.features[i[rows]], 1.0
+            else:
+                x, lam_b = blend(train_ds.features, i[rows], j[rows], lam[rows]), lam[rows]
+            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam_b)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
+            losses[b] = loss
+            for w, g, v in zip(params.weights, grads, velocity):
+                if cfg.weight_decay:
+                    g = g + cfg.weight_decay * w
+                if cfg.momentum:
+                    v *= cfg.momentum
+                    v -= lr * g
+                    w += v
+                else:
+                    w -= lr * g
+        if not all(np.isfinite(w).all() for w in params.weights):
+            raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
+    return params, history

@@ -350,6 +350,7 @@ class TestAnalyze:
         "flag,value,message",
         [
             ("--alpha", "0", "--alpha must be positive, got 0.0"),
+            ("--alpha", "inf", "--alpha must be finite, got inf"),
             ("--seed", "-5", "--seed must fit in 64 bits, got -5"),
             ("--samples", "-3", "--samples must be >= 0, got -3"),
         ],
@@ -439,13 +440,17 @@ class TestTrainCommand:
         assert_one_error(capsys, "deferred strategy needs defer_epoch or at least one lr decay epoch")
         assert not out.exists()
 
-    def test_diverged_run_is_one_error_line(self, tmp_path, capsys):
-        # the first step overflows the weights, so the second batch's loss is NaN;
+    @pytest.mark.parametrize("batches_per_epoch", [2, 4])
+    def test_diverged_run_is_one_error_line(self, tmp_path, capsys, batches_per_epoch):
+        # the first step overflows the weights, so the second batch's loss is NaN, and so
+        # is every later batch's, since the losses are checked once the epoch's steps are done;
         # numpy warnings are errors in this suite, so any warning on the way fails the test
         cfg = base_config(out_dir=str(tmp_path / "run"))
-        cfg["train"].update(epochs=1, batches_per_epoch=2, lr=1e308, weight_decay=100.0, lr_decay_epochs=[])
+        cfg["train"].update(
+            epochs=1, batches_per_epoch=batches_per_epoch, lr=1e308, weight_decay=100.0, lr_decay_epochs=[]
+        )
         assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
-        assert_one_error(capsys, "non-finite loss nan at epoch 0, batch 1")
+        assert capsys.readouterr().err == "error: non-finite loss nan at epoch 0, batch 1\n"
         assert not (tmp_path / "run" / "DONE").exists()
 
     @pytest.mark.parametrize(
@@ -519,6 +524,12 @@ class TestMalformedConfig:
             ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
             ("dataset", "separation", float("inf"), "dataset.separation must be a finite number, got inf"),
             ("profile", "rho", 10**400, "profile.rho must be a finite number"),
+            # range checks of TrainConfig, by field name
+            ("train", "hidden", -1, "hidden must be >= 1, got -1"),
+            ("train", "hidden", 0, "hidden must be >= 1, got 0"),
+            ("train", "momentum", -5, "momentum must be non-negative, got -5"),
+            ("train", "weight_decay", -1e-4, "weight_decay must be non-negative, got -0.0001"),
+            ("train", "lr_decay_factor", -3.0, "lr_decay_factor must be non-negative, got -3.0"),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, message):

@@ -25,7 +25,7 @@ from lobmix import (
     synth_gaussian_mixture,
     train,
 )
-from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
+from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights
 from lobmix.trainer import (
     GROUP_NAMES,
     ModelParams,
@@ -36,7 +36,7 @@ from lobmix.trainer import (
     write_history_csv,
 )
 
-from conftest import dense_targets, soft_cross_entropy
+from conftest import dense_targets, reference_train, soft_cross_entropy
 
 EPS = np.finfo(np.float64).eps
 
@@ -352,12 +352,13 @@ class TestTrain:
         import lobmix.trainer
 
         seen = []
+        kernel = lobmix.trainer._grad_step
 
-        def recording(params, x, c_i, c_j, lam):
-            seen.append((x.copy(), c_i.copy(), c_j.copy(), lam if np.isscalar(lam) else lam.copy()))
-            return loss_and_grad(params, x, c_i, c_j, lam)
+        def recording(params, x, pos, weights, taken):
+            seen.append((x.copy(), pos.copy(), weights.copy()))
+            return kernel(params, x, pos, weights, taken)
 
-        monkeypatch.setattr(lobmix.trainer, "loss_and_grad", recording)
+        monkeypatch.setattr(lobmix.trainer, "_grad_step", recording)
         train_ds, test_ds, _ = quick_split()
         epochs, bpe, size, switch = 3, 4, 8, 2
         cfg = TrainConfig(
@@ -367,6 +368,7 @@ class TestTrain:
         train(train_ds, test_ds, cfg)
         assert len(seen) == epochs * bpe
         index, features, labels = train_ds.class_index(), train_ds.features, train_ds.labels
+        offsets = np.arange(size) * train_ds.num_classes
         for e in range(epochs):
             rng = make_rng(9, "epoch", e)
             if strategy is Strategy.ERM:
@@ -375,16 +377,32 @@ class TestTrain:
                 kinds = (IB, IB) if strategy is Strategy.DEFERRED and e < switch else (CB, CB)
                 i, j, lam = draw_pairs(kinds, index, 0.7, rng, bpe * size)
             for b in range(bpe):
-                x, c_i, c_j, got_lam = seen[e * bpe + b]
+                x, pos, weights = seen[e * bpe + b]
                 rows = slice(b * size, (b + 1) * size)
                 if strategy is Strategy.ERM:
                     assert np.array_equal(x, features[i[rows]])
-                    assert np.array_equal(c_i, labels[i[rows]]) and np.array_equal(c_j, labels[i[rows]])
-                    assert got_lam == 1.0
+                    assert np.array_equal(pos, np.concatenate([offsets + labels[i[rows]]] * 2))
+                    assert np.array_equal(weights, np.concatenate([np.ones(size), np.zeros(size)]))
                 else:
                     assert np.array_equal(x, blend(features, i[rows], j[rows], lam[rows]))
-                    assert np.array_equal(c_i, labels[i[rows]]) and np.array_equal(c_j, labels[j[rows]])
-                    assert np.array_equal(got_lam, lam[rows])
+                    c_i, c_j = labels[i[rows]], labels[j[rows]]
+                    assert np.array_equal(pos, np.concatenate([offsets + c_i, offsets + c_j]))
+                    assert np.array_equal(weights, np.concatenate(pair_weights(c_i, c_j, lam[rows])))
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    @pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.9, 1e-4)])
+    def test_bitwise_equal_to_the_per_batch_reference(self, strategy, arch, momentum, weight_decay):
+        train_ds, test_ds, _ = quick_split(seed=17)
+        cfg = TrainConfig(
+            epochs=4, batches_per_epoch=5, batch_size=16, lr=0.3, lr_decay_epochs=(2,), alpha=0.5,
+            strategy=strategy, seed=23, arch=arch, hidden=8, momentum=momentum, weight_decay=weight_decay,
+        )
+        params, history = train(train_ds, test_ds, cfg)
+        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        assert history == ref_history
+        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+            assert np.array_equal(w, ref)
 
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
@@ -510,6 +528,11 @@ class TestTrainConfigValidation:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=-0.1)
+
+    def test_infinite_alpha_rejected(self):
+        # Beta(inf, inf) ratios come out NaN; the CLI rejects inf before a TrainConfig is built
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+            TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1, alpha=math.inf)
 
 
 class TestEvaluate:
