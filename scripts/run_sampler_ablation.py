@@ -6,23 +6,19 @@ measured label-occurrence balance (max/min ratio of the per-class shares of
 soft-label mass) plus the fraction of mixed examples touching a head class
 (the head mask is ``default_groups(counts) == 0``, as in ``lobmix analyze``).
 With two instance-balanced samplers the head classes dominate; two
-class-balanced samplers equalize the shares.
+class-balanced samplers equalize the shares. A cell reads ``-`` where there
+is no value: nothing was measured, or some class got no measured mass.
 """
 import argparse
 
 import numpy as np
 
-from lobmix import (
-    COMBOS,
-    ImbalanceProfile,
-    TrainConfig,
-    analytic_occurrence,
-    draw_pairs,
-    empirical_occurrence,
-    labels_only_dataset,
-    make_rng,
-)
-from lobmix.trainer import default_groups
+from lobmix import COMBOS, ImbalanceProfile, TrainConfig
+from lobmix.occurrence import default_groups, measure_combos
+
+
+def cell(x: float | None, width: int) -> str:
+    return f"{'-':>{width}s}" if x is None else f"{x:{width}.4f}"
 
 
 def main() -> None:
@@ -36,21 +32,12 @@ def main() -> None:
     args = parser.parse_args()
 
     counts = ImbalanceProfile("exponential", args.rho, args.n_max).class_counts(args.classes)
-    dataset = labels_only_dataset(counts)
-    index = dataset.class_index()
-    head = default_groups(counts) == 0
-
     print(f"counts: {list(counts)}")
-    print(f"head classes (largest third by n_k): {np.flatnonzero(head).tolist()}")
+    print(f"head classes (largest third by n_k): {np.flatnonzero(default_groups(counts) == 0).tolist()}")
     print(f"{'combo':8s} {'analytic max/min':>17s} {'measured max/min':>17s} {'head incidence':>15s}")
-    for name, kinds in COMBOS.items():
-        analytic = analytic_occurrence(kinds, index)
-        i, j, lam = draw_pairs(kinds, index, args.alpha, make_rng(args.seed, "analyze:" + name), args.samples)
-        measured = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, args.classes, head=head)
-        print(
-            f"{name:8s} {analytic.balance_ratio:17.4f} "
-            f"{measured.balance_ratio:17.4f} {measured.head_incidence:15.4f}"
-        )
+    for name, analytic, measured in measure_combos(counts, list(COMBOS), args.alpha, args.seed, args.samples):
+        balance, incidence = (measured.balance_ratio, measured.head_incidence) if measured else (None, None)
+        print(f"{name:8s} {cell(analytic.balance_ratio, 17)} {cell(balance, 17)} {cell(incidence, 15)}")
 
 
 if __name__ == "__main__":

@@ -25,10 +25,9 @@ import numpy as np
 from . import longtail
 from .atomic import atomic_write
 from .longtail import DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
-from .mixer import draw_pairs
-from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence, format_float, write_occurrence_csv
-from .seeds import MAX_SEED, RNG_LAYOUT, make_rng
-from .trainer import Strategy, TrainConfig, TrainingDiverged, default_groups, standardize, train, write_history_csv
+from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
+from .seeds import MAX_SEED, RNG_LAYOUT
+from .trainer import Strategy, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -275,25 +274,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     manifest_sha256 = hashlib.sha256(raw).hexdigest()
     del raw  # not held while the batches are drawn
     counts = manifest.counts
-    if len(counts) < 2:
-        raise ValueError("need at least 2 classes")
-    if min(counts) < 1:
-        raise ValueError(f"every class needs at least one example, got {counts}")
-    dataset = longtail.labels_only_dataset(counts)
-    index = dataset.class_index()
-    head = default_groups(counts) == 0
     combo_names = list(COMBOS) if args.combo == "all" else [args.combo]
+    # every combo is measured before the output directory exists
+    summary_rows = measure_combos(counts, combo_names, args.alpha, args.seed, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    summary_rows = []
-    for name in combo_names:
-        analytic = analytic_occurrence(COMBOS[name], index)
-        empirical: OccurrenceReport | None = None
-        if args.samples > 0:
-            i, j, lam = draw_pairs(COMBOS[name], index, args.alpha, make_rng(args.seed, "analyze:" + name), args.samples)
-            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head=head)
-            del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
+    for name, analytic, empirical in summary_rows:
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
         _write_json(
@@ -305,7 +291,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "empirical": empirical.to_dict() if empirical else None,
             },
         )
-        summary_rows.append((name, analytic, empirical))
 
     resolved = {
         "command": "analyze",
@@ -489,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TrainingDiverged) as exc:
+    except (ValueError, OSError, KeyError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -317,7 +317,7 @@ def synth_gaussian_mixture(
     """Isotropic unit-variance Gaussian blobs with centers on a sphere of radius ``separation``."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    if separation <= 0:
+    if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
     if len(counts) != num_classes:
         raise ValueError(f"counts cover {len(counts)} classes but num_classes={num_classes}")

@@ -26,8 +26,8 @@ def sample_lambda(alpha: float, rng: np.random.Generator, size: int | None = Non
     from the endpoints and complement-stabilized so that ``1 - (1 - lam)``
     round-trips bitwise.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:  # Beta(inf, inf) ratios come out NaN
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     g1 = rng.standard_gamma(alpha, size=size)
     g2 = rng.standard_gamma(alpha, size=size)
     lam = g1 / np.maximum(g1 + g2, np.finfo(np.float64).tiny)

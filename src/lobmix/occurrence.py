@@ -18,8 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .longtail import ClassIndex
+from .longtail import ClassIndex, labels_only_dataset
+from .mixer import draw_pairs
 from .samplers import CB, IB, SamplerKind
+from .seeds import make_rng
 
 
 # The sampler kinds feeding the mixer, by the combo names the CLI accepts.
@@ -115,6 +117,46 @@ def empirical_occurrence(
         sample_count=c_i.size,
         head_incidence=incidence,
     )
+
+
+def default_groups(counts) -> np.ndarray:
+    """Rank-tercile grouping: ``g[k]`` is class k's group, 0 head, 1 medium or 2 tail.
+
+    The largest ceil(C/3) classes are head (0) and the smallest ceil(C/3) tail (2); size ties break by class id.
+    """
+    sizes = np.asarray(list(counts))
+    num_classes = sizes.shape[0]
+    order = np.argsort(-sizes, kind="stable")
+    n_edge = max(1, int(np.ceil(num_classes / 3)))
+    groups = np.ones(num_classes, dtype=np.int64)
+    groups[order[num_classes - n_edge :]] = 2
+    groups[order[:n_edge]] = 0
+    return groups
+
+
+def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, seed: int, samples: int) -> list[tuple]:
+    """``(name, analytic, empirical)`` for each named combo on a labels-only dataset of ``counts``.
+
+    ``empirical`` is None when ``samples`` is 0. Otherwise it tallies
+    ``samples`` rows drawn from ``make_rng(seed, "analyze:" + name)``, with
+    head incidence over the mask ``default_groups(counts) == 0``.
+    """
+    if len(counts) < 2:
+        raise ValueError("need at least 2 classes")
+    if min(counts) < 1:
+        raise ValueError(f"every class needs at least one example, got {counts}")
+    dataset = labels_only_dataset(counts)
+    index = dataset.class_index()
+    head = default_groups(counts) == 0
+    results = []
+    for name in combos:
+        analytic, empirical = analytic_occurrence(COMBOS[name], index), None
+        if samples > 0:
+            i, j, lam = draw_pairs(COMBOS[name], index, alpha, make_rng(seed, "analyze:" + name), samples)
+            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head=head)
+            del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
+        results.append((name, analytic, empirical))
+    return results
 
 
 def format_float(x: float | None) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import atomic_write
 from .longtail import LabeledDataset
 from .mixer import blend, draw_pairs, pair_weights
-from .occurrence import format_float
+from .occurrence import default_groups, format_float
 from .samplers import CB, IB, SamplerKind, sample_batch
 from .seeds import make_rng
 
@@ -258,21 +258,6 @@ class EpochStats:
     lr: float
     train_loss: float
     report: EvalReport
-
-
-def default_groups(counts) -> np.ndarray:
-    """Rank-tercile grouping: ``g[k]`` is the GROUP_NAMES index of class k's group.
-
-    The largest ceil(C/3) classes are head (0) and the smallest ceil(C/3) tail (2); size ties break by class id.
-    """
-    sizes = np.asarray(list(counts))
-    num_classes = sizes.shape[0]
-    order = np.argsort(-sizes, kind="stable")
-    n_edge = max(1, int(np.ceil(num_classes / 3)))
-    groups = np.ones(num_classes, dtype=np.int64)
-    groups[order[num_classes - n_edge :]] = 2
-    groups[order[:n_edge]] = 0
-    return groups
 
 
 def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> EvalReport:

@@ -14,6 +14,7 @@ from lobmix import (
     ImbalanceProfile,
     LabeledDataset,
     TrainConfig,
+    labels_only_dataset,
     load_cifar10_binary,
     subsample_longtail,
     write_cifar10_binary,
@@ -360,6 +361,17 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--manifest", str(manifest_path), flag, value, "--out", str(out)]) == 2
         assert_one_error(capsys, message)
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, manifest_path):
+        def draw_pairs(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr("lobmix.occurrence.draw_pairs", draw_pairs)
+        out = tmp_path / "occ"
+        capsys.readouterr()
+        assert main(["analyze", "--manifest", str(manifest_path), "--combo", "ib-ib", "--out", str(out)]) == 2
+        assert_one_error(capsys, "Unable to allocate 745. GiB")
         assert not out.exists()
 
     def test_single_combo(self, tmp_path, manifest_path):
@@ -788,19 +800,52 @@ class TestConfigRoundTrip:
 
 
 class TestSamplerAblationScript:
-    def test_prints_three_combo_rows(self, monkeypatch, capsys):
+    @staticmethod
+    def rows(monkeypatch, capsys, *args):
+        """The script's printed table, first word of each line -> the other words."""
         path = REPO / "scripts" / "run_sampler_ablation.py"
         spec = importlib.util.spec_from_file_location("sampler_ablation", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        argv = ["run_sampler_ablation.py", "--classes", "4", "--n-max", "50", "--samples", "2000"]
-        monkeypatch.setattr("sys.argv", argv)
+        monkeypatch.setattr("sys.argv", ["run_sampler_ablation.py", *args])
         script.main()
-        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        return {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+
+    def test_prints_three_combo_rows(self, monkeypatch, capsys):
+        rows = self.rows(monkeypatch, capsys, "--classes", "4", "--n-max", "50", "--samples", "2000")
         for combo in ("ib-ib", "ib-cb", "cb-cb"):
             analytic, measured, incidence = map(float, rows[combo])
             assert analytic >= 1.0 and measured >= 1.0 and 0.0 < incidence <= 1.0
         assert float(rows["cb-cb"][0]) == 1.0
+
+    @pytest.mark.parametrize(
+        "args,measured",
+        [
+            (("--samples", "0"), [False, False]),
+            # 50 rows over 100 classes leave some class without mass: no measured balance
+            (("--classes", "100", "--n-max", "50", "--samples", "50"), [False, True]),
+        ],
+    )
+    def test_missing_values_print_as_dashes(self, monkeypatch, capsys, args, measured):
+        rows = self.rows(monkeypatch, capsys, *args)
+        for combo in ("ib-ib", "ib-cb", "cb-cb"):
+            analytic, *cells = rows[combo]
+            assert float(analytic) >= 1.0
+            assert [cell != "-" for cell in cells] == measured
+
+    def test_numbers_equal_analyze_outputs(self, tmp_path, monkeypatch, capsys):
+        # one implementation: the script's numbers are analyze's on a manifest of the same counts
+        counts = ImbalanceProfile("exponential", 10, 60).class_counts(5)
+        subsample_longtail(labels_only_dataset(counts), counts, 0)[1].save(tmp_path / "manifest.json")
+        settings = ["--alpha", "0.5", "--samples", "3000", "--seed", "3"]
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(tmp_path / "manifest.json"), *settings, "--out", str(out)]) == 0
+        rows = self.rows(monkeypatch, capsys, "--classes", "5", "--n-max", "60", "--rho", "10", *settings)
+        for combo in ("ib-ib", "ib-cb", "cb-cb"):
+            report = json.loads((out / f"occurrence_{combo.replace('-', '_')}.json").read_text())
+            analytic, empirical = report["analytic"], report["empirical"]
+            expected = [analytic["balance_ratio"], empirical["balance_ratio"], empirical["head_incidence"]]
+            assert rows[combo] == [f"{x:.4f}" for x in expected]
 
 
 class TestReadme:

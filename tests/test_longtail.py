@@ -265,6 +265,8 @@ class TestSynthGaussianMixture:
             synth_gaussian_mixture(2, (5, 5), 1, 3.0, seed=0)
         with pytest.raises(ValueError):
             synth_gaussian_mixture(2, (5, 5), 2, 0.0, seed=0)
+        with pytest.raises(ValueError, match="separation must be positive, got nan"):
+            synth_gaussian_mixture(2, (5, 5), 2, float("nan"), seed=0)
         with pytest.raises(ValueError):
             synth_gaussian_mixture(3, (5, 5), 2, 3.0, seed=0)
 

@@ -31,6 +31,8 @@ class TestSampleLambda:
             sample_lambda(0.0, make_rng(0, "test"))
         with pytest.raises(ValueError):
             sample_lambda(-1.0, make_rng(0, "test"))
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+            sample_lambda(float("inf"), make_rng(0, "test"), size=3)
 
     def test_open_interval_and_stability(self):
         lam = sample_lambda(0.2, make_rng(123, "test"), size=200_000)
