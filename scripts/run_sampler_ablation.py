@@ -31,11 +31,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    counts = ImbalanceProfile("exponential", args.rho, args.n_max).class_counts(args.classes)
+    try:
+        counts = ImbalanceProfile("exponential", args.rho, args.n_max).class_counts(args.classes)
+        rows = measure_combos(counts, list(COMBOS), args.alpha, args.seed, args.samples)
+    except ValueError as exc:  # a bad flag: one error line and exit code 2, before anything is printed
+        parser.error(str(exc))
     print(f"counts: {list(counts)}")
     print(f"head classes (largest third by n_k): {np.flatnonzero(default_groups(counts) == 0).tolist()}")
     print(f"{'combo':8s} {'analytic max/min':>17s} {'measured max/min':>17s} {'head incidence':>15s}")
-    for name, analytic, measured in measure_combos(counts, list(COMBOS), args.alpha, args.seed, args.samples):
+    for name, analytic, measured in rows:
         balance, incidence = (measured.balance_ratio, measured.head_incidence) if measured else (None, None)
         print(f"{name:8s} {cell(analytic.balance_ratio, 17)} {cell(balance, 17)} {cell(incidence, 15)}")
 

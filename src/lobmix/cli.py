@@ -24,7 +24,7 @@ import numpy as np
 
 from . import longtail
 from .atomic import atomic_write
-from .longtail import DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_value
+from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_settings, json_value
 from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT
 from .trainer import Strategy, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
@@ -44,76 +44,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    """Gaussian-mixture source: a balanced base carved into train/test splits."""
-
-    classes: int
-    dim: int
-    separation: float
-    base_per_class: int
-    test_per_class: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "synth", **dataclasses.asdict(self)}
-
-
-@dataclass(frozen=True)
-class Cifar10Spec:
-    """Binary-batch source: train files are subsampled, the test file is used as-is."""
-
-    train_paths: tuple[str, ...]
-    test_path: str
-
-    def to_dict(self) -> dict:
-        return {"kind": "cifar10", "train_paths": list(self.train_paths), "test_path": self.test_path}
-
-
-def _dataset_spec_from_dict(d: dict):
-    kind = json_value(d, dict, "dataset").get("kind")
-    if kind == "synth":
-        ints = {k: json_value(d[k], int, f"dataset.{k}") for k in ("classes", "dim", "base_per_class", "test_per_class")}
-        return SynthSpec(separation=float(json_value(d["separation"], float, "dataset.separation")), **ints)
-    if kind == "cifar10":
-        paths = json_value(d["train_paths"], list, "dataset.train_paths")
-        if not paths:
-            raise ValueError("dataset.train_paths must name at least one file")
-        return Cifar10Spec(
-            train_paths=tuple(json_value(p, str, "dataset.train_paths entry") for p in paths),
-            test_path=json_value(d.get("test_path"), str, "dataset.test_path"),
-        )
-    raise ValueError(f"unknown dataset kind {kind!r}")
-
-
-# JSON type of each train setting: the TrainConfig fields except the seed,
-# which a config gives at the top level. lr_decay_epochs holds integers and
-# defer_epoch may also be null.
-TRAIN_TYPES = {
-    "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
-    "lr_decay_epochs": list, "lr_decay_factor": float, "alpha": float, "strategy": str,
-    "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
-}
-
-
-def _train_config_from_dict(d: dict, seed: int) -> TrainConfig:
-    """Check a config's ``train`` section against TRAIN_TYPES and build the run's TrainConfig."""
-    unknown = set(json_value(d, dict, "train")) - set(TRAIN_TYPES)
-    if unknown:
-        raise ValueError(f"unknown train settings: {sorted(unknown)}")
-    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING and f.name not in d]
-    if missing:
-        raise ValueError(f"missing train settings: {missing}")
-    for k, v in d.items():
-        if not (k == "defer_epoch" and v is None):
-            json_value(v, TRAIN_TYPES[k], f"train.{k}")
-    json_ints(d.get("lr_decay_epochs", []), "train.lr_decay_epochs")
-    return TrainConfig(seed=seed, **d)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One training run: its data, long-tail profile and train settings (``train.seed`` is the run's seed)."""
+    """One training run: its checked ``dataset`` section, profile and train settings (``train.seed`` is the run's seed)."""
 
-    dataset: SynthSpec | Cifar10Spec
+    dataset: dict
     profile: ImbalanceProfile
     train: TrainConfig
     out_dir: str | None = None
@@ -123,7 +57,7 @@ class ExperimentConfig:
         seed = train.pop("seed")
         train.update(strategy=self.train.strategy.value, lr_decay_epochs=list(self.train.lr_decay_epochs))
         return {
-            "dataset": self.dataset.to_dict(),
+            "dataset": dict(self.dataset),
             "profile": self.profile.to_dict(),
             "train": train,
             "seed": seed,
@@ -133,16 +67,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        out_dir = json_value(d, dict, "config").get("out_dir")
-        layout = json_value(d.get("rng_layout", RNG_LAYOUT), int, "rng_layout")
+        d = json_settings(d, SCHEMA["config"], "config", ("dataset", "profile", "train"), nullable=("out_dir",))
+        layout = d.get("rng_layout", RNG_LAYOUT)
         if layout != RNG_LAYOUT:
             raise ValueError(f"rng_layout {layout} is not this version's random-stream layout {RNG_LAYOUT}")
-        return cls(
-            dataset=_dataset_spec_from_dict(d["dataset"]),
-            profile=ImbalanceProfile.from_dict(json_value(d["profile"], dict, "profile")),
-            train=_train_config_from_dict(d["train"], json_value(d.get("seed", 0), int, "seed")),
-            out_dir=None if out_dir is None else json_value(out_dir, str, "out_dir"),
-        )
+        kind = d["dataset"].get("kind")
+        if kind not in ("synth", "cifar10"):
+            raise ValueError(f"unknown dataset kind {kind!r}")
+        dataset = json_settings(d["dataset"], SCHEMA[kind], "dataset")
+        if kind == "cifar10" and not dataset["train_paths"]:
+            raise ValueError("dataset.train_paths must name at least one file")
+        for path in dataset.get("train_paths", ()):
+            json_value(path, str, "dataset.train_paths entry")
+        profile = ImbalanceProfile.from_dict(d["profile"])
+        required = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING]
+        train = json_settings(d["train"], SCHEMA["train"], "train", required, nullable=("defer_epoch",))
+        json_ints(train.get("lr_decay_epochs", []), "train.lr_decay_epochs")
+        return cls(dataset, profile, TrainConfig(seed=d.get("seed", 0), **train), d.get("out_dir"))
 
     def family_dict(self) -> dict:
         """Config with run-identity fields removed, for cross-run compatibility checks."""
@@ -171,8 +112,8 @@ def load_config(
     d = json_value(json.loads(Path(path).read_text()), dict, "config")
     top = {k: v for k, v in (("seed", seed), ("out_dir", out_dir)) if v is not None}
     settings = {k: v for k, v in (("strategy", strategy), ("alpha", alpha)) if v is not None}
-    if settings:
-        top["train"] = {**json_value(d["train"], dict, "train"), **settings}
+    if settings and isinstance(d.get("train"), dict):  # otherwise from_dict names what is wrong
+        top["train"] = {**d["train"], **settings}
     return ExperimentConfig.from_dict({**d, **top})
 
 
@@ -200,14 +141,13 @@ def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed:
 
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
-    seed = cfg.train.seed
-    if isinstance(cfg.dataset, SynthSpec):
-        spec = cfg.dataset
-        base, source = _synth_base(spec.classes, spec.dim, spec.separation, spec.base_per_class, seed)
-        counts = cfg.profile.class_counts(spec.classes)
-        return longtail.longtail_split(base, counts, spec.test_per_class, seed, source=source, profile=cfg.profile)
-    base, pixels, source = _cifar10_base(cfg.dataset.train_paths)
-    test_ds = longtail.load_cifar10_binary(cfg.dataset.test_path)
+    seed, spec = cfg.train.seed, cfg.dataset
+    if spec["kind"] == "synth":
+        base, source = _synth_base(spec["classes"], spec["dim"], spec["separation"], spec["base_per_class"], seed)
+        counts = cfg.profile.class_counts(spec["classes"])
+        return longtail.longtail_split(base, counts, spec["test_per_class"], seed, source=source, profile=cfg.profile)
+    base, pixels, source = _cifar10_base(spec["train_paths"])
+    test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
@@ -226,7 +166,7 @@ def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
 def cmd_build_lt(args: argparse.Namespace) -> int:
     if args.base:
         base, _, source = _cifar10_base(args.base)
-    elif args.synth_classes:
+    elif args.synth_classes is not None:
         base, source = _synth_base(
             args.synth_classes, args.synth_dim, args.synth_separation, args.synth_per_class, args.seed
         )
@@ -236,7 +176,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     present = base.class_index().counts
     if np.any(present == 0):
         raise ValueError("base dataset is missing examples for some class")
-    n_max = args.n_max if args.n_max else int(present.min())
+    n_max = int(present.min()) if args.n_max is None else args.n_max
     profile = _profile_from_args(args, n_max)
     counts = profile.class_counts(base.num_classes)
     _, manifest = longtail.subsample_longtail(base, counts, args.seed, source=source, profile=profile)
@@ -264,8 +204,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
     if args.alpha == np.inf:  # Beta(inf, inf) ratios come out NaN
         raise ValueError("--alpha must be finite, got inf")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if not 0 <= args.seed <= MAX_SEED:
         raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
     raw = Path(args.manifest).read_bytes()
@@ -352,9 +290,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
-    runs = []
+    runs, seen = [], set()
     for d in run_dirs:
         path = Path(d)
+        if path.resolve() in seen:
+            raise ValueError(f"run directory {path} is named twice")
+        seen.add(path.resolve())
         marker = path / DONE_MARKER
         if not marker.exists():
             continue

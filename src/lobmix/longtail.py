@@ -43,6 +43,49 @@ def json_value(value, kind: type, name: str):
     return value
 
 
+# JSON kind of every setting of each section of a config or manifest. A
+# config has a top level ("config"), a dataset section (the "synth" or
+# "cifar10" row, by its kind), a "profile" and a "train" section (the
+# TrainConfig fields but the seed, which the top level holds); a manifest
+# ("manifest") holds a "profile" too.
+SCHEMA = {
+    "config": {"dataset": dict, "profile": dict, "train": dict, "seed": int, "out_dir": str, "rng_layout": int},
+    "synth": {
+        "kind": str, "classes": int, "dim": int, "separation": float, "base_per_class": int, "test_per_class": int,
+    },
+    "cifar10": {"kind": str, "train_paths": list, "test_path": str},
+    "profile": {"kind": str, "rho": float, "n_max": int},
+    "train": {
+        "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
+        "lr_decay_epochs": list, "lr_decay_factor": float, "alpha": float, "strategy": str,
+        "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
+    },
+    "manifest": {"source": str, "profile": dict, "seed": int, "counts": list, "kept_indices": list},
+}
+
+
+def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict:
+    """Check the JSON object ``d``, section ``name``, against ``types``: its keys and their JSON kinds.
+
+    Every key of ``d`` must be in ``types``, every key of ``required`` (by
+    default every key of ``types``) must be in ``d``, and every value must
+    be of its kind, or null for a key in ``nullable``. Returns a copy of
+    ``d`` that holds every float setting as a float.
+    """
+    unknown = set(json_value(d, dict, name)) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {name} settings: {sorted(unknown)}")
+    missing = [k for k in (types if required is None else required) if k not in d]
+    if missing:
+        raise ValueError(f"missing {name} settings: {missing}")
+    checked = {}
+    for k, v in d.items():
+        if v is not None or k not in nullable:
+            v = json_value(v, types[k], f"{name}.{k}")
+        checked[k] = float(v) if types[k] is float else v
+    return checked
+
+
 def json_ints(value, name: str) -> list:
     """Return ``value`` if it holds a JSON list of integers, else raise ValueError."""
     for v in json_value(value, list, name):
@@ -107,12 +150,8 @@ class ImbalanceProfile:
         return {"kind": self.kind, "rho": self.rho, "n_max": self.n_max}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ImbalanceProfile":
-        return cls(
-            kind=d["kind"],
-            rho=float(json_value(d["rho"], float, "profile.rho")),
-            n_max=json_value(d["n_max"], int, "profile.n_max"),
-        )
+    def from_dict(cls, d: dict, name: str = "profile") -> "ImbalanceProfile":
+        return cls(**json_settings(d, SCHEMA["profile"], name))
 
 
 @dataclass(frozen=True)
@@ -245,14 +284,13 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
-        profile = json_value(d, dict, "manifest").get("profile")
-        kept = json_value(d["kept_indices"], list, "manifest.kept_indices")
+        d = json_settings(d, SCHEMA["manifest"], "manifest", nullable=("profile",))
         return cls(
-            source=json_value(d["source"], str, "manifest.source"),
-            profile=ImbalanceProfile.from_dict(json_value(profile, dict, "manifest.profile")) if profile else None,
-            seed=json_value(d["seed"], int, "manifest.seed"),
+            source=d["source"],
+            profile=None if d["profile"] is None else ImbalanceProfile.from_dict(d["profile"], "manifest.profile"),
+            seed=d["seed"],
             counts=json_ints(d["counts"], "manifest.counts"),
-            kept_indices=[json_ints(idx, f"manifest.kept_indices[{k}]") for k, idx in enumerate(kept)],
+            kept_indices=[json_ints(idx, f"manifest.kept_indices[{k}]") for k, idx in enumerate(d["kept_indices"])],
         )
 
     def save(self, path: str | Path) -> None:
@@ -315,6 +353,8 @@ def synth_gaussian_mixture(
     seed: int,
 ) -> LabeledDataset:
     """Isotropic unit-variance Gaussian blobs with centers on a sphere of radius ``separation``."""
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
     if not separation > 0:
@@ -414,6 +454,8 @@ def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:
     """Inverse of :func:`load_cifar10_binary`; features must lie in [0,1]."""
     if dataset.dim != CIFAR10_RECORD_BYTES - 1:
         raise ValueError(f"expected {CIFAR10_RECORD_BYTES - 1} features per row, got {dataset.dim}")
+    if dataset.labels.max(initial=0) >= CIFAR10_CLASSES:  # a label byte holds 0-9 only
+        raise ValueError(f"label {int(dataset.labels.max())} out of range 0-9")
     pixels = np.rint(dataset.features * 255.0)
     if pixels.min(initial=0) < 0 or pixels.max(initial=0) > 255:
         raise ValueError("features must lie in [0, 1]")

@@ -141,6 +141,8 @@ def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, s
     ``samples`` rows drawn from ``make_rng(seed, "analyze:" + name)``, with
     head incidence over the mask ``default_groups(counts) == 0``.
     """
+    if samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {samples}")
     if len(counts) < 2:
         raise ValueError("need at least 2 classes")
     if min(counts) < 1:

@@ -19,7 +19,8 @@ from lobmix import (
     subsample_longtail,
     write_cifar10_binary,
 )
-from lobmix.cli import TRAIN_TYPES, ExperimentConfig, config_hash, load_config, main, resolve_datasets
+from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve_datasets
+from lobmix.longtail import SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
 REPO = Path(__file__).resolve().parents[1]
@@ -120,6 +121,22 @@ class TestBuildLt:
         out = tmp_path / "lt"
         assert main(["build-lt", "--synth-classes", "3", "--synth-per-class", "0", "--out", str(out)]) == 2
         assert_one_error(capsys, "every class needs at least one example, got (0, 0, 0)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ["--synth-classes", "4", "--n-max", "0", "--rho", "2"],
+                "n_max=0 would shrink the smallest class below one example (rho=2.0)",
+            ),
+            (["--synth-classes", "0"], "need at least 2 classes, got 0"),
+        ],
+    )
+    def test_zero_flag_is_not_left_out(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "lt"
+        assert main(["build-lt", *flags, "--out", str(out)]) == 2
+        assert_one_error(capsys, message)
         assert not out.exists()
 
     def test_synth_base(self, tmp_path):
@@ -278,6 +295,37 @@ class TestMalformedManifest:
         assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
         assert_one_error(capsys, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,message",
+        [
+            (None, "sede", "unknown manifest settings: ['sede']"),
+            (None, "seed", "missing manifest settings: ['seed']"),
+            (None, "profile", "missing manifest settings: ['profile']"),
+            ("profile", "n_maxx", "unknown manifest.profile settings: ['n_maxx']"),
+            ("profile", "n_max", "missing manifest.profile settings: ['n_max']"),
+        ],
+    )
+    def test_unknown_or_missing_key_rejected(self, tmp_path, capsys, manifest_dict, section, key, message):
+        d = manifest_dict[section] if section else manifest_dict
+        if key in d:
+            del d[key]
+        else:
+            d[key] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest_dict))
+        capsys.readouterr()
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_null_profile_accepted(self, tmp_path, manifest_dict):
+        manifest_dict["profile"] = None
+        path = tmp_path / "lean.json"
+        path.write_text(json.dumps(manifest_dict))
+        assert DatasetManifest.load(path).profile is None
+        assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(tmp_path / "occ")]) == 0
 
     def test_index_beyond_64_bits_rejected(self, tmp_path, capsys, manifest_dict):
         manifest_dict["kept_indices"][0][0] = 2**70
@@ -514,7 +562,7 @@ class TestTrainCommand:
         del cfg["dataset"]["test_path"]
         out = tmp_path / "run"
         assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
-        assert_one_error(capsys, "dataset.test_path must be a string, got None")
+        assert_one_error(capsys, "missing dataset settings: ['test_path']")
         assert not out.exists()
 
 
@@ -530,6 +578,7 @@ class TestMalformedConfig:
             ("train", "momentum", True, "train.momentum must be a number"),
             ("profile", "rho", None, "profile.rho must be a number"),
             ("dataset", "classes", None, "dataset.classes must be an integer"),
+            ("train", "hidden", None, "train.hidden must be an integer, got None"),
             (None, "seed", None, "seed must be an integer"),
             (None, "out_dir", 5, "out_dir must be a string"),
             # json reads NaN and Infinity as floats
@@ -571,8 +620,52 @@ class TestMalformedConfig:
         assert err == ["error: missing train settings: ['lr']"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "section,key,message",
+        [
+            (None, "sed", "unknown config settings: ['sed']"),
+            (None, "train", "missing config settings: ['train']"),
+            ("dataset", "dims", "unknown dataset settings: ['dims']"),
+            ("dataset", "dim", "missing dataset settings: ['dim']"),
+            ("dataset", "kind", "unknown dataset kind None"),
+            ("profile", "nmax", "unknown profile settings: ['nmax']"),
+            ("profile", "n_max", "missing profile settings: ['n_max']"),
+            ("profile", "kind", "missing profile settings: ['kind']"),
+        ],
+    )
+    def test_unknown_or_missing_key_rejected(self, tmp_path, capsys, section, key, message):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        d = cfg[section] if section else cfg
+        if key in d:
+            del d[key]
+        else:
+            d[key] = 7
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "rename,message",
+        [("train_path", "unknown dataset settings: ['train_path']"), (None, "missing dataset settings: ['train_paths']")],
+    )
+    def test_cifar_unknown_or_missing_key_rejected(self, tmp_path, capsys, cifar_file, rename, message):
+        cfg = cifar_config([cifar_file], cifar_file, out_dir=str(tmp_path / "run"))
+        paths = cfg["dataset"].pop("train_paths")
+        if rename:
+            cfg["dataset"][rename] = paths
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_override_without_train_section(self, tmp_path, capsys):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        del cfg["train"]
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--strategy", "lob", "--alpha", "0.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: missing config settings: ['train']"]
+        assert not (tmp_path / "run").exists()
+
     def test_train_types_cover_every_setting(self):
-        assert set(TRAIN_TYPES) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+        assert set(SCHEMA["train"]) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 
     def test_other_rng_layout_rejected(self, tmp_path, capsys):
         cfg = base_config(out_dir=str(tmp_path / "run"))
@@ -678,6 +771,14 @@ class TestReport:
         with out_csv.open() as fh:
             row = next(csv.DictReader(fh))
         assert row["runs"] == "1"
+
+    def test_run_named_twice_rejected(self, tmp_path, capsys, monkeypatch):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("mixup",))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        # the same directory by another path is the same run
+        assert main(["report", str(dirs[0]), str(dirs[1]), dirs[0].name]) == 2
+        assert_one_error(capsys, f"run directory {dirs[0].name} is named twice")
 
     def test_no_completed_runs(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -787,7 +888,17 @@ class TestConfigRoundTrip:
     def test_seed_written_once_at_top_level(self):
         d = ExperimentConfig.from_dict(base_config()).to_dict()
         assert d["seed"] == 0 and "seed" not in d["train"]
-        assert set(d["train"]) == set(TRAIN_TYPES)
+        assert set(d["train"]) == set(SCHEMA["train"])
+
+    def test_float_settings_stored_as_floats(self):
+        # an integer given for a float setting is written back as a float in every section
+        cfg = base_config()
+        rows = {"dataset": SCHEMA["synth"], "profile": SCHEMA["profile"], "train": SCHEMA["train"]}
+        floats = [(section, k) for section, row in rows.items() for k, kind in row.items() if kind is float]
+        for section, k in floats:
+            cfg[section][k] = 1
+        d = ExperimentConfig.from_dict(cfg).to_dict()
+        assert [repr(d[section][k]) for section, k in floats] == ["1.0"] * 7
 
     def test_strategy_comparison_script_config(self):
         spec = importlib.util.spec_from_file_location("strategy_comparison", REPO / "scripts" / "run_strategy_comparison.py")
@@ -801,15 +912,36 @@ class TestConfigRoundTrip:
 
 class TestSamplerAblationScript:
     @staticmethod
-    def rows(monkeypatch, capsys, *args):
-        """The script's printed table, first word of each line -> the other words."""
+    def run(monkeypatch, *args):
         path = REPO / "scripts" / "run_sampler_ablation.py"
         spec = importlib.util.spec_from_file_location("sampler_ablation", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         monkeypatch.setattr("sys.argv", ["run_sampler_ablation.py", *args])
         script.main()
+
+    def rows(self, monkeypatch, capsys, *args):
+        """The script's printed table, first word of each line -> the other words."""
+        self.run(monkeypatch, *args)
         return {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--samples", "-3"), "--samples must be >= 0, got -3"),
+            (("--classes", "1"), "need at least 2 classes, got 1"),
+            (("--alpha", "inf"), "alpha must be positive and finite, got inf"),
+            (("--seed", "-1"), "root seed must fit in 64 bits, got -1"),
+            (("--n-max", "5"), "n_max=5 would shrink the smallest class below one example (rho=10.0)"),
+        ],
+    )
+    def test_bad_flag_is_one_error_line(self, monkeypatch, capsys, args, message):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(monkeypatch, "--samples", "100", *args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and errors == [f"run_sampler_ablation.py: error: {message}"]
 
     def test_prints_three_combo_rows(self, monkeypatch, capsys):
         rows = self.rows(monkeypatch, capsys, "--classes", "4", "--n-max", "50", "--samples", "2000")
@@ -855,3 +987,18 @@ class TestReadme:
         exec(compile(blocks[0], "README.md", "exec"), {})
         printed = capsys.readouterr().out.splitlines()
         assert printed[-1] == "10.0"  # the analytic ib-ib balance the snippet's comment states
+
+    def test_config_block_is_a_valid_config(self):
+        # a stale or misspelled key in the README's config fails here
+        blocks = re.findall(r"^```json\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_dict(json.loads(blocks[0]))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_train_defaults_table_matches_train_config(self):
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)`", (REPO / "README.md").read_text(), re.M)
+        table = {key: json.loads(value) for key, value in rows}
+        required = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING]
+        cfg = ExperimentConfig.from_dict({**base_config(), "train": {k: base_config()["train"][k] for k in required}})
+        defaults = {k: v for k, v in cfg.to_dict()["train"].items() if k not in required}
+        assert table == defaults

@@ -338,6 +338,15 @@ class TestCifar10Binary:
         with pytest.raises(ValueError, match="label"):
             load_cifar10_binary(path)
 
+    @pytest.mark.parametrize("label", [12, 300])
+    def test_writer_rejects_label_beyond_nine(self, tmp_path, label):
+        # a label byte holds 0-9: 300 would wrap to 44, 12 would write a file the loader rejects
+        ds = LabeledDataset(np.zeros((2, 3072)), np.array([0, label]), label + 1)
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match=f"label {label} out of range 0-9"):
+            write_cifar10_binary(ds, path)
+        assert not path.exists()
+
 
 class TestLabeledDataset:
     def test_label_bounds(self):
