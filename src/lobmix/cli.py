@@ -27,7 +27,7 @@ from .atomic import atomic_write
 from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_settings, json_value
 from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT
-from .trainer import Strategy, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
+from .trainer import GROUP_NAMES, Strategy, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -127,8 +127,7 @@ def _cifar10_base(paths) -> tuple[LabeledDataset, np.ndarray, str]:
     for p in paths:
         if not Path(p).exists():
             raise FileNotFoundError(f"base dataset file not found: {p}")
-    records = [longtail.read_cifar10_records(p) for p in paths]
-    pixels, labels = (np.concatenate(parts) for parts in zip(*records))
+    pixels, labels = longtail.read_cifar10_records(*paths)
     base = LabeledDataset(np.empty((labels.size, 0)), labels, longtail.CIFAR10_CLASSES)
     return base, pixels, ";".join(str(p) for p in paths)
 
@@ -147,15 +146,18 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
         counts = cfg.profile.class_counts(spec["classes"])
         return longtail.longtail_split(base, counts, spec["test_per_class"], seed, source=source, profile=cfg.profile)
     base, pixels, source = _cifar10_base(spec["train_paths"])
+    counts = cfg.profile.class_counts(base.num_classes)
+    kept, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
+    rows = pixels[manifest.kept_indices]
+    del pixels  # the files' bytes go before any float is made
+    # scaling commutes with the gather: the bits of load_cifar10_binary's rows
+    train_ds = LabeledDataset(np.divide(rows, 255.0, dtype=np.float64), kept.labels, kept.num_classes)
+    del rows
     test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
-    counts = cfg.profile.class_counts(base.num_classes)
-    kept, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
-    # scaling commutes with the gather: the bits of load_cifar10_binary's rows
-    features = pixels[manifest.kept_indices].astype(np.float64) / 255.0
-    return LabeledDataset(features, kept.labels, kept.num_classes), test_ds, manifest
+    return train_ds, test_ds, manifest
 
 
 def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
@@ -300,7 +302,10 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
         if not marker.exists():
             continue
         config = json_value(json.loads((path / "config.json").read_text()), dict, str(path / "config.json"))
-        evaluation = json_value(json.loads((path / "eval.json").read_text()), dict, str(path / "eval.json"))
+        name = str(path / "eval.json")
+        evaluation = json_settings(json.loads((path / "eval.json").read_text()), SCHEMA["eval"], name)
+        groups = dict.fromkeys(GROUP_NAMES, float)  # an empty group scores null
+        json_settings(evaluation["group_accuracy"], groups, f"{name}.group_accuracy", nullable=GROUP_NAMES)
         # train writes DONE last, holding the hash it also wrote into eval.json
         digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
         if not marker.read_text().strip() == evaluation.get("config_sha256") == digest:
@@ -350,7 +355,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for strategy in sorted(by_strategy):
         evals = by_strategy[strategy]
         balanced = stats([e["balanced_accuracy"] for e in evals])
-        groups = [stats([e["group_accuracy"][g] for e in evals]) for g in ("head", "medium", "tail")]
+        groups = [stats([e["group_accuracy"][g] for e in evals]) for g in GROUP_NAMES]
         rows.append([strategy, len(evals), *balanced, *groups[0], *groups[1], *groups[2], family])
 
     def emit(write_row) -> None:

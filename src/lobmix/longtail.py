@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .seeds import make_rng
 
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
 CIFAR10_CLASSES = 10
+BLOCK_BYTES = 1 << 18  # rows are scanned in blocks of about this size, so their temporaries stay in cache
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -61,6 +63,10 @@ SCHEMA = {
         "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
     },
     "manifest": {"source": str, "profile": dict, "seed": int, "counts": list, "kept_indices": list},
+    "eval": {
+        "config_sha256": str, "per_class_recall": list, "balanced_accuracy": float, "overall_accuracy": float,
+        "group_accuracy": dict,
+    },
 }
 
 
@@ -82,7 +88,7 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
     for k, v in d.items():
         if v is not None or k not in nullable:
             v = json_value(v, types[k], f"{name}.{k}")
-        checked[k] = float(v) if types[k] is float else v
+        checked[k] = float(v) if types[k] is float and v is not None else v
     return checked
 
 
@@ -171,7 +177,7 @@ class LabeledDataset:
             raise ValueError("labels must be one per feature row")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if not np.isfinite(features).all():
+        if not all(np.isfinite(features[rows]).all() for rows in row_blocks(features)):
             raise ValueError("features must be finite, got NaN or infinity")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -185,6 +191,12 @@ class LabeledDataset:
 
     def class_index(self) -> "ClassIndex":
         return ClassIndex.from_labels(self.labels, self.num_classes)
+
+
+def row_blocks(x: np.ndarray) -> list[slice]:
+    """Consecutive row slices of ``x``, about BLOCK_BYTES each and at least one row, covering its rows in order."""
+    step = max(1, BLOCK_BYTES // max(1, x[:1].nbytes))
+    return [slice(start, min(start + step, len(x))) for start in range(0, len(x), step)]
 
 
 def labels_only_dataset(counts) -> LabeledDataset:
@@ -419,23 +431,27 @@ def longtail_split(
     return train, test, manifest
 
 
-def read_cifar10_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, 3072) uint8 pixels and (N,) int64 labels of a CIFAR-10 binary file (3073-byte records).
+def read_cifar10_records(*paths: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3072) uint8 pixels and (N,) int64 labels of CIFAR-10 binary files (3073-byte records), in order.
 
-    The pixels are a read-only view of the file's bytes: callers convert only
-    the rows they keep.
+    Every file is read straight into one buffer, which the pixels view: it
+    holds the only copy of the files' bytes, and callers convert only the
+    rows they keep.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) % CIFAR10_RECORD_BYTES != 0:
-        raise ValueError(
-            f"{path}: file length {len(raw)} is not a multiple of {CIFAR10_RECORD_BYTES}-byte records"
-        )
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR10_RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
-    if labels.size and labels.max() >= CIFAR10_CLASSES:
-        bad = int(labels.max())
-        raise ValueError(f"{path}: label byte {bad} out of range 0-9")
-    return records[:, 1:], labels
+    sizes = [os.path.getsize(p) for p in paths]
+    records = np.empty((sum(sizes) // CIFAR10_RECORD_BYTES, CIFAR10_RECORD_BYTES), dtype=np.uint8)
+    start = 0
+    for path, size in zip(paths, sizes):
+        if size % CIFAR10_RECORD_BYTES != 0:
+            raise ValueError(f"{path}: file length {size} is not a multiple of {CIFAR10_RECORD_BYTES}-byte records")
+        rows = records[start : start + size // CIFAR10_RECORD_BYTES]
+        with open(path, "rb") as fh:
+            if fh.readinto(rows.reshape(-1)) != size or fh.read(1):  # shrank or grew since the stat
+                raise ValueError(f"{path}: file changed while being read")
+        if rows.size and rows[:, 0].max() >= CIFAR10_CLASSES:
+            raise ValueError(f"{path}: label byte {int(rows[:, 0].max())} out of range 0-9")
+        start += len(rows)
+    return records[:, 1:], records[:, 0].astype(np.int64)
 
 
 def load_cifar10_binary(path: str | Path) -> LabeledDataset:
@@ -443,11 +459,11 @@ def load_cifar10_binary(path: str | Path) -> LabeledDataset:
 
     This converts every record. To keep some rows of a file, read its uint8
     pixels with :func:`read_cifar10_records` and scale only the kept rows:
-    ``pixels[kept].astype(np.float64) / 255.0`` holds the same bits as
-    ``load_cifar10_binary(path).features[kept]``.
+    ``np.divide(pixels[kept], 255.0, dtype=np.float64)`` holds the same bits
+    as ``load_cifar10_binary(path).features[kept]``.
     """
     pixels, labels = read_cifar10_records(path)
-    return LabeledDataset(pixels.astype(np.float64) / 255.0, labels, CIFAR10_CLASSES)
+    return LabeledDataset(np.divide(pixels, 255.0, dtype=np.float64), labels, CIFAR10_CLASSES)
 
 
 def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .longtail import LabeledDataset
+from .longtail import LabeledDataset, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
 from .samplers import CB, IB, SamplerKind, sample_batch
@@ -72,20 +72,36 @@ def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
     features whose mean or spread overflows raise ValueError before any row
     changes, and test features that overflow once scaled raise ValueError
     after. Scaled train rows stay finite: each lies within sqrt(N) spreads
-    of the mean.
+    of the mean. The rows are read in blocks (:func:`row_blocks`), so no
+    full-size temporary is made. For C-contiguous rows of two or more
+    columns, as every ``lobmix`` command passes, the spreads have the bits
+    of ``x.std(axis=0)``; numpy sums other layouts pairwise, so their
+    spreads may differ from it in the last bits.
     """
     if np.may_share_memory(train.features, test.features):  # their rows would be scaled twice
         raise ValueError("train and test features must be separate arrays")
-    offset = train.features.mean(axis=0)
-    scale = train.features.std(axis=0)
+    x = train.features
+    offset = x.mean(axis=0)
+    # x.std adds the squared deviations row after row; so does the reduce of
+    # each block, whose first row holds the running column sums
+    blocks = row_blocks(x)
+    squares = np.zeros((1 + (blocks[0].stop if blocks else 0), x.shape[1]))
+    for rows in blocks:
+        block = squares[1 : 1 + rows.stop - rows.start]
+        np.subtract(x[rows], offset, out=block)
+        np.multiply(block, block, out=block)
+        squares[0] = np.add.reduce(squares[: 1 + len(block)], axis=0)
+    scale = np.sqrt(squares[0] / len(x))
     scale[scale == 0] = 1.0
     if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
         raise ValueError("train features are too large to standardize: their mean or spread overflows")
-    for x in (train.features, test.features):
-        x -= offset
-        x /= scale
-    if not np.isfinite(test.features).all():
-        raise ValueError("test features overflow when scaled by the train split's mean and spread")
+    for features in (x, test.features):
+        for rows in row_blocks(features):
+            block = features[rows]
+            block -= offset
+            block /= scale
+            if features is test.features and not np.isfinite(block).all():
+                raise ValueError("test features overflow when scaled by the train split's mean and spread")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

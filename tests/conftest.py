@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,17 @@ def lt_counts() -> tuple[int, ...]:
 def lt_dataset(lt_counts) -> LabeledDataset:
     """Labels-only dataset with the rho=10 exponential profile."""
     return labels_only_dataset(lt_counts)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, peak)``: what ``fn(*args, **kwargs)`` returns, and the traced peak, in bytes, of what it allocates."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # Dense scalar reference for one mixed row: the oracle that the vectorized

@@ -3,7 +3,6 @@ import dataclasses
 import importlib.util
 import json
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,8 @@ from lobmix import (
 from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve_datasets
 from lobmix.longtail import SCHEMA
 from lobmix.seeds import RNG_LAYOUT
+
+from conftest import traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -232,21 +233,16 @@ class TestTwoFileCifar:
         assert (out / "manifest.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
     def test_resolve_datasets_memory(self, tmp_path, files):
-        """Only kept rows become float64: the traced peak stays within their bytes plus twice the files'."""
+        """Only kept rows become float64: the traced peak stays within their bytes plus the files'."""
         labels = np.repeat(np.arange(10), 20)
         pixels = np.random.default_rng(5).integers(0, 256, size=(labels.size, 3072), dtype=np.uint8)
         test_path = tmp_path / "test.bin"
         write_cifar10_binary(LabeledDataset(pixels / 255.0, labels, 10), test_path)
         paths = files[:2]
         cfg = load_config(write_config(tmp_path, cifar_config(paths, test_path)), seed=6)
-        tracemalloc.start()
-        try:
-            train_ds, test_ds, _ = resolve_datasets(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (train_ds, test_ds, _), peak = traced_peak(resolve_datasets, cfg)
         source_bytes = sum(Path(p).stat().st_size for p in (*paths, test_path))
-        assert peak <= train_ds.features.nbytes + test_ds.features.nbytes + 2 * source_bytes
+        assert peak <= train_ds.features.nbytes + test_ds.features.nbytes + source_bytes
 
 
 class TestMalformedManifest:
@@ -762,6 +758,38 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", *map(str, dirs)]) == 2
         assert_one_error(capsys, message)
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda e: e.pop("balanced_accuracy"), "missing {} settings: ['balanced_accuracy']"),
+            (lambda e: e.update(balanced_accuracy="x"), "{}.balanced_accuracy must be a number, got 'x'"),
+            (lambda e: e.update(seed=3), "unknown {} settings: ['seed']"),
+            (lambda e: e["group_accuracy"].pop("tail"), "missing {}.group_accuracy settings: ['tail']"),
+            (lambda e: e["group_accuracy"].update(head=[]), "{}.group_accuracy.head must be a number, got []"),
+        ],
+    )
+    def test_malformed_eval_rejected(self, tmp_path, capsys, edit, message):
+        # DONE holds the config hash only, so an edited eval.json of a finished run gets this far
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        path = dirs[1] / "eval.json"
+        evaluation = json.loads(path.read_text())
+        edit(evaluation)
+        path.write_text(json.dumps(evaluation))
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs)]) == 2
+        assert_one_error(capsys, message.format(path))
+
+    def test_null_group_accuracy_reported_empty(self, tmp_path, capsys):
+        dirs = self._run_many(tmp_path, seeds=(0,), strategies=("erm",))
+        path = dirs[0] / "eval.json"
+        evaluation = json.loads(path.read_text())
+        evaluation["group_accuracy"]["tail"] = None  # an empty group
+        path.write_text(json.dumps(evaluation))
+        capsys.readouterr()
+        assert main(["report", str(dirs[0])]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[8:10] == ["", ""]
 
     def test_incomplete_runs_ignored(self, tmp_path):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))

@@ -17,8 +17,9 @@ from lobmix import (
     synth_gaussian_mixture,
     write_cifar10_binary,
 )
+from lobmix import longtail
 from lobmix.cli import main
-from lobmix.longtail import mixture_centers, read_cifar10_records
+from lobmix.longtail import BLOCK_BYTES, mixture_centers, read_cifar10_records, row_blocks
 
 from conftest import CIFAR_LT_RHO10
 
@@ -317,7 +318,36 @@ class TestCifar10Binary:
         kept = np.array([39, 0, 7, 7, 21])
         scaled = pixels[kept].astype(np.float64) / 255.0
         assert scaled.tobytes() == load_cifar10_binary(path).features[kept].tobytes()
+        assert np.divide(pixels[kept], 255.0, dtype=np.float64).tobytes() == scaled.tobytes()
         assert np.array_equal(labels, ds.labels)
+
+    def test_records_of_several_files_in_order(self, tmp_path):
+        paths = [tmp_path / f"{n}.bin" for n in range(3)]
+        parts = [self._random_cifar(n, seed=n) for n in (7, 0, 5)]
+        for part, path in zip(parts, paths):
+            write_cifar10_binary(part, path)
+        pixels, labels = read_cifar10_records(*paths)
+        assert pixels.shape == (12, 3072)
+        assert np.array_equal(pixels / 255.0, np.concatenate([p.features for p in parts]))
+        assert np.array_equal(labels, np.concatenate([p.labels for p in parts]))
+
+    @pytest.mark.parametrize("flaw", ["length", "label"])
+    def test_several_files_name_the_bad_one(self, tmp_path, flaw):
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        write_cifar10_binary(self._random_cifar(3), good)
+        bad.write_bytes(b"\x00" * 3072 if flaw == "length" else bytes([10]) + b"\x00" * 3072)
+        message = "file length 3072 is not a multiple" if flaw == "length" else "label byte 10 out of range"
+        with pytest.raises(ValueError, match=f"{bad}: {message}"):
+            read_cifar10_records(good, bad)
+
+    # as if the file shrank (3 records stated, 2 read) or grew (1 stated, 2 read) after the stat
+    @pytest.mark.parametrize("stated", [3, 1])
+    def test_file_changed_after_stat_rejected(self, tmp_path, monkeypatch, stated):
+        path = tmp_path / "batch.bin"
+        write_cifar10_binary(self._random_cifar(2), path)
+        monkeypatch.setattr(longtail.os.path, "getsize", lambda p: stated * 3073)
+        with pytest.raises(ValueError, match="file changed while being read"):
+            read_cifar10_records(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -365,6 +395,20 @@ class TestLabeledDataset:
         features[2, 1] = bad
         with pytest.raises(ValueError, match="features must be finite, got NaN or infinity"):
             LabeledDataset(features, np.array([0, 1, 1]), 2)
+
+    def test_non_finite_in_last_block_rejected(self):
+        features = np.zeros((3 * (BLOCK_BYTES // 32) + 7, 4))
+        assert len(row_blocks(features)) == 4
+        features[-1, 3] = np.nan
+        with pytest.raises(ValueError, match="features must be finite, got NaN or infinity"):
+            LabeledDataset(features, np.zeros(len(features), dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 0), (9, 3), (3 * (BLOCK_BYTES // 24) + 1, 3)])
+    def test_row_blocks_cover_every_row_once(self, shape):
+        x = np.zeros(shape)
+        blocks = row_blocks(x)
+        assert [i for b in blocks for i in range(len(x))[b]] == list(range(len(x)))
+        assert all(x[b].nbytes <= max(BLOCK_BYTES, x[:1].nbytes) for b in blocks)
 
 
 class TestClassIndex:

@@ -25,6 +25,7 @@ from lobmix import (
     synth_gaussian_mixture,
     train,
 )
+from lobmix.longtail import BLOCK_BYTES
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights
 from lobmix.trainer import (
     GROUP_NAMES,
@@ -36,7 +37,7 @@ from lobmix.trainer import (
     write_history_csv,
 )
 
-from conftest import dense_targets, reference_train, soft_cross_entropy
+from conftest import dense_targets, reference_train, soft_cross_entropy, traced_peak
 
 EPS = np.finfo(np.float64).eps
 
@@ -278,6 +279,48 @@ class TestStandardize:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="test features overflow when scaled by the train split's mean"):
                 standardize(train_ds, test_ds)
+
+    # standardize reads rows in blocks of BLOCK_BYTES: these inputs end in a partial block
+    DIM = 4
+    BLOCK = BLOCK_BYTES // (8 * DIM)
+
+    def test_blocks_bitwise_the_expression(self):
+        raw = np.random.default_rng(53).normal(size=(3 * self.BLOCK + 7, self.DIM))
+        raw[:, 1] = -2.5  # no spread
+        raw[:, 2] += 1e9  # a large offset: the squared deviations carry the bits of the subtraction
+        train_ds, test_ds = labeled(raw.copy()), labeled(raw[::-1].copy())
+        standardize(train_ds, test_ds)
+        std = raw.std(axis=0)
+        assert std[1] == 0.0
+        for ds, rows in ((train_ds, raw), (test_ds, raw[::-1])):
+            assert ds.features.tobytes() == ((rows - raw.mean(axis=0)) / np.where(std == 0, 1.0, std)).tobytes()
+
+    # 1e155 in the last row overflows only its own squared deviation; 1e308
+    # in each row of the last block overflows the mean
+    @pytest.mark.parametrize(("rows", "value"), [(slice(-1, None), 1e155), (slice(-7, None), 1e308)])
+    def test_overflow_in_last_block_rejected(self, rows, value):
+        raw = np.random.default_rng(59).normal(size=(3 * self.BLOCK + 7, self.DIM))
+        raw[rows, 3] = value
+        train_ds, test_ds = labeled(raw.copy()), labeled(raw[:5].copy())
+        with pytest.raises(ValueError, match="too large to standardize: their mean or spread overflows"):
+            standardize(train_ds, test_ds)
+        assert np.array_equal(train_ds.features, raw) and np.array_equal(test_ds.features, raw[:5])
+
+    def test_test_overflow_in_last_block_rejected(self):
+        train_ds = labeled(np.array([[-8e307, 0.0], [-8e307, 1.0]]))
+        test = np.zeros((3 * (BLOCK_BYTES // 16) + 7, 2))
+        test[-1, 0] = 1.7e308  # beyond the float range once shifted by the train mean
+        with pytest.raises(ValueError, match="test features overflow when scaled by the train split's mean"):
+            standardize(train_ds, labeled(test))
+
+    def test_memory(self):
+        """No full-size temporary: the traced peak stays below a tenth of the train rows' bytes."""
+        dim = 256
+        rng = np.random.default_rng(61)
+        train_ds = labeled(rng.normal(size=(20 * BLOCK_BYTES // (8 * dim) + 7, dim)))
+        test_ds = labeled(rng.normal(size=(500, dim)))
+        _, peak = traced_peak(standardize, train_ds, test_ds)
+        assert peak < train_ds.features.nbytes / 10
 
     def test_shared_rows_rejected(self):
         raw = np.random.default_rng(47).normal(size=(12, 3))
