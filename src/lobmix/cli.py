@@ -148,11 +148,14 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     base, pixels, source = _cifar10_base(spec["train_paths"])
     counts = cfg.profile.class_counts(base.num_classes)
     kept, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
-    rows = pixels[manifest.kept_indices]
-    del pixels  # the files' bytes go before any float is made
-    # scaling commutes with the gather: the bits of load_cifar10_binary's rows
-    train_ds = LabeledDataset(np.divide(rows, 255.0, dtype=np.float64), kept.labels, kept.num_classes)
-    del rows
+    features = np.empty((len(kept), pixels.shape[1]))
+    # kept rows are gathered and scaled a block at a time, so no uint8 copy of
+    # them is made; scaling commutes with the gather: the bits of
+    # load_cifar10_binary's rows
+    for rows in longtail.row_blocks(features):
+        np.divide(pixels[manifest.kept_indices[rows]], 255.0, out=features[rows], dtype=np.float64)
+    del pixels  # unmaps the files' bytes before the test file is read
+    train_ds = LabeledDataset(features, kept.labels, kept.num_classes)
     test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):

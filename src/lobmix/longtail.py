@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import sys
 from collections.abc import Sequence
@@ -431,39 +432,84 @@ def longtail_split(
     return train, test, manifest
 
 
+def _record_count(path: str | Path) -> int:
+    """The records of the file at ``path``, counted from its size; ValueError unless that is whole records."""
+    size = os.path.getsize(path)
+    if size % CIFAR10_RECORD_BYTES != 0:
+        raise ValueError(f"{path}: file length {size} is not a multiple of {CIFAR10_RECORD_BYTES}-byte records")
+    return size // CIFAR10_RECORD_BYTES
+
+
+def _read_records(path: str | Path, blocks: list[slice], buffer: np.ndarray):
+    """Yield ``(rows, records)`` for each slice ``rows`` of ``blocks``: the file's next ``rows`` records.
+
+    ``blocks`` are slices of as many rows in all as :func:`_record_count`
+    counted in the file, none longer than ``buffer`` (uint8 rows of 3073
+    bytes); ``records`` is the leading rows of ``buffer``, yielded once the
+    block is read and its label bytes are checked. A file that holds fewer
+    or more bytes than its size said, or a label byte beyond 9, raises
+    ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        for rows in blocks:
+            records = buffer[: rows.stop - rows.start]
+            if fh.readinto(records.reshape(-1)) != records.nbytes:  # shrank since the stat
+                raise ValueError(f"{path}: file changed while being read")
+            if records.size and records[:, 0].max() >= CIFAR10_CLASSES:
+                raise ValueError(f"{path}: label byte {int(records[:, 0].max())} out of range 0-9")
+            yield rows, records
+        if fh.read(1):  # grew since the stat
+            raise ValueError(f"{path}: file changed while being read")
+
+
 def read_cifar10_records(*paths: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """The (N, 3072) uint8 pixels and (N,) int64 labels of CIFAR-10 binary files (3073-byte records), in order.
 
     Every file is read straight into one buffer, which the pixels view: it
     holds the only copy of the files' bytes, and callers convert only the
-    rows they keep.
+    rows they keep. The buffer is an anonymous memory mapping, unmapped when
+    its last view goes. A heap block of its size, once freed, would raise
+    malloc's mmap threshold, so that later blocks up to that size would come
+    from the heap and stay resident after they are freed.
     """
-    sizes = [os.path.getsize(p) for p in paths]
-    records = np.empty((sum(sizes) // CIFAR10_RECORD_BYTES, CIFAR10_RECORD_BYTES), dtype=np.uint8)
+    counts = [_record_count(p) for p in paths]
+    n = sum(counts)
+    # private, as malloc's own mappings are (a shared one is faulted in 4 KiB
+    # at a time), and at least 1 byte long: a zero-length mapping is an error
+    buffer = mmap.mmap(-1, max(1, n * CIFAR10_RECORD_BYTES), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # numpy asks the same for its large arrays: far fewer page faults
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    records = np.frombuffer(buffer, dtype=np.uint8, count=n * CIFAR10_RECORD_BYTES).reshape(n, CIFAR10_RECORD_BYTES)
+    labels = np.empty(n, dtype=np.int64)
     start = 0
-    for path, size in zip(paths, sizes):
-        if size % CIFAR10_RECORD_BYTES != 0:
-            raise ValueError(f"{path}: file length {size} is not a multiple of {CIFAR10_RECORD_BYTES}-byte records")
-        rows = records[start : start + size // CIFAR10_RECORD_BYTES]
-        with open(path, "rb") as fh:
-            if fh.readinto(rows.reshape(-1)) != size or fh.read(1):  # shrank or grew since the stat
-                raise ValueError(f"{path}: file changed while being read")
-        if rows.size and rows[:, 0].max() >= CIFAR10_CLASSES:
-            raise ValueError(f"{path}: label byte {int(rows[:, 0].max())} out of range 0-9")
-        start += len(rows)
-    return records[:, 1:], records[:, 0].astype(np.int64)
+    for path, count in zip(paths, counts):
+        whole = slice(start, start + count)
+        for rows, block in _read_records(path, [whole], records[whole]):
+            labels[rows] = block[:, 0]
+        start += count
+    return records[:, 1:], labels
 
 
 def load_cifar10_binary(path: str | Path) -> LabeledDataset:
     """Parse a CIFAR-10 binary file with every pixel scaled to [0,1] as float64.
 
-    This converts every record. To keep some rows of a file, read its uint8
-    pixels with :func:`read_cifar10_records` and scale only the kept rows:
+    The records are read in blocks of about BLOCK_BYTES of floats
+    (:func:`row_blocks`) into one small reused buffer, and each block is
+    scaled into the float array: no copy of the whole file is made. To keep
+    some rows of files, read their uint8 pixels with
+    :func:`read_cifar10_records` and scale only the kept rows:
     ``np.divide(pixels[kept], 255.0, dtype=np.float64)`` holds the same bits
     as ``load_cifar10_binary(path).features[kept]``.
     """
-    pixels, labels = read_cifar10_records(path)
-    return LabeledDataset(np.divide(pixels, 255.0, dtype=np.float64), labels, CIFAR10_CLASSES)
+    count = _record_count(path)
+    features = np.empty((count, CIFAR10_RECORD_BYTES - 1))
+    labels = np.empty(count, dtype=np.int64)
+    blocks = row_blocks(features)
+    buffer = np.empty((blocks[0].stop if blocks else 0, CIFAR10_RECORD_BYTES), dtype=np.uint8)
+    for rows, block in _read_records(path, blocks, buffer):
+        np.divide(block[:, 1:], 255.0, out=features[rows], dtype=np.float64)
+        labels[rows] = block[:, 0]
+    return LabeledDataset(features, labels, CIFAR10_CLASSES)
 
 
 def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:

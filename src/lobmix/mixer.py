@@ -65,17 +65,24 @@ def draw_pairs(
     return i, j, sample_lambda(alpha, rng, size=size)
 
 
-def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray, out: tuple | None = None) -> np.ndarray:
     """Feature rows ``lam * features[i] + (1 - lam) * features[j]``.
 
-    The rows are built in two new arrays, the gathered ``features[i]`` and
+    The rows are built in two arrays, the gathered ``features[i]`` and
     ``features[j]``, scaled and summed in place: the same IEEE operations in
     the same order as the expression, so the same bits. ``features`` is not
-    changed.
+    changed. Without ``out`` the two arrays are new; with ``out=(a, b)``, two
+    ``(len(i), D)`` float64 arrays, they are ``a`` and ``b``, and ``a`` is
+    returned. The gathers into ``out`` clip an index outside ``[0, N)`` to
+    the nearest row instead of raising (a bounds-checked gather into ``out``
+    would go through a hidden copy of it), so the caller checks ``i`` and
+    ``j``, as :func:`~lobmix.trainer.train` does.
     """
-    rows = features.take(i, axis=0)
+    a, b = (None, None) if out is None else out
+    mode = "raise" if out is None else "clip"
+    rows = features.take(i, axis=0, out=a, mode=mode)
     rows *= lam[:, None]
-    other = features.take(j, axis=0)
+    other = features.take(j, axis=0, out=b, mode=mode)
     other *= (1.0 - lam)[:, None]
     rows += other
     return rows

@@ -325,8 +325,11 @@ def train(
     ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
     ``b`` is rows ``[b * batch_size, (b + 1) * batch_size)``. Only indices,
     ratios and the epoch's :func:`_target_plan` are held (72 bytes a row,
-    the taken target probabilities included); features are blended batch by
-    batch, and the batch losses are reduced once the epoch's steps are done.
+    the taken target probabilities included); features are gathered and
+    blended batch by batch into two ``(batch_size, dim)`` buffers made once
+    a run (:func:`~lobmix.mixer.blend`'s ``out``), so a step allocates no
+    feature rows, and the batch losses are reduced once the epoch's steps
+    are done.
     Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     The model works on the rows it is given: :func:`standardize` the two
@@ -347,6 +350,7 @@ def train(
     history: list[EpochStats] = []
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
+    batch = (np.empty((size, train_ds.dim)), np.empty((size, train_ds.dim)))
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -356,13 +360,16 @@ def train(
             lam = 1.0
         else:
             i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
+        # labels[i] and labels[j] raise on an index beyond the rows before any
+        # batch is gathered, so the gathers below may clip (the samplers draw
+        # from index.flat, which holds no negative index)
         pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size, train_ds.num_classes)
         for b in range(cfg.batches_per_epoch):
             rows = slice(b * size, (b + 1) * size)
             if kinds is None:
-                x = train_ds.features[i[rows]]
+                x = train_ds.features.take(i[rows], axis=0, out=batch[0], mode="clip")
             else:
-                x = blend(train_ds.features, i[rows], j[rows], lam[rows])
+                x = blend(train_ds.features, i[rows], j[rows], lam[rows], out=batch)
             grads = _grad_step(params, x, pos[b], weights[b], taken[b])
             for w, g, v in zip(params.weights, grads, velocity):  # each g is a fresh array
                 if cfg.weight_decay:

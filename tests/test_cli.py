@@ -2,7 +2,12 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import mmap
+import os
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +23,15 @@ from lobmix import (
     subsample_longtail,
     write_cifar10_binary,
 )
+from lobmix import longtail
 from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve_datasets
-from lobmix.longtail import SCHEMA
+from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
 from conftest import traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = Path(longtail.__file__).resolve().parents[1]  # the directory holding the lobmix package
 
 
 @pytest.fixture()
@@ -157,6 +164,24 @@ class TestBuildLt:
         assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
 
 
+# Prints the rise of the peak RSS over resolve_datasets of the config named
+# by argv[1], then the bytes of its train floats and of its test floats. It
+# reads VmHWM, the peak RSS of its own address space: ru_maxrss would start
+# from the peak of the process that spawned it.
+RSS_CHILD = """
+import re, sys
+import numpy.random  # numpy imports it on first use, which lobmix's first draw would count
+from lobmix.cli import load_config, resolve_datasets
+
+def peak_bytes():
+    return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", open("/proc/self/status").read()).group(1))
+
+base = peak_bytes()
+train, test, _ = resolve_datasets(load_config(sys.argv[1]))
+print(peak_bytes() - base, train.features.nbytes, test.features.nbytes)
+"""
+
+
 class TestTwoFileCifar:
     """Several CIFAR-10 files are one base: their records concatenated in order."""
 
@@ -211,11 +236,18 @@ class TestTwoFileCifar:
         train, manifest = subsample_longtail(base, profile.class_counts(10), seed, source=source, profile=profile)
         return train, load_cifar10_binary(test_path), manifest
 
-    @pytest.mark.parametrize("num_files", [1, 2])
-    def test_resolve_datasets_match_float_oracle(self, tmp_path, files, cifar_file, num_files):
+    # the kept rows (203 at n_max 40, 493 at 97) end in a partial row block
+    @pytest.mark.parametrize(
+        "num_files,n_max", [pytest.param(1, 40, id="1"), pytest.param(2, 40, id="2"), pytest.param(2, 97, id="2-n_max97")]
+    )
+    def test_resolve_datasets_match_float_oracle(self, tmp_path, files, cifar_file, num_files, n_max):
         paths = files[:2] if num_files == 2 else files[2:]
-        cfg = load_config(write_config(tmp_path, cifar_config(paths, cifar_file)), seed=6)
+        config = cifar_config(paths, cifar_file)
+        config["profile"]["n_max"] = n_max
+        cfg = load_config(write_config(tmp_path, config), seed=6)
         got = resolve_datasets(cfg)
+        blocks = longtail.row_blocks(got[0].features)
+        assert len(blocks) > 1 and len(got[0]) % (blocks[0].stop - blocks[0].start) != 0
         want = self.float_oracle(paths, cifar_file, cfg.profile, 6)
         for ds, oracle in zip(got[:2], want[:2]):
             assert ds.features.dtype == np.float64
@@ -241,8 +273,50 @@ class TestTwoFileCifar:
         paths = files[:2]
         cfg = load_config(write_config(tmp_path, cifar_config(paths, test_path)), seed=6)
         (train_ds, test_ds, _), peak = traced_peak(resolve_datasets, cfg)
-        source_bytes = sum(Path(p).stat().st_size for p in (*paths, test_path))
-        assert peak <= train_ds.features.nbytes + test_ds.features.nbytes + source_bytes
+        # the files' bytes sit in a memory mapping, which tracemalloc does not
+        # see: test_resolve_datasets_rss_in_a_fresh_process counts them
+        assert peak <= train_ds.features.nbytes + test_ds.features.nbytes + 2 * BLOCK_BYTES
+
+    def test_resolve_datasets_rss_in_a_fresh_process(self, tmp_path):
+        """The peak RSS rises by the floats and a few row blocks: no copy of the files' bytes is resident with them.
+
+        The train files' records are gathered into the train floats, so they
+        coexist once; as on CIFAR-10, the test floats outweigh them.
+        """
+        rng = np.random.default_rng(7)
+        labels = np.repeat(np.arange(10), 120)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "test.bin"]
+        for path, rows in zip(paths, (labels, labels, labels[::3])):
+            pixels = rng.integers(0, 256, size=(rows.size, 3072), dtype=np.uint8)
+            write_cifar10_binary(LabeledDataset(pixels / 255.0, rng.permutation(rows), 10), path)
+        cfg = cifar_config(paths[:2], paths[2])
+        cfg["profile"]["n_max"] = 100
+        config = write_config(tmp_path, cfg)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), os.environ.get("PYTHONPATH", "")))}
+        out = subprocess.run([sys.executable, "-c", RSS_CHILD, str(config)], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        rise, train_bytes, test_bytes = map(int, out.stdout.split())
+        source_bytes = paths[0].stat().st_size + paths[1].stat().st_size
+        assert test_bytes > source_bytes > 7 << 20
+        assert rise <= train_bytes + test_bytes + 4 * BLOCK_BYTES + (1 << 20)  # 1 MiB for the interpreter
+
+    def test_records_mapping_released(self, tmp_path, files, cifar_file, monkeypatch):
+        """The train files' records live in one anonymous mapping, unmapped once resolve_datasets returns."""
+        mappings = []
+        read = longtail.read_cifar10_records
+
+        def spy(*paths):
+            pixels, labels = read(*paths)
+            owner = pixels
+            while not isinstance(owner, mmap.mmap):  # views of views of a memoryview of the mapping
+                owner = owner.obj if isinstance(owner, memoryview) else owner.base
+            mappings.append(weakref.ref(owner))
+            return pixels, labels
+
+        monkeypatch.setattr(longtail, "read_cifar10_records", spy)
+        cfg = load_config(write_config(tmp_path, cifar_config(files[:2], cifar_file)), seed=6)
+        train_ds, test_ds, _ = resolve_datasets(cfg)  # the datasets hold no view of the mapping
+        assert len(mappings) == 1 and mappings[0]() is None
 
 
 class TestMalformedManifest:

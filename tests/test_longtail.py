@@ -282,6 +282,10 @@ class TestSynthGaussianMixture:
             synth_gaussian_mixture(3, (5, 5, 5), 4, 1e308, seed=0)
 
 
+# rows of float pixels in one row block: load_cifar10_binary reads a file a block at a time
+CIFAR_BLOCK_ROWS = BLOCK_BYTES // (3072 * 8)
+
+
 class TestCifar10Binary:
     def _random_cifar(self, n, seed=0):
         rng = np.random.default_rng(seed)
@@ -341,19 +345,56 @@ class TestCifar10Binary:
             read_cifar10_records(good, bad)
 
     # as if the file shrank (3 records stated, 2 read) or grew (1 stated, 2 read) after the stat
-    @pytest.mark.parametrize("stated", [3, 1])
-    def test_file_changed_after_stat_rejected(self, tmp_path, monkeypatch, stated):
+    @pytest.mark.parametrize(
+        "stated,reader",
+        [
+            pytest.param(3, read_cifar10_records, id="3"),
+            pytest.param(1, read_cifar10_records, id="1"),
+            pytest.param(3, load_cifar10_binary, id="3-load"),
+            pytest.param(1, load_cifar10_binary, id="1-load"),
+        ],
+    )
+    def test_file_changed_after_stat_rejected(self, tmp_path, monkeypatch, stated, reader):
         path = tmp_path / "batch.bin"
         write_cifar10_binary(self._random_cifar(2), path)
         monkeypatch.setattr(longtail.os.path, "getsize", lambda p: stated * 3073)
         with pytest.raises(ValueError, match="file changed while being read"):
-            read_cifar10_records(path)
+            reader(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
         ds = load_cifar10_binary(path)
         assert len(ds) == 0
+
+    @pytest.mark.parametrize("files", [0, 1])
+    def test_no_records(self, tmp_path, files):
+        # mmap rejects a length of 0, so no records still map one byte
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        pixels, labels = read_cifar10_records(*[path][:files])
+        assert pixels.shape == (0, 3072) and pixels.dtype == np.uint8
+        assert labels.shape == (0,) and labels.dtype == np.int64
+
+    def test_blocks_bitwise_the_whole_file(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        rows = 3 * CIFAR_BLOCK_ROWS + 7
+        write_cifar10_binary(self._random_cifar(rows, seed=4), path)
+        assert len(row_blocks(np.empty((rows, 3072)))) == 4
+        pixels, labels = read_cifar10_records(path)
+        ds = load_cifar10_binary(path)
+        assert ds.features.tobytes() == np.divide(pixels, 255.0, dtype=np.float64).tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    def test_bad_label_in_last_block_named(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        rows = 3 * CIFAR_BLOCK_ROWS + 7
+        write_cifar10_binary(self._random_cifar(rows), path)
+        raw = bytearray(path.read_bytes())
+        raw[(rows - 1) * 3073] = 10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"{path}: label byte 10 out of range 0-9"):
+            load_cifar10_binary(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.bin"

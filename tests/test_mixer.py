@@ -17,7 +17,7 @@ from lobmix import (
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
 from lobmix.seeds import make_rng
 
-from conftest import mix_pair, mix_pair_rows
+from conftest import mix_pair, mix_pair_rows, traced_peak
 
 
 def stabilized(x: float) -> float:
@@ -250,4 +250,19 @@ class TestBlend:
         expect = lam[:, None] * features[i] + (1 - lam)[:, None] * features[j]
         assert out.shape == expect.shape and out.dtype == expect.dtype
         assert out.tobytes() == expect.tobytes()
+        bufs = (np.full_like(expect, np.nan), np.full_like(expect, np.nan))  # stale rows must not leak through
+        assert blend(features, i, j, lam, out=bufs) is bufs[0]
+        assert bufs[0].tobytes() == expect.tobytes()
         assert features.tobytes() == before.tobytes()
+
+    def test_out_allocates_no_batch(self):
+        # numpy's bounds-checked take gathers into a hidden copy of out; the clipped one writes out directly.
+        # The scaling by lam takes a 64 KiB ufunc buffer of its own, a fixed size below the batch's 256 KiB.
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(1000, 256))
+        i, j = rng.integers(0, 1000, size=(2, 128))
+        lam = rng.uniform(size=128)
+        bufs = (np.empty((128, 256)), np.empty((128, 256)))
+        rows, peak = traced_peak(blend, features, i, j, lam, out=bufs)
+        assert rows is bufs[0] and rows.tobytes() == blend(features, i, j, lam).tobytes()
+        assert peak < rows.nbytes
