@@ -11,9 +11,10 @@ import json
 import tempfile
 from pathlib import Path
 
+from lobmix import Strategy
 from lobmix.cli import main as lobmix_main
 
-STRATEGIES = ("erm", "mixup", "lob", "deferred")
+STRATEGIES = tuple(s.value for s in Strategy)
 
 
 def experiment_config() -> dict:
@@ -47,6 +48,8 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--out", default=None, help="directory for run outputs (default: temp dir)")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="lobmix-strategies-"))
     root.mkdir(parents=True, exist_ok=True)

@@ -5,8 +5,6 @@ from .longtail import (
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
-    apply_manifest,
-    labels_only_dataset,
     load_cifar10_binary,
     longtail_split,
     subsample_longtail,
@@ -44,13 +42,11 @@ __all__ = [
     "Strategy",
     "TrainConfig",
     "analytic_occurrence",
-    "apply_manifest",
     "blend",
     "draw_pairs",
     "empirical_occurrence",
     "evaluate",
     "forward",
-    "labels_only_dataset",
     "load_cifar10_binary",
     "longtail_split",
     "loss_and_grad",

@@ -117,19 +117,13 @@ def load_config(
     return ExperimentConfig.from_dict({**d, **top})
 
 
-def _cifar10_base(paths) -> tuple[LabeledDataset, np.ndarray, str]:
-    """The records of CIFAR-10 binary files, concatenated in order, and the manifest source naming them.
-
-    The records come as a labels-only dataset, which is all the subsampler
-    reads, and their (N, 3072) uint8 pixels, so that only kept rows are ever
-    converted to float.
-    """
+def _cifar10_base(paths) -> tuple[np.ndarray, np.ndarray, str]:
+    """The (N, 3072) uint8 pixels and (N,) labels of CIFAR-10 binary files, in order, and the source naming them."""
     for p in paths:
         if not Path(p).exists():
             raise FileNotFoundError(f"base dataset file not found: {p}")
     pixels, labels = longtail.read_cifar10_records(*paths)
-    base = LabeledDataset(np.empty((labels.size, 0)), labels, longtail.CIFAR10_CLASSES)
-    return base, pixels, ";".join(str(p) for p in paths)
+    return pixels, labels, ";".join(str(p) for p in paths)
 
 
 def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed: int) -> tuple[LabeledDataset, str]:
@@ -144,18 +138,24 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     if spec["kind"] == "synth":
         base, source = _synth_base(spec["classes"], spec["dim"], spec["separation"], spec["base_per_class"], seed)
         counts = cfg.profile.class_counts(spec["classes"])
-        return longtail.longtail_split(base, counts, spec["test_per_class"], seed, source=source, profile=cfg.profile)
-    base, pixels, source = _cifar10_base(spec["train_paths"])
-    counts = cfg.profile.class_counts(base.num_classes)
-    kept, manifest = longtail.subsample_longtail(base, counts, seed, source=source, profile=cfg.profile)
-    features = np.empty((len(kept), pixels.shape[1]))
+        test_idx, manifest = longtail.longtail_split(
+            base.class_index(), counts, spec["test_per_class"], seed, source=source, profile=cfg.profile
+        )
+        kept = manifest.kept_indices
+        train_ds = LabeledDataset(base.features[kept], base.labels[kept], base.num_classes)
+        return train_ds, LabeledDataset(base.features[test_idx], base.labels[test_idx], base.num_classes), manifest
+    pixels, labels, source = _cifar10_base(spec["train_paths"])
+    index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
+    counts = cfg.profile.class_counts(index.num_classes)
+    manifest = longtail.subsample_longtail(index, counts, seed, source=source, profile=cfg.profile)
+    features = np.empty((len(manifest.kept_indices), pixels.shape[1]))
     # kept rows are gathered and scaled a block at a time, so no uint8 copy of
     # them is made; scaling commutes with the gather: the bits of
     # load_cifar10_binary's rows
     for rows in longtail.row_blocks(features):
         np.divide(pixels[manifest.kept_indices[rows]], 255.0, out=features[rows], dtype=np.float64)
     del pixels  # unmaps the files' bytes before the test file is read
-    train_ds = LabeledDataset(features, kept.labels, kept.num_classes)
+    train_ds = LabeledDataset(features, labels[manifest.kept_indices], index.num_classes)
     test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):
@@ -169,22 +169,25 @@ def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
 
 
 def cmd_build_lt(args: argparse.Namespace) -> int:
+    if args.base and args.synth_classes is not None:
+        raise ValueError("provide --base file(s) or a --synth-classes spec, not both")
     if args.base:
-        base, _, source = _cifar10_base(args.base)
+        _, labels, source = _cifar10_base(args.base)
+        index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
     elif args.synth_classes is not None:
         base, source = _synth_base(
             args.synth_classes, args.synth_dim, args.synth_separation, args.synth_per_class, args.seed
         )
+        index = base.class_index()
     else:
         raise ValueError("provide --base file(s) or a --synth-classes spec")
 
-    present = base.class_index().counts
-    if np.any(present == 0):
+    if np.any(index.counts == 0):
         raise ValueError("base dataset is missing examples for some class")
-    n_max = int(present.min()) if args.n_max is None else args.n_max
+    n_max = int(index.counts.min()) if args.n_max is None else args.n_max
     profile = _profile_from_args(args, n_max)
-    counts = profile.class_counts(base.num_classes)
-    _, manifest = longtail.subsample_longtail(base, counts, args.seed, source=source, profile=profile)
+    counts = profile.class_counts(index.num_classes)
+    manifest = longtail.subsample_longtail(index, counts, args.seed, source=source, profile=profile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest.save(out / "manifest.json")

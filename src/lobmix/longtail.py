@@ -1,9 +1,9 @@
 """Long-tailed dataset construction.
 
-Builds per-class count profiles (exponential, Pareto, step decay), subsamples
-balanced bases into long-tailed training sets with reproducible manifests,
-generates synthetic Gaussian-mixture data at desk scale, and ingests the
-CIFAR-10 binary record format.
+Builds per-class count profiles (exponential, Pareto, step decay), picks
+long-tailed subsets of a balanced base's class index into reproducible
+manifests of kept indices, generates synthetic Gaussian-mixture data at desk
+scale, and ingests the CIFAR-10 binary record format.
 """
 from __future__ import annotations
 
@@ -200,18 +200,6 @@ def row_blocks(x: np.ndarray) -> list[slice]:
     return [slice(start, min(start + step, len(x))) for start in range(0, len(x), step)]
 
 
-def labels_only_dataset(counts) -> LabeledDataset:
-    """``counts[k]`` examples of class k, in class order, with zero feature columns.
-
-    Sampling and occurrence statistics depend only on labels and mixing
-    ratios, so the features are an (N, 0) matrix: it holds no bytes, and
-    blending its rows costs nothing.
-    """
-    counts = [int(n) for n in counts]
-    labels = np.repeat(np.arange(len(counts)), counts)
-    return LabeledDataset(np.zeros((labels.size, 0)), labels, len(counts))
-
-
 @dataclass(frozen=True)
 class ClassIndex:
     """Example indices grouped by class: one stable sort of the labels.
@@ -257,9 +245,9 @@ class DatasetManifest:
     ``kept_indices`` is one int64 array of the kept source indices, class by
     class, ``counts[k]`` of them for class k: the ``(flat, counts)`` layout of
     :class:`ClassIndex`. The constructor takes one index sequence per class,
-    as the JSON file holds them. Re-applying ``kept_indices`` to the source
-    dataset (or re-running the subsampler with the recorded seed) reproduces
-    the identical dataset.
+    as the JSON file holds them. The source's ``features[kept_indices]`` are
+    the subsampled rows, and re-running the subsampler on the source's class
+    index with the recorded seed returns the identical indices.
     """
 
     source: str
@@ -316,46 +304,37 @@ class DatasetManifest:
 
 
 def _pick(
-    base: LabeledDataset,
     pools: list[np.ndarray],
     counts: Sequence[int],
     rng: np.random.Generator,
     seed: int,
     source: str,
     profile: ImbalanceProfile | None,
-) -> tuple[LabeledDataset, DatasetManifest]:
-    """Keep counts[k] indices of pools[k], drawn uniformly without replacement, and the manifest recording them."""
+) -> DatasetManifest:
+    """The manifest keeping counts[k] indices of pools[k], drawn uniformly without replacement."""
     kept = [np.sort(rng.choice(pool, size=want, replace=False)) for pool, want in zip(pools, counts)]
-    manifest = DatasetManifest(source=source, profile=profile, seed=seed, counts=tuple(counts), kept_indices=kept)
-    return apply_manifest(base, manifest), manifest
+    return DatasetManifest(source=source, profile=profile, seed=seed, counts=tuple(counts), kept_indices=kept)
 
 
 def subsample_longtail(
-    base: LabeledDataset,
+    index: ClassIndex,
     counts: Sequence[int],
     seed: int,
     source: str = "unspecified",
     profile: ImbalanceProfile | None = None,
-) -> tuple[LabeledDataset, DatasetManifest]:
-    """Draw counts[k] examples of each class uniformly without replacement.
+) -> DatasetManifest:
+    """Draw counts[k] examples of each class of ``index`` uniformly without replacement.
 
     The returned manifest records the kept indices per class (sorted), so the
-    subsample can be re-applied or audited later.
+    subsample can be gathered or audited later.
     """
-    if len(counts) != base.num_classes:
-        raise ValueError(f"counts cover {len(counts)} classes but dataset has {base.num_classes}")
-    index = base.class_index()
+    if len(counts) != index.num_classes:
+        raise ValueError(f"counts cover {len(counts)} classes but dataset has {index.num_classes}")
     pools = [index.members(k) for k in range(len(counts))]
     for k, (have, want) in enumerate(zip(pools, counts)):
         if have.size < want:
             raise ValueError(f"class {k} has {have.size} examples, need {want}")
-    return _pick(base, pools, counts, make_rng(seed, "subsample"), seed, source, profile)
-
-
-def apply_manifest(base: LabeledDataset, manifest: DatasetManifest) -> LabeledDataset:
-    """Rebuild the subsampled dataset recorded by a manifest."""
-    kept = manifest.kept_indices
-    return LabeledDataset(base.features[kept], base.labels[kept], base.num_classes)
+    return _pick(pools, counts, make_rng(seed, "subsample"), seed, source, profile)
 
 
 def synth_gaussian_mixture(
@@ -399,24 +378,23 @@ def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) ->
 
 
 def longtail_split(
-    base: LabeledDataset,
+    index: ClassIndex,
     counts: Sequence[int],
     test_per_class: int,
     seed: int,
     source: str = "split",
     profile: ImbalanceProfile | None = None,
-) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
-    """Carve a balanced held-out set, then subsample the remainder long-tailed.
+) -> tuple[np.ndarray, DatasetManifest]:
+    """Carve a balanced held-out set from the classes of ``index``, then subsample the remainder long-tailed.
 
-    Returns (train, test, train_manifest); test has ``test_per_class``
-    examples of every class and is disjoint from train.
+    Returns (test_indices, train_manifest): ``test_per_class`` held-out
+    indices of every class, class by class, disjoint from the kept indices.
     """
     if test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
-    if len(counts) != base.num_classes:
-        raise ValueError(f"counts cover {len(counts)} classes but dataset has {base.num_classes}")
+    if len(counts) != index.num_classes:
+        raise ValueError(f"counts cover {len(counts)} classes but dataset has {index.num_classes}")
     rng = make_rng(seed, "holdout")
-    index = base.class_index()
     test_idx: list[np.ndarray] = []
     pools: list[np.ndarray] = []
     for k, want in enumerate(counts):
@@ -426,10 +404,7 @@ def longtail_split(
         held = np.sort(rng.choice(have, size=test_per_class, replace=False))
         test_idx.append(held)
         pools.append(np.setdiff1d(have, held, assume_unique=True))
-    train, manifest = _pick(base, pools, counts, make_rng(seed, "train-pick"), seed, source, profile)
-    test_order = np.concatenate(test_idx)
-    test = LabeledDataset(base.features[test_order], base.labels[test_order], base.num_classes)
-    return train, test, manifest
+    return np.concatenate(test_idx), _pick(pools, counts, make_rng(seed, "train-pick"), seed, source, profile)
 
 
 def _record_count(path: str | Path) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .longtail import ClassIndex, labels_only_dataset
+from .longtail import ClassIndex
 from .mixer import draw_pairs
 from .samplers import CB, IB, SamplerKind
 from .seeds import make_rng
@@ -135,7 +135,7 @@ def default_groups(counts) -> np.ndarray:
 
 
 def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, seed: int, samples: int) -> list[tuple]:
-    """``(name, analytic, empirical)`` for each named combo on a labels-only dataset of ``counts``.
+    """``(name, analytic, empirical)`` for each named combo on ``counts[k]`` examples of class k, in class order.
 
     ``empirical`` is None when ``samples`` is 0. Otherwise it tallies
     ``samples`` rows drawn from ``make_rng(seed, "analyze:" + name)``, with
@@ -147,15 +147,15 @@ def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, s
         raise ValueError("need at least 2 classes")
     if min(counts) < 1:
         raise ValueError(f"every class needs at least one example, got {counts}")
-    dataset = labels_only_dataset(counts)
-    index = dataset.class_index()
+    labels = np.repeat(np.arange(len(counts)), counts)
+    index = ClassIndex(np.arange(labels.size), np.asarray(counts, dtype=np.int64))  # the stable sort of labels
     head = default_groups(counts) == 0
     results = []
     for name in combos:
         analytic, empirical = analytic_occurrence(COMBOS[name], index), None
         if samples > 0:
             i, j, lam = draw_pairs(COMBOS[name], index, alpha, make_rng(seed, "analyze:" + name), samples)
-            empirical = empirical_occurrence(dataset.labels[i], dataset.labels[j], lam, len(counts), head=head)
+            empirical = empirical_occurrence(labels[i], labels[j], lam, len(counts), head=head)
             del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
         results.append((name, analytic, empirical))
     return results

@@ -13,8 +13,8 @@ from lobmix import (
     blend,
     draw_pairs,
     evaluate,
-    labels_only_dataset,
     loss_and_grad,
+    longtail_split,
     make_rng,
     sample_batch,
 )
@@ -38,10 +38,30 @@ def lt_counts() -> tuple[int, ...]:
     return ImbalanceProfile("exponential", 10, 5000).class_counts(10)
 
 
+def labels_only_dataset(counts) -> LabeledDataset:
+    """``counts[k]`` examples of class k, in class order, with zero feature columns.
+
+    Sampling and occurrence statistics depend only on labels and mixing
+    ratios, so the features are an (N, 0) matrix that holds no bytes.
+    """
+    counts = [int(n) for n in counts]
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return LabeledDataset(np.zeros((labels.size, 0)), labels, len(counts))
+
+
 @pytest.fixture(scope="session")
 def lt_dataset(lt_counts) -> LabeledDataset:
     """Labels-only dataset with the rho=10 exponential profile."""
     return labels_only_dataset(lt_counts)
+
+
+def split_datasets(base: LabeledDataset, counts, test_per_class: int, seed: int):
+    """``(train, test, manifest)``: the rows of ``base`` at the indices ``longtail_split`` returns for it."""
+    test_idx, manifest = longtail_split(base.class_index(), counts, test_per_class, seed)
+    train, test = (
+        LabeledDataset(base.features[idx], base.labels[idx], base.num_classes) for idx in (manifest.kept_indices, test_idx)
+    )
+    return train, test, manifest
 
 
 def traced_peak(fn, *args, **kwargs):

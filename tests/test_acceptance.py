@@ -24,7 +24,6 @@ from lobmix import (
     empirical_occurrence,
     forward,
     loss_and_grad,
-    longtail_split,
     pair_weights,
     sample_batch,
     sample_lambda,
@@ -36,7 +35,7 @@ from lobmix.cli import main
 from lobmix.seeds import make_rng
 from lobmix.trainer import init_params
 
-from conftest import dense_targets, selection_probability, soft_cross_entropy
+from conftest import dense_targets, selection_probability, soft_cross_entropy, split_datasets
 
 # Reference empirical values for this sampler ablation on the 10-class
 # rho=10 profile. Reported alongside the analytic check only: the protocol
@@ -213,7 +212,7 @@ def test_criterion_6_gradient_matches_finite_differences():
 
 def test_criterion_7_deferred_prefix_equivalence():
     base = synth_gaussian_mixture(6, (150,) * 6, 6, 3.0, seed=77)
-    train_ds, test_ds, _ = longtail_split(base, ImbalanceProfile("exponential", 10, 100).class_counts(6), 40, seed=77)
+    train_ds, test_ds, _ = split_datasets(base, ImbalanceProfile("exponential", 10, 100).class_counts(6), 40, seed=77)
     standardize(train_ds, test_ds)  # once: both runs train on these rows
     switch = 5
     common = dict(
@@ -233,7 +232,7 @@ def test_criterion_8_lob_beats_vanilla_on_longtail():
 
     def run(seed, strategy):
         base = synth_gaussian_mixture(10, (700,) * 10, 10, 3.0, seed)
-        train_ds, test_ds, _ = longtail_split(base, counts, 200, seed)
+        train_ds, test_ds, _ = split_datasets(base, counts, 200, seed)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(
             epochs=40, batches_per_epoch=40, batch_size=128, lr=0.5,

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from lobmix import (
+    ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
     TrainConfig,
-    labels_only_dataset,
     load_cifar10_binary,
     subsample_longtail,
     write_cifar10_binary,
@@ -28,7 +28,7 @@ from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
-from conftest import traced_peak
+from conftest import labels_only_dataset, traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = Path(longtail.__file__).resolve().parents[1]  # the directory holding the lobmix package
@@ -147,6 +147,13 @@ class TestBuildLt:
         assert_one_error(capsys, message)
         assert not out.exists()
 
+    def test_base_and_synth_classes_rejected(self, tmp_path, cifar_file, capsys):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--base", str(cifar_file), "--synth-classes", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: provide --base file(s) or a --synth-classes spec, not both"]
+        assert not out.exists()
+
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
         code = main([
@@ -231,9 +238,11 @@ class TestTwoFileCifar:
         """Oracle: every record of every file as float64, concatenated, then subsampled."""
         bases = [load_cifar10_binary(p) for p in train_paths]
         features = np.concatenate([b.features for b in bases])
-        base = LabeledDataset(features, np.concatenate([b.labels for b in bases]), 10)
+        labels = np.concatenate([b.labels for b in bases])
         source = ";".join(str(p) for p in train_paths)
-        train, manifest = subsample_longtail(base, profile.class_counts(10), seed, source=source, profile=profile)
+        index = ClassIndex.from_labels(labels, 10)
+        manifest = subsample_longtail(index, profile.class_counts(10), seed, source=source, profile=profile)
+        train = LabeledDataset(features[manifest.kept_indices], labels[manifest.kept_indices], 10)
         return train, load_cifar10_binary(test_path), manifest
 
     # the kept rows (203 at n_max 40, 493 at 97) end in a partial row block
@@ -1002,14 +1011,33 @@ class TestConfigRoundTrip:
         d = ExperimentConfig.from_dict(cfg).to_dict()
         assert [repr(d[section][k]) for section, k in floats] == ["1.0"] * 7
 
-    def test_strategy_comparison_script_config(self):
+    @staticmethod
+    def strategy_comparison_script():
         spec = importlib.util.spec_from_file_location("strategy_comparison", REPO / "scripts" / "run_strategy_comparison.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_strategy_comparison_script_config(self):
+        script = self.strategy_comparison_script()
         raw = script.experiment_config()
         cfg = ExperimentConfig.from_dict(raw)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.to_dict()["train"].items() >= raw["train"].items()
+        assert script.STRATEGIES == ("erm", "mixup", "lob", "deferred")  # the order the runs are made in
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_strategy_comparison_script_rejects_no_seeds(self, tmp_path, monkeypatch, capsys, seeds):
+        script = self.strategy_comparison_script()
+        out = tmp_path / "runs"
+        monkeypatch.setattr("sys.argv", ["run_strategy_comparison.py", "--seeds", seeds, "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            script.main()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and errors == [f"run_strategy_comparison.py: error: --seeds must be >= 1, got {seeds}"]
+        assert not out.exists()
 
 
 class TestSamplerAblationScript:
@@ -1070,7 +1098,7 @@ class TestSamplerAblationScript:
     def test_numbers_equal_analyze_outputs(self, tmp_path, monkeypatch, capsys):
         # one implementation: the script's numbers are analyze's on a manifest of the same counts
         counts = ImbalanceProfile("exponential", 10, 60).class_counts(5)
-        subsample_longtail(labels_only_dataset(counts), counts, 0)[1].save(tmp_path / "manifest.json")
+        subsample_longtail(labels_only_dataset(counts).class_index(), counts, 0).save(tmp_path / "manifest.json")
         settings = ["--alpha", "0.5", "--samples", "3000", "--seed", "3"]
         out = tmp_path / "occ"
         assert main(["analyze", "--manifest", str(tmp_path / "manifest.json"), *settings, "--out", str(out)]) == 0

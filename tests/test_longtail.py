@@ -10,7 +10,6 @@ from lobmix import (
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
-    apply_manifest,
     load_cifar10_binary,
     longtail_split,
     subsample_longtail,
@@ -157,48 +156,54 @@ def _balanced_base(per_class, num_classes=2, dim=3, seed=11):
 class TestSubsample:
     def test_exact_sizes(self):
         base = _balanced_base(1000)
-        sub, manifest = subsample_longtail(base, (1000, 100), seed=5)
-        assert list(sub.class_index().counts) == [1000, 100]
+        manifest = subsample_longtail(base.class_index(), (1000, 100), seed=5)
+        assert list(ClassIndex.from_labels(base.labels[manifest.kept_indices], 2).counts) == [1000, 100]
         assert manifest.counts == (1000, 100)
 
     def test_same_seed_same_indices(self):
         base = _balanced_base(300)
-        _, m1 = subsample_longtail(base, (300, 50), seed=9)
-        _, m2 = subsample_longtail(base, (300, 50), seed=9)
+        m1 = subsample_longtail(base.class_index(), (300, 50), seed=9)
+        m2 = subsample_longtail(base.class_index(), (300, 50), seed=9)
         assert m1.kept_indices.dtype == np.int64
         assert np.array_equal(m1.kept_indices, m2.kept_indices)
 
     def test_full_counts_reproduce_base(self):
         base = _balanced_base(120)
-        sub, _ = subsample_longtail(base, (120, 120), seed=1)
+        kept = subsample_longtail(base.class_index(), (120, 120), seed=1).kept_indices
         # same rows up to ordering: compare per-class sorted feature blocks
         for k in range(2):
-            got = np.sort(sub.features[sub.labels == k], axis=0)
+            got = np.sort(base.features[kept][base.labels[kept] == k], axis=0)
             want = np.sort(base.features[base.labels == k], axis=0)
             assert np.array_equal(got, want)
 
     def test_insufficient_class(self):
         base = _balanced_base(40)
-        with pytest.raises(ValueError, match="class 1"):
-            subsample_longtail(base, (40, 41), seed=0)
+        with pytest.raises(ValueError, match="^class 1 has 40 examples, need 41$"):
+            subsample_longtail(base.class_index(), (40, 41), seed=0)
+
+    def test_counts_must_cover_every_class(self):
+        base = _balanced_base(50, num_classes=4)
+        with pytest.raises(ValueError, match="^counts cover 2 classes but dataset has 4$"):
+            subsample_longtail(base.class_index(), (30, 10), seed=0)
 
     def test_manifest_roundtrip(self, tmp_path):
         base = _balanced_base(200, num_classes=3)
-        sub, manifest = subsample_longtail(base, (200, 60, 20), seed=3)
+        manifest = subsample_longtail(base.class_index(), (200, 60, 20), seed=3)
         path = tmp_path / "manifest.json"
         manifest.save(path)
         loaded = DatasetManifest.load(path)
         assert loaded.to_dict() == manifest.to_dict()
         assert np.array_equal(loaded.kept_indices, manifest.kept_indices)
-        rebuilt = apply_manifest(base, loaded)
-        assert np.array_equal(rebuilt.features, sub.features)
-        assert np.array_equal(rebuilt.labels, sub.labels)
+        # the reloaded indices gather the same rows, class by class
+        assert np.array_equal(base.features[loaded.kept_indices], base.features[manifest.kept_indices])
+        assert np.array_equal(base.labels[loaded.kept_indices], np.repeat(np.arange(3), (200, 60, 20)))
 
     def test_rerun_from_manifest_seed(self):
         base = _balanced_base(200, num_classes=3)
-        _, manifest = subsample_longtail(base, (200, 60, 20), seed=3)
-        again, _ = subsample_longtail(base, manifest.counts, seed=manifest.seed)
-        assert np.array_equal(apply_manifest(base, manifest).features, again.features)
+        manifest = subsample_longtail(base.class_index(), (200, 60, 20), seed=3)
+        again = subsample_longtail(base.class_index(), manifest.counts, seed=manifest.seed)
+        assert np.array_equal(base.features[manifest.kept_indices], base.features[again.kept_indices])
+        assert np.array_equal(base.labels[manifest.kept_indices], base.labels[again.kept_indices])
 
 
 class TestManifestLayout:
@@ -214,31 +219,31 @@ class TestManifestLayout:
         assert DatasetManifest.from_dict(manifest.to_dict()).to_dict() == manifest.to_dict()
         rng = np.random.default_rng(len(sizes))
         base = LabeledDataset(rng.standard_normal((rows, 2)), rng.integers(0, 3, size=rows), 3)
-        rebuilt = apply_manifest(base, manifest)
         gathers = [np.asarray(idx, dtype=np.int64) for idx in nested]
-        assert np.array_equal(rebuilt.features, np.concatenate([base.features[idx] for idx in gathers]))
-        assert np.array_equal(rebuilt.labels, np.concatenate([base.labels[idx] for idx in gathers]))
+        want_features = np.concatenate([base.features[idx] for idx in gathers])
+        assert np.array_equal(base.features[manifest.kept_indices], want_features)
+        assert np.array_equal(base.labels[manifest.kept_indices], np.concatenate([base.labels[idx] for idx in gathers]))
 
 
 class TestLongtailSplit:
     def test_balanced_test_disjoint_train(self):
         base = _balanced_base(150, num_classes=4, dim=2)
-        train, test, manifest = longtail_split(base, (100, 50, 25, 13), 20, seed=2)
-        assert list(train.class_index().counts) == [100, 50, 25, 13]
-        assert list(test.class_index().counts) == [20] * 4
-        train_rows = {tuple(r) for r in train.features}
-        test_rows = {tuple(r) for r in test.features}
-        assert not train_rows & test_rows
+        test_idx, manifest = longtail_split(base.class_index(), (100, 50, 25, 13), 20, seed=2)
+        assert test_idx.dtype == np.int64
+        assert np.array_equal(base.labels[manifest.kept_indices], np.repeat(np.arange(4), (100, 50, 25, 13)))
+        assert np.array_equal(base.labels[test_idx], np.repeat(np.arange(4), 20))
+        assert np.unique(test_idx).size == test_idx.size
+        assert np.intersect1d(test_idx, manifest.kept_indices).size == 0
 
     def test_insufficient_pool(self):
         base = _balanced_base(30, num_classes=2)
-        with pytest.raises(ValueError):
-            longtail_split(base, (25, 25), 10, seed=0)
+        with pytest.raises(ValueError, match="^class 0 has 30 examples, need 35$"):
+            longtail_split(base.class_index(), (25, 25), 10, seed=0)
 
     def test_counts_must_cover_every_class(self):
         base = _balanced_base(50, num_classes=4)
-        with pytest.raises(ValueError, match="counts cover 2 classes but dataset has 4"):
-            longtail_split(base, (30, 10), 5, seed=0)
+        with pytest.raises(ValueError, match="^counts cover 2 classes but dataset has 4$"):
+            longtail_split(base.class_index(), (30, 10), 5, seed=0)
 
 
 class TestSynthGaussianMixture:

@@ -11,15 +11,18 @@ from lobmix import (
     CB,
     COMBOS,
     IB,
+    ClassIndex,
     analytic_occurrence,
     draw_pairs,
     empirical_occurrence,
-    labels_only_dataset,
     make_rng,
 )
+from lobmix import occurrence
 from lobmix.cli import build_parser
-from lobmix.occurrence import write_occurrence_csv
+from lobmix.occurrence import measure_combos, write_occurrence_csv
 from lobmix.trainer import default_groups
+
+from conftest import labels_only_dataset
 
 
 def rational_gamma(kinds, counts):
@@ -242,3 +245,29 @@ class TestHelpers:
         with path.open() as fh:
             rows = list(csv.reader(fh))
         assert all(row[3] == "" for row in rows[1:])
+
+
+class TestMeasureCombos:
+    @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_index_from_counts_is_the_stable_sort(self, counts):
+        # measure_combos builds its class index from the counts, without a sort; it must be the
+        # index of the class-ordered labels, dtypes included, so its draws are those of that index
+        labels = np.repeat(np.arange(len(counts)), counts)
+        want = ClassIndex.from_labels(labels, len(counts))
+        seen = []
+
+        def spy(kinds, index, *args):
+            seen.append(index)
+            return draw_pairs(kinds, index, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(occurrence, "draw_pairs", spy)
+            ((_, _, empirical),) = measure_combos(counts, ["ib-cb"], 1.0, 3, 64)
+        (index,) = seen
+        for got, ref in ((index.flat, want.flat), (index.counts, want.counts)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        i, j, lam = draw_pairs(COMBOS["ib-cb"], want, 1.0, make_rng(3, "analyze:ib-cb"), 64)
+        oracle = empirical_occurrence(labels[i], labels[j], lam, len(counts), head=default_groups(counts) == 0)
+        assert empirical.ratios.tobytes() == oracle.ratios.tobytes()
+        assert empirical.head_incidence == oracle.head_incidence

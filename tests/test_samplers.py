@@ -9,12 +9,11 @@ from lobmix import (
     CB,
     IB,
     draw_pairs,
-    labels_only_dataset,
     make_rng,
     sample_batch,
 )
 
-from conftest import selection_probability
+from conftest import labels_only_dataset, selection_probability
 
 
 class TestSelectionProbability:

@@ -18,7 +18,6 @@ from lobmix import (
     evaluate,
     forward,
     loss_and_grad,
-    longtail_split,
     make_rng,
     sample_batch,
     standardize,
@@ -37,7 +36,7 @@ from lobmix.trainer import (
     write_history_csv,
 )
 
-from conftest import dense_targets, reference_train, soft_cross_entropy, traced_peak
+from conftest import dense_targets, reference_train, soft_cross_entropy, split_datasets, traced_peak
 
 EPS = np.finfo(np.float64).eps
 
@@ -193,7 +192,7 @@ class TestGrad:
 
     def test_gradient_small_after_convergence(self):
         base = synth_gaussian_mixture(2, (200, 200), 3, 10.0, seed=4)
-        train_ds, test_ds, _ = longtail_split(base, (150, 150), 50, seed=4)
+        train_ds, test_ds, _ = split_datasets(base, (150, 150), 50, seed=4)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(
             epochs=120, batches_per_epoch=10, batch_size=64, lr=1.0,
@@ -353,7 +352,7 @@ class TestStandardize:
 def quick_split(seed=0, separation=4.0, counts=(120, 60, 30)):
     """(train, test, manifest) of a small Gaussian mixture, with both feature sets standardized."""
     base = synth_gaussian_mixture(len(counts), (200,) * len(counts), 4, separation, seed)
-    train_ds, test_ds, manifest = longtail_split(base, counts, 40, seed)
+    train_ds, test_ds, manifest = split_datasets(base, counts, 40, seed)
     standardize(train_ds, test_ds)
     return train_ds, test_ds, manifest
 
@@ -456,7 +455,7 @@ class TestTrain:
 
     def test_erm_converges_on_separable_data(self):
         base = synth_gaussian_mixture(2, (300, 300), 4, 10.0, seed=6)
-        train_ds, test_ds, _ = longtail_split(base, (200, 200), 80, seed=6)
+        train_ds, test_ds, _ = split_datasets(base, (200, 200), 80, seed=6)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy=Strategy.ERM, seed=0)
         _, history = train(train_ds, test_ds, cfg)
