@@ -168,15 +168,24 @@ def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
     return ImbalanceProfile(kind=kind, rho=args.rho, n_max=n_max)
 
 
+# settings of a --synth-classes base that build-lt takes, and their values when left out
+SYNTH_DEFAULTS = {"synth_dim": 10, "synth_separation": 3.0, "synth_per_class": 1000}
+
+
 def cmd_build_lt(args: argparse.Namespace) -> int:
     if args.base and args.synth_classes is not None:
         raise ValueError("provide --base file(s) or a --synth-classes spec, not both")
+    synth = {name: getattr(args, name) for name in SYNTH_DEFAULTS if getattr(args, name) is not None}
     if args.base:
+        if synth:
+            flag = "--" + next(iter(synth)).replace("_", "-")
+            raise ValueError(f"{flag} applies to a --synth-classes spec, not to --base")
         _, labels, source = _cifar10_base(args.base)
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
     elif args.synth_classes is not None:
+        synth = {**SYNTH_DEFAULTS, **synth}
         base, source = _synth_base(
-            args.synth_classes, args.synth_dim, args.synth_separation, args.synth_per_class, args.seed
+            args.synth_classes, synth["synth_dim"], synth["synth_separation"], synth["synth_per_class"], args.seed
         )
         index = base.class_index()
     else:
@@ -384,9 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-lt", help="construct a long-tailed dataset and write its manifest")
     p.add_argument("--base", nargs="+", help="CIFAR-10 binary batch file(s) to subsample")
     p.add_argument("--synth-classes", type=int, help="generate a balanced Gaussian-mixture base with this many classes")
-    p.add_argument("--synth-dim", type=int, default=10)
-    p.add_argument("--synth-separation", type=float, default=3.0)
-    p.add_argument("--synth-per-class", type=int, default=1000)
+    for flag, kind, what in (
+        ("--synth-dim", int, "feature dimension"),
+        ("--synth-separation", float, "radius of the class means"),
+        ("--synth-per-class", int, "examples per class"),
+    ):
+        default = SYNTH_DEFAULTS[flag[2:].replace("-", "_")]
+        p.add_argument(flag, type=kind, help=f"{what} of the --synth-classes base (default: {default})")
     p.add_argument("--profile", choices=sorted(PROFILE_ALIASES), default="exp")
     p.add_argument("--rho", type=float, default=10.0, help="imbalance ratio: largest over smallest class")
     p.add_argument("--n-max", type=int, default=None, help="largest class size (default: smallest base class)")

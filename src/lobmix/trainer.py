@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .longtail import LabeledDataset, row_blocks
+from .longtail import BLOCK_BYTES, LabeledDataset, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
 from .samplers import CB, IB, SamplerKind, sample_batch
@@ -105,21 +105,68 @@ def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place over the fresh ``logits`` and returned."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place over the fresh ``logits`` and returned.
+
+    The row maxima are taken down the columns of a transposed copy: numpy
+    reduces short contiguous rows several times slower than it reduces
+    columns. A maximum is exact in any order and propagates NaN either way,
+    and a maximum of +0.0 or -0.0 gives ``exp(0) = 1`` whatever its sign, so
+    the result has the bits of subtracting ``logits.max(axis=-1)``.
+    """
+    logits -= np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
 
 
-def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probabilities and the hidden activations (None for ``linear``) of rows ``x``."""
+@dataclass(frozen=True)
+class _StepBuffers:
+    """Arrays that :func:`_grad_step` writes for a batch of ``rows`` rows, made once a run.
+
+    ``logits`` holds the logits, then the probabilities, then the logit
+    gradient; ``grads`` one gradient per weight, in its shape. For ``mlp1``,
+    ``hidden`` holds the tanh activations, then their derivative ``1 - h²``,
+    and ``dhidden`` the gradient at the hidden layer's input.
+    """
+
+    logits: np.ndarray
+    grads: list[np.ndarray]
+    hidden: np.ndarray | None = None
+    dhidden: np.ndarray | None = None
+
+    @classmethod
+    def create(cls, params: ModelParams, rows: int) -> "_StepBuffers":
+        grads = [np.empty_like(w) for w in params.weights]
+        logits = np.empty((rows, params.weights[-1].shape[0]))
+        if params.arch == "linear":
+            return cls(logits, grads)
+        width = params.weights[1].shape[0]
+        return cls(logits, grads, np.empty((rows, width)), np.empty((rows, width)))
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``x @ w + b``, written into ``out`` when it is given (the same bits)."""
+    out = np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _forward(
+    params: ModelParams, x: np.ndarray, work: _StepBuffers | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Probabilities and the hidden activations (None for ``linear``) of rows ``x``.
+
+    They are written into ``work.logits`` and ``work.hidden`` when ``work``
+    is given, and into new arrays otherwise.
+    """
+    logits, hidden = (None, None) if work is None else (work.logits, work.hidden)
     if params.arch == "linear":
         w, b = params.weights
-        return _softmax(x @ w + b), None
+        return _softmax(_affine(x, w, b, logits)), None
     w1, b1, w2, b2 = params.weights
-    h = np.tanh(x @ w1 + b1)
-    return _softmax(h @ w2 + b2), h
+    h = _affine(x, w1, b1, hidden)
+    np.tanh(h, out=h)
+    return _softmax(_affine(h, w2, b2, logits)), h
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -151,27 +198,38 @@ def _target_plan(
 
 
 def _grad_step(
-    params: ModelParams, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray
+    params: ModelParams, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray, work: _StepBuffers
 ) -> list[np.ndarray]:
     """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
 
     Cross entropy is linear in the target, so the logit gradient is
     ``probs`` minus ``weights`` scattered onto ``pos``; no (B, C) target is
     built. The probabilities at ``pos`` are first copied into ``taken``, from
-    which :func:`_batch_losses` computes the loss.
+    which :func:`_batch_losses` computes the loss. Every array the step
+    computes is written into ``work``, a :class:`_StepBuffers` for
+    ``len(x)`` rows, and ``work.grads`` is returned: the same operations in
+    the same order as the expressions (``x.T @ dlogits`` and so on), so the
+    same bits, with no allocation the size of a batch.
     """
-    dlogits, h = _forward(params, x)
+    dlogits, h = _forward(params, x, work)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
     dlogits /= x.shape[0]
+    grads = work.grads
     if params.arch == "linear":
-        return [x.T @ dlogits, dlogits.sum(axis=0)]
-    w1, b1, w2, b2 = params.weights
-    dw2 = h.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dpre = (dlogits @ w2.T) * (1.0 - h * h)
-    return [x.T @ dpre, dpre.sum(axis=0), dw2, db2]
+        np.matmul(x.T, dlogits, out=grads[0])
+        dlogits.sum(axis=0, out=grads[1])
+        return grads
+    np.matmul(h.T, dlogits, out=grads[2])
+    dlogits.sum(axis=0, out=grads[3])
+    dpre = np.matmul(dlogits, params.weights[2].T, out=work.dhidden)
+    np.multiply(h, h, out=h)  # h is read for dw2 above; from here it holds the tanh derivative 1 - h²
+    np.subtract(1.0, h, out=h)
+    dpre *= h
+    np.matmul(x.T, dpre, out=grads[0])
+    dpre.sum(axis=0, out=grads[1])
+    return grads
 
 
 def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -200,7 +258,7 @@ def loss_and_grad(
     n = x.shape[0]
     pos, weights = _target_plan(c_i, c_j, lam, n, params.weights[-1].shape[0])
     taken = np.empty(pos.shape)
-    grads = _grad_step(params, x, pos[0], weights[0], taken[0])
+    grads = _grad_step(params, x, pos[0], weights[0], taken[0], _StepBuffers.create(params, n))
     return float(_batch_losses(taken, weights)[0]), grads
 
 
@@ -286,7 +344,8 @@ def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> E
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
-    recalls = np.bincount(test.labels, weights=predicted == test.labels, minlength=test.num_classes) / sizes
+    hits = predicted == test.labels
+    recalls = np.bincount(test.labels, weights=hits, minlength=test.num_classes) / sizes
     group_acc: dict[str, float | None] = {}
     for g, name in enumerate(GROUP_NAMES):
         members = recalls[groups == g]
@@ -294,7 +353,7 @@ def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> E
     return EvalReport(
         per_class_recall=tuple(recalls.tolist()),
         balanced_accuracy=float(recalls.mean()),
-        overall_accuracy=float(np.mean(predicted == test.labels)),
+        overall_accuracy=float(np.mean(hits)),
         group_accuracy=group_acc,
     )
 
@@ -325,11 +384,14 @@ def train(
     ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
     ``b`` is rows ``[b * batch_size, (b + 1) * batch_size)``. Only indices,
     ratios and the epoch's :func:`_target_plan` are held (72 bytes a row,
-    the taken target probabilities included); features are gathered and
-    blended batch by batch into two ``(batch_size, dim)`` buffers made once
-    a run (:func:`~lobmix.mixer.blend`'s ``out``), so a step allocates no
-    feature rows, and the batch losses are reduced once the epoch's steps
-    are done.
+    the taken target probabilities included). Features are gathered and
+    blended as many whole batches at a time as fit in ``BLOCK_BYTES`` (one
+    batch at least), into two buffers made once a run
+    (:func:`~lobmix.mixer.blend`'s ``out``); each batch is a row slice of
+    its chunk, the bits of blending it alone. Each step writes its
+    activations and gradients into :class:`_StepBuffers` made once a run, so
+    it allocates nothing the size of a batch, and the batch losses are
+    reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     The model works on the rows it is given: :func:`standardize` the two
@@ -350,7 +412,10 @@ def train(
     history: list[EpochStats] = []
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
-    batch = (np.empty((size, train_ds.dim)), np.empty((size, train_ds.dim)))
+    per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
+    chunks = (np.empty((per_chunk * size, train_ds.dim)), np.empty((per_chunk * size, train_ds.dim)))
+    work = _StepBuffers.create(params, size)
+    decay = [np.empty_like(w) for w in params.weights]
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -364,23 +429,26 @@ def train(
         # batch is gathered, so the gathers below may clip (the samplers draw
         # from index.flat, which holds no negative index)
         pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size, train_ds.num_classes)
-        for b in range(cfg.batches_per_epoch):
-            rows = slice(b * size, (b + 1) * size)
+        for first in range(0, cfg.batches_per_epoch, per_chunk):
+            rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
+            out = tuple(buffer[: rows.stop - rows.start] for buffer in chunks)
             if kinds is None:
-                x = train_ds.features.take(i[rows], axis=0, out=batch[0], mode="clip")
+                chunk = train_ds.features.take(i[rows], axis=0, out=out[0], mode="clip")
             else:
-                x = blend(train_ds.features, i[rows], j[rows], lam[rows], out=batch)
-            grads = _grad_step(params, x, pos[b], weights[b], taken[b])
-            for w, g, v in zip(params.weights, grads, velocity):  # each g is a fresh array
-                if cfg.weight_decay:
-                    g += cfg.weight_decay * w
-                g *= lr
-                if cfg.momentum:
-                    v *= cfg.momentum
-                    v -= g
-                    w += v
-                else:
-                    w -= g
+                chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=out)
+            for start in range(0, len(chunk), size):
+                b = first + start // size
+                grads = _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], work)
+                for w, g, v, d in zip(params.weights, grads, velocity, decay):
+                    if cfg.weight_decay:
+                        g += np.multiply(w, cfg.weight_decay, out=d)
+                    g *= lr
+                    if cfg.momentum:
+                        v *= cfg.momentum
+                        v -= g
+                        w += v
+                    else:
+                        w -= g
         losses = _batch_losses(taken, weights)
         finite = np.isfinite(losses)
         if not finite.all():

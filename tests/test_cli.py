@@ -154,6 +154,27 @@ class TestBuildLt:
         assert err == ["error: provide --base file(s) or a --synth-classes spec, not both"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--synth-dim", "5", "--synth-per-class", "3"],
+            ["--synth-separation", "3.0"],  # the default value, given: still rejected
+            ["--synth-per-class", "1000"],
+        ],
+    )
+    def test_base_and_synth_settings_rejected(self, tmp_path, cifar_file, capsys, flags):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--base", str(cifar_file), *flags, "--out", str(out)]) == 2
+        assert_one_error(capsys, f"{flags[0]} applies to a --synth-classes spec, not to --base")
+        assert not out.exists()
+
+    def test_synth_defaults_filled_in(self, tmp_path):
+        given = ["--synth-dim", "10", "--synth-separation", "3.0", "--synth-per-class", "1000"]
+        for name, flags in (("left-out", []), ("given", given)):
+            assert main(["build-lt", "--synth-classes", "3", *flags, "--out", str(tmp_path / name)]) == 0
+        for file in ("manifest.json", "build_info.json"):
+            assert (tmp_path / "left-out" / file).read_bytes() == (tmp_path / "given" / file).read_bytes()
+
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
         code = main([

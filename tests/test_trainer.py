@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +31,10 @@ from lobmix.trainer import (
     ModelParams,
     TrainingDiverged,
     _forward,
+    _grad_step,
+    _softmax,
+    _StepBuffers,
+    _target_plan,
     default_groups,
     init_params,
     write_history_csv,
@@ -126,6 +130,81 @@ class TestForward:
         params = init_params("linear", 2, 3, seed=0)
         with pytest.raises(ValueError, match="finite"):
             forward(params, np.array([np.nan, 1.0]))
+
+
+def rowmax_softmax(logits):
+    """Row-wise softmax in place, shifted by ``logits.max(axis=-1)``: the bits ``_softmax`` must give."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+SPECIAL_LOGITS = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+class TestSoftmax:
+    @given(
+        rows=st.integers(1, 5),
+        classes=st.sampled_from((1, 2, 10, 1000)),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        zero_max=st.sampled_from((None, (0.0, -0.0), (-0.0, 0.0))),
+        marks=st.lists(st.tuples(st.integers(0, 5 * 1000 - 1), st.sampled_from(SPECIAL_LOGITS)), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(rows=1, classes=2, seed=0, ties=False, zero_max=(-0.0, 0.0), marks=[])
+    @example(rows=1, classes=2, seed=0, ties=False, zero_max=(0.0, -0.0), marks=[])
+    @example(rows=2, classes=10, seed=0, ties=False, zero_max=None, marks=[(0, np.inf), (3, np.inf), (12, np.nan)])
+    @example(rows=1, classes=2, seed=0, ties=False, zero_max=None, marks=[(0, -np.inf), (1, -np.inf)])
+    def test_bitwise_the_row_max_expression(self, rows, classes, seed, ties, zero_max, marks):
+        z = np.random.default_rng(seed).normal(scale=30.0, size=(rows, classes))
+        if ties:
+            z = np.floor(z / 10.0)  # a few distinct values per row, so tied maxima
+        if zero_max is not None:  # the first row's maximum is 0, held as +0.0 and as -0.0
+            z[0] = -1.0 - np.abs(z[0])
+            z[0, 0], z[0, -1] = zero_max
+        flat = z.reshape(-1)
+        for at, value in marks:
+            flat[at % flat.size] = value
+        with np.errstate(all="ignore"):
+            got = _softmax(z.copy())
+            expect = rowmax_softmax(z.copy())
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_forward_into_buffers_is_the_expression(self, arch):
+        rng = np.random.default_rng(71)
+        params = init_params(arch, 6, 10, seed=3, hidden=7)
+        x = rng.normal(scale=3.0, size=(20, 6))
+        if arch == "linear":
+            w, b = params.weights
+            expect = rowmax_softmax(x @ w + b)
+        else:
+            w1, b1, w2, b2 = params.weights
+            expect = rowmax_softmax(np.tanh(x @ w1 + b1) @ w2 + b2)
+        work = _StepBuffers.create(params, 20)
+        probs, _ = _forward(params, x, work)
+        assert probs is work.logits and probs.tobytes() == expect.tobytes()
+        assert _forward(params, x)[0].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_train_and_evaluate_unchanged(self, monkeypatch, arch):
+        import lobmix.trainer
+
+        train_ds, test_ds, _ = quick_split(seed=19)
+        groups = default_groups(train_ds.class_index().counts)
+        cfg = TrainConfig(
+            epochs=3, batches_per_epoch=5, batch_size=16, lr=0.3, strategy=Strategy.LOB, seed=29, arch=arch, hidden=8
+        )
+        params, history = train(train_ds, test_ds, cfg)
+        report = evaluate(params, test_ds, groups)
+        monkeypatch.setattr(lobmix.trainer, "_softmax", rowmax_softmax)
+        ref_params, ref_history = train(train_ds, test_ds, cfg)
+        assert history == ref_history
+        assert evaluate(params, test_ds, groups) == report == ref_history[-1].report
+        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+            assert np.array_equal(w, ref)
 
 
 class TestSoftCrossEntropy:
@@ -396,9 +475,9 @@ class TestTrain:
         seen = []
         kernel = lobmix.trainer._grad_step
 
-        def recording(params, x, pos, weights, taken):
+        def recording(params, x, pos, weights, taken, work):
             seen.append((x.copy(), pos.copy(), weights.copy()))
-            return kernel(params, x, pos, weights, taken)
+            return kernel(params, x, pos, weights, taken, work)
 
         monkeypatch.setattr(lobmix.trainer, "_grad_step", recording)
         train_ds, test_ds, _ = quick_split()
@@ -441,6 +520,48 @@ class TestTrain:
             strategy=strategy, seed=23, arch=arch, hidden=8, momentum=momentum, weight_decay=weight_decay,
         )
         params, history = train(train_ds, test_ds, cfg)
+        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        assert history == ref_history
+        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+            assert np.array_equal(w, ref)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_step_allocates_no_batch(self, arch):
+        # what remains is the transposed copy of the logits and numpy's buffer
+        # (at most 64 KiB) for adding a bias row in place
+        rng = np.random.default_rng(67)
+        size, dim, classes = 128, 256, 10
+        params = init_params(arch, dim, classes, seed=1)
+        x = rng.normal(size=(size, dim))
+        c_i, c_j = rng.integers(0, classes, size=(2, size))
+        pos, weights = _target_plan(c_i, c_j, rng.uniform(size=size), size, classes)
+        taken = np.empty(pos.shape)
+        work = _StepBuffers.create(params, size)
+        grads, peak = traced_peak(_grad_step, params, x, pos[0], weights[0], taken[0], work)
+        assert grads is work.grads
+        assert peak < min(x.nbytes, sum(g.nbytes for g in grads))
+
+    @pytest.mark.parametrize("dim", [10, 3072])
+    def test_one_blend_per_chunk_of_batches(self, monkeypatch, dim):
+        import lobmix.trainer
+
+        calls = []
+
+        def counting(features, i, *args, **kwargs):
+            calls.append(len(i))
+            return blend(features, i, *args, **kwargs)
+
+        monkeypatch.setattr(lobmix.trainer, "blend", counting)
+        base = synth_gaussian_mixture(3, (150,) * 3, dim, 4.0, seed=3)
+        train_ds, test_ds, _ = split_datasets(base, (120, 60, 30), 20, seed=3)
+        standardize(train_ds, test_ds)
+        size, bpe = 128, (40 if dim == 10 else 3)
+        cfg = TrainConfig(epochs=2, batches_per_epoch=bpe, batch_size=size, lr=0.1, strategy=Strategy.LOB, seed=31)
+        params, history = train(train_ds, test_ds, cfg)
+        per_chunk = max(1, BLOCK_BYTES // (size * dim * 8))
+        assert per_chunk == (25 if dim == 10 else 1)
+        chunks = [min(per_chunk, bpe - first) * size for first in range(0, bpe, per_chunk)]
+        assert calls == chunks * cfg.epochs
         ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
         assert history == ref_history
         for w, ref in zip(params.weights, ref_params.weights, strict=True):
