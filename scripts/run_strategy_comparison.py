@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare training strategies on long-tailed Gaussian-mixture data.
 
-Runs every strategy (erm, mixup, lob, deferred) across several seeds via the
-CLI and aggregates the per-strategy balanced and group accuracies with
+Runs every strategy of `lobmix.STRATEGIES`, in its order, across several seeds
+via the CLI and aggregates the per-strategy balanced and group accuracies with
 `lobmix report`. The interesting comparison is lob vs mixup: same mixing,
 different pairing distribution.
 """
@@ -11,10 +11,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from lobmix import Strategy
+from lobmix import STRATEGIES
 from lobmix.cli import main as lobmix_main
-
-STRATEGIES = tuple(s.value for s in Strategy)
 
 
 def experiment_config() -> dict:

@@ -16,9 +16,9 @@ from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical
 from .samplers import CB, IB, SamplerKind, sample_batch
 from .seeds import make_rng
 from .trainer import (
+    STRATEGIES,
     EvalReport,
     ModelParams,
-    Strategy,
     TrainConfig,
     evaluate,
     forward,
@@ -38,8 +38,8 @@ __all__ = [
     "LabeledDataset",
     "ModelParams",
     "OccurrenceReport",
+    "STRATEGIES",
     "SamplerKind",
-    "Strategy",
     "TrainConfig",
     "analytic_occurrence",
     "blend",

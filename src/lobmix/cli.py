@@ -27,7 +27,7 @@ from .atomic import atomic_write
 from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_settings, json_value
 from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
 from .seeds import MAX_SEED, RNG_LAYOUT
-from .trainer import GROUP_NAMES, Strategy, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
+from .trainer import GROUP_NAMES, STRATEGIES, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
 PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
@@ -55,7 +55,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         train = dataclasses.asdict(self.train)
         seed = train.pop("seed")
-        train.update(strategy=self.train.strategy.value, lr_decay_epochs=list(self.train.lr_decay_epochs))
+        train.update(lr_decay_epochs=list(self.train.lr_decay_epochs))
         return {
             "dataset": dict(self.dataset),
             "profile": self.profile.to_dict(),
@@ -301,7 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(out / "eval.json", {"config_sha256": digest, **dataclasses.asdict(report)})
     with atomic_write(out / DONE_MARKER) as fh:  # last: DONE marks a whole run directory
         fh.write(digest + "\n")
-    print(f"strategy={cfg.train.strategy.value} balanced_acc={format_float(report.balanced_accuracy)}")
+    print(f"strategy={cfg.train.strategy} balanced_acc={format_float(report.balanced_accuracy)}")
     print(f"run dir: {out}")
     return 0
 
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument(
         "--alpha", type=float, default=None,
         help=f"Beta shape override (config default {TrainConfig.alpha}; "

@@ -46,12 +46,12 @@ def pair_weights(class_i: np.ndarray, class_j: np.ndarray, lam) -> tuple[np.ndar
 
 
 def draw_pairs(
-    kinds: tuple[SamplerKind, SamplerKind],
+    kinds: tuple[SamplerKind, ...],
     index: ClassIndex,
     alpha: float,
     rng: np.random.Generator,
     size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Draw ``size`` mixed rows ``(i, j, lam)`` from two independent samplers of the given kinds.
 
     ``(IB, IB)`` is vanilla mixing and ``(CB, CB)`` label-occurrence-balanced
@@ -59,8 +59,11 @@ def draw_pairs(
     member b, then the ratios are drawn from ``rng`` in that fixed order, so
     the generator's address regenerates the rows. Row r's target puts
     :func:`pair_weights` on the classes of examples ``i[r]`` and ``j[r]``.
+    One kind draws unmixed rows ``(i, i, 1.0)``, from member a alone.
     """
     i = sample_batch(kinds[0], index, rng, size)
+    if len(kinds) == 1:
+        return i, i, 1.0
     j = sample_batch(kinds[1], index, rng, size)
     return i, j, sample_lambda(alpha, rng, size=size)
 

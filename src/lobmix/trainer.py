@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from .atomic import atomic_write
 from .longtail import BLOCK_BYTES, LabeledDataset, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
-from .samplers import CB, IB, SamplerKind, sample_batch
+from .samplers import CB, IB, SamplerKind
 from .seeds import make_rng
 
 ARCHITECTURES = ("linear", "mlp1")
@@ -26,11 +25,14 @@ ARCHITECTURES = ("linear", "mlp1")
 GROUP_NAMES = ("head", "medium", "tail")
 
 
-class Strategy(str, Enum):
-    ERM = "erm"
-    MIXUP = "mixup"
-    LOB = "lob"
-    DEFERRED = "deferred"
+# Each strategy's phases: the sampler kinds (:func:`draw_pairs`; one kind is
+# unmixed) of its rows before the switch epoch and, for a second phase, from it on.
+STRATEGIES: dict[str, tuple[tuple[SamplerKind, ...], ...]] = {
+    "erm": ((IB,),),
+    "mixup": ((IB, IB),),
+    "lob": ((CB, CB),),
+    "deferred": ((IB, IB), (CB, CB)),
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -273,7 +275,7 @@ class TrainConfig:
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay_factor: float = 0.1
     alpha: float = 1.0  # the usual choice at this scale; 0.2 is common for very large image corpora
-    strategy: Strategy = Strategy.MIXUP
+    strategy: str = "mixup"  # a key of STRATEGIES
     seed: int = 0
     defer_epoch: int | None = None
     arch: str = "linear"
@@ -282,7 +284,8 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {', '.join(STRATEGIES)}")
         object.__setattr__(self, "lr_decay_epochs", tuple(int(e) for e in self.lr_decay_epochs))
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
@@ -292,6 +295,8 @@ class TrainConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if any(b <= a for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
             raise ValueError(f"decay epochs must be strictly increasing, got {self.lr_decay_epochs}")
+        if min(self.lr_decay_epochs, default=1) < 1:
+            raise ValueError(f"decay epochs must be >= 1, got {self.lr_decay_epochs}")
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.hidden < 1:
@@ -300,9 +305,9 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.strategy is Strategy.DEFERRED:
+        if len(STRATEGIES[self.strategy]) > 1:
             if self.switch_epoch is None:
-                raise ValueError("deferred strategy needs defer_epoch or at least one lr decay epoch")
+                raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")
             if not 0 < self.switch_epoch < self.epochs:
                 raise ValueError(
                     f"defer epoch {self.switch_epoch} must lie strictly inside (0, epochs={self.epochs})"
@@ -310,7 +315,7 @@ class TrainConfig:
 
     @property
     def switch_epoch(self) -> int | None:
-        """Epoch at which the deferred strategy switches to balanced mixing."""
+        """Epoch at which a two-phase strategy (``deferred``) switches to its second phase."""
         if self.defer_epoch is not None:
             return self.defer_epoch
         return self.lr_decay_epochs[0] if self.lr_decay_epochs else None
@@ -363,13 +368,10 @@ def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay_factor**decayed
 
 
-def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[SamplerKind, SamplerKind] | None:
-    """Samplers feeding the mixer in this epoch; None for unmixed (ERM) batches."""
-    if cfg.strategy is Strategy.ERM:
-        return None
-    if cfg.strategy is Strategy.MIXUP or (cfg.strategy is Strategy.DEFERRED and epoch < cfg.switch_epoch):
-        return (IB, IB)
-    return (CB, CB)
+def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[SamplerKind, ...]:
+    """Sampler kinds of this epoch's rows: the strategy's phase in :data:`STRATEGIES`."""
+    phases = STRATEGIES[cfg.strategy]
+    return phases[1] if len(phases) > 1 and epoch >= cfg.switch_epoch else phases[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -419,12 +421,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
-        rng = make_rng(cfg.seed, "epoch", epoch)
-        if kinds is None:  # unmixed rows: each example paired with itself
-            i = j = sample_batch(IB, index, rng, rows_per_epoch)
-            lam = 1.0
-        else:
-            i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
+        i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(cfg.seed, "epoch", epoch), rows_per_epoch)
         # labels[i] and labels[j] raise on an index beyond the rows before any
         # batch is gathered, so the gathers below may clip (the samplers draw
         # from index.flat, which holds no negative index)
@@ -432,7 +429,7 @@ def train(
         for first in range(0, cfg.batches_per_epoch, per_chunk):
             rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
             out = tuple(buffer[: rows.stop - rows.start] for buffer in chunks)
-            if kinds is None:
+            if j is i:  # unmixed rows: blending at λ = 1 gives the same bits but gathers them twice
                 chunk = train_ds.features.take(i[rows], axis=0, out=out[0], mode="clip")
             else:
                 chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=out)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lobmix import (
+    CB,
     IB,
     ClassIndex,
     ImbalanceProfile,
@@ -16,13 +17,11 @@ from lobmix import (
     loss_and_grad,
     longtail_split,
     make_rng,
-    sample_batch,
 )
 from lobmix.trainer import (
     EpochStats,
     TrainingDiverged,
     _epoch_lr,
-    _epoch_sampler_kinds,
     default_groups,
     init_params,
 )
@@ -180,6 +179,22 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
+def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple[SamplerKind, ...]:
+    """The sampler kinds of a strategy's rows in ``epoch``, written out apart from ``trainer.STRATEGIES``.
+
+    One kind is unmixed: each drawn example paired with itself, at λ = 1.
+    """
+    if strategy == "erm":
+        return (IB,)
+    if strategy == "mixup":
+        return (IB, IB)
+    if strategy == "lob":
+        return (CB, CB)
+    if strategy == "deferred":  # vanilla mixing, then LOB mixing from the switch epoch on
+        return (IB, IB) if epoch < switch_epoch else (CB, CB)
+    raise ValueError(f"no expected schedule for strategy {strategy!r}")
+
+
 # Reference of the trainer's loop: one loss_and_grad call per batch, with the
 # loss checked batch by batch. train hoists the per-row target work out of
 # its batch loop and must return the same bits.
@@ -196,18 +211,14 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
-        kinds = _epoch_sampler_kinds(cfg, epoch)
-        rng = make_rng(cfg.seed, "epoch", epoch)
-        if kinds is None:
-            i = j = sample_batch(IB, index, rng, rows_per_epoch)
-        else:
-            i, j, lam = draw_pairs(kinds, index, cfg.alpha, rng, rows_per_epoch)
+        kinds = expected_kinds(cfg.strategy, epoch, cfg.switch_epoch)
+        i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(cfg.seed, "epoch", epoch), rows_per_epoch)
         c_i, c_j = train_ds.labels[i], train_ds.labels[j]
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            if kinds is None:
-                x, lam_b = train_ds.features[i[rows]], 1.0
+            if len(kinds) == 1:  # unmixed: (i, i, 1.0)
+                x, lam_b = train_ds.features[i[rows]], lam
             else:
                 x, lam_b = blend(train_ds.features, i[rows], j[rows], lam[rows]), lam[rows]
             loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam_b)

@@ -2,11 +2,13 @@
 
 The flows run in one directory with relative paths, so no absolute path
 reaches an output. They cover synthetic ``build-lt`` plus ``analyze`` with
-and without sampling, ``train`` with each strategy on a shortened README
-config plus ``report``, and two-file CIFAR ``build-lt --base`` plus ``train``.
-``tests/golden/digests.json`` holds the sha256 of every file they leave and
-of each command's stdout, each command's exit code, and the numpy version
-and random-stream layout they were written under.
+and without sampling, ``train`` with each strategy of ``lobmix.STRATEGIES``
+on a shortened README config plus ``report``, and two-file CIFAR ``build-lt
+--base`` plus ``train``; a strategy added to the table shows up as new files
+until the digests are regenerated. ``tests/golden/digests.json`` holds the
+sha256 of every file they leave and of each command's stdout, each command's
+exit code, and the numpy version and random-stream layout they were written
+under.
 
 Regenerate the digests after an intended byte change, and explain each
 changed file in CHANGES.md::
@@ -27,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from lobmix import STRATEGIES
+
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
-STRATEGIES = ("erm", "mixup", "lob", "deferred")
 
 # The README config with 6 epochs of 10 batches; both decay epochs fall inside the run.
 SYNTH_CONFIG = {

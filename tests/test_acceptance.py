@@ -16,7 +16,6 @@ from lobmix import (
     IB,
     ImbalanceProfile,
     LabeledDataset,
-    Strategy,
     TrainConfig,
     analytic_occurrence,
     blend,
@@ -219,8 +218,8 @@ def test_criterion_7_deferred_prefix_equivalence():
         epochs=8, batches_per_epoch=10, batch_size=64, lr=0.4,
         lr_decay_epochs=(switch,), alpha=1.0, seed=4242,
     )
-    _, deferred = train(train_ds, test_ds, TrainConfig(strategy=Strategy.DEFERRED, **common))
-    _, vanilla = train(train_ds, test_ds, TrainConfig(strategy=Strategy.MIXUP, **common))
+    _, deferred = train(train_ds, test_ds, TrainConfig(strategy="deferred", **common))
+    _, vanilla = train(train_ds, test_ds, TrainConfig(strategy="mixup", **common))
     assert deferred[:switch] == vanilla[:switch], "pre-switch histories must be bit-identical"
     assert deferred[switch:] != vanilla[switch:], "post-switch histories should diverge"
     announce(7, f"deferred/vanilla histories identical for epochs < {switch}")
@@ -243,8 +242,8 @@ def test_criterion_8_lob_beats_vanilla_on_longtail():
         return np.array([last.balanced_accuracy, *(last.group_accuracy[g] for g in ("head", "medium", "tail"))])
 
     seeds = range(5)
-    vanilla = np.stack([run(seed, Strategy.MIXUP) for seed in seeds])
-    lob = np.stack([run(seed, Strategy.LOB) for seed in seeds])
+    vanilla = np.stack([run(seed, "mixup") for seed in seeds])
+    lob = np.stack([run(seed, "lob") for seed in seeds])
 
     assert lob[:, 0].mean() > vanilla[:, 0].mean(), "mean balanced accuracy ordering violated"
     tail_wins = int(np.sum(lob[:, 3] > vanilla[:, 3]))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lobmix import (
+    STRATEGIES,
     ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
@@ -691,6 +692,8 @@ class TestMalformedConfig:
             ("train", "momentum", -5, "momentum must be non-negative, got -5"),
             ("train", "weight_decay", -1e-4, "weight_decay must be non-negative, got -0.0001"),
             ("train", "lr_decay_factor", -3.0, "lr_decay_factor must be non-negative, got -3.0"),
+            ("train", "lr_decay_epochs", [-2], "decay epochs must be >= 1, got (-2,)"),
+            ("train", "lr_decay_epochs", [0, 2], "decay epochs must be >= 1, got (0, 2)"),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -702,6 +705,14 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert message in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_strategy_rejected(self, tmp_path, capsys):
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["train"]["strategy"] = "lobb"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        want = f"error: unknown strategy 'lobb', expected one of {', '.join(STRATEGIES)}"
+        assert capsys.readouterr().err.splitlines() == [want]
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_alpha_override_rejected(self, tmp_path, capsys):
@@ -1039,13 +1050,22 @@ class TestConfigRoundTrip:
         spec.loader.exec_module(script)
         return script
 
-    def test_strategy_comparison_script_config(self):
+    def test_strategy_comparison_script_config(self, tmp_path, monkeypatch):
         script = self.strategy_comparison_script()
         raw = script.experiment_config()
         cfg = ExperimentConfig.from_dict(raw)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.to_dict()["train"].items() >= raw["train"].items()
-        assert script.STRATEGIES == ("erm", "mixup", "lob", "deferred")  # the order the runs are made in
+        calls = []
+        monkeypatch.setattr(script, "lobmix_main", lambda argv: calls.append(argv) or 0)
+        monkeypatch.setattr("sys.argv", ["run_strategy_comparison.py", "--seeds", "2", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            script.main()
+        assert exit_info.value.code == 0
+        runs = [(argv[argv.index("--strategy") + 1], argv[argv.index("--seed") + 1]) for argv in calls[:-1]]
+        assert runs == [(s, seed) for s in STRATEGIES for seed in ("0", "1")]  # the table's order, then the seeds
+        run_dirs = [argv[argv.index("--out") + 1] for argv in calls[:-1]]
+        assert calls[-1] == ["report", *run_dirs, "--out", str(tmp_path / "aggregate.csv")]
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_strategy_comparison_script_rejects_no_seeds(self, tmp_path, monkeypatch, capsys, seeds):

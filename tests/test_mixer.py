@@ -12,6 +12,7 @@ from lobmix import (
     draw_pairs,
     empirical_occurrence,
     pair_weights,
+    sample_batch,
     sample_lambda,
 )
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
@@ -162,6 +163,16 @@ class TestBatchMakers:
         assert 0.0 < lam[0] < 1.0
         assert blend(ds.features, i, j, lam).shape == (1, 3)
 
+    @pytest.mark.parametrize("kind", [IB, CB])
+    def test_one_kind_is_unmixed(self, kind):
+        index = self._dataset([30, 12, 5]).class_index()
+        rng, ref = make_rng(41, "test"), make_rng(41, "test")
+        i, j, lam = draw_pairs((kind,), index, 0.7, rng, 200)
+        want = sample_batch(kind, index, ref, 200)
+        assert j is i and type(lam) is float and lam == 1.0
+        assert i.dtype == want.dtype and np.array_equal(i, want)
+        assert np.array_equal(rng.random(8), ref.random(8))  # nothing else was drawn
+
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])
         batch = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
@@ -254,6 +265,13 @@ class TestBlend:
         assert blend(features, i, j, lam, out=bufs) is bufs[0]
         assert bufs[0].tobytes() == expect.tobytes()
         assert features.tobytes() == before.tobytes()
+
+    def test_unmixed_rows_are_the_gathered_rows(self):
+        # blending (i, i, 1) gives the bits of the gather that train uses for unmixed rows
+        tiny, big = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+        features = np.array([[-0.0, 0.0, -tiny, tiny], [-5.0, 3.0, big, -big]])
+        i = np.array([1, 0, 0, 1])
+        assert blend(features, i, i, np.ones(4)).tobytes() == features[i].tobytes()
 
     def test_out_allocates_no_batch(self):
         # numpy's bounds-checked take gathers into a hidden copy of out; the clipped one writes out directly.

@@ -10,16 +10,19 @@ from hypothesis.extra.numpy import arrays
 from lobmix import (
     CB,
     IB,
+    STRATEGIES,
+    ClassIndex,
+    ImbalanceProfile,
     LabeledDataset,
-    Strategy,
     TrainConfig,
+    analytic_occurrence,
     blend,
     draw_pairs,
+    empirical_occurrence,
     evaluate,
     forward,
     loss_and_grad,
     make_rng,
-    sample_batch,
     standardize,
     synth_gaussian_mixture,
     train,
@@ -30,6 +33,7 @@ from lobmix.trainer import (
     GROUP_NAMES,
     ModelParams,
     TrainingDiverged,
+    _epoch_sampler_kinds,
     _forward,
     _grad_step,
     _softmax,
@@ -40,7 +44,7 @@ from lobmix.trainer import (
     write_history_csv,
 )
 
-from conftest import dense_targets, reference_train, soft_cross_entropy, split_datasets, traced_peak
+from conftest import dense_targets, expected_kinds, reference_train, soft_cross_entropy, split_datasets, traced_peak
 
 EPS = np.finfo(np.float64).eps
 
@@ -195,7 +199,7 @@ class TestSoftmax:
         train_ds, test_ds, _ = quick_split(seed=19)
         groups = default_groups(train_ds.class_index().counts)
         cfg = TrainConfig(
-            epochs=3, batches_per_epoch=5, batch_size=16, lr=0.3, strategy=Strategy.LOB, seed=29, arch=arch, hidden=8
+            epochs=3, batches_per_epoch=5, batch_size=16, lr=0.3, strategy="lob", seed=29, arch=arch, hidden=8
         )
         params, history = train(train_ds, test_ds, cfg)
         report = evaluate(params, test_ds, groups)
@@ -275,7 +279,7 @@ class TestGrad:
         standardize(train_ds, test_ds)
         cfg = TrainConfig(
             epochs=120, batches_per_epoch=10, batch_size=64, lr=1.0,
-            lr_decay_epochs=(), strategy=Strategy.ERM, seed=0,
+            lr_decay_epochs=(), strategy="erm", seed=0,
         )
         params, _ = train(train_ds, test_ds, cfg)
         _, grads = loss_and_grad(params, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
@@ -450,7 +454,7 @@ class TestTrain:
         accs = [row.report.balanced_accuracy for row in history]
         assert len(set(accs)) == 1
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_one_generator_per_epoch(self, monkeypatch, strategy):
         import lobmix.trainer
 
@@ -468,7 +472,7 @@ class TestTrain:
         train(train_ds, test_ds, cfg)
         assert addresses == [(5, "init")] + [(5, "epoch", e) for e in range(2)]
 
-    @pytest.mark.parametrize("strategy", [Strategy.LOB, Strategy.ERM, Strategy.DEFERRED])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_batches_are_slices_of_the_epoch_draw(self, monkeypatch, strategy):
         import lobmix.trainer
 
@@ -491,26 +495,21 @@ class TestTrain:
         index, features, labels = train_ds.class_index(), train_ds.features, train_ds.labels
         offsets = np.arange(size) * train_ds.num_classes
         for e in range(epochs):
-            rng = make_rng(9, "epoch", e)
-            if strategy is Strategy.ERM:
-                i = sample_batch(IB, index, rng, bpe * size)
-            else:
-                kinds = (IB, IB) if strategy is Strategy.DEFERRED and e < switch else (CB, CB)
-                i, j, lam = draw_pairs(kinds, index, 0.7, rng, bpe * size)
+            kinds = expected_kinds(strategy, e, switch)
+            i, j, lam = draw_pairs(kinds, index, 0.7, make_rng(9, "epoch", e), bpe * size)
             for b in range(bpe):
                 x, pos, weights = seen[e * bpe + b]
                 rows = slice(b * size, (b + 1) * size)
-                if strategy is Strategy.ERM:
+                c_i, c_j = labels[i[rows]], labels[j[rows]]
+                assert np.array_equal(pos, np.concatenate([offsets + c_i, offsets + c_j]))
+                if len(kinds) == 1:
                     assert np.array_equal(x, features[i[rows]])
-                    assert np.array_equal(pos, np.concatenate([offsets + labels[i[rows]]] * 2))
                     assert np.array_equal(weights, np.concatenate([np.ones(size), np.zeros(size)]))
                 else:
                     assert np.array_equal(x, blend(features, i[rows], j[rows], lam[rows]))
-                    c_i, c_j = labels[i[rows]], labels[j[rows]]
-                    assert np.array_equal(pos, np.concatenate([offsets + c_i, offsets + c_j]))
                     assert np.array_equal(weights, np.concatenate(pair_weights(c_i, c_j, lam[rows])))
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     @pytest.mark.parametrize("arch", ["linear", "mlp1"])
     @pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.9, 1e-4)])
     def test_bitwise_equal_to_the_per_batch_reference(self, strategy, arch, momentum, weight_decay):
@@ -556,7 +555,7 @@ class TestTrain:
         train_ds, test_ds, _ = split_datasets(base, (120, 60, 30), 20, seed=3)
         standardize(train_ds, test_ds)
         size, bpe = 128, (40 if dim == 10 else 3)
-        cfg = TrainConfig(epochs=2, batches_per_epoch=bpe, batch_size=size, lr=0.1, strategy=Strategy.LOB, seed=31)
+        cfg = TrainConfig(epochs=2, batches_per_epoch=bpe, batch_size=size, lr=0.1, strategy="lob", seed=31)
         params, history = train(train_ds, test_ds, cfg)
         per_chunk = max(1, BLOCK_BYTES // (size * dim * 8))
         assert per_chunk == (25 if dim == 10 else 1)
@@ -569,7 +568,7 @@ class TestTrain:
 
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
-        cfg = TrainConfig(epochs=3, batches_per_epoch=8, batch_size=32, lr=0.3, strategy=Strategy.LOB, seed=21)
+        cfg = TrainConfig(epochs=3, batches_per_epoch=8, batch_size=32, lr=0.3, strategy="lob", seed=21)
         _, h1 = train(train_ds, test_ds, cfg)
         _, h2 = train(train_ds, test_ds, cfg)
         assert h1 == h2
@@ -578,7 +577,7 @@ class TestTrain:
         base = synth_gaussian_mixture(2, (300, 300), 4, 10.0, seed=6)
         train_ds, test_ds, _ = split_datasets(base, (200, 200), 80, seed=6)
         standardize(train_ds, test_ds)
-        cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy=Strategy.ERM, seed=0)
+        cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy="erm", seed=0)
         _, history = train(train_ds, test_ds, cfg)
         assert history[-1].report.balanced_accuracy >= 0.99
 
@@ -595,14 +594,14 @@ class TestTrain:
     def test_deferred_prefix_matches_vanilla(self):
         train_ds, test_ds, _ = quick_split(seed=9)
         common = dict(epochs=6, batches_per_epoch=6, batch_size=32, lr=0.3, lr_decay_epochs=(4,), seed=13)
-        _, deferred = train(train_ds, test_ds, TrainConfig(strategy=Strategy.DEFERRED, **common))
-        _, vanilla = train(train_ds, test_ds, TrainConfig(strategy=Strategy.MIXUP, **common))
+        _, deferred = train(train_ds, test_ds, TrainConfig(strategy="deferred", **common))
+        _, vanilla = train(train_ds, test_ds, TrainConfig(strategy="mixup", **common))
         assert deferred[:4] == vanilla[:4]
         assert deferred[4:] != vanilla[4:]
 
     def test_strategies_all_run(self):
         train_ds, test_ds, _ = quick_split(seed=10)
-        for strategy in Strategy:
+        for strategy in STRATEGIES:
             cfg = TrainConfig(
                 epochs=2, batches_per_epoch=4, batch_size=16, lr=0.2,
                 lr_decay_epochs=(1,), strategy=strategy, seed=2,
@@ -610,7 +609,7 @@ class TestTrain:
             params, history = train(train_ds, test_ds, cfg)
             assert len(history) == 2
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_evaluate_runs_once_per_epoch(self, monkeypatch, strategy):
         import lobmix.trainer
 
@@ -633,7 +632,7 @@ class TestTrain:
     # deferred needs a switch epoch strictly inside the run, so it has no 1-epoch run
     @pytest.mark.parametrize(
         "strategy,epochs",
-        [(s, e) for s in Strategy for e in (1, 2, 3) if not (s is Strategy.DEFERRED and e == 1)],
+        [(s, e) for s in STRATEGIES for e in (1, 2, 3) if not (s == "deferred" and e == 1)],
     )
     def test_last_report_matches_fresh_evaluate(self, strategy, epochs):
         train_ds, test_ds, _ = quick_split(seed=16)
@@ -664,24 +663,62 @@ class TestTrain:
         train_ds, test_ds, _ = quick_split(seed=12)
         cfg = TrainConfig(
             epochs=3, batches_per_epoch=6, batch_size=32, lr=0.2,
-            strategy=Strategy.LOB, arch="mlp1", hidden=16, seed=0,
+            strategy="lob", arch="mlp1", hidden=16, seed=0,
         )
         _, history = train(train_ds, test_ds, cfg)
         assert np.isfinite(history[-1].train_loss)
+
+
+class TestStrategies:
+    # the README config's train section
+    README = dict(epochs=40, batches_per_epoch=40, batch_size=128, lr=0.5, lr_decay_epochs=(30, 37))
+
+    def test_table_is_the_written_out_schedule(self):
+        assert tuple(STRATEGIES) == ("erm", "mixup", "lob", "deferred")
+        for strategy in STRATEGIES:
+            for switch, extra in ((2, {}), (3, {"defer_epoch": 3})):
+                cfg = TrainConfig(
+                    epochs=6, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_epochs=(2, 4),
+                    strategy=strategy, **extra,
+                )
+                for e in range(cfg.epochs):
+                    assert _epoch_sampler_kinds(cfg, e) == expected_kinds(strategy, e, switch)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_phase_has_its_analytic_occurrence(self, seed):
+        # the paper's claim on the trainer's own draws: one epoch of each phase,
+        # tallied, lies within 5 binomial standard errors of the analytic ratio
+        # of every class (a row's mass on a class lies in [0, 1], so its
+        # variance is at most p (1 - p))
+        counts = ImbalanceProfile("exponential", 100, 500).class_counts(10)
+        labels = np.repeat(np.arange(10), counts)
+        index = ClassIndex.from_labels(labels, 10)
+        for strategy, phases in STRATEGIES.items():
+            cfg = TrainConfig(strategy=strategy, seed=seed, **self.README)
+            n = cfg.batches_per_epoch * cfg.batch_size
+            for first, kinds in zip((0, cfg.switch_epoch), phases):
+                assert _epoch_sampler_kinds(cfg, first) == kinds
+                i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(seed, "epoch", first), n)
+                if len(kinds) == 1:
+                    lam = np.ones(n)
+                measured = empirical_occurrence(labels[i], labels[j], lam, 10).ratios
+                want = analytic_occurrence(kinds if len(kinds) == 2 else kinds * 2, index).ratios
+                tolerance = 5 * np.sqrt(want * (1 - want) / n)
+                assert np.all(np.abs(measured - want) <= tolerance), (strategy, kinds)
 
 
 class TestTrainConfigValidation:
     def test_deferred_needs_valid_switch(self):
         with pytest.raises(ValueError, match="defer"):
             TrainConfig(epochs=5, batches_per_epoch=1, batch_size=1, lr=0.1,
-                        strategy=Strategy.DEFERRED, defer_epoch=5)
+                        strategy="deferred", defer_epoch=5)
         with pytest.raises(ValueError, match="defer"):
             TrainConfig(epochs=5, batches_per_epoch=1, batch_size=1, lr=0.1,
-                        strategy=Strategy.DEFERRED)
+                        strategy="deferred")
 
     def test_defer_defaults_to_first_decay(self):
         cfg = TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1,
-                          lr_decay_epochs=(6, 8), strategy=Strategy.DEFERRED)
+                          lr_decay_epochs=(6, 8), strategy="deferred")
         assert cfg.switch_epoch == 6
 
     def test_decay_epochs_must_increase(self):
