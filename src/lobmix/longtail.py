@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -95,8 +96,9 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
 
 def json_ints(value, name: str) -> list:
     """Return ``value`` if it holds a JSON list of integers, else raise ValueError."""
-    for v in json_value(value, list, name):
-        if type(v) is not int:  # cheap test first: manifests hold up to millions of entries
+    # manifests hold up to millions of entries: count ints at C speed, then name the first non-int
+    if operator.countOf(map(type, json_value(value, list, name)), int) != len(value):
+        for v in value:
             json_value(v, int, f"{name} entry")
     return value
 

@@ -3,15 +3,15 @@
 The label occurrence ratio of class k is the share of total mixing-ratio
 mass assigned to k across all mixed examples. Under random pairing on
 long-tailed data this share is dominated by head classes; the functions here
-compute it both analytically (from sampler selection distributions, in exact
-rational arithmetic) and empirically (from generated batches).
+compute it both analytically (from sampler selection distributions, as exact
+integer numerators over one common denominator, each ratio rounded once) and
+empirically (from generated batches).
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -55,12 +55,11 @@ class OccurrenceReport:
         }
 
 
-def _class_mass_fractions(kind: SamplerKind, counts: Sequence[int]) -> list[Fraction]:
-    num_classes = len(counts)
+def _class_masses(kind: SamplerKind, counts: list[int]) -> tuple[list[int], int]:
+    """A sampler's class masses as integer numerators over one denominator: ``(n_k, N)`` or ``(1, C)``."""
     if kind is CB:
-        return [Fraction(1, num_classes)] * num_classes
-    total = sum(counts)
-    return [Fraction(int(n), total) for n in counts]
+        return [1] * len(counts), len(counts)
+    return counts, sum(counts)
 
 
 def analytic_occurrence(kinds: tuple[SamplerKind, SamplerKind], index: ClassIndex) -> OccurrenceReport:
@@ -69,16 +68,20 @@ def analytic_occurrence(kinds: tuple[SamplerKind, SamplerKind], index: ClassInde
     In expectation each pair member contributes half of the mass (the mixing
     ratio distribution is symmetric), so the ratio for class k is the mean of
     the two samplers' class masses. Independent of alpha.
+
+    With masses ``a_k/p`` and ``b_k/q`` that mean is ``(a_k·q + b_k·p) / (2pq)``,
+    held as Python ints so no product overflows. ``int / int`` is correctly
+    rounded, so each ratio, and ``balance_ratio`` (max over min numerator, the
+    common denominator cancelling), is the float nearest the exact rational.
     """
     counts = [int(n) for n in index.counts]
     if any(n == 0 for n in counts):
         raise ValueError("analytic occurrence requires every class to be populated")
-    m1 = _class_mass_fractions(kinds[0], counts)
-    m2 = _class_mass_fractions(kinds[1], counts)
-    gammas = [(a + b) / 2 for a, b in zip(m1, m2)]
-    ratios = np.array([float(g) for g in gammas])
-    spread = float(max(gammas) / min(gammas))
-    return OccurrenceReport(ratios=ratios, balance_ratio=spread, sample_count=0)
+    (a, p), (b, q) = (_class_masses(kind, counts) for kind in kinds)
+    nums = [a_k * q + b_k * p for a_k, b_k in zip(a, b)]
+    den = 2 * p * q
+    ratios = np.array([n / den for n in nums])
+    return OccurrenceReport(ratios=ratios, balance_ratio=max(nums) / min(nums), sample_count=0)
 
 
 def empirical_occurrence(

@@ -305,13 +305,12 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if len(STRATEGIES[self.strategy]) > 1:
-            if self.switch_epoch is None:
-                raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")
-            if not 0 < self.switch_epoch < self.epochs:
-                raise ValueError(
-                    f"defer epoch {self.switch_epoch} must lie strictly inside (0, epochs={self.epochs})"
-                )
+        two_phase = len(STRATEGIES[self.strategy]) > 1
+        if two_phase and self.switch_epoch is None:
+            raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")
+        switch = self.switch_epoch if two_phase else self.defer_epoch  # a one-phase run ignores, but records, it
+        if switch is not None and not 0 < switch < self.epochs:
+            raise ValueError(f"defer epoch {switch} must lie strictly inside (0, epochs={self.epochs})")
 
     @property
     def switch_epoch(self) -> int | None:

@@ -76,7 +76,7 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
                 masses.append([Fraction(n, total) for n in lt_counts])
         gamma = [(a + b) / 2 for a, b in zip(*masses)]
         assert reports[name].balance_ratio == float(max(gamma) / min(gamma))
-        assert np.allclose(reports[name].ratios, [float(g) for g in gamma], rtol=0, atol=1e-15)
+        assert reports[name].ratios.tolist() == [float(g) for g in gamma]
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

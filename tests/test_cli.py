@@ -350,6 +350,15 @@ class TestTwoFileCifar:
         assert len(mappings) == 1 and mappings[0]() is None
 
 
+def test_cli_import_leaves_out_fractions_and_decimal():
+    """Every command pays for what ``import lobmix.cli`` loads; the occurrence oracle needs no rationals."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), os.environ.get("PYTHONPATH", "")))}
+    code = "import sys, lobmix.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 class TestMalformedManifest:
     @pytest.fixture()
     def manifest_dict(self, tmp_path):
@@ -574,6 +583,16 @@ class TestTrainCommand:
         config_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) != 0
         assert "defer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy,defer_epoch", [("lob", -5), ("lob", 99), ("mixup", 99), ("erm", 0)])
+    def test_one_phase_defer_epoch_checked(self, tmp_path, capsys, strategy, defer_epoch):
+        # a one-phase strategy never switches, but config.json would record the value
+        cfg = base_config()
+        cfg["train"].update(strategy=strategy, defer_epoch=defer_epoch)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: defer epoch {defer_epoch} must lie strictly inside (0, epochs=3)\n"
+        assert not out.exists()
 
     def test_missing_out_dir_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

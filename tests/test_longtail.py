@@ -224,6 +224,20 @@ class TestManifestLayout:
         assert np.array_equal(base.features[manifest.kept_indices], want_features)
         assert np.array_equal(base.labels[manifest.kept_indices], np.concatenate([base.labels[idx] for idx in gathers]))
 
+    @pytest.mark.parametrize("bad,shown", [(True, "True"), (None, "None"), (0.5, "0.5"), ("7", "'7'")])
+    @pytest.mark.parametrize("key", ["counts", "kept_indices"])
+    def test_long_list_names_its_first_bad_entry(self, key, bad, shown):
+        # a later bad entry of another kind must not be the one named
+        entries = list(range(10**5)) + [bad, 3, [4]]
+        d = {"source": "test", "profile": None, "seed": 0, "counts": [2, 3], "kept_indices": [[0, 1], [0, 1, 2]]}
+        if key == "counts":
+            d["counts"], name = entries, "manifest.counts"
+        else:
+            d["kept_indices"][1], name = entries, "manifest.kept_indices[1]"
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest.from_dict(d)
+        assert str(excinfo.value) == f"{name} entry must be an integer, got {shown}"
+
 
 class TestLongtailSplit:
     def test_balanced_test_disjoint_train(self):

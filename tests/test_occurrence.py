@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobmix import (
@@ -55,11 +55,26 @@ class TestAnalytic:
     def test_ib_cb_rational_oracle(self, lt_counts, lt_dataset):
         report = analytic_occurrence((IB, CB), lt_dataset.class_index())
         oracle = rational_gamma((IB, CB), list(lt_counts))
-        assert report.ratios == pytest.approx([float(g) for g in oracle], abs=1e-15)
+        assert report.ratios.tolist() == [float(g) for g in oracle]
         assert report.ratios[0] == pytest.approx(0.172345, abs=5e-7)
         assert report.ratios[9] == pytest.approx(0.0622346, abs=5e-7)
-        assert report.balance_ratio == pytest.approx(float(Fraction(3913, 1413)), abs=1e-15)
+        assert max(oracle) / min(oracle) == Fraction(3913, 1413)
+        assert report.balance_ratio == float(Fraction(3913, 1413))
         assert abs(report.balance_ratio - 2.7693) < 0.001
+
+    @given(
+        counts=st.lists(st.integers(1, 10**9), min_size=2, max_size=2000),
+        kinds=st.sampled_from([(IB, IB), (IB, CB), (CB, IB), (CB, CB)]),
+    )
+    @example(counts=[10**9 - 7 * k for k in range(2000)], kinds=(CB, IB))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_rational_oracle(self, counts, kinds):
+        # every ratio is the float nearest its rational value, as float(Fraction) gives it;
+        # the oracle reads the counts only, so the index holds no 10**12 example ids
+        report = analytic_occurrence(kinds, ClassIndex(np.empty(0, dtype=np.int64), np.asarray(counts)))
+        oracle = rational_gamma(kinds, counts)
+        assert report.ratios.tolist() == [float(g) for g in oracle]  # equal positive floats have equal bits
+        assert report.balance_ratio == float(max(oracle) / min(oracle))
 
     def test_sums_to_one(self, lt_dataset):
         index = lt_dataset.class_index()
