@@ -13,7 +13,7 @@ from .longtail import (
 )
 from .mixer import blend, draw_pairs, pair_weights, sample_lambda
 from .occurrence import COMBOS, OccurrenceReport, analytic_occurrence, empirical_occurrence
-from .samplers import CB, IB, SamplerKind, sample_batch
+from .samplers import CB, IB, sample_batch
 from .seeds import make_rng
 from .trainer import (
     STRATEGIES,
@@ -39,7 +39,6 @@ __all__ = [
     "ModelParams",
     "OccurrenceReport",
     "STRATEGIES",
-    "SamplerKind",
     "TrainConfig",
     "analytic_occurrence",
     "blend",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .longtail import ClassIndex
-from .samplers import SamplerKind, sample_batch
+from .samplers import sample_batch
 
 
 _LAM_EPS = 1e-7
@@ -46,24 +46,24 @@ def pair_weights(class_i: np.ndarray, class_j: np.ndarray, lam) -> tuple[np.ndar
 
 
 def draw_pairs(
-    kinds: tuple[SamplerKind, ...],
+    kinds: tuple[str, ...],
     index: ClassIndex,
     alpha: float,
     rng: np.random.Generator,
     size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``size`` mixed rows ``(i, j, lam)`` from two independent samplers of the given kinds.
 
-    ``(IB, IB)`` is vanilla mixing and ``(CB, CB)`` label-occurrence-balanced
+    ``("ib", "ib")`` is vanilla mixing and ``("cb", "cb")`` label-occurrence-balanced
     mixing; mixing ratios are drawn from Beta(alpha, alpha). Member a, then
     member b, then the ratios are drawn from ``rng`` in that fixed order, so
     the generator's address regenerates the rows. Row r's target puts
     :func:`pair_weights` on the classes of examples ``i[r]`` and ``j[r]``.
-    One kind draws unmixed rows ``(i, i, 1.0)``, from member a alone.
+    One kind draws unmixed rows ``(i, i, ones)`` from member a alone, ``lam`` a float64 array of ones.
     """
     i = sample_batch(kinds[0], index, rng, size)
     if len(kinds) == 1:
-        return i, i, 1.0
+        return i, i, np.ones(size)
     j = sample_batch(kinds[1], index, rng, size)
     return i, j, sample_lambda(alpha, rng, size=size)
 

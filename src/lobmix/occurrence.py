@@ -20,12 +20,12 @@ import numpy as np
 from .atomic import atomic_write
 from .longtail import ClassIndex
 from .mixer import draw_pairs
-from .samplers import CB, IB, SamplerKind
-from .seeds import make_rng
+from .samplers import CB, IB, class_masses
+from .seeds import MAX_SEED, make_rng
 
 
 # The sampler kinds feeding the mixer, by the combo names the CLI accepts.
-COMBOS = {"ib-ib": (IB, IB), "ib-cb": (IB, CB), "cb-cb": (CB, CB)}
+COMBOS = {f"{a}-{b}": (a, b) for a, b in ((IB, IB), (IB, CB), (CB, CB))}
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,7 @@ class OccurrenceReport:
         }
 
 
-def _class_masses(kind: SamplerKind, counts: list[int]) -> tuple[list[int], int]:
-    """A sampler's class masses as integer numerators over one denominator: ``(n_k, N)`` or ``(1, C)``."""
-    if kind is CB:
-        return [1] * len(counts), len(counts)
-    return counts, sum(counts)
-
-
-def analytic_occurrence(kinds: tuple[SamplerKind, SamplerKind], index: ClassIndex) -> OccurrenceReport:
+def analytic_occurrence(kinds: tuple[str, str], index: ClassIndex) -> OccurrenceReport:
     """Expected occurrence ratios for a pair of sampler kinds, in exact arithmetic.
 
     In expectation each pair member contributes half of the mass (the mixing
@@ -77,7 +70,7 @@ def analytic_occurrence(kinds: tuple[SamplerKind, SamplerKind], index: ClassInde
     counts = [int(n) for n in index.counts]
     if any(n == 0 for n in counts):
         raise ValueError("analytic occurrence requires every class to be populated")
-    (a, p), (b, q) = (_class_masses(kind, counts) for kind in kinds)
+    (a, p), (b, q) = (class_masses(kind, counts) for kind in kinds)
     nums = [a_k * q + b_k * p for a_k, b_k in zip(a, b)]
     den = 2 * p * q
     ratios = np.array([n / den for n in nums])
@@ -142,8 +135,16 @@ def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, s
 
     ``empirical`` is None when ``samples`` is 0. Otherwise it tallies
     ``samples`` rows drawn from ``make_rng(seed, "analyze:" + name)``, with
-    head incidence over the mask ``default_groups(counts) == 0``.
+    head incidence over the mask ``default_groups(counts) == 0``. ``alpha``
+    and ``seed`` are checked even when nothing is drawn; a bad setting is
+    named by its ``lobmix analyze`` flag.
     """
+    if not alpha > 0:
+        raise ValueError(f"--alpha must be positive, got {alpha}")
+    if alpha == math.inf:  # Beta(inf, inf) ratios come out NaN
+        raise ValueError("--alpha must be finite, got inf")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"--seed must fit in 64 bits, got {seed}")
     if samples < 0:
         raise ValueError(f"--samples must be >= 0, got {samples}")
     if len(counts) < 2:

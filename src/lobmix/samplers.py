@@ -1,33 +1,31 @@
-"""Instance-balanced and class-balanced example samplers.
+"""Instance-balanced (``ib``) and class-balanced (``cb``) example samplers.
 
 Both samplers draw with replacement. The class-balanced sampler is the
 two-stage scheme: pick a class uniformly, then an example uniformly within
 the class, so each example in class k is selected with probability
-1/(n_k * C) instead of the instance-balanced 1/N.
+1/(n_k * C) instead of the instance-balanced 1/N. This module alone says
+what a sampler kind, :data:`IB` or :data:`CB`, means; it rejects any other.
 """
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
 from .longtail import ClassIndex
 
-
-class SamplerKind(str, Enum):
-    INSTANCE_BALANCED = "instance_balanced"
-    CLASS_BALANCED = "class_balanced"
+IB, CB = "ib", "cb"
 
 
-IB = SamplerKind.INSTANCE_BALANCED
-CB = SamplerKind.CLASS_BALANCED
+def _known(kind: str) -> str:
+    if kind not in (IB, CB):
+        raise ValueError(f"unknown sampler kind {kind!r}, expected {IB!r} or {CB!r}")
+    return kind
 
 
-def sample_batch(kind: SamplerKind, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:
+def sample_batch(kind: str, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:
     """Draw ``batch_size`` i.i.d. example indices from ``rng`` with the given sampler kind."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    if kind is IB:
+    if _known(kind) == IB:
         out = rng.integers(0, index.total, size=batch_size)
     else:
         counts = index.counts
@@ -37,3 +35,10 @@ def sample_batch(kind: SamplerKind, index: ClassIndex, rng: np.random.Generator,
         within = rng.integers(0, counts[classes])
         out = index.flat[index.offsets[classes] + within]
     return out.astype(np.int64)
+
+
+def class_masses(kind: str, counts: list[int]) -> tuple[list[int], int]:
+    """A sampler's class masses as integer numerators over one denominator: ``(n_k, N)`` or ``(1, C)``."""
+    if _known(kind) == CB:
+        return [1] * len(counts), len(counts)
+    return counts, sum(counts)

@@ -17,7 +17,7 @@ from .atomic import atomic_write
 from .longtail import BLOCK_BYTES, LabeledDataset, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
-from .samplers import CB, IB, SamplerKind
+from .samplers import CB, IB
 from .seeds import make_rng
 
 ARCHITECTURES = ("linear", "mlp1")
@@ -27,7 +27,7 @@ GROUP_NAMES = ("head", "medium", "tail")
 
 # Each strategy's phases: the sampler kinds (:func:`draw_pairs`; one kind is
 # unmixed) of its rows before the switch epoch and, for a second phase, from it on.
-STRATEGIES: dict[str, tuple[tuple[SamplerKind, ...], ...]] = {
+STRATEGIES: dict[str, tuple[tuple[str, ...], ...]] = {
     "erm": ((IB,),),
     "mixup": ((IB, IB),),
     "lob": ((CB, CB),),
@@ -367,7 +367,7 @@ def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay_factor**decayed
 
 
-def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[SamplerKind, ...]:
+def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[str, ...]:
     """Sampler kinds of this epoch's rows: the strategy's phase in :data:`STRATEGIES`."""
     phases = STRATEGIES[cfg.strategy]
     return phases[1] if len(phases) > 1 and epoch >= cfg.switch_epoch else phases[0]

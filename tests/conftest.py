@@ -10,7 +10,6 @@ from lobmix import (
     ClassIndex,
     ImbalanceProfile,
     LabeledDataset,
-    SamplerKind,
     blend,
     draw_pairs,
     evaluate,
@@ -157,13 +156,15 @@ def dense_targets(dataset: LabeledDataset, i, j, lam) -> np.ndarray:
 # chi-square tests and the gradient checks compare against these.
 
 
-def selection_probability(kind: SamplerKind, index: ClassIndex) -> np.ndarray:
+def selection_probability(kind: str, index: ClassIndex) -> np.ndarray:
     """Per-example selection probabilities over 0..N-1 implied by a sampler kind on a class index."""
     if index.total == 0:
         raise ValueError("empty dataset")
     probs = np.empty(index.total, dtype=np.float64)
-    if kind is IB:
+    if kind == IB:
         probs.fill(1.0 / index.total)
+    elif kind != CB:
+        raise ValueError(f"no selection oracle for sampler kind {kind!r}")
     elif np.any(index.counts == 0):
         raise ValueError("class-balanced sampling requires every class to be populated")
     else:
@@ -179,7 +180,7 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray):
     return float(losses) if losses.ndim == 0 else losses
 
 
-def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple[SamplerKind, ...]:
+def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple[str, ...]:
     """The sampler kinds of a strategy's rows in ``epoch``, written out apart from ``trainer.STRATEGIES``.
 
     One kind is unmixed: each drawn example paired with itself, at λ = 1.
@@ -196,8 +197,9 @@ def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple
 
 
 # Reference of the trainer's loop: one loss_and_grad call per batch, with the
-# loss checked batch by batch. train hoists the per-row target work out of
-# its batch loop and must return the same bits.
+# loss checked batch by batch, and every draw blended, unmixed rows too. train
+# hoists the per-row target work out of its batch loop and only gathers
+# unmixed rows, and must return the same bits.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -217,11 +219,8 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
         losses = np.empty(cfg.batches_per_epoch)
         for b in range(cfg.batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            if len(kinds) == 1:  # unmixed: (i, i, 1.0)
-                x, lam_b = train_ds.features[i[rows]], lam
-            else:
-                x, lam_b = blend(train_ds.features, i[rows], j[rows], lam[rows]), lam[rows]
-            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam_b)
+            x = blend(train_ds.features, i[rows], j[rows], lam[rows])  # unmixed rows too: (i, i, ones)
+            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam[rows])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss

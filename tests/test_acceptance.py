@@ -70,10 +70,12 @@ def test_criterion_1_analytic_occurrence_oracle(lt_counts, lt_dataset, lt_index)
     for name, kinds in (("ib-ib", (IB, IB)), ("ib-cb", (IB, CB)), ("cb-cb", (CB, CB))):
         masses = []
         for kind in kinds:
-            if kind is CB:
+            if kind == CB:
                 masses.append([Fraction(1, num_classes)] * num_classes)
-            else:
+            elif kind == IB:
                 masses.append([Fraction(n, total) for n in lt_counts])
+            else:
+                raise ValueError(f"no occurrence oracle for sampler kind {kind!r}")
         gamma = [(a + b) / 2 for a, b in zip(*masses)]
         assert reports[name].balance_ratio == float(max(gamma) / min(gamma))
         assert reports[name].ratios.tolist() == [float(g) for g in gamma]

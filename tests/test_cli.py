@@ -359,6 +359,14 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert out.stdout == "[]\n"
 
 
+def test_package_exports_resolve_sorted_and_unique():
+    """``lobmix.__all__`` names only live objects, once each and in order, so a retired export cannot linger."""
+    import lobmix
+
+    assert all(hasattr(lobmix, name) for name in lobmix.__all__)
+    assert lobmix.__all__ == sorted(set(lobmix.__all__))
+
+
 class TestMalformedManifest:
     @pytest.fixture()
     def manifest_dict(self, tmp_path):
@@ -1120,9 +1128,15 @@ class TestSamplerAblationScript:
         [
             (("--samples", "-3"), "--samples must be >= 0, got -3"),
             (("--classes", "1"), "need at least 2 classes, got 1"),
-            (("--alpha", "inf"), "alpha must be positive and finite, got inf"),
-            (("--seed", "-1"), "root seed must fit in 64 bits, got -1"),
+            (("--alpha", "inf"), "--alpha must be finite, got inf"),
+            (("--seed", "-1"), "--seed must fit in 64 bits, got -1"),
             (("--n-max", "5"), "n_max=5 would shrink the smallest class below one example (rho=10.0)"),
+            # the analyze checks hold when nothing is drawn
+            (("--samples", "0", "--alpha", "-1"), "--alpha must be positive, got -1.0"),
+            (("--samples", "0", "--alpha", "inf"), "--alpha must be finite, got inf"),
+            (("--samples", "0", "--alpha", "nan"), "--alpha must be positive, got nan"),
+            (("--samples", "0", "--seed", "-5"), "--seed must fit in 64 bits, got -5"),
+            (("--samples", "0", "--seed", str(2**64)), f"--seed must fit in 64 bits, got {2**64}"),
         ],
     )
     def test_bad_flag_is_one_error_line(self, monkeypatch, capsys, args, message):
@@ -1184,6 +1198,16 @@ class TestReadme:
         assert len(blocks) == 1
         cfg = ExperimentConfig.from_dict(json.loads(blocks[0]))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_strategy_comparison_config_is_the_readme_config(self):
+        # the script runs the README's experiment, every strategy of it
+        (block,) = re.findall(r"^```json\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
+        readme = json.loads(block)
+        script = TestConfigRoundTrip.strategy_comparison_script().experiment_config()
+        for cfg in (readme, script):
+            cfg["train"].pop("strategy")
+        for section in ("dataset", "profile", "train"):
+            assert script[section] == readme[section], section
 
     def test_train_defaults_table_matches_train_config(self):
         rows = re.findall(r"^\| `(\w+)` \| `([^`]*)`", (REPO / "README.md").read_text(), re.M)

@@ -163,15 +163,25 @@ class TestBatchMakers:
         assert 0.0 < lam[0] < 1.0
         assert blend(ds.features, i, j, lam).shape == (1, 3)
 
-    @pytest.mark.parametrize("kind", [IB, CB])
+    @pytest.mark.parametrize("kind", [IB, CB], ids=["instance_balanced", "class_balanced"])
     def test_one_kind_is_unmixed(self, kind):
         index = self._dataset([30, 12, 5]).class_index()
         rng, ref = make_rng(41, "test"), make_rng(41, "test")
         i, j, lam = draw_pairs((kind,), index, 0.7, rng, 200)
         want = sample_batch(kind, index, ref, 200)
-        assert j is i and type(lam) is float and lam == 1.0
+        assert j is i and lam.dtype == np.float64 and lam.shape == (200,) and np.all(lam == 1.0)
         assert i.dtype == want.dtype and np.array_equal(i, want)
         assert np.array_equal(rng.random(8), ref.random(8))  # nothing else was drawn
+
+    @pytest.mark.parametrize("kind", [IB, CB])
+    def test_unmixed_draw_blends_and_tallies(self, kind):
+        # an unmixed draw is rows like any other: blend gives the gathered rows, the tally the drawn class shares
+        ds = self._dataset([30, 12, 5])
+        i, j, lam = draw_pairs((kind,), ds.class_index(), 1.0, make_rng(43, "test"), 500)
+        assert blend(ds.features, i, j, lam).tobytes() == ds.features[i].tobytes()
+        report = empirical_occurrence(ds.labels[i], ds.labels[j], lam, 3)
+        assert report.ratios.tolist() == (np.bincount(ds.labels[i], minlength=3) / 500).tolist()
+        assert report.sample_count == 500
 
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])

@@ -31,9 +31,11 @@ def rational_gamma(kinds, counts):
     num_classes = len(counts)
 
     def mass(kind):
-        if kind is CB:
+        if kind == CB:
             return [Fraction(1, num_classes)] * num_classes
-        return [Fraction(n, total) for n in counts]
+        if kind == IB:
+            return [Fraction(n, total) for n in counts]
+        raise ValueError(f"no occurrence oracle for sampler kind {kind!r}")
 
     m1, m2 = mass(kinds[0]), mass(kinds[1])
     return [(a + b) / 2 for a, b in zip(m1, m2)]
@@ -237,7 +239,8 @@ class TestHelpers:
         assert head.tolist() == [True] * 4 + [False] * 6
 
     def test_combos(self):
-        assert COMBOS == {"ib-ib": (IB, IB), "ib-cb": (IB, CB), "cb-cb": (CB, CB)}
+        assert (IB, CB) == ("ib", "cb")
+        assert list(COMBOS.items()) == [("ib-ib", ("ib", "ib")), ("ib-cb", ("ib", "cb")), ("cb-cb", ("cb", "cb"))]
         assert build_parser().parse_args(["analyze", "--manifest", "m", "--out", "o", "--combo", "ib-cb"]).combo == "ib-cb"
 
     def test_csv_emission(self, tmp_path, lt_counts, lt_dataset):

@@ -8,6 +8,7 @@ from scipy import stats
 from lobmix import (
     CB,
     IB,
+    analytic_occurrence,
     draw_pairs,
     make_rng,
     sample_batch,
@@ -78,7 +79,7 @@ class TestDraws:
         expected = 5000 / 20434
         assert abs(head_freq - expected) <= 0.02 * expected
 
-    @pytest.mark.parametrize("kind", [IB, CB])
+    @pytest.mark.parametrize("kind", [IB, CB], ids=["instance_balanced", "class_balanced"])
     def test_chi_square_goodness_of_fit(self, kind, lt_counts, lt_dataset):
         index = lt_dataset.class_index()
         draws = sample_batch(kind, index, make_rng(99, "test"), 1_000_000)
@@ -100,6 +101,20 @@ class TestSampleBatch:
     def test_rejects_empty_batch(self, lt_dataset):
         with pytest.raises(ValueError):
             sample_batch(CB, lt_dataset.class_index(), make_rng(3, "test"), 0)
+
+    @pytest.mark.parametrize("kind", ["instance_balanced", "class_balanced", "IB"])
+    def test_unknown_kind_is_rejected(self, kind, lt_dataset):
+        # a name other than ib or cb is one error naming it, not the other kind's draw or ratios
+        index = lt_dataset.class_index()
+        message = f"^unknown sampler kind '{kind}', expected 'ib' or 'cb'$"
+        with pytest.raises(ValueError, match=message):
+            sample_batch(kind, index, make_rng(0, "test"), 8)
+        for kinds in ((kind,), (kind, kind), (IB, kind), (kind, CB)):
+            with pytest.raises(ValueError, match=message):
+                draw_pairs(kinds, index, 1.0, make_rng(0, "test"), 8)
+        for kinds in ((kind, kind), (IB, kind), (kind, CB)):
+            with pytest.raises(ValueError, match=message):
+                analytic_occurrence(kinds, index)
 
     def test_equal_seeds_equal_batches(self, lt_dataset):
         index = lt_dataset.class_index()
