@@ -18,7 +18,6 @@ from .seeds import make_rng
 from .trainer import (
     STRATEGIES,
     EvalReport,
-    ModelParams,
     TrainConfig,
     evaluate,
     forward,
@@ -36,7 +35,6 @@ __all__ = [
     "IB",
     "ImbalanceProfile",
     "LabeledDataset",
-    "ModelParams",
     "OccurrenceReport",
     "STRATEGIES",
     "TrainConfig",

@@ -126,17 +126,18 @@ def _cifar10_base(paths) -> tuple[np.ndarray, np.ndarray, str]:
     return pixels, labels, ";".join(str(p) for p in paths)
 
 
-def _synth_base(classes: int, dim: int, separation: float, per_class: int, seed: int) -> tuple[LabeledDataset, str]:
-    """A balanced Gaussian mixture of ``per_class`` examples per class, and the manifest source naming it."""
-    base = longtail.synth_gaussian_mixture(classes, (per_class,) * classes, dim, separation, seed)
-    return base, f"synth:classes={classes},dim={dim},separation={separation}"
+def _synth_source(classes: int, dim: int, separation: float) -> str:
+    """The manifest source naming a balanced Gaussian-mixture base."""
+    return f"synth:classes={classes},dim={dim},separation={separation}"
 
 
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
     seed, spec = cfg.train.seed, cfg.dataset
     if spec["kind"] == "synth":
-        base, source = _synth_base(spec["classes"], spec["dim"], spec["separation"], spec["base_per_class"], seed)
+        classes, dim, separation = spec["classes"], spec["dim"], spec["separation"]
+        base = longtail.synth_gaussian_mixture(classes, (spec["base_per_class"],) * classes, dim, separation, seed)
+        source = _synth_source(classes, dim, separation)
         counts = cfg.profile.class_counts(spec["classes"])
         test_idx, manifest = longtail.longtail_split(
             base.class_index(), counts, spec["test_per_class"], seed, source=source, profile=cfg.profile
@@ -184,10 +185,9 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
     elif args.synth_classes is not None:
         synth = {**SYNTH_DEFAULTS, **synth}
-        base, source = _synth_base(
-            args.synth_classes, synth["synth_dim"], synth["synth_separation"], synth["synth_per_class"], args.seed
-        )
-        index = base.class_index()
+        classes, dim, separation = args.synth_classes, synth["synth_dim"], synth["synth_separation"]
+        index = longtail.synth_class_index(classes, (synth["synth_per_class"],) * classes, dim, separation, args.seed)
+        source = _synth_source(classes, dim, separation)
     else:
         raise ValueError("provide --base file(s) or a --synth-classes spec")
 

@@ -347,6 +347,24 @@ def synth_gaussian_mixture(
     seed: int,
 ) -> LabeledDataset:
     """Isotropic unit-variance Gaussian blobs with centers on a sphere of radius ``separation``."""
+    centers = _checked_centers(num_classes, counts, dim, separation, seed)
+    points_rng = make_rng(seed, "points")
+    blocks = []
+    labels = []
+    for k, n_k in enumerate(counts):
+        blocks.append(centers[k] + points_rng.standard_normal((n_k, dim)))
+        labels.append(np.full(n_k, k, dtype=np.int64))
+    return LabeledDataset(np.concatenate(blocks), np.concatenate(labels), num_classes)
+
+
+def synth_class_index(num_classes: int, counts: Sequence[int], dim: int, separation: float, seed: int) -> ClassIndex:
+    """:func:`synth_gaussian_mixture`'s class index (its rows come class by class), after its checks, drawing no row."""
+    _checked_centers(num_classes, counts, dim, separation, seed)
+    return ClassIndex(np.arange(sum(counts)), np.asarray(counts, dtype=np.int64))
+
+
+def _checked_centers(num_classes: int, counts: Sequence[int], dim: int, separation: float, seed: int) -> np.ndarray:
+    """:func:`mixture_centers` of a mixture with ``counts[k]`` rows in class k, once its settings are checked."""
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if dim < 2:
@@ -357,14 +375,7 @@ def synth_gaussian_mixture(
         raise ValueError(f"counts cover {len(counts)} classes but num_classes={num_classes}")
     if min(counts) < 1:
         raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
-    centers = mixture_centers(num_classes, dim, separation, seed)
-    points_rng = make_rng(seed, "points")
-    blocks = []
-    labels = []
-    for k, n_k in enumerate(counts):
-        blocks.append(centers[k] + points_rng.standard_normal((n_k, dim)))
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    return LabeledDataset(np.concatenate(blocks), np.concatenate(labels), num_classes)
+    return mixture_centers(num_classes, dim, separation, seed)
 
 
 def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:

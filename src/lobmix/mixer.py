@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .longtail import ClassIndex
-from .samplers import sample_batch
+from .samplers import kind_pair, sample_batch
 
 
 _LAM_EPS = 1e-7
@@ -60,11 +60,13 @@ def draw_pairs(
     the generator's address regenerates the rows. Row r's target puts
     :func:`pair_weights` on the classes of examples ``i[r]`` and ``j[r]``.
     One kind draws unmixed rows ``(i, i, ones)`` from member a alone, ``lam`` a float64 array of ones.
+    Any other number of kinds raises ValueError (:func:`~lobmix.samplers.kind_pair`).
     """
-    i = sample_batch(kinds[0], index, rng, size)
+    a, b = kind_pair(kinds)
+    i = sample_batch(a, index, rng, size)
     if len(kinds) == 1:
         return i, i, np.ones(size)
-    j = sample_batch(kinds[1], index, rng, size)
+    j = sample_batch(b, index, rng, size)
     return i, j, sample_lambda(alpha, rng, size=size)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .atomic import atomic_write
 from .longtail import ClassIndex
 from .mixer import draw_pairs
-from .samplers import CB, IB, class_masses
+from .samplers import CB, IB, class_masses, kind_pair
 from .seeds import MAX_SEED, make_rng
 
 
@@ -55,12 +55,13 @@ class OccurrenceReport:
         }
 
 
-def analytic_occurrence(kinds: tuple[str, str], index: ClassIndex) -> OccurrenceReport:
-    """Expected occurrence ratios for a pair of sampler kinds, in exact arithmetic.
+def analytic_occurrence(kinds: tuple[str, ...], index: ClassIndex) -> OccurrenceReport:
+    """Expected occurrence ratios for a pair of sampler kinds, or one, in exact arithmetic.
 
     In expectation each pair member contributes half of the mass (the mixing
     ratio distribution is symmetric), so the ratio for class k is the mean of
-    the two samplers' class masses. Independent of alpha.
+    the two samplers' class masses. Independent of alpha. One kind ``k``, an
+    unmixed draw, is the pair ``(k, k)``: its ratios are the sampler's masses.
 
     With masses ``a_k/p`` and ``b_k/q`` that mean is ``(a_k·q + b_k·p) / (2pq)``,
     held as Python ints so no product overflows. ``int / int`` is correctly
@@ -70,7 +71,7 @@ def analytic_occurrence(kinds: tuple[str, str], index: ClassIndex) -> Occurrence
     counts = [int(n) for n in index.counts]
     if any(n == 0 for n in counts):
         raise ValueError("analytic occurrence requires every class to be populated")
-    (a, p), (b, q) = (class_masses(kind, counts) for kind in kinds)
+    (a, p), (b, q) = (class_masses(kind, counts) for kind in kind_pair(kinds))
     nums = [a_k * q + b_k * p for a_k, b_k in zip(a, b)]
     den = 2 * p * q
     ratios = np.array([n / den for n in nums])

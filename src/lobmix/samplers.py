@@ -4,7 +4,8 @@ Both samplers draw with replacement. The class-balanced sampler is the
 two-stage scheme: pick a class uniformly, then an example uniformly within
 the class, so each example in class k is selected with probability
 1/(n_k * C) instead of the instance-balanced 1/N. This module alone says
-what a sampler kind, :data:`IB` or :data:`CB`, means; it rejects any other.
+what a sampler kind, :data:`IB` or :data:`CB`, means; it rejects any other,
+and a draw of other than one or two kinds.
 """
 from __future__ import annotations
 
@@ -19,6 +20,13 @@ def _known(kind: str) -> str:
     if kind not in (IB, CB):
         raise ValueError(f"unknown sampler kind {kind!r}, expected {IB!r} or {CB!r}")
     return kind
+
+
+def kind_pair(kinds: tuple[str, ...]) -> tuple[str, str]:
+    """A draw's sampler kinds as a pair: two kinds mix, and one kind ``k``, an unmixed draw, is ``(k, k)``."""
+    if len(kinds) not in (1, 2):
+        raise ValueError(f"a draw takes one or two sampler kinds, got {kinds!r}")
+    return kinds[0], kinds[-1]
 
 
 def sample_batch(kind: str, index: ClassIndex, rng: np.random.Generator, batch_size: int) -> np.ndarray:

@@ -39,28 +39,21 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
-@dataclass
-class ModelParams:
-    """Architecture name and weights; the model reads feature rows as given (see :func:`standardize`)."""
+def init_params(arch: str, dim: int, num_classes: int, seed: int, hidden: int = 32) -> list[np.ndarray]:
+    """The model, a weight list: ``[w, b]`` for ``linear``, ``[w1, b1, w2, b2]`` for ``mlp1``.
 
-    arch: str
-    weights: list[np.ndarray]
-
-
-def init_params(arch: str, dim: int, num_classes: int, seed: int, hidden: int = 32) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in)."""
+    Gaussian weights scaled by 1/sqrt(fan_in) and zero biases. The model reads
+    feature rows as given (see :func:`standardize`).
+    """
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}, expected one of {ARCHITECTURES}")
     rng = make_rng(seed, "init")
-    if arch == "linear":
-        shapes = [(dim, num_classes)]
-    else:
-        shapes = [(dim, hidden), (hidden, num_classes)]
-    weights: list[np.ndarray] = []
-    for fan_in, fan_out in shapes:
-        weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-        weights.append(np.zeros(fan_out))
-    return ModelParams(arch=arch, weights=weights)
+    widths = [dim, num_classes] if arch == "linear" else [dim, hidden, num_classes]
+    params: list[np.ndarray] = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        params.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
+        params.append(np.zeros(fan_out))
+    return params
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -126,24 +119,21 @@ class _StepBuffers:
     """Arrays that :func:`_grad_step` writes for a batch of ``rows`` rows, made once a run.
 
     ``logits`` holds the logits, then the probabilities, then the logit
-    gradient; ``grads`` one gradient per weight, in its shape. For ``mlp1``,
-    ``hidden`` holds the tanh activations, then their derivative ``1 - h²``,
-    and ``dhidden`` the gradient at the hidden layer's input.
+    gradient; ``grads`` one gradient per weight, in its shape. Each hidden
+    layer has one array in ``hidden``, its tanh activations and then their
+    derivative ``1 - h²``, and one in ``dhidden``, the gradient at its input.
     """
 
     logits: np.ndarray
     grads: list[np.ndarray]
-    hidden: np.ndarray | None = None
-    dhidden: np.ndarray | None = None
+    hidden: list[np.ndarray]
+    dhidden: list[np.ndarray]
 
     @classmethod
-    def create(cls, params: ModelParams, rows: int) -> "_StepBuffers":
-        grads = [np.empty_like(w) for w in params.weights]
-        logits = np.empty((rows, params.weights[-1].shape[0]))
-        if params.arch == "linear":
-            return cls(logits, grads)
-        width = params.weights[1].shape[0]
-        return cls(logits, grads, np.empty((rows, width)), np.empty((rows, width)))
+    def create(cls, params: list[np.ndarray], rows: int) -> "_StepBuffers":
+        *widths, classes = (b.shape[0] for b in params[1::2])
+        hidden = [np.empty((rows, width)) for width in widths]
+        return cls(np.empty((rows, classes)), [np.empty_like(w) for w in params], hidden, [np.empty_like(h) for h in hidden])
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -153,31 +143,25 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None)
     return out
 
 
-def _forward(
-    params: ModelParams, x: np.ndarray, work: _StepBuffers | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probabilities and the hidden activations (None for ``linear``) of rows ``x``.
+def _forward(params: list[np.ndarray], x: np.ndarray, work: _StepBuffers | None = None) -> np.ndarray:
+    """Probabilities of rows ``x``: every layer but the last is affine plus tanh, the last affine plus softmax.
 
-    They are written into ``work.logits`` and ``work.hidden`` when ``work``
-    is given, and into new arrays otherwise.
+    The activations are written into ``work.hidden`` and the probabilities
+    into ``work.logits`` when ``work`` is given, and into new arrays otherwise.
     """
-    logits, hidden = (None, None) if work is None else (work.logits, work.hidden)
-    if params.arch == "linear":
-        w, b = params.weights
-        return _softmax(_affine(x, w, b, logits)), None
-    w1, b1, w2, b2 = params.weights
-    h = _affine(x, w1, b1, hidden)
-    np.tanh(h, out=h)
-    return _softmax(_affine(h, w2, b2, logits)), h
+    for n in range(0, len(params) - 2, 2):
+        x = _affine(x, params[n], params[n + 1], None if work is None else work.hidden[n // 2])
+        np.tanh(x, out=x)
+    return _softmax(_affine(x, params[-2], params[-1], None if work is None else work.logits))
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def forward(params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature vector or a batch of rows, scaled like the rows the model trained on."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input features")
     single = x.ndim == 1
-    probs, _ = _forward(params, np.atleast_2d(x))
+    probs = _forward(params, np.atleast_2d(x))
     return probs[0] if single else probs
 
 
@@ -200,7 +184,7 @@ def _target_plan(
 
 
 def _grad_step(
-    params: ModelParams, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray, work: _StepBuffers
+    params: list[np.ndarray], x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray, work: _StepBuffers
 ) -> list[np.ndarray]:
     """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
 
@@ -213,24 +197,21 @@ def _grad_step(
     the same order as the expressions (``x.T @ dlogits`` and so on), so the
     same bits, with no allocation the size of a batch.
     """
-    dlogits, h = _forward(params, x, work)
+    dlogits = _forward(params, x, work)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
     dlogits /= x.shape[0]
-    grads = work.grads
-    if params.arch == "linear":
-        np.matmul(x.T, dlogits, out=grads[0])
-        dlogits.sum(axis=0, out=grads[1])
-        return grads
-    np.matmul(h.T, dlogits, out=grads[2])
-    dlogits.sum(axis=0, out=grads[3])
-    dpre = np.matmul(dlogits, params.weights[2].T, out=work.dhidden)
-    np.multiply(h, h, out=h)  # h is read for dw2 above; from here it holds the tanh derivative 1 - h²
-    np.subtract(1.0, h, out=h)
-    dpre *= h
-    np.matmul(x.T, dpre, out=grads[0])
-    dpre.sum(axis=0, out=grads[1])
+    grads, delta = work.grads, dlogits
+    for n in range(len(params) - 2, -1, -2):  # from the last layer back to the first
+        a = work.hidden[n // 2 - 1] if n else x  # the layer's input
+        np.matmul(a.T, delta, out=grads[n])
+        delta.sum(axis=0, out=grads[n + 1])
+        if n:
+            delta = np.matmul(delta, params[n].T, out=work.dhidden[n // 2 - 1])
+            np.multiply(a, a, out=a)  # a is read for this layer's gradient above; from here it holds 1 - a²
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return grads
 
 
@@ -249,7 +230,7 @@ def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(
-    params: ModelParams, x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
+    params: list[np.ndarray], x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
 ) -> tuple[float, list[np.ndarray]]:
     """Mean mixed cross entropy and its gradient for targets given as class pairs.
 
@@ -258,7 +239,7 @@ def loss_and_grad(
     and loss reduction.
     """
     n = x.shape[0]
-    pos, weights = _target_plan(c_i, c_j, lam, n, params.weights[-1].shape[0])
+    pos, weights = _target_plan(c_i, c_j, lam, n, params[-1].shape[0])
     taken = np.empty(pos.shape)
     grads = _grad_step(params, x, pos[0], weights[0], taken[0], _StepBuffers.create(params, n))
     return float(_batch_losses(taken, weights)[0]), grads
@@ -338,12 +319,12 @@ class EpochStats:
     report: EvalReport
 
 
-def evaluate(params: ModelParams, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
+def evaluate(params: list[np.ndarray], test: LabeledDataset, groups: np.ndarray) -> EvalReport:
     """Argmax predictions on the rows of ``test`` scored as per-class recall plus group means.
 
     ``groups`` holds one GROUP_NAMES index per class; an empty group scores None.
     """
-    probs, _ = _forward(params, test.features)
+    probs = _forward(params, test.features)
     predicted = probs.argmax(axis=1)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
@@ -378,7 +359,7 @@ def train(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
     cfg: TrainConfig,
-) -> tuple[ModelParams, list[EpochStats]]:
+) -> tuple[list[np.ndarray], list[EpochStats]]:
     """SGD on soft cross entropy with the configured batch source.
 
     An epoch's ``batches_per_epoch * batch_size`` rows are drawn at once from
@@ -409,14 +390,14 @@ def train(
     index = train_ds.class_index()
     params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
     groups = default_groups(index.counts)
-    velocity = [np.zeros_like(w) for w in params.weights]
+    velocity = [np.zeros_like(w) for w in params]
     history: list[EpochStats] = []
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
     chunks = (np.empty((per_chunk * size, train_ds.dim)), np.empty((per_chunk * size, train_ds.dim)))
     work = _StepBuffers.create(params, size)
-    decay = [np.empty_like(w) for w in params.weights]
+    decay = [np.empty_like(w) for w in params]
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -435,7 +416,7 @@ def train(
             for start in range(0, len(chunk), size):
                 b = first + start // size
                 grads = _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], work)
-                for w, g, v, d in zip(params.weights, grads, velocity, decay):
+                for w, g, v, d in zip(params, grads, velocity, decay):
                     if cfg.weight_decay:
                         g += np.multiply(w, cfg.weight_decay, out=d)
                     g *= lr
@@ -450,7 +431,7 @@ def train(
         if not finite.all():
             b = int(finite.argmin())  # the first non-finite batch
             raise TrainingDiverged(f"non-finite loss {float(losses[b])} at epoch {epoch}, batch {b}")
-        if not all(np.isfinite(w).all() for w in params.weights):
+        if not all(np.isfinite(w).all() for w in params):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
         history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
     return params, history

@@ -208,7 +208,7 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
     index = train_ds.class_index()
     params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
     groups = default_groups(index.counts)
-    velocity = [np.zeros_like(w) for w in params.weights]
+    velocity = [np.zeros_like(w) for w in params]
     history = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
     for epoch in range(cfg.epochs):
@@ -224,7 +224,7 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss
-            for w, g, v in zip(params.weights, grads, velocity):
+            for w, g, v in zip(params, grads, velocity):
                 if cfg.weight_decay:
                     g = g + cfg.weight_decay * w
                 if cfg.momentum:
@@ -233,7 +233,7 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
                     w += v
                 else:
                     w -= lr * g
-        if not all(np.isfinite(w).all() for w in params.weights):
+        if not all(np.isfinite(w).all() for w in params):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
         history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
     return params, history

@@ -190,9 +190,9 @@ def test_criterion_6_gradient_matches_finite_differences():
         params = init_params(arch, dim, num_classes, seed=int(rng.integers(1 << 31)), hidden=4)
 
         analytic = _flatten(loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)[1])
-        shapes = [w.shape for w in params.weights]
-        sizes = [w.size for w in params.weights]
-        flat = _flatten(params.weights)
+        shapes = [w.shape for w in params]
+        sizes = [w.size for w in params]
+        flat = _flatten(params)
         numeric = np.empty_like(flat)
         for idx in range(flat.size):
             losses = []
@@ -200,11 +200,11 @@ def test_criterion_6_gradient_matches_finite_differences():
                 probe = flat.copy()
                 probe[idx] += sign * step
                 chunks = np.split(probe, np.cumsum(sizes)[:-1])
-                params.weights = [c.reshape(s) for c, s in zip(chunks, shapes)]
+                params = [c.reshape(s) for c, s in zip(chunks, shapes)]
                 loss = float(soft_cross_entropy(forward(params, x), targets).mean())
                 losses.append(loss)
             numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
-        params.weights = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        params = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-4, f"case {case} ({arch}): relative error {rel}"

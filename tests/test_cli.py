@@ -186,6 +186,17 @@ class TestBuildLt:
         manifest = DatasetManifest.load(out / "manifest.json")
         assert manifest.counts == (60, 60, 15, 15, 15)
 
+    def test_synth_base_draws_no_feature_rows(self, tmp_path, capsys):
+        # build-lt reads only the base's class index, which the class counts give
+        classes, dim, per_class = 20, 64, 1000
+        argv = ["build-lt", "--synth-classes", str(classes), "--synth-dim", str(dim),
+                "--synth-per-class", str(per_class), "--rho", "10", "--out", str(tmp_path / "lt")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak < classes * per_class * dim * 8  # the bytes of the base's feature rows
+        manifest = DatasetManifest.load(tmp_path / "lt" / "manifest.json")
+        assert manifest.counts[0] == per_class and manifest.counts[-1] == per_class // 10
+
     def test_manifest_seed_reproducible(self, tmp_path, cifar_file):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:

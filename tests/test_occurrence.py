@@ -26,7 +26,7 @@ from conftest import labels_only_dataset
 
 
 def rational_gamma(kinds, counts):
-    """Independent exact-arithmetic oracle for the expected occurrence ratios."""
+    """Independent exact-arithmetic oracle for the expected occurrence ratios; one kind's are its masses."""
     total = sum(counts)
     num_classes = len(counts)
 
@@ -37,6 +37,8 @@ def rational_gamma(kinds, counts):
             return [Fraction(n, total) for n in counts]
         raise ValueError(f"no occurrence oracle for sampler kind {kind!r}")
 
+    if len(kinds) == 1:
+        return mass(kinds[0])
     m1, m2 = mass(kinds[0]), mass(kinds[1])
     return [(a + b) / 2 for a, b in zip(m1, m2)]
 
@@ -66,9 +68,11 @@ class TestAnalytic:
 
     @given(
         counts=st.lists(st.integers(1, 10**9), min_size=2, max_size=2000),
-        kinds=st.sampled_from([(IB, IB), (IB, CB), (CB, IB), (CB, CB)]),
+        kinds=st.sampled_from([(IB, IB), (IB, CB), (CB, IB), (CB, CB), (IB,), (CB,)]),
     )
     @example(counts=[10**9 - 7 * k for k in range(2000)], kinds=(CB, IB))
+    @example(counts=[10**9 - 7 * k for k in range(2000)], kinds=(IB,))  # one kind is an unmixed draw
+    @example(counts=[3, 1, 1], kinds=(CB,))
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equal_to_rational_oracle(self, counts, kinds):
         # every ratio is the float nearest its rational value, as float(Fraction) gives it;

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -112,9 +113,21 @@ class TestSampleBatch:
         for kinds in ((kind,), (kind, kind), (IB, kind), (kind, CB)):
             with pytest.raises(ValueError, match=message):
                 draw_pairs(kinds, index, 1.0, make_rng(0, "test"), 8)
-        for kinds in ((kind, kind), (IB, kind), (kind, CB)):
+        for kinds in ((kind,), (kind, kind), (IB, kind), (kind, CB)):
             with pytest.raises(ValueError, match=message):
                 analytic_occurrence(kinds, index)
+
+    @pytest.mark.parametrize(
+        "kinds", [(), (IB, CB, "bogus"), (CB, CB, CB), (IB, IB, IB, IB)], ids=["none", "bogus-third", "three", "four"]
+    )
+    def test_other_than_one_or_two_kinds_is_rejected(self, kinds, lt_dataset):
+        # a third kind is one error naming the tuple, not silently ignored; no kinds is not an IndexError
+        index = lt_dataset.class_index()
+        message = f"^{re.escape(f'a draw takes one or two sampler kinds, got {kinds!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            draw_pairs(kinds, index, 1.0, make_rng(0, "test"), 8)
+        with pytest.raises(ValueError, match=message):
+            analytic_occurrence(kinds, index)
 
     def test_equal_seeds_equal_batches(self, lt_dataset):
         index = lt_dataset.class_index()

@@ -31,7 +31,6 @@ from lobmix.longtail import BLOCK_BYTES
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights
 from lobmix.trainer import (
     GROUP_NAMES,
-    ModelParams,
     TrainingDiverged,
     _epoch_sampler_kinds,
     _forward,
@@ -66,13 +65,14 @@ def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
 
 
 def dense_loss_and_grad(params, x, targets):
-    """Reference: mean soft cross entropy and its gradient from (B, C) target rows."""
-    probs, h = _forward(params, x)
+    """Reference: mean soft cross entropy and its gradient from (B, C) target rows, one formula per architecture."""
+    probs = _forward(params, x)
     loss = float(soft_cross_entropy(probs, targets).mean())
     dlogits = (probs - targets) / x.shape[0]
-    if params.arch == "linear":
+    if len(params) == 2:  # linear: [w, b]
         return loss, [x.T @ dlogits, dlogits.sum(axis=0)]
-    w1, b1, w2, b2 = params.weights
+    w1, b1, w2, b2 = params  # mlp1
+    h = np.tanh(x @ w1 + b1)
     dpre = (dlogits @ w2.T) * (1.0 - h * h)
     return loss, [x.T @ dpre, dpre.sum(axis=0), h.T @ dlogits, dlogits.sum(axis=0)]
 
@@ -83,7 +83,7 @@ def flatten(weights):
 
 def numeric_grad(params, batch, step=1e-5):
     """Central finite differences of the mean loss over a flattened parameter vector."""
-    base = [w.copy() for w in params.weights]
+    base = [w.copy() for w in params]
     flat = flatten(base)
     out = np.empty_like(flat)
     shapes = [w.shape for w in base]
@@ -94,7 +94,7 @@ def numeric_grad(params, batch, step=1e-5):
         return [c.reshape(s) for c, s in zip(chunks, shapes)]
 
     def loss_at(vec):
-        return loss_and_grad(ModelParams(arch=params.arch, weights=unflatten(vec)), *batch)[0]
+        return loss_and_grad(unflatten(vec), *batch)[0]
 
     for idx in range(flat.size):
         plus = flat.copy()
@@ -105,10 +105,25 @@ def numeric_grad(params, batch, step=1e-5):
     return out
 
 
+class TestInitParams:
+    def test_layout(self):
+        # the model is its weight list, layer by layer: a (fan_in, fan_out) weight, then a bias
+        linear = init_params("linear", 6, 4, seed=0)
+        mlp1 = init_params("mlp1", 6, 4, seed=0, hidden=5)
+        assert isinstance(linear, list) and isinstance(mlp1, list)
+        assert [w.shape for w in linear] == [(6, 4), (4,)]
+        assert [w.shape for w in mlp1] == [(6, 5), (5,), (5, 4), (4,)]
+        assert not linear[1].any() and not mlp1[1].any() and not mlp1[3].any()
+
+    def test_unknown_architecture(self):
+        with pytest.raises(ValueError, match="unknown architecture 'mlp2'"):
+            init_params("mlp2", 6, 4, seed=0)
+
+
 class TestForward:
     def test_zero_params_uniform(self):
         params = init_params("linear", 4, 5, seed=0)
-        params.weights[0][:] = 0.0
+        params[0][:] = 0.0
         probs = forward(params, np.array([1.0, -2.0, 3.0, 0.5]))
         assert np.allclose(probs, 0.2, rtol=0, atol=1e-15)
 
@@ -119,14 +134,14 @@ class TestForward:
 
     def test_dominant_logit(self):
         params = init_params("linear", 2, 3, seed=0)
-        params.weights[0][:] = 0.0
-        params.weights[1][:] = np.array([50.0, 0.0, 0.0])
+        params[0][:] = 0.0
+        params[1][:] = np.array([50.0, 0.0, 0.0])
         probs = forward(params, np.zeros(2))
         assert probs[0] > 1.0 - 1e-12
 
     def test_shift_invariance(self):
         params = init_params("linear", 2, 3, seed=3)
-        shifted = ModelParams(arch=params.arch, weights=[params.weights[0].copy(), params.weights[1] + 7.5])
+        shifted = [params[0].copy(), params[1] + 7.5]
         x = np.array([0.3, -1.2])
         assert np.allclose(forward(params, x), forward(shifted, x), rtol=0, atol=1e-12)
 
@@ -182,15 +197,15 @@ class TestSoftmax:
         params = init_params(arch, 6, 10, seed=3, hidden=7)
         x = rng.normal(scale=3.0, size=(20, 6))
         if arch == "linear":
-            w, b = params.weights
+            w, b = params
             expect = rowmax_softmax(x @ w + b)
         else:
-            w1, b1, w2, b2 = params.weights
+            w1, b1, w2, b2 = params
             expect = rowmax_softmax(np.tanh(x @ w1 + b1) @ w2 + b2)
         work = _StepBuffers.create(params, 20)
-        probs, _ = _forward(params, x, work)
+        probs = _forward(params, x, work)
         assert probs is work.logits and probs.tobytes() == expect.tobytes()
-        assert _forward(params, x)[0].tobytes() == expect.tobytes()
+        assert _forward(params, x).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("arch", ["linear", "mlp1"])
     def test_train_and_evaluate_unchanged(self, monkeypatch, arch):
@@ -207,7 +222,7 @@ class TestSoftmax:
         ref_params, ref_history = train(train_ds, test_ds, cfg)
         assert history == ref_history
         assert evaluate(params, test_ds, groups) == report == ref_history[-1].report
-        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+        for w, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(w, ref)
 
 
@@ -449,7 +464,7 @@ class TestTrain:
             cfg.arch, train_ds.dim, train_ds.num_classes,
             seed=cfg.seed, hidden=cfg.hidden,
         )
-        for w, w0 in zip(params.weights, fresh.weights):
+        for w, w0 in zip(params, fresh, strict=True):
             assert np.array_equal(w, w0)
         accs = [row.report.balanced_accuracy for row in history]
         assert len(set(accs)) == 1
@@ -521,7 +536,7 @@ class TestTrain:
         params, history = train(train_ds, test_ds, cfg)
         ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
         assert history == ref_history
-        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+        for w, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(w, ref)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp1"])
@@ -563,7 +578,7 @@ class TestTrain:
         assert calls == chunks * cfg.epochs
         ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
         assert history == ref_history
-        for w, ref in zip(params.weights, ref_params.weights, strict=True):
+        for w, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(w, ref)
 
     def test_deterministic_history(self):
@@ -743,8 +758,8 @@ class TestEvaluate:
 
     def _identity_params(self):
         params = init_params("linear", 3, 3, seed=0)
-        params.weights[0][:] = np.eye(3)
-        params.weights[1][:] = 0.0
+        params[0][:] = np.eye(3)
+        params[1][:] = 0.0
         return params
 
     def test_perfect_predictor(self):
@@ -759,8 +774,8 @@ class TestEvaluate:
     def test_constant_predictor(self):
         test = self._three_class_test_set()
         params = init_params("linear", 3, 3, seed=0)
-        params.weights[0][:] = 0.0
-        params.weights[1][:] = np.array([10.0, 0.0, 0.0])
+        params[0][:] = 0.0
+        params[1][:] = np.array([10.0, 0.0, 0.0])
         report = evaluate(params, test, np.array([0, 1, 2]))
         assert report.balanced_accuracy == pytest.approx(1.0 / 3.0)
 
