@@ -7,11 +7,12 @@ scale, and ingests the CIFAR-10 binary record format.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
-import operator
 import os
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .seeds import make_rng
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
 CIFAR10_CLASSES = 10
 BLOCK_BYTES = 1 << 18  # rows are scanned in blocks of about this size, so their temporaries stay in cache
+MANIFEST_LAYOUT = 2  # manifest.json format: kept indices as one hex block of little-endian int64
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -64,7 +66,9 @@ SCHEMA = {
         "lr_decay_epochs": list, "lr_decay_factor": float, "alpha": float, "strategy": str,
         "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
     },
-    "manifest": {"source": str, "profile": dict, "seed": int, "counts": list, "kept_indices": list},
+    "manifest": {
+        "manifest_layout": int, "source": str, "profile": dict, "seed": int, "counts": list, "kept_indices": str,
+    },
     "eval": {
         "config_sha256": str, "per_class_recall": list, "balanced_accuracy": float, "overall_accuracy": float,
         "group_accuracy": dict,
@@ -96,10 +100,8 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
 
 def json_ints(value, name: str) -> list:
     """Return ``value`` if it holds a JSON list of integers, else raise ValueError."""
-    # manifests hold up to millions of entries: count ints at C speed, then name the first non-int
-    if operator.countOf(map(type, json_value(value, list, name)), int) != len(value):
-        for v in value:
-            json_value(v, int, f"{name} entry")
+    for v in json_value(value, list, name):
+        json_value(v, int, f"{name} entry")
     return value
 
 
@@ -246,10 +248,12 @@ class DatasetManifest:
 
     ``kept_indices`` is one int64 array of the kept source indices, class by
     class, ``counts[k]`` of them for class k: the ``(flat, counts)`` layout of
-    :class:`ClassIndex`. The constructor takes one index sequence per class,
-    as the JSON file holds them. The source's ``features[kept_indices]`` are
-    the subsampled rows, and re-running the subsampler on the source's class
-    index with the recorded seed returns the identical indices.
+    :class:`ClassIndex`. The constructor takes one index sequence per class;
+    the JSON file (layout :data:`MANIFEST_LAYOUT`) holds the whole array as
+    one hex string, 16 digits (8 little-endian bytes) an index. The source's
+    ``features[kept_indices]`` are the subsampled rows, and re-running the
+    subsampler on the source's class index with the recorded seed returns
+    the identical indices.
     """
 
     source: str
@@ -268,37 +272,57 @@ class DatasetManifest:
         flat = np.empty(sum(counts), dtype=np.int64)
         start = 0
         for n, idx in zip(counts, per_class):
-            try:
-                flat[start : start + n] = idx
-            except OverflowError:
-                raise ValueError("kept indices must fit in 64-bit integers") from None
+            flat[start : start + n] = idx
             start += n
+        if flat.size and flat.min() < 0:
+            raise ValueError(f"kept indices must be non-negative, got {int(flat.min())}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kept_indices", flat)
 
     def to_dict(self) -> dict:
         return {
+            "manifest_layout": MANIFEST_LAYOUT,
             "source": self.source,
             "profile": self.profile.to_dict() if self.profile else None,
             "seed": self.seed,
             "counts": list(self.counts),
-            "kept_indices": [idx.tolist() for idx in np.split(self.kept_indices, np.cumsum(self.counts)[:-1])],
+            "kept_indices": self.kept_indices.astype("<i8", copy=False).tobytes().hex(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
+        # a file of another layout is named as such, not as one with missing or unknown settings
+        layout = json_value(d, dict, "manifest").get("manifest_layout", 1)
+        if layout != MANIFEST_LAYOUT:
+            raise ValueError(
+                f"manifest layout {layout!r} is not read by this lobmix (layout {MANIFEST_LAYOUT}); "
+                "rebuild it with build-lt"
+            )
         d = json_settings(d, SCHEMA["manifest"], "manifest", nullable=("profile",))
+        counts = json_ints(d["counts"], "manifest.counts")
+        total, block = sum(counts), d["kept_indices"]
+        if len(block) != 16 * total:
+            raise ValueError(
+                f"manifest.kept_indices must hold 16 hex digits an index, {16 * total} for {total}, got {len(block)}"
+            )
+        try:  # bytes.fromhex skips ASCII whitespace, so a block with some decodes short of ``total`` indices
+            flat = np.frombuffer(bytes.fromhex(block), dtype="<i8", count=total)
+        except ValueError:
+            pos = re.search("[^0-9a-fA-F]", block).start()
+            raise ValueError(f"manifest.kept_indices entry {pos // 16} holds {block[pos]!r}, not a hex digit") from None
         return cls(
             source=d["source"],
             profile=None if d["profile"] is None else ImbalanceProfile.from_dict(d["profile"], "manifest.profile"),
             seed=d["seed"],
-            counts=json_ints(d["counts"], "manifest.counts"),
-            kept_indices=[json_ints(idx, f"manifest.kept_indices[{k}]") for k, idx in enumerate(d["kept_indices"])],
+            counts=counts,
+            kept_indices=[flat[end - n : end] for n, end in zip(counts, itertools.accumulate(counts))],
         )
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+            # streamed: the hex block is not copied into one whole-file string
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":

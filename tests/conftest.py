@@ -62,6 +62,11 @@ def split_datasets(base: LabeledDataset, counts, test_per_class: int, seed: int)
     return train, test, manifest
 
 
+def hex_block(indices) -> str:
+    """The ``kept_indices`` block of a layout-2 manifest holding ``indices``: 16 hex digits, 8 little-endian bytes, each."""
+    return "".join(int(i).to_bytes(8, "little", signed=True).hex() for i in indices)
+
+
 def traced_peak(fn, *args, **kwargs):
     """``(result, peak)``: what ``fn(*args, **kwargs)`` returns, and the traced peak, in bytes, of what it allocates."""
     tracemalloc.start()

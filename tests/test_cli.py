@@ -29,7 +29,7 @@ from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
-from conftest import labels_only_dataset, traced_peak
+from conftest import hex_block, labels_only_dataset, traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = Path(longtail.__file__).resolve().parents[1]  # the directory holding the lobmix package
@@ -247,7 +247,7 @@ class TestTwoFileCifar:
         two, one = map(self.manifest, outs)
         assert two["source"] == f"{a};{b}"
         assert two == {**one, "source": two["source"]}
-        assert max(max(idx) for idx in two["kept_indices"]) >= 430  # records of b.bin are kept
+        assert DatasetManifest.from_dict(two).kept_indices.max() >= 430  # records of b.bin are kept
 
     def test_train(self, tmp_path, files, cifar_file):
         a, b, ab = files
@@ -258,7 +258,7 @@ class TestTwoFileCifar:
         two, one = map(self.manifest, outs)
         assert two["source"] == f"{a};{b}"
         assert two == {**one, "source": two["source"]}
-        assert max(max(idx) for idx in two["kept_indices"]) >= 430
+        assert DatasetManifest.from_dict(two).kept_indices.max() >= 430
         assert (outs[0] / "history.csv").read_bytes() == (outs[1] / "history.csv").read_bytes()
         evals = [json.loads((out / "eval.json").read_text()) for out in outs]
         for e in evals:
@@ -392,13 +392,16 @@ class TestMalformedManifest:
             ("counts", ["a", 10, 5, 5], "manifest.counts entry must be an integer, got 'a'"),
             ("counts", {"0": 20}, "manifest.counts must be a list"),
             ("source", 7, "manifest.source must be a string, got 7"),
-            ("kept_indices", [[0.5], [], [], []], "manifest.kept_indices[0] entry must be an integer, got 0.5"),
-            ("kept_indices", [5], "manifest.kept_indices[0] must be a list, got 5"),
+            pytest.param(  # 0.5 over the block's first entry; the id is the one layout 1's nested list [[0.5], ...] had
+                "kept_indices", lambda block: "0.5" + block[3:], "manifest.kept_indices entry 0 holds '.', not a hex digit",
+                id="kept_indices-value4-manifest.kept_indices entry 0 holds '.', not a hex digit",
+            ),
+            ("kept_indices", [[5]], "manifest.kept_indices must be a string, got [[5]]"),
             ("profile", 3, "manifest.profile must be an object, got 3"),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, capsys, manifest_dict, key, value, message):
-        manifest_dict[key] = value
+        manifest_dict[key] = value(manifest_dict[key]) if callable(value) else value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(manifest_dict))
         capsys.readouterr()
@@ -416,7 +419,7 @@ class TestMalformedManifest:
     )
     def test_bad_counts_rejected(self, tmp_path, capsys, manifest_dict, counts, message):
         # kept_indices match the counts, so the manifest itself parses
-        manifest_dict.update(counts=counts, kept_indices=[list(range(n)) for n in counts])
+        manifest_dict.update(counts=counts, kept_indices=hex_block([i for n in counts for i in range(n)]))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(manifest_dict))
         capsys.readouterr()
@@ -456,15 +459,59 @@ class TestMalformedManifest:
         assert DatasetManifest.load(path).profile is None
         assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(tmp_path / "occ")]) == 0
 
-    def test_index_beyond_64_bits_rejected(self, tmp_path, capsys, manifest_dict):
-        manifest_dict["kept_indices"][0][0] = 2**70
+    def assert_analyze_rejects(self, tmp_path, capsys, d, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(manifest_dict))
+        path.write_text(json.dumps(d))
         capsys.readouterr()
         out = tmp_path / "occ"
         assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
-        assert_one_error(capsys, "kept indices must fit in 64-bit integers")
+        assert_one_error(capsys, message)
         assert not out.exists()
+
+    def test_index_beyond_64_bits_rejected(self, tmp_path, capsys, manifest_dict):
+        # 2**70 takes 9 little-endian bytes, 18 hex digits, where an entry has 16
+        block = manifest_dict["kept_indices"]
+        manifest_dict["kept_indices"] = (2**70).to_bytes(9, "little").hex() + block[16:]
+        n = sum(manifest_dict["counts"])
+        message = f"manifest.kept_indices must hold 16 hex digits an index, {16 * n} for {n}, got {16 * n + 2}"
+        self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
+
+    def test_layout_1_rejected(self, tmp_path, capsys, manifest_dict):
+        # as layout 1 wrote it: no layout key, and one JSON list of ints per class
+        d = manifest_dict
+        flat = np.frombuffer(bytes.fromhex(d.pop("kept_indices")), "<i8").tolist()
+        del d["manifest_layout"]
+        d["kept_indices"] = [flat[end - n : end] for n, end in zip(d["counts"], np.cumsum(d["counts"]).tolist())]
+        message = "manifest layout 1 is not read by this lobmix (layout 2); rebuild it with build-lt"
+        self.assert_analyze_rejects(tmp_path, capsys, d, message)
+
+    @pytest.mark.parametrize("layout,shown", [(3, "3"), ("2", "'2'"), (None, "None")])
+    def test_other_layout_rejected(self, tmp_path, capsys, manifest_dict, layout, shown):
+        manifest_dict["manifest_layout"] = layout
+        message = f"manifest layout {shown} is not read by this lobmix (layout 2); rebuild it with build-lt"
+        self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
+
+    @pytest.mark.parametrize("length", [737, 735])
+    def test_block_length_checked(self, tmp_path, capsys, manifest_dict, length):
+        assert sum(manifest_dict["counts"]) == 46  # 736 digits
+        manifest_dict["kept_indices"] = (manifest_dict["kept_indices"] + "0")[:length]
+        message = f"manifest.kept_indices must hold 16 hex digits an index, 736 for 46, got {length}"
+        self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
+
+    @pytest.mark.parametrize(
+        "entry,text,message",
+        [
+            (7, "00g", "manifest.kept_indices entry 7 holds 'g', not a hex digit"),
+            # bytes.fromhex skips whitespace between digit pairs: the block decodes a byte short
+            (9, "00  ", "manifest.kept_indices entry 9 holds ' ', not a hex digit"),
+            (2, "\n0", "manifest.kept_indices entry 2 holds '\\n', not a hex digit"),
+            (3, "f" * 16, "kept indices must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_entry_rejected(self, tmp_path, capsys, manifest_dict, entry, text, message):
+        block = manifest_dict["kept_indices"]
+        manifest_dict["kept_indices"] = block[: 16 * entry] + text + block[16 * entry + len(text) :]
+        self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     def test_directory_rejected(self, tmp_path, capsys):
         # the build-lt output directory in place of its manifest.json

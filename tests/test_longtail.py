@@ -20,7 +20,7 @@ from lobmix import longtail
 from lobmix.cli import main
 from lobmix.longtail import BLOCK_BYTES, mixture_centers, read_cifar10_records, row_blocks
 
-from conftest import CIFAR_LT_RHO10
+from conftest import CIFAR_LT_RHO10, hex_block, traced_peak
 
 
 def profile_counts(kind, n_max, num_classes, rho):
@@ -213,10 +213,14 @@ class TestManifestLayout:
         rows = 30
         nested = [data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)) for n in sizes]
         manifest = DatasetManifest("test", None, 0, sizes, nested)
+        flat = [i for idx in nested for i in idx]
         assert manifest.kept_indices.dtype == np.int64
-        assert manifest.kept_indices.tolist() == [i for idx in nested for i in idx]
-        assert manifest.to_dict()["kept_indices"] == nested
-        assert DatasetManifest.from_dict(manifest.to_dict()).to_dict() == manifest.to_dict()
+        assert manifest.kept_indices.tolist() == flat
+        d = manifest.to_dict()
+        assert d["manifest_layout"] == 2 and d["kept_indices"] == hex_block(flat)
+        loaded = DatasetManifest.from_dict(json.loads(json.dumps(d)))
+        assert loaded.to_dict() == d and loaded.counts == tuple(sizes)
+        assert loaded.kept_indices.tolist() == flat
         rng = np.random.default_rng(len(sizes))
         base = LabeledDataset(rng.standard_normal((rows, 2)), rng.integers(0, 3, size=rows), 3)
         gathers = [np.asarray(idx, dtype=np.int64) for idx in nested]
@@ -228,15 +232,41 @@ class TestManifestLayout:
     @pytest.mark.parametrize("key", ["counts", "kept_indices"])
     def test_long_list_names_its_first_bad_entry(self, key, bad, shown):
         # a later bad entry of another kind must not be the one named
-        entries = list(range(10**5)) + [bad, 3, [4]]
-        d = {"source": "test", "profile": None, "seed": 0, "counts": [2, 3], "kept_indices": [[0, 1], [0, 1, 2]]}
+        n = 10**5 + 3
+        d = {"manifest_layout": 2, "source": "test", "profile": None, "seed": 0, "counts": [2, n - 2]}
+        d["kept_indices"] = hex_block(range(n))
         if key == "counts":
-            d["counts"], name = entries, "manifest.counts"
+            d["counts"] = list(range(10**5)) + [bad, 3, [4]]
+            message = f"manifest.counts entry must be an integer, got {shown}"
         else:
-            d["kept_indices"][1], name = entries, "manifest.kept_indices[1]"
+            # entry 10**5 holds the bad value's JSON text, entry 10**5 + 1 a space
+            text = json.dumps(bad).ljust(16, "0")
+            d["kept_indices"] = d["kept_indices"][: 16 * 10**5] + text + " " * 16 + d["kept_indices"][-16:]
+            first = next(c for c in text if c not in "0123456789abcdef")
+            message = f"manifest.kept_indices entry 100000 holds {first!r}, not a hex digit"
         with pytest.raises(ValueError) as excinfo:
             DatasetManifest.from_dict(d)
-        assert str(excinfo.value) == f"{name} entry must be an integer, got {shown}"
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case", ["upper", "plain"])
+    def test_block_decodes_as_little_endian_int64(self, case):
+        # index 0x0102 is bytes 02 01 00 ..: read big-endian it would be 2**57 + 2**48
+        block = "0201000000000000" + "ff" * 7 + "7f"
+        d = {"manifest_layout": 2, "source": "test", "profile": None, "seed": 0, "counts": [1, 1]}
+        d["kept_indices"] = block.upper() if case == "upper" else block
+        assert DatasetManifest.from_dict(d).kept_indices.tolist() == [0x0102, 2**63 - 1]
+
+    def test_save_holds_a_few_copies_of_the_block(self, tmp_path):
+        # build-lt --synth-classes 1000 --rho 10: 391,012 kept indices, a 6.27 MB file
+        profile = ImbalanceProfile("exponential", 10.0, 1000)
+        counts = profile.class_counts(1000)
+        index = longtail.synth_class_index(1000, (1000,) * 1000, 10, 3.0, 0)
+        manifest = subsample_longtail(index, counts, 0, profile=profile)
+        assert manifest.kept_indices.size == 391_012
+        _, peak = traced_peak(manifest.save, tmp_path / "manifest.json")
+        block_bytes = 16 * manifest.kept_indices.size
+        assert peak < 4 * block_bytes
+        assert DatasetManifest.load(tmp_path / "manifest.json").to_dict() == manifest.to_dict()
 
 
 class TestLongtailSplit:
