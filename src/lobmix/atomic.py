@@ -1,7 +1,13 @@
-"""Atomic artifact writes: a file appears at its final path whole or not at all."""
+"""Artifact files: the one JSON reader, JSON writer and CSV writer, and atomic writes.
+
+A file written here appears at its final path whole or not at all. JSON is written with 2-space indent, sorted keys
+and a final newline; CSV in the ``csv`` module's default dialect, rows ending in CRLF.
+"""
 from __future__ import annotations
 
 import contextlib
+import csv
+import json
 import os
 from pathlib import Path
 
@@ -28,3 +34,29 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
         if isinstance(exc, OSError) and exc.filename == tmp:
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def read_json(path: str | Path, data: bytes | None = None):
+    """The JSON value of ``data``, else of the file's bytes; one ValueError naming ``path`` if not UTF-8 JSON."""
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from None
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` to ``path`` atomically as JSON: 2-space indent, sorted keys and a final newline."""
+    with atomic_write(path) as fh:
+        # streamed: a large value, such as a manifest's index block, is not copied into one whole-file string
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: str | Path, header: list, rows: list[list]) -> None:
+    """Write the ``header`` row, then ``rows``, to ``path`` atomically as CSV."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -12,7 +12,6 @@ outputs embed a hash of that configuration so runs are auditable.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -23,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import longtail
-from .atomic import atomic_write
-from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_ints, json_settings, json_value
+from .atomic import atomic_write, read_json, write_csv, write_json
+from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_settings, json_value
 from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
 from .seeds import RNG_LAYOUT
 from .trainer import GROUP_NAMES, STRATEGIES, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
@@ -36,11 +35,6 @@ DONE_MARKER = "DONE"
 def config_hash(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -77,12 +71,9 @@ class ExperimentConfig:
         dataset = json_settings(d["dataset"], SCHEMA[kind], "dataset")
         if kind == "cifar10" and not dataset["train_paths"]:
             raise ValueError("dataset.train_paths must name at least one file")
-        for path in dataset.get("train_paths", ()):
-            json_value(path, str, "dataset.train_paths entry")
         profile = ImbalanceProfile.from_dict(d["profile"])
         required = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING]
         train = json_settings(d["train"], SCHEMA["train"], "train", required, nullable=("defer_epoch",))
-        json_ints(train.get("lr_decay_epochs", []), "train.lr_decay_epochs")
         return cls(dataset, profile, TrainConfig(seed=d.get("seed", 0), **train), d.get("out_dir"))
 
     def family_dict(self) -> dict:
@@ -109,7 +100,7 @@ def load_config(
     is checked, so an override can make a config valid: a deferred config
     with no switch epoch runs as ``strategy="mixup"``.
     """
-    d = json_value(json.loads(Path(path).read_text()), dict, "config")
+    d = json_value(read_json(path), dict, "config")
     top = {k: v for k, v in (("seed", seed), ("out_dir", out_dir)) if v is not None}
     settings = {k: v for k, v in (("strategy", strategy), ("alpha", alpha)) if v is not None}
     if settings and isinstance(d.get("train"), dict):  # otherwise from_dict names what is wrong
@@ -209,7 +200,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
         "counts": list(counts),
         "rng_layout": RNG_LAYOUT,
     }
-    _write_json(out / "build_info.json", {"config_sha256": config_hash(resolved), **resolved})
+    write_json(out / "build_info.json", {"config_sha256": config_hash(resolved), **resolved})
     print(f"class counts: {list(counts)}")
     print(f"imbalance ratio: {format_float(max(counts) / min(counts))}")
     print(f"manifest: {out / 'manifest.json'}")
@@ -218,7 +209,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     raw = Path(args.manifest).read_bytes()
-    manifest = DatasetManifest.from_dict(json.loads(raw))
+    manifest = DatasetManifest.from_dict(read_json(args.manifest, raw))
     # identify the manifest by content so outputs are relocatable
     manifest_sha256 = hashlib.sha256(raw).hexdigest()
     del raw  # not held while the batches are drawn
@@ -231,7 +222,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for name, analytic, empirical in summary_rows:
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
-        _write_json(
+        write_json(
             out / f"{stem}.json",
             {
                 "combo": name,
@@ -251,23 +242,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "rng_layout": RNG_LAYOUT,
     }
     digest = config_hash(resolved)
-    with atomic_write(out / "occurrence_summary.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["combo", "samples", "balance_ratio_analytic", "balance_ratio_empirical", "head_incidence", "config_sha256"]
-        )
-        for name, analytic, empirical in summary_rows:
-            writer.writerow(
-                [
-                    name,
-                    args.samples,
-                    format_float(analytic.balance_ratio),
-                    format_float(empirical.balance_ratio if empirical else None),
-                    format_float(empirical.head_incidence if empirical else None),
-                    digest,
-                ]
-            )
-    _write_json(out / "analyze_info.json", {"config_sha256": digest, **resolved})
+    rows = []
+    for name, analytic, empirical in summary_rows:
+        measured = [empirical.balance_ratio, empirical.head_incidence] if empirical else [None, None]
+        rows.append([name, args.samples, *map(format_float, [analytic.balance_ratio, *measured]), digest])
+    header = ["combo", "samples", "balance_ratio_analytic", "balance_ratio_empirical", "head_incidence", "config_sha256"]
+    write_csv(out / "occurrence_summary.csv", header, rows)
+    write_json(out / "analyze_info.json", {"config_sha256": digest, **resolved})
     for name, analytic, empirical in summary_rows:
         measured = f" measured={format_float(empirical.balance_ratio)}" if empirical and empirical.balance_ratio else ""
         print(f"{name}: analytic max/min={format_float(analytic.balance_ratio)}{measured}")
@@ -287,12 +268,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = cfg.to_dict()
     # hash identifies the experiment, not where its outputs land
     digest = config_hash({k: v for k, v in resolved.items() if k != "out_dir"})
-    _write_json(out / "config.json", resolved)
+    write_json(out / "config.json", resolved)
     manifest.save(out / "manifest.json")
     _, history = train(train_ds, test_ds, cfg.train)
     write_history_csv(out / "history.csv", history)
     report = history[-1].report
-    _write_json(out / "eval.json", {"config_sha256": digest, **dataclasses.asdict(report)})
+    write_json(out / "eval.json", {"config_sha256": digest, **dataclasses.asdict(report)})
     with atomic_write(out / DONE_MARKER) as fh:  # last: DONE marks a whole run directory
         fh.write(digest + "\n")
     print(f"strategy={cfg.train.strategy} balanced_acc={format_float(report.balanced_accuracy)}")
@@ -310,9 +291,9 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
         marker = path / DONE_MARKER
         if not marker.exists():
             continue
-        config = json_value(json.loads((path / "config.json").read_text()), dict, str(path / "config.json"))
+        config = json_value(read_json(path / "config.json"), dict, str(path / "config.json"))
         name = str(path / "eval.json")
-        evaluation = json_settings(json.loads((path / "eval.json").read_text()), SCHEMA["eval"], name)
+        evaluation = json_settings(read_json(name), SCHEMA["eval"], name)
         groups = dict.fromkeys(GROUP_NAMES, float)  # an empty group scores null
         json_settings(evaluation["group_accuracy"], groups, f"{name}.group_accuracy", nullable=GROUP_NAMES)
         # train writes DONE last, holding the hash it also wrote into eval.json
@@ -367,16 +348,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         groups = [stats([e["group_accuracy"][g] for e in evals]) for g in GROUP_NAMES]
         rows.append([strategy, len(evals), *balanced, *groups[0], *groups[1], *groups[2], family])
 
-    def emit(write_row) -> None:
-        write_row(header)
-        for row in rows:
-            write_row(row)
-
     if args.out:
-        with atomic_write(args.out, newline="") as fh:
-            writer = csv.writer(fh)
-            emit(writer.writerow)
-    emit(lambda row: print(",".join(str(c) for c in row)))
+        write_csv(args.out, header, rows)
+    for row in (header, *rows):
+        print(",".join(str(c) for c in row))
     return 0
 
 

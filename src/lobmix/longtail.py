@@ -8,7 +8,6 @@ scale, and ingests the CIFAR-10 binary record format.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import mmap
 import os
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json, write_json
 from .seeds import make_rng
 
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
@@ -33,13 +32,18 @@ MANIFEST_LAYOUT = 2  # manifest.json format: kept indices as one hex block of li
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
-def json_value(value, kind: type, name: str):
+def json_value(value, kind: type | list, name: str):
     """Return ``value`` if it holds a JSON value of ``kind``, else raise ValueError.
 
-    ``kind`` is int, float, str, list or dict. Any number that fits a finite
-    float passes as a float (``json`` reads ``NaN`` and ``Infinity``, which
-    do not); booleans pass as neither.
+    ``kind`` is int, float, str, list or dict, or ``[k]``, a list whose every
+    entry is of kind ``k``. Any number that fits a finite float passes as a
+    float (``json`` reads ``NaN`` and ``Infinity``, which do not); booleans
+    pass as neither.
     """
+    if isinstance(kind, list):
+        for v in json_value(value, list, name):
+            json_value(v, kind[0], f"{name} entry")
+        return value
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
@@ -49,28 +53,29 @@ def json_value(value, kind: type, name: str):
     return value
 
 
-# JSON kind of every setting of each section of a config or manifest. A
-# config has a top level ("config"), a dataset section (the "synth" or
-# "cifar10" row, by its kind), a "profile" and a "train" section (the
-# TrainConfig fields but the seed, which the top level holds); a manifest
-# ("manifest") holds a "profile" too.
+# JSON kind of every setting of each section of a config or manifest, ``[k]``
+# for a list of kind-``k`` entries (see :func:`json_value`). A config has a
+# top level ("config"), a dataset section (the "synth" or "cifar10" row, by
+# its kind), a "profile" and a "train" section (the TrainConfig fields but
+# the seed, which the top level holds); a manifest ("manifest") holds a
+# "profile" too.
 SCHEMA = {
     "config": {"dataset": dict, "profile": dict, "train": dict, "seed": int, "out_dir": str, "rng_layout": int},
     "synth": {
         "kind": str, "classes": int, "dim": int, "separation": float, "base_per_class": int, "test_per_class": int,
     },
-    "cifar10": {"kind": str, "train_paths": list, "test_path": str},
+    "cifar10": {"kind": str, "train_paths": [str], "test_path": str},
     "profile": {"kind": str, "rho": float, "n_max": int},
     "train": {
         "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
-        "lr_decay_epochs": list, "lr_decay_factor": float, "alpha": float, "strategy": str,
+        "lr_decay_epochs": [int], "lr_decay_factor": float, "alpha": float, "strategy": str,
         "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
     },
     "manifest": {
-        "manifest_layout": int, "source": str, "profile": dict, "seed": int, "counts": list, "kept_indices": str,
+        "manifest_layout": int, "source": str, "profile": dict, "seed": int, "counts": [int], "kept_indices": str,
     },
     "eval": {
-        "config_sha256": str, "per_class_recall": list, "balanced_accuracy": float, "overall_accuracy": float,
+        "config_sha256": str, "per_class_recall": [float], "balanced_accuracy": float, "overall_accuracy": float,
         "group_accuracy": dict,
     },
 }
@@ -96,13 +101,6 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
             v = json_value(v, types[k], f"{name}.{k}")
         checked[k] = float(v) if types[k] is float and v is not None else v
     return checked
-
-
-def json_ints(value, name: str) -> list:
-    """Return ``value`` if it holds a JSON list of integers, else raise ValueError."""
-    for v in json_value(value, list, name):
-        json_value(v, int, f"{name} entry")
-    return value
 
 
 def _round_half_up(x: float) -> int:
@@ -248,12 +246,12 @@ class DatasetManifest:
 
     ``kept_indices`` is one int64 array of the kept source indices, class by
     class, ``counts[k]`` of them for class k: the ``(flat, counts)`` layout of
-    :class:`ClassIndex`. The constructor takes one index sequence per class;
-    the JSON file (layout :data:`MANIFEST_LAYOUT`) holds the whole array as
-    one hex string, 16 digits (8 little-endian bytes) an index. The source's
-    ``features[kept_indices]`` are the subsampled rows, and re-running the
-    subsampler on the source's class index with the recorded seed returns
-    the identical indices.
+    :class:`ClassIndex`. The constructor takes one sequence of integer
+    indices per class; the JSON file (layout :data:`MANIFEST_LAYOUT`) holds
+    the whole array as one hex string, 16 digits (8 little-endian bytes) an
+    index. The source's ``features[kept_indices]`` are the subsampled rows,
+    and re-running the subsampler on the source's class index with the
+    recorded seed returns the identical indices.
     """
 
     source: str
@@ -271,7 +269,10 @@ class DatasetManifest:
             raise ValueError("kept-index list length must match the class count")
         flat = np.empty(sum(counts), dtype=np.int64)
         start = 0
-        for n, idx in zip(counts, per_class):
+        for k, (n, idx) in enumerate(zip(counts, per_class)):
+            idx = np.asarray(idx)
+            if idx.size and idx.dtype.kind not in "iu":  # an assignment would truncate floats
+                raise ValueError(f"kept indices must be integers, got {idx.dtype} in class {k}")
             flat[start : start + n] = idx
             start += n
         if flat.size and flat.min() < 0:
@@ -299,7 +300,9 @@ class DatasetManifest:
                 "rebuild it with build-lt"
             )
         d = json_settings(d, SCHEMA["manifest"], "manifest", nullable=("profile",))
-        counts = json_ints(d["counts"], "manifest.counts")
+        counts = d["counts"]
+        if min(counts, default=0) < 0:
+            raise ValueError(f"manifest.counts entry must be non-negative, got {min(counts)}")
         total, block = sum(counts), d["kept_indices"]
         if len(block) != 16 * total:
             raise ValueError(
@@ -319,14 +322,11 @@ class DatasetManifest:
         )
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            # streamed: the hex block is not copied into one whole-file string
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 def _pick(

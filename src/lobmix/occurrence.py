@@ -9,7 +9,6 @@ empirically (from generated batches).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .longtail import ClassIndex
 from .mixer import draw_pairs
 from .samplers import CB, IB, class_masses, kind_pair
@@ -178,9 +177,8 @@ def write_occurrence_csv(
     empirical: OccurrenceReport | None = None,
 ) -> None:
     """Per-class ratio table: class, n_k, gamma_analytic, gamma_empirical."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "n_k", "gamma_analytic", "gamma_empirical"])
-        for k, n_k in enumerate(counts):
-            empirical_cell = format_float(float(empirical.ratios[k])) if empirical is not None else ""
-            writer.writerow([k, int(n_k), format_float(float(analytic.ratios[k])), empirical_cell])
+    rows = []
+    for k, n_k in enumerate(counts):
+        empirical_cell = format_float(float(empirical.ratios[k])) if empirical is not None else ""
+        rows.append([k, int(n_k), format_float(float(analytic.ratios[k])), empirical_cell])
+    write_csv(path, ["class", "n_k", "gamma_analytic", "gamma_empirical"], rows)

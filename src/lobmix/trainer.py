@@ -7,13 +7,12 @@ against finite differences.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .longtail import BLOCK_BYTES, LabeledDataset, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
@@ -438,16 +437,10 @@ def train(
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_loss", "balanced_acc", "head_acc", "med_acc", "tail_acc"])
-        for row in history:
-            writer.writerow(
-                [
-                    row.epoch,
-                    format_float(row.lr),
-                    format_float(row.train_loss),
-                    format_float(row.report.balanced_accuracy),
-                    *(format_float(row.report.group_accuracy[name]) for name in GROUP_NAMES),
-                ]
-            )
+    header = ["epoch", "lr", "train_loss", "balanced_acc", "head_acc", "med_acc", "tail_acc"]
+    rows = [
+        [row.epoch, format_float(row.lr), format_float(row.train_loss), format_float(row.report.balanced_accuracy)]
+        + [format_float(row.report.group_accuracy[name]) for name in GROUP_NAMES]
+        for row in history
+    ]
+    write_csv(path, header, rows)

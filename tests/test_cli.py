@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
@@ -370,6 +371,22 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert out.stdout == "[]\n"
 
 
+def test_artifact_formats_live_in_atomic():
+    # every JSON and CSV file is read or written by lobmix.atomic; config_hash's canonical dumps writes no file
+    found = []
+    for path in sorted((SRC / "lobmix").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names if alias.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                found.append((path.name, f"from {node.module} import"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("csv", "json"):
+                    found.append((path.name, f"{node.value.id}.{node.attr}"))
+    assert {use for name, use in found if name == "atomic.py"} >= {"csv", "csv.writer", "json.dump", "json.loads"}
+    assert [(name, use) for name, use in found if name != "atomic.py"] == [("cli.py", "json.dumps")]
+
+
 def test_package_exports_resolve_sorted_and_unique():
     """``lobmix.__all__`` names only live objects, once each and in order, so a retired export cannot linger."""
     import lobmix
@@ -427,6 +444,16 @@ class TestMalformedManifest:
         assert main(["analyze", "--manifest", str(path), "--samples", "100", "--out", str(out)]) == 2
         assert_one_error(capsys, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts,indices", [([3, -1], [0, 1]), ([2, -3], [])])
+    def test_negative_count_rejected(self, tmp_path, capsys, manifest_dict, counts, indices):
+        # named before the block's length is checked against the sum of the counts
+        manifest_dict.update(counts=counts, kept_indices=hex_block(indices))
+        message = f"manifest.counts entry must be non-negative, got {counts[1]}"
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest.from_dict(manifest_dict)
+        assert str(excinfo.value) == message
+        self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     @pytest.mark.parametrize(
         "section,key,message",
@@ -967,6 +994,7 @@ class TestReport:
             (lambda e: e.update(seed=3), "unknown {} settings: ['seed']"),
             (lambda e: e["group_accuracy"].pop("tail"), "missing {}.group_accuracy settings: ['tail']"),
             (lambda e: e["group_accuracy"].update(head=[]), "{}.group_accuracy.head must be a number, got []"),
+            (lambda e: e["per_class_recall"].insert(1, "x"), "{}.per_class_recall entry must be a number, got 'x'"),
         ],
     )
     def test_malformed_eval_rejected(self, tmp_path, capsys, edit, message):
@@ -1013,6 +1041,53 @@ class TestReport:
         empty.mkdir()
         assert main(["report", str(empty)]) != 0
         assert "no completed runs" in capsys.readouterr().err
+
+
+# ways to make a JSON file unreadable, each applied to its bytes
+SPOILED = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "not UTF-8": lambda raw: raw.replace(b'"', b'"\xff', 1),
+    "nested too deep": lambda raw: b"[" * 100_000 + raw,
+}
+
+
+def spoil(path, how):
+    path.write_bytes(SPOILED[how](path.read_bytes()))
+
+
+@pytest.mark.parametrize("how", SPOILED)
+class TestUnreadableJson:
+    """A file that is not UTF-8 JSON is one error line naming it, and no output is written."""
+
+    def assert_rejected(self, capsys, argv, path, output):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert_one_error(capsys, f"error: {path} is not UTF-8 JSON: ")
+        assert not output.exists()
+
+    def test_train_config(self, tmp_path, capsys, how):
+        path = write_config(tmp_path, base_config())
+        spoil(path, how)
+        out = tmp_path / "run"
+        self.assert_rejected(capsys, ["train", "--config", str(path), "--out", str(out)], path, out)
+
+    def test_analyze_manifest(self, tmp_path, capsys, how):
+        lt = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "4", "--synth-per-class", "20", "--rho", "4", "--out", str(lt)]) == 0
+        path = lt / "manifest.json"
+        spoil(path, how)
+        out = tmp_path / "occ"
+        self.assert_rejected(capsys, ["analyze", "--manifest", str(path), "--out", str(out)], path, out)
+
+    @pytest.mark.parametrize("name", ["config.json", "eval.json"])
+    def test_report_run_file(self, tmp_path, capsys, how, name):
+        config_path = write_config(tmp_path, base_config())
+        runs = [tmp_path / "run0", tmp_path / "run1"]
+        for seed, run in enumerate(runs):
+            assert main(["train", "--config", str(config_path), "--seed", str(seed), "--out", str(run)]) == 0
+        spoil(runs[1] / name, how)
+        out = tmp_path / "aggregate.csv"
+        self.assert_rejected(capsys, ["report", *map(str, runs), "--out", str(out)], runs[1] / name, out)
 
 
 class _FullDisk:

@@ -248,6 +248,22 @@ class TestManifestLayout:
             DatasetManifest.from_dict(d)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "indices,dtype",
+        [([0.5, 1.9], "float64"), (np.array([1.0, 2.0]), "float64"), ([True, False], "bool"), (["1", "2"], "<U1")],
+    )
+    def test_non_integer_indices_rejected(self, indices, dtype):
+        # an assignment into the int64 array would keep [0, 1] for [0.5, 1.9]
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest("test", None, 0, [1, 2], [[3], indices])
+        assert str(excinfo.value) == f"kept indices must be integers, got {dtype} in class 1"
+
+    def test_integer_sequences_and_empty_classes_accepted(self):
+        kept = ([4, 1], np.array([7], dtype=np.uint16), np.array([]), (), np.array([2, 0], dtype=np.int32), (5,))
+        manifest = DatasetManifest("test", None, 0, [2, 1, 0, 0, 2, 1], kept)
+        assert manifest.kept_indices.dtype == np.int64
+        assert manifest.kept_indices.tolist() == [4, 1, 7, 2, 0, 5]
+
     @pytest.mark.parametrize("case", ["upper", "plain"])
     def test_block_decodes_as_little_endian_int64(self, case):
         # index 0x0102 is bytes 02 01 00 ..: read big-endian it would be 2**57 + 2**48
