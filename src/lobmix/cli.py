@@ -298,7 +298,11 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
         json_settings(evaluation["group_accuracy"], groups, f"{name}.group_accuracy", nullable=GROUP_NAMES)
         # train writes DONE last, holding the hash it also wrote into eval.json
         digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
-        if not marker.read_text().strip() == evaluation.get("config_sha256") == digest:
+        try:
+            done = marker.read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{marker} is not UTF-8: {exc}") from None
+        if not done == evaluation.get("config_sha256") == digest:
             raise ValueError(f"run directory {path} is partial or altered: DONE, eval.json and config.json disagree")
         runs.append((path, config, evaluation))
     return runs
@@ -312,7 +316,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     layouts = sorted({cfg.get("rng_layout", 1) for _, cfg, _ in runs})
     if len(layouts) > 1:
         raise ValueError(f"runs mix random-stream layouts {layouts}; aggregate runs of one layout")
-    families = {config_hash(ExperimentConfig.from_dict(cfg).family_dict()) for _, cfg, _ in runs}
+    families = set()
+    for path, cfg, _ in runs:
+        try:
+            experiment = ExperimentConfig.from_dict(cfg)
+        except ValueError as exc:  # such as a train key this version no longer has
+            raise ValueError(f"{path / 'config.json'}: {exc}") from None
+        families.add(config_hash(experiment.family_dict()))
     if len(families) > 1:
         raise ValueError(f"runs mix {len(families)} incompatible configurations; aggregate one family at a time")
     family = families.pop()

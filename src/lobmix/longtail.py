@@ -69,7 +69,7 @@ SCHEMA = {
     "train": {
         "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
         "lr_decay_epochs": [int], "lr_decay_factor": float, "alpha": float, "strategy": str,
-        "defer_epoch": int, "arch": str, "hidden": int, "momentum": float, "weight_decay": float,
+        "defer_epoch": int,
     },
     "manifest": {
         "manifest_layout": int, "source": str, "profile": dict, "seed": int, "counts": [int], "kept_indices": str,

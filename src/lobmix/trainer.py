@@ -1,9 +1,9 @@
 """Small soft-label classifier trained with SGD under configurable mixing.
 
-The backbone is deliberately tiny (linear or one hidden tanh layer): the
-sampling and mixing strategies under study are architecture-independent at
-this scale, and a closed-form gradient keeps the update exactly checkable
-against finite differences.
+The backbone is deliberately tiny (linear): the sampling and mixing
+strategies under study are architecture-independent at this scale, and a
+closed-form gradient keeps the update exactly checkable against finite
+differences.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
 from .samplers import CB, IB
 from .seeds import make_rng
-
-ARCHITECTURES = ("linear", "mlp1")
 
 GROUP_NAMES = ("head", "medium", "tail")
 
@@ -38,21 +36,14 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
-def init_params(arch: str, dim: int, num_classes: int, seed: int, hidden: int = 32) -> list[np.ndarray]:
-    """The model, a weight list: ``[w, b]`` for ``linear``, ``[w1, b1, w2, b2]`` for ``mlp1``.
+def init_params(dim: int, num_classes: int, seed: int) -> list[np.ndarray]:
+    """The model, a weight list ``[w, b]``: logits are ``x @ w + b``.
 
-    Gaussian weights scaled by 1/sqrt(fan_in) and zero biases. The model reads
-    feature rows as given (see :func:`standardize`).
+    A Gaussian ``(dim, num_classes)`` weight scaled by 1/sqrt(dim) and a zero
+    bias. The model reads feature rows as given (see :func:`standardize`).
     """
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}, expected one of {ARCHITECTURES}")
     rng = make_rng(seed, "init")
-    widths = [dim, num_classes] if arch == "linear" else [dim, hidden, num_classes]
-    params: list[np.ndarray] = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        params.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-        params.append(np.zeros(fan_out))
-    return params
+    return [rng.standard_normal((dim, num_classes)) / np.sqrt(dim), np.zeros(num_classes)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -113,45 +104,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-@dataclass(frozen=True)
-class _StepBuffers:
-    """Arrays that :func:`_grad_step` writes for a batch of ``rows`` rows, made once a run.
-
-    ``logits`` holds the logits, then the probabilities, then the logit
-    gradient; ``grads`` one gradient per weight, in its shape. Each hidden
-    layer has one array in ``hidden``, its tanh activations and then their
-    derivative ``1 - h²``, and one in ``dhidden``, the gradient at its input.
-    """
-
-    logits: np.ndarray
-    grads: list[np.ndarray]
-    hidden: list[np.ndarray]
-    dhidden: list[np.ndarray]
-
-    @classmethod
-    def create(cls, params: list[np.ndarray], rows: int) -> "_StepBuffers":
-        *widths, classes = (b.shape[0] for b in params[1::2])
-        hidden = [np.empty((rows, width)) for width in widths]
-        return cls(np.empty((rows, classes)), [np.empty_like(w) for w in params], hidden, [np.empty_like(h) for h in hidden])
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``x @ w + b``, written into ``out`` when it is given (the same bits)."""
-    out = np.matmul(x, w, out=out)
-    out += b
-    return out
-
-
-def _forward(params: list[np.ndarray], x: np.ndarray, work: _StepBuffers | None = None) -> np.ndarray:
-    """Probabilities of rows ``x``: every layer but the last is affine plus tanh, the last affine plus softmax.
-
-    The activations are written into ``work.hidden`` and the probabilities
-    into ``work.logits`` when ``work`` is given, and into new arrays otherwise.
-    """
-    for n in range(0, len(params) - 2, 2):
-        x = _affine(x, params[n], params[n + 1], None if work is None else work.hidden[n // 2])
-        np.tanh(x, out=x)
-    return _softmax(_affine(x, params[-2], params[-1], None if work is None else work.logits))
+def _forward(params: list[np.ndarray], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Probabilities of rows ``x``, the softmax of ``x @ w + b``, written into ``out`` if given (the same bits)."""
+    w, b = params
+    logits = np.matmul(x, w, out=out)
+    logits += b
+    return _softmax(logits)
 
 
 def forward(params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -183,35 +141,28 @@ def _target_plan(
 
 
 def _grad_step(
-    params: list[np.ndarray], x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray, work: _StepBuffers
-) -> list[np.ndarray]:
+    params: list[np.ndarray], x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray,
+    logits: np.ndarray, grads: list[np.ndarray],
+) -> None:
     """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
 
     Cross entropy is linear in the target, so the logit gradient is
     ``probs`` minus ``weights`` scattered onto ``pos``; no (B, C) target is
     built. The probabilities at ``pos`` are first copied into ``taken``, from
-    which :func:`_batch_losses` computes the loss. Every array the step
-    computes is written into ``work``, a :class:`_StepBuffers` for
-    ``len(x)`` rows, and ``work.grads`` is returned: the same operations in
-    the same order as the expressions (``x.T @ dlogits`` and so on), so the
-    same bits, with no allocation the size of a batch.
+    which :func:`_batch_losses` computes the loss. The logits, then the
+    probabilities, then the logit gradient are written into ``logits``, a
+    ``(len(x), num_classes)`` array, and the gradients of ``w`` and ``b``
+    into ``grads``, arrays of their shapes: the same operations in the same
+    order as the expressions ``x.T @ dlogits`` and ``dlogits.sum(axis=0)``,
+    so the same bits, with no allocation the size of a batch.
     """
-    dlogits = _forward(params, x, work)
+    dlogits = _forward(params, x, logits)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
     dlogits /= x.shape[0]
-    grads, delta = work.grads, dlogits
-    for n in range(len(params) - 2, -1, -2):  # from the last layer back to the first
-        a = work.hidden[n // 2 - 1] if n else x  # the layer's input
-        np.matmul(a.T, delta, out=grads[n])
-        delta.sum(axis=0, out=grads[n + 1])
-        if n:
-            delta = np.matmul(delta, params[n].T, out=work.dhidden[n // 2 - 1])
-            np.multiply(a, a, out=a)  # a is read for this layer's gradient above; from here it holds 1 - a²
-            np.subtract(1.0, a, out=a)
-            delta *= a
-    return grads
+    np.matmul(x.T, dlogits, out=grads[0])
+    dlogits.sum(axis=0, out=grads[1])
 
 
 def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -237,10 +188,11 @@ def loss_and_grad(
     is :func:`train`'s step on one batch: its target plan, gradient kernel
     and loss reduction.
     """
-    n = x.shape[0]
-    pos, weights = _target_plan(c_i, c_j, lam, n, params[-1].shape[0])
+    n, num_classes = x.shape[0], params[1].shape[0]
+    pos, weights = _target_plan(c_i, c_j, lam, n, num_classes)
     taken = np.empty(pos.shape)
-    grads = _grad_step(params, x, pos[0], weights[0], taken[0], _StepBuffers.create(params, n))
+    grads = [np.empty_like(w) for w in params]
+    _grad_step(params, x, pos[0], weights[0], taken[0], np.empty((n, num_classes)), grads)
     return float(_batch_losses(taken, weights)[0]), grads
 
 
@@ -258,10 +210,6 @@ class TrainConfig:
     strategy: str = "mixup"  # a key of STRATEGIES
     seed: int = 0
     defer_epoch: int | None = None
-    arch: str = "linear"
-    hidden: int = 32
-    momentum: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -277,14 +225,8 @@ class TrainConfig:
             raise ValueError(f"decay epochs must be strictly increasing, got {self.lr_decay_epochs}")
         if min(self.lr_decay_epochs, default=1) < 1:
             raise ValueError(f"decay epochs must be >= 1, got {self.lr_decay_epochs}")
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        for name in ("lr_decay_factor", "momentum", "weight_decay"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        if self.lr_decay_factor < 0:
+            raise ValueError(f"lr_decay_factor must be non-negative, got {self.lr_decay_factor}")
         two_phase = len(STRATEGIES[self.strategy]) > 1
         if two_phase and self.switch_epoch is None:
             raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")
@@ -359,7 +301,7 @@ def train(
     test_ds: LabeledDataset,
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], list[EpochStats]]:
-    """SGD on soft cross entropy with the configured batch source.
+    """Plain SGD, ``w -= lr * g``, on soft cross entropy with the configured batch source.
 
     An epoch's ``batches_per_epoch * batch_size`` rows are drawn at once from
     ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
@@ -370,9 +312,9 @@ def train(
     batch at least), into two buffers made once a run
     (:func:`~lobmix.mixer.blend`'s ``out``); each batch is a row slice of
     its chunk, the bits of blending it alone. Each step writes its
-    activations and gradients into :class:`_StepBuffers` made once a run, so
-    it allocates nothing the size of a batch, and the batch losses are
-    reduced once the epoch's steps are done.
+    logits and gradients into work buffers made once a run and scales the
+    gradients in place, so it allocates nothing the size of a batch, and the
+    batch losses are reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     The model works on the rows it is given: :func:`standardize` the two
@@ -387,16 +329,14 @@ def train(
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
     index = train_ds.class_index()
-    params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
+    params = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
     groups = default_groups(index.counts)
-    velocity = [np.zeros_like(w) for w in params]
     history: list[EpochStats] = []
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
     chunks = (np.empty((per_chunk * size, train_ds.dim)), np.empty((per_chunk * size, train_ds.dim)))
-    work = _StepBuffers.create(params, size)
-    decay = [np.empty_like(w) for w in params]
+    logits, grads = np.empty((size, train_ds.num_classes)), [np.empty_like(w) for w in params]
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -414,17 +354,10 @@ def train(
                 chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=out)
             for start in range(0, len(chunk), size):
                 b = first + start // size
-                grads = _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], work)
-                for w, g, v, d in zip(params, grads, velocity, decay):
-                    if cfg.weight_decay:
-                        g += np.multiply(w, cfg.weight_decay, out=d)
+                _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], logits, grads)
+                for w, g in zip(params, grads):
                     g *= lr
-                    if cfg.momentum:
-                        v *= cfg.momentum
-                        v -= g
-                        w += v
-                    else:
-                        w -= g
+                    w -= g
         losses = _batch_losses(taken, weights)
         finite = np.isfinite(losses)
         if not finite.all():

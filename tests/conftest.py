@@ -209,11 +209,10 @@ def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
-    """``(params, history)`` of SGD run batch by batch through ``loss_and_grad``."""
+    """``(params, history)`` of plain SGD, ``w -= lr * g``, run batch by batch through ``loss_and_grad``."""
     index = train_ds.class_index()
-    params = init_params(cfg.arch, train_ds.dim, train_ds.num_classes, seed=cfg.seed, hidden=cfg.hidden)
+    params = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
     groups = default_groups(index.counts)
-    velocity = [np.zeros_like(w) for w in params]
     history = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
     for epoch in range(cfg.epochs):
@@ -229,15 +228,8 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss
-            for w, g, v in zip(params, grads, velocity):
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * w
-                if cfg.momentum:
-                    v *= cfg.momentum
-                    v -= lr * g
-                    w += v
-                else:
-                    w -= lr * g
+            for w, g in zip(params, grads):
+                w -= lr * g
         if not all(np.isfinite(w).all() for w in params):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
         history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))

@@ -178,7 +178,6 @@ def test_criterion_6_gradient_matches_finite_differences():
     rng = np.random.default_rng(1312)
     step = 1e-5
     for case in range(100):
-        arch = "linear" if case % 2 == 0 else "mlp1"
         dim, num_classes, batch_size = 3, 3, 5
         counts = [int(c) for c in rng.integers(2, 6, size=num_classes)]
         labels = np.repeat(np.arange(num_classes), counts)
@@ -187,7 +186,7 @@ def test_criterion_6_gradient_matches_finite_differences():
         i, j, lam = draw_pairs((IB, IB), ds.class_index(), 1.0, batch_rng, batch_size)
         x = blend(ds.features, i, j, lam)
         targets = dense_targets(ds, i, j, lam)
-        params = init_params(arch, dim, num_classes, seed=int(rng.integers(1 << 31)), hidden=4)
+        params = init_params(dim, num_classes, seed=int(rng.integers(1 << 31)))
 
         analytic = _flatten(loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)[1])
         shapes = [w.shape for w in params]
@@ -207,7 +206,7 @@ def test_criterion_6_gradient_matches_finite_differences():
         params = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
-        assert rel <= 1e-4, f"case {case} ({arch}): relative error {rel}"
+        assert rel <= 1e-4, f"case {case}: relative error {rel}"
     announce(6, "analytic gradient vs central differences (100 cases)")
 
 

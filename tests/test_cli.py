@@ -715,12 +715,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("batches_per_epoch", [2, 4])
     def test_diverged_run_is_one_error_line(self, tmp_path, capsys, batches_per_epoch):
-        # the first step overflows the weights, so the second batch's loss is NaN, and so
-        # is every later batch's, since the losses are checked once the epoch's steps are done;
-        # numpy warnings are errors in this suite, so any warning on the way fails the test
+        # the first step, of the largest finite learning rate on a one-row batch, overflows the
+        # weights, so the second batch's loss is NaN, and so is every later batch's, since the
+        # losses are checked once the epoch's steps are done; numpy warnings are errors in this
+        # suite, so any warning on the way fails the test
         cfg = base_config(out_dir=str(tmp_path / "run"))
         cfg["train"].update(
-            epochs=1, batches_per_epoch=batches_per_epoch, lr=1e308, weight_decay=100.0, lr_decay_epochs=[]
+            epochs=1, batches_per_epoch=batches_per_epoch, batch_size=1, lr=1.7976931348623157e308, lr_decay_epochs=[]
         )
         assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == "error: non-finite loss nan at epoch 0, batch 1\n"
@@ -788,21 +789,23 @@ class TestMalformedConfig:
             ("train", "lr_decay_epochs", 5, "train.lr_decay_epochs must be a list"),
             ("train", "lr_decay_epochs", [2.5], "train.lr_decay_epochs entry must be an integer"),
             ("train", "defer_epoch", "2", "train.defer_epoch must be an integer"),
-            ("train", "momentum", True, "train.momentum must be a number"),
+            ("train", "lr_decay_factor", True, "train.lr_decay_factor must be a number"),
             ("profile", "rho", None, "profile.rho must be a number"),
             ("dataset", "classes", None, "dataset.classes must be an integer"),
-            ("train", "hidden", None, "train.hidden must be an integer, got None"),
+            ("train", "strategy", None, "train.strategy must be a string, got None"),
             (None, "seed", None, "seed must be an integer"),
             (None, "out_dir", 5, "out_dir must be a string"),
             # json reads NaN and Infinity as floats
             ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
             ("dataset", "separation", float("inf"), "dataset.separation must be a finite number, got inf"),
             ("profile", "rho", 10**400, "profile.rho must be a finite number"),
+            # the settings of the one-hidden-layer model, momentum and weight decay are gone, so each
+            # is an unknown key, even at its old default
+            ("train", "arch", "linear", "unknown train settings: ['arch']"),
+            ("train", "hidden", 32, "unknown train settings: ['hidden']"),
+            ("train", "momentum", 0.0, "unknown train settings: ['momentum']"),
+            ("train", "weight_decay", 0.0, "unknown train settings: ['weight_decay']"),
             # range checks of TrainConfig, by field name
-            ("train", "hidden", -1, "hidden must be >= 1, got -1"),
-            ("train", "hidden", 0, "hidden must be >= 1, got 0"),
-            ("train", "momentum", -5, "momentum must be non-negative, got -5"),
-            ("train", "weight_decay", -1e-4, "weight_decay must be non-negative, got -0.0001"),
             ("train", "lr_decay_factor", -3.0, "lr_decay_factor must be non-negative, got -3.0"),
             ("train", "lr_decay_epochs", [-2], "decay epochs must be >= 1, got (-2,)"),
             ("train", "lr_decay_epochs", [0, 2], "decay epochs must be >= 1, got (0, 2)"),
@@ -920,6 +923,15 @@ class TestReport:
                 dirs.append(out)
         return dirs
 
+    @staticmethod
+    def _rewrite_config(run, config):
+        """Write ``config`` as the run's config.json, with the eval.json and DONE hashes that match it."""
+        (run / "config.json").write_text(json.dumps(config))
+        digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
+        evaluation = json.loads((run / "eval.json").read_text())
+        (run / "eval.json").write_text(json.dumps({**evaluation, "config_sha256": digest}))
+        (run / "DONE").write_text(digest + "\n")
+
     def test_two_strategies_two_rows(self, tmp_path, capsys):
         dirs = self._run_many(tmp_path, seeds=range(3), strategies=("mixup", "lob"))
         out_csv = tmp_path / "aggregate.csv"
@@ -951,18 +963,39 @@ class TestReport:
     def test_mixed_rng_layouts_rejected(self, tmp_path, capsys):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
         # a run directory written before the layout was recorded has no rng_layout key
-        config_path = dirs[1] / "config.json"
-        older = json.loads(config_path.read_text())
+        older = json.loads((dirs[1] / "config.json").read_text())
         del older["rng_layout"]
-        config_path.write_text(json.dumps(older))
-        # such a run's DONE and eval.json hold the hash of that config.json without out_dir
-        digest = config_hash({k: v for k, v in older.items() if k != "out_dir"})
-        evaluation = json.loads((dirs[1] / "eval.json").read_text())
-        (dirs[1] / "eval.json").write_text(json.dumps({**evaluation, "config_sha256": digest}))
-        (dirs[1] / "DONE").write_text(digest + "\n")
+        self._rewrite_config(dirs[1], older)
         capsys.readouterr()
         assert main(["report", *map(str, dirs)]) == 2
         assert_one_error(capsys, f"runs mix random-stream layouts [1, {RNG_LAYOUT}]")
+
+    # a train key no version has, and one that runs written before plain SGD recorded
+    @pytest.mark.parametrize("key,value", [("dropout", 0.5), ("momentum", 0.0)])
+    def test_config_failing_schema_named(self, tmp_path, capsys, key, value):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        config = json.loads((dirs[1] / "config.json").read_text())
+        config["train"][key] = value
+        self._rewrite_config(dirs[1], config)
+        out = tmp_path / "aggregate.csv"
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dirs[1] / 'config.json'}: unknown train settings: ['{key}']"
+        ]
+        assert not out.exists()
+
+    def test_done_not_utf8_named(self, tmp_path, capsys):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        (dirs[1] / "DONE").write_bytes(b"\xff\xfe\n")
+        out = tmp_path / "aggregate.csv"
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dirs[1] / 'DONE'} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "alteration", ["truncated DONE", "edited config.json", "eval.json of another run", "eval.json not an object"]
@@ -1201,7 +1234,7 @@ class TestConfigRoundTrip:
         for section, k in floats:
             cfg[section][k] = 1
         d = ExperimentConfig.from_dict(cfg).to_dict()
-        assert [repr(d[section][k]) for section, k in floats] == ["1.0"] * 7
+        assert [repr(d[section][k]) for section, k in floats] == ["1.0"] * 5
 
     @staticmethod
     def strategy_comparison_script():
