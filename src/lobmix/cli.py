@@ -81,7 +81,7 @@ class ExperimentConfig:
         d = self.to_dict()
         d.pop("seed")
         d.pop("out_dir")
-        d.pop("rng_layout")  # report checks layouts on their own
+        d.pop("rng_layout")  # from_dict admits one layout
         d["train"].pop("strategy")
         d["train"].pop("defer_epoch")
         return d
@@ -312,15 +312,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     runs = _finished_runs(args.runs)
     if not runs:
         raise ValueError("no completed runs found (missing DONE markers?)")
-    # a config.json without rng_layout was written under layout 1
-    layouts = sorted({cfg.get("rng_layout", 1) for _, cfg, _ in runs})
-    if len(layouts) > 1:
-        raise ValueError(f"runs mix random-stream layouts {layouts}; aggregate runs of one layout")
     families = set()
     for path, cfg, _ in runs:
-        try:
-            experiment = ExperimentConfig.from_dict(cfg)
-        except ValueError as exc:  # such as a train key this version no longer has
+        try:  # a config.json without rng_layout was written under layout 1
+            experiment = ExperimentConfig.from_dict({"rng_layout": 1, **cfg})
+        except ValueError as exc:  # such as a train key or a random-stream layout this version no longer has
             raise ValueError(f"{path / 'config.json'}: {exc}") from None
         families.add(config_hash(experiment.family_dict()))
     if len(families) > 1:

@@ -217,16 +217,18 @@ class TrainConfig:
         object.__setattr__(self, "lr_decay_epochs", tuple(int(e) for e in self.lr_decay_epochs))
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < np.inf:  # written so that NaN fails too
+            kind = "non-negative" if self.lr < 0 else "finite"
+            raise ValueError(f"learning rate must be {kind}, got {self.lr}")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if any(b <= a for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
             raise ValueError(f"decay epochs must be strictly increasing, got {self.lr_decay_epochs}")
         if min(self.lr_decay_epochs, default=1) < 1:
             raise ValueError(f"decay epochs must be >= 1, got {self.lr_decay_epochs}")
-        if self.lr_decay_factor < 0:
-            raise ValueError(f"lr_decay_factor must be non-negative, got {self.lr_decay_factor}")
+        if not 0 <= self.lr_decay_factor < np.inf:  # NaN fails too
+            kind = "non-negative" if self.lr_decay_factor < 0 else "finite"
+            raise ValueError(f"lr_decay_factor must be {kind}, got {self.lr_decay_factor}")
         two_phase = len(STRATEGIES[self.strategy]) > 1
         if two_phase and self.switch_epoch is None:
             raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")

@@ -30,7 +30,7 @@ from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
-from conftest import hex_block, labels_only_dataset, traced_peak
+from conftest import hex_block, traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = Path(longtail.__file__).resolve().parents[1]  # the directory holding the lobmix package
@@ -402,18 +402,28 @@ class TestMalformedManifest:
         assert main(["build-lt", "--synth-classes", "4", "--synth-per-class", "20", "--rho", "4", "--out", str(out)]) == 0
         return json.loads((out / "manifest.json").read_text())
 
+    # pytest names a list, dict or callable value by its place in the list, so those cases carry
+    # explicit ids (the names they had): adding or removing a case renames no other
     @pytest.mark.parametrize(
         "key,value,message",
         [
             ("seed", None, "manifest.seed must be an integer, got None"),
-            ("counts", ["a", 10, 5, 5], "manifest.counts entry must be an integer, got 'a'"),
-            ("counts", {"0": 20}, "manifest.counts must be a list"),
+            pytest.param(
+                "counts", ["a", 10, 5, 5], "manifest.counts entry must be an integer, got 'a'",
+                id="counts-value1-manifest.counts entry must be an integer, got 'a'",
+            ),
+            pytest.param(
+                "counts", {"0": 20}, "manifest.counts must be a list", id="counts-value2-manifest.counts must be a list"
+            ),
             ("source", 7, "manifest.source must be a string, got 7"),
             pytest.param(  # 0.5 over the block's first entry; the id is the one layout 1's nested list [[0.5], ...] had
                 "kept_indices", lambda block: "0.5" + block[3:], "manifest.kept_indices entry 0 holds '.', not a hex digit",
                 id="kept_indices-value4-manifest.kept_indices entry 0 holds '.', not a hex digit",
             ),
-            ("kept_indices", [[5]], "manifest.kept_indices must be a string, got [[5]]"),
+            pytest.param(
+                "kept_indices", [[5]], "manifest.kept_indices must be a string, got [[5]]",
+                id="kept_indices-value5-manifest.kept_indices must be a string, got [[5]]",
+            ),
             ("profile", 3, "manifest.profile must be an object, got 3"),
         ],
     )
@@ -598,21 +608,67 @@ class TestAnalyze:
         assert info["rng_layout"] == RNG_LAYOUT
         assert info["config_sha256"] == config_hash({k: v for k, v in info.items() if k != "config_sha256"})
 
+    @staticmethod
+    def bad_setting(*args, message):
+        return pytest.param(args, message, id="-".join([*args, message]))
+
     @pytest.mark.parametrize(
-        "flag,value,message",
+        "args,message",
         [
-            ("--alpha", "0", "--alpha must be positive, got 0.0"),
-            ("--alpha", "inf", "--alpha must be finite, got inf"),
-            ("--seed", "-5", "--seed must fit in 64 bits, got -5"),
-            ("--samples", "-3", "--samples must be >= 0, got -3"),
+            bad_setting("--alpha", "0", message="--alpha must be positive, got 0.0"),
+            bad_setting("--alpha", "inf", message="--alpha must be finite, got inf"),
+            bad_setting("--seed", "-5", message="--seed must fit in 64 bits, got -5"),
+            bad_setting("--samples", "-3", message="--samples must be >= 0, got -3"),
+            bad_setting("--seed", "-1", message="--seed must fit in 64 bits, got -1"),
+            # the checks hold also when nothing is drawn
+            bad_setting("--samples", "0", "--alpha", "-1", message="--alpha must be positive, got -1.0"),
+            bad_setting("--samples", "0", "--alpha", "inf", message="--alpha must be finite, got inf"),
+            bad_setting("--samples", "0", "--alpha", "nan", message="--alpha must be positive, got nan"),
+            bad_setting("--samples", "0", "--seed", "-5", message="--seed must fit in 64 bits, got -5"),
+            bad_setting("--samples", "0", "--seed", str(2**64), message=f"--seed must fit in 64 bits, got {2**64}"),
         ],
     )
-    def test_bad_setting_rejected(self, tmp_path, capsys, manifest_path, flag, value, message):
+    def test_bad_setting_rejected(self, tmp_path, capsys, manifest_path, args, message):
         out = tmp_path / "occ"
         capsys.readouterr()
-        assert main(["analyze", "--manifest", str(manifest_path), flag, value, "--out", str(out)]) == 2
+        assert main(["analyze", "--manifest", str(manifest_path), *args, "--out", str(out)]) == 2
         assert_one_error(capsys, message)
         assert not out.exists()
+
+    def test_three_combo_rows(self, tmp_path):
+        lt, out = tmp_path / "lt", tmp_path / "occ"
+        build = ["--synth-classes", "4", "--synth-per-class", "50", "--rho", "10", "--n-max", "50"]
+        assert main(["build-lt", *build, "--out", str(lt)]) == 0
+        assert main(["analyze", "--manifest", str(lt / "manifest.json"), "--samples", "2000", "--out", str(out)]) == 0
+        with (out / "occurrence_summary.csv").open() as fh:
+            rows = {row["combo"]: row for row in csv.DictReader(fh)}
+        assert list(rows) == ["ib-ib", "ib-cb", "cb-cb"]
+        for row in rows.values():
+            cells = ("balance_ratio_analytic", "balance_ratio_empirical", "head_incidence")
+            analytic, measured, incidence = (float(row[cell]) for cell in cells)
+            assert analytic >= 1.0 and measured >= 1.0 and 0.0 < incidence <= 1.0
+        assert float(rows["cb-cb"]["balance_ratio_analytic"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "samples,incidence",
+        [
+            pytest.param("0", False, id="nothing-drawn"),
+            # 50 rows over 100 classes leave some class without mass: the measured balance is the empty cell
+            pytest.param("50", True, id="class-without-mass"),
+        ],
+    )
+    def test_no_measured_balance(self, tmp_path, capsys, samples, incidence):
+        lt, out = tmp_path / "lt", tmp_path / "occ"
+        build = ["--synth-classes", "100", "--synth-per-class", "50", "--rho", "10", "--n-max", "50"]
+        assert main(["build-lt", *build, "--out", str(lt)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--manifest", str(lt / "manifest.json"), "--samples", samples, "--out", str(out)]) == 0
+        with (out / "occurrence_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["combo"] for row in rows] == ["ib-ib", "ib-cb", "cb-cb"]
+        assert all(row["balance_ratio_empirical"] == "" and (row["head_incidence"] != "") == incidence for row in rows)
+        want = [f"{row['combo']}: analytic max/min={row['balance_ratio_analytic']}" for row in rows]
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, manifest_path):
         def draw_pairs(*args):
@@ -781,13 +837,18 @@ class TestTrainCommand:
 
 
 class TestMalformedConfig:
+    # pytest names a list value by its place in the list, so those cases carry explicit ids (the
+    # names they had): adding or removing a case renames no other
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
             ("train", "epochs", "2", "train.epochs must be an integer"),
             ("train", "alpha", "1.0", "train.alpha must be a number"),
             ("train", "lr_decay_epochs", 5, "train.lr_decay_epochs must be a list"),
-            ("train", "lr_decay_epochs", [2.5], "train.lr_decay_epochs entry must be an integer"),
+            pytest.param(
+                "train", "lr_decay_epochs", [2.5], "train.lr_decay_epochs entry must be an integer",
+                id="train-lr_decay_epochs-value3-train.lr_decay_epochs entry must be an integer",
+            ),
             ("train", "defer_epoch", "2", "train.defer_epoch must be an integer"),
             ("train", "lr_decay_factor", True, "train.lr_decay_factor must be a number"),
             ("profile", "rho", None, "profile.rho must be a number"),
@@ -807,8 +868,14 @@ class TestMalformedConfig:
             ("train", "weight_decay", 0.0, "unknown train settings: ['weight_decay']"),
             # range checks of TrainConfig, by field name
             ("train", "lr_decay_factor", -3.0, "lr_decay_factor must be non-negative, got -3.0"),
-            ("train", "lr_decay_epochs", [-2], "decay epochs must be >= 1, got (-2,)"),
-            ("train", "lr_decay_epochs", [0, 2], "decay epochs must be >= 1, got (0, 2)"),
+            pytest.param(
+                "train", "lr_decay_epochs", [-2], "decay epochs must be >= 1, got (-2,)",
+                id="train-lr_decay_epochs-value19-decay epochs must be >= 1, got (-2,)",
+            ),
+            pytest.param(
+                "train", "lr_decay_epochs", [0, 2], "decay epochs must be >= 1, got (0, 2)",
+                id="train-lr_decay_epochs-value20-decay epochs must be >= 1, got (0, 2)",
+            ),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -960,15 +1027,35 @@ class TestReport:
         assert main(["report", str(dirs[0]), str(out)]) != 0
         assert "incompatible" in capsys.readouterr().err
 
+    @staticmethod
+    def _set_layout(run, layout):
+        """Rewrite the run's config.json under random-stream layout ``layout``; None drops the key."""
+        config = json.loads((run / "config.json").read_text())
+        config.pop("rng_layout")
+        TestReport._rewrite_config(run, config if layout is None else {**config, "rng_layout": layout})
+
     def test_mixed_rng_layouts_rejected(self, tmp_path, capsys):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
-        # a run directory written before the layout was recorded has no rng_layout key
-        older = json.loads((dirs[1] / "config.json").read_text())
-        del older["rng_layout"]
-        self._rewrite_config(dirs[1], older)
+        # a run directory written before the layout was recorded has no rng_layout key: layout 1
+        self._set_layout(dirs[1], None)
+        out = tmp_path / "aggregate.csv"
         capsys.readouterr()
-        assert main(["report", *map(str, dirs)]) == 2
-        assert_one_error(capsys, f"runs mix random-stream layouts [1, {RNG_LAYOUT}]")
+        assert main(["report", *map(str, dirs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dirs[1] / 'config.json'}: rng_layout 1 is not this version's random-stream layout {RNG_LAYOUT}"
+        ]
+        assert not out.exists()
+
+    # one rule for a lone run as for a mix: a run of another layout is refused, with or without the key
+    @pytest.mark.parametrize("layout", [None, 2])
+    def test_lone_older_layout_rejected(self, tmp_path, capsys, layout):
+        (run,) = self._run_many(tmp_path, seeds=(0,), strategies=("erm",))
+        self._set_layout(run, layout)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run / 'config.json'}: rng_layout {layout or 1} is not this version's random-stream layout {RNG_LAYOUT}"
+        ]
 
     # a train key no version has, and one that runs written before plain SGD recorded
     @pytest.mark.parametrize("key,value", [("dropout", 0.5), ("momentum", 0.0)])
@@ -1245,10 +1332,6 @@ class TestConfigRoundTrip:
 
     def test_strategy_comparison_script_config(self, tmp_path, monkeypatch):
         script = self.strategy_comparison_script()
-        raw = script.experiment_config()
-        cfg = ExperimentConfig.from_dict(raw)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.to_dict()["train"].items() >= raw["train"].items()
         calls = []
         monkeypatch.setattr(script, "lobmix_main", lambda argv: calls.append(argv) or 0)
         monkeypatch.setattr("sys.argv", ["run_strategy_comparison.py", "--seeds", "2", "--out", str(tmp_path)])
@@ -1257,8 +1340,10 @@ class TestConfigRoundTrip:
         assert exit_info.value.code == 0
         runs = [(argv[argv.index("--strategy") + 1], argv[argv.index("--seed") + 1]) for argv in calls[:-1]]
         assert runs == [(s, seed) for s in STRATEGIES for seed in ("0", "1")]  # the table's order, then the seeds
+        assert all(argv[:3] == ["train", "--config", str(REPO / "configs" / "c10.json")] for argv in calls[:-1])
         run_dirs = [argv[argv.index("--out") + 1] for argv in calls[:-1]]
         assert calls[-1] == ["report", *run_dirs, "--out", str(tmp_path / "aggregate.csv")]
+        assert list(tmp_path.iterdir()) == []  # the script writes no file itself: train and report do
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_strategy_comparison_script_rejects_no_seeds(self, tmp_path, monkeypatch, capsys, seeds):
@@ -1274,82 +1359,6 @@ class TestConfigRoundTrip:
         assert not out.exists()
 
 
-class TestSamplerAblationScript:
-    @staticmethod
-    def run(monkeypatch, *args):
-        path = REPO / "scripts" / "run_sampler_ablation.py"
-        spec = importlib.util.spec_from_file_location("sampler_ablation", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        monkeypatch.setattr("sys.argv", ["run_sampler_ablation.py", *args])
-        script.main()
-
-    def rows(self, monkeypatch, capsys, *args):
-        """The script's printed table, first word of each line -> the other words."""
-        self.run(monkeypatch, *args)
-        return {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
-
-    @pytest.mark.parametrize(
-        "args,message",
-        [
-            (("--samples", "-3"), "--samples must be >= 0, got -3"),
-            (("--classes", "1"), "need at least 2 classes, got 1"),
-            (("--alpha", "inf"), "--alpha must be finite, got inf"),
-            (("--seed", "-1"), "--seed must fit in 64 bits, got -1"),
-            (("--n-max", "5"), "n_max=5 would shrink the smallest class below one example (rho=10.0)"),
-            # the analyze checks hold when nothing is drawn
-            (("--samples", "0", "--alpha", "-1"), "--alpha must be positive, got -1.0"),
-            (("--samples", "0", "--alpha", "inf"), "--alpha must be finite, got inf"),
-            (("--samples", "0", "--alpha", "nan"), "--alpha must be positive, got nan"),
-            (("--samples", "0", "--seed", "-5"), "--seed must fit in 64 bits, got -5"),
-            (("--samples", "0", "--seed", str(2**64)), f"--seed must fit in 64 bits, got {2**64}"),
-        ],
-    )
-    def test_bad_flag_is_one_error_line(self, monkeypatch, capsys, args, message):
-        with pytest.raises(SystemExit) as exit_info:
-            self.run(monkeypatch, "--samples", "100", *args)
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert captured.out == "" and errors == [f"run_sampler_ablation.py: error: {message}"]
-
-    def test_prints_three_combo_rows(self, monkeypatch, capsys):
-        rows = self.rows(monkeypatch, capsys, "--classes", "4", "--n-max", "50", "--samples", "2000")
-        for combo in ("ib-ib", "ib-cb", "cb-cb"):
-            analytic, measured, incidence = map(float, rows[combo])
-            assert analytic >= 1.0 and measured >= 1.0 and 0.0 < incidence <= 1.0
-        assert float(rows["cb-cb"][0]) == 1.0
-
-    @pytest.mark.parametrize(
-        "args,measured",
-        [
-            (("--samples", "0"), [False, False]),
-            # 50 rows over 100 classes leave some class without mass: no measured balance
-            (("--classes", "100", "--n-max", "50", "--samples", "50"), [False, True]),
-        ],
-    )
-    def test_missing_values_print_as_dashes(self, monkeypatch, capsys, args, measured):
-        rows = self.rows(monkeypatch, capsys, *args)
-        for combo in ("ib-ib", "ib-cb", "cb-cb"):
-            analytic, *cells = rows[combo]
-            assert float(analytic) >= 1.0
-            assert [cell != "-" for cell in cells] == measured
-
-    def test_numbers_equal_analyze_outputs(self, tmp_path, monkeypatch, capsys):
-        # one implementation: the script's numbers are analyze's on a manifest of the same counts
-        counts = ImbalanceProfile("exponential", 10, 60).class_counts(5)
-        subsample_longtail(labels_only_dataset(counts).class_index(), counts, 0).save(tmp_path / "manifest.json")
-        settings = ["--alpha", "0.5", "--samples", "3000", "--seed", "3"]
-        out = tmp_path / "occ"
-        assert main(["analyze", "--manifest", str(tmp_path / "manifest.json"), *settings, "--out", str(out)]) == 0
-        rows = self.rows(monkeypatch, capsys, "--classes", "5", "--n-max", "60", "--rho", "10", *settings)
-        for combo in ("ib-ib", "ib-cb", "cb-cb"):
-            report = json.loads((out / f"occurrence_{combo.replace('-', '_')}.json").read_text())
-            analytic, empirical = report["analytic"], report["empirical"]
-            expected = [analytic["balance_ratio"], empirical["balance_ratio"], empirical["head_incidence"]]
-            assert rows[combo] == [f"{x:.4f}" for x in expected]
-
-
 class TestReadme:
     def test_library_snippet_runs(self, capsys):
         blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
@@ -1359,21 +1368,23 @@ class TestReadme:
         assert printed[-1] == "10.0"  # the analytic ib-ib balance the snippet's comment states
 
     def test_config_block_is_a_valid_config(self):
-        # a stale or misspelled key in the README's config fails here
+        # a stale or misspelled key in a committed config fails here
+        paths = sorted((REPO / "configs").glob("*.json"))
+        assert REPO / "configs" / "c10.json" in paths
+        for path in paths:
+            cfg = load_config(path)
+            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg, path.name
         blocks = re.findall(r"^```json\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
         assert len(blocks) == 1
         cfg = ExperimentConfig.from_dict(json.loads(blocks[0]))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_strategy_comparison_config_is_the_readme_config(self):
-        # the script runs the README's experiment, every strategy of it
+        # the script runs the README's experiment: the file it passes to train is README's block
         (block,) = re.findall(r"^```json\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M)
-        readme = json.loads(block)
-        script = TestConfigRoundTrip.strategy_comparison_script().experiment_config()
-        for cfg in (readme, script):
-            cfg["train"].pop("strategy")
-        for section in ("dataset", "profile", "train"):
-            assert script[section] == readme[section], section
+        script = TestConfigRoundTrip.strategy_comparison_script()
+        assert script.CONFIG == REPO / "configs" / "c10.json"
+        assert json.loads(script.CONFIG.read_text()) == json.loads(block)
 
     def test_train_defaults_table_matches_train_config(self):
         rows = re.findall(r"^\| `(\w+)` \| `([^`]*)`", (REPO / "README.md").read_text(), re.M)

@@ -700,6 +700,15 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=-0.1)
 
+    # the CLI rejects NaN and Infinity in a config before a TrainConfig is built; the library checks them too
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field,name", [("lr", "learning rate"), ("lr_decay_factor", "lr_decay_factor")])
+    def test_non_finite_lr_rejected(self, field, name, value):
+        kind = "non-negative" if value < 0 else "finite"
+        settings = {"lr": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {value}$"):
+            TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, **settings)
+
     def test_infinite_alpha_rejected(self):
         # Beta(inf, inf) ratios come out NaN; the CLI rejects inf before a TrainConfig is built
         with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
