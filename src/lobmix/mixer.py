@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .longtail import ClassIndex
+from .longtail import ClassIndex, row_blocks
 from .samplers import kind_pair, sample_batch
 
 
@@ -73,21 +73,24 @@ def draw_pairs(
 def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray, out: tuple | None = None) -> np.ndarray:
     """Feature rows ``lam * features[i] + (1 - lam) * features[j]``.
 
-    The rows are built in two arrays, the gathered ``features[i]`` and
-    ``features[j]``, scaled and summed in place: the same IEEE operations in
-    the same order as the expression, so the same bits. ``features`` is not
-    changed. Without ``out`` the two arrays are new; with ``out=(a, b)``, two
-    ``(len(i), D)`` float64 arrays, they are ``a`` and ``b``, and ``a`` is
-    returned. The gathers into ``out`` clip an index outside ``[0, N)`` to
-    the nearest row instead of raising (a bounds-checked gather into ``out``
-    would go through a hidden copy of it), so the caller checks ``i`` and
-    ``j``, as :func:`~lobmix.trainer.train` does.
+    Built a row block (:func:`~lobmix.longtail.row_blocks`) at a time: the
+    gathered ``features[i]`` in their block of the result and ``features[j]``
+    in a one-block scratch, scaled and summed in place: the same IEEE
+    operations in the same order as the expression, so the same bits.
+    ``features`` is not changed. Without ``out`` the result is new; with
+    ``out=(a, b)``, float64 arrays of ``len(i)`` rows and of at least one
+    block's rows, ``a`` is the result and ``b`` the scratch. The gathers
+    into ``out`` clip an index outside ``[0, N)`` to the nearest row instead
+    of raising (a bounds-checked gather into ``out`` would go through a
+    hidden copy of it), so the caller checks ``i`` and ``j``, as
+    :func:`~lobmix.trainer.train` does.
     """
-    a, b = (None, None) if out is None else out
+    a, b = (np.empty((len(i),) + features.shape[1:], features.dtype), None) if out is None else out
     mode = "raise" if out is None else "clip"
-    rows = features.take(i, axis=0, out=a, mode=mode)
-    rows *= lam[:, None]
-    other = features.take(j, axis=0, out=b, mode=mode)
-    other *= (1.0 - lam)[:, None]
-    rows += other
-    return rows
+    for rows in row_blocks(a):
+        block = features.take(i[rows], axis=0, out=a[rows], mode=mode)
+        block *= lam[rows, None]
+        other = features.take(j[rows], axis=0, out=None if b is None else b[: len(block)], mode=mode)
+        other *= (1.0 - lam[rows])[:, None]
+        block += other
+    return a

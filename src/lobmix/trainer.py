@@ -265,13 +265,21 @@ class EpochStats:
 def evaluate(params: list[np.ndarray], test: LabeledDataset, groups: np.ndarray) -> EvalReport:
     """Argmax predictions on the rows of ``test`` scored as per-class recall plus group means.
 
-    ``groups`` holds one GROUP_NAMES index per class; an empty group scores None.
+    A prediction is the argmax of the logits ``x @ w + b``, taken with no
+    softmax one block of ``max(1, BLOCK_BYTES // (8 * C))`` rows at a time;
+    it differs from the argmax of the rounded probabilities only where
+    rounding ties two classes. ``groups`` holds one GROUP_NAMES index per
+    class; an empty group scores None; a class with no row raises ValueError first.
     """
-    probs = _forward(params, test.features)
-    predicted = probs.argmax(axis=1)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
+    (w, b), n, step = params, len(test.labels), max(1, BLOCK_BYTES // (8 * test.num_classes))
+    logits, predicted = np.empty((min(step, n), test.num_classes)), np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        block = np.matmul(test.features[start : start + step], w, out=logits[: min(step, n - start)])
+        block += b
+        block.argmax(axis=1, out=predicted[start : start + step])
     hits = predicted == test.labels
     recalls = np.bincount(test.labels, weights=hits, minlength=test.num_classes) / sizes
     group_acc: dict[str, float | None] = {}
@@ -311,10 +319,10 @@ def train(
     ratios and the epoch's :func:`_target_plan` are held (72 bytes a row,
     the taken target probabilities included). Features are gathered and
     blended as many whole batches at a time as fit in ``BLOCK_BYTES`` (one
-    batch at least), into two buffers made once a run
-    (:func:`~lobmix.mixer.blend`'s ``out``); each batch is a row slice of
-    its chunk, the bits of blending it alone. Each step writes its
-    logits and gradients into work buffers made once a run and scales the
+    batch at least) into one buffer, with a scratch of one row block
+    (:func:`~lobmix.mixer.blend`'s ``out``), both made once a run; each batch
+    is a row slice of its chunk, the bits of blending it alone. Each step
+    writes its logits and gradients into work buffers made once a run and scales the
     gradients in place, so it allocates nothing the size of a batch, and the
     batch losses are reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
@@ -337,7 +345,8 @@ def train(
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
-    chunks = (np.empty((per_chunk * size, train_ds.dim)), np.empty((per_chunk * size, train_ds.dim)))
+    buffer = np.empty((per_chunk * size, train_ds.dim))
+    scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim))  # blend's j rows, one row block
     logits, grads = np.empty((size, train_ds.num_classes)), [np.empty_like(w) for w in params]
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
@@ -349,11 +358,11 @@ def train(
         pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size, train_ds.num_classes)
         for first in range(0, cfg.batches_per_epoch, per_chunk):
             rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
-            out = tuple(buffer[: rows.stop - rows.start] for buffer in chunks)
+            out = buffer[: rows.stop - rows.start]
             if j is i:  # unmixed rows: blending at λ = 1 gives the same bits but gathers them twice
-                chunk = train_ds.features.take(i[rows], axis=0, out=out[0], mode="clip")
+                chunk = train_ds.features.take(i[rows], axis=0, out=out, mode="clip")
             else:
-                chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=out)
+                chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=(out, scratch))
             for start in range(0, len(chunk), size):
                 b = first + start // size
                 _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], logits, grads)

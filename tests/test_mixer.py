@@ -15,6 +15,7 @@ from lobmix import (
     sample_batch,
     sample_lambda,
 )
+from lobmix.longtail import BLOCK_BYTES, row_blocks
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN
 from lobmix.seeds import make_rng
 
@@ -283,14 +284,34 @@ class TestBlend:
         i = np.array([1, 0, 0, 1])
         assert blend(features, i, i, np.ones(4)).tobytes() == features[i].tobytes()
 
+    @pytest.mark.parametrize(
+        "rows, dim, blocks",
+        [(128, 3072, [10] * 12 + [8]), (3, BLOCK_BYTES // 8 + 1, [1] * 3)],  # a row wider than a block: one a block
+    )
+    def test_uneven_row_blocks_are_the_expression(self, rows, dim, blocks):
+        rng = np.random.default_rng(dim)
+        features = rng.normal(scale=10.0, size=(5, dim))
+        i, j = rng.integers(0, 5, size=(2, rows))
+        lam = rng.uniform(size=rows)
+        expect = lam[:, None] * features[i] + (1 - lam)[:, None] * features[j]
+        a = np.full((rows, dim), np.nan)  # stale rows must not leak through
+        assert [r.stop - r.start for r in row_blocks(a)] == blocks
+        scratch = np.full((blocks[0], dim), np.nan)
+        assert blend(features, i, j, lam, out=(a, scratch)) is a
+        assert a.tobytes() == expect.tobytes()
+        assert blend(features, i, j, lam).tobytes() == expect.tobytes()
+
     def test_out_allocates_no_batch(self):
         # numpy's bounds-checked take gathers into a hidden copy of out; the clipped one writes out directly.
-        # The scaling by lam takes a 64 KiB ufunc buffer of its own, a fixed size below the batch's 256 KiB.
+        # The scaling by lam takes a 64 KiB ufunc buffer of its own, and the j rows go into a one-block
+        # scratch, so the peak stays below a block whatever the batch size.
         rng = np.random.default_rng(0)
-        features = rng.normal(size=(1000, 256))
-        i, j = rng.integers(0, 1000, size=(2, 128))
-        lam = rng.uniform(size=128)
-        bufs = (np.empty((128, 256)), np.empty((128, 256)))
-        rows, peak = traced_peak(blend, features, i, j, lam, out=bufs)
-        assert rows is bufs[0] and rows.tobytes() == blend(features, i, j, lam).tobytes()
-        assert peak < rows.nbytes
+        for size, dim in ((128, 256), (1024, 3072)):
+            features = rng.normal(size=(1000, dim))
+            i, j = rng.integers(0, 1000, size=(2, size))
+            lam = rng.uniform(size=size)
+            a = np.empty((size, dim))
+            bufs = (a, np.empty((row_blocks(a)[0].stop, dim)))
+            rows, peak = traced_peak(blend, features, i, j, lam, out=bufs)
+            assert rows is a and rows.tobytes() == blend(features, i, j, lam).tobytes()
+            assert peak < BLOCK_BYTES

@@ -765,6 +765,64 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="class 1 missing"):
             evaluate(init_params(2, 2, seed=0), test, np.array([0, 2]))
 
+    def test_missing_class_rejected_before_any_logit(self):
+        # weights of the wrong width would fail the product, so the class check must come first
+        test = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="class 1 missing"):
+            evaluate(init_params(3, 2, seed=0), test, np.array([0, 2]))
+
+    @pytest.mark.parametrize("classes, rows, dim", [(3, 50, 5), (10, 4000, 8), (1000, 1000, 64)])
+    def test_predictions_are_the_probability_argmax(self, classes, rows, dim):
+        # C=10: a block of 3,276 rows and a partial one; C=1000: 31 blocks of 32 rows and a partial one
+        rng = np.random.default_rng(classes)
+        x = rng.normal(scale=2.0, size=(rows, dim))
+        params = init_params(dim, classes, seed=classes)
+        probs = forward(params, x)
+        top = np.sort(probs, axis=1)[:, -2:]
+        assert (top[:, 1] > top[:, 0]).all()  # no ties
+        predicted = probs.argmax(axis=1)
+        # label every row with its prediction, except rows of classes predicted more than once that
+        # give each unpredicted class one row: every class is present, and the recalls expose every hit
+        labels, counts = predicted.copy(), np.bincount(predicted, minlength=classes)
+        missing = list(np.flatnonzero(counts == 0))
+        for r, k in enumerate(predicted):
+            if missing and counts[k] > 1:
+                labels[r], counts[k] = missing.pop(), counts[k] - 1
+        assert not missing
+        test = LabeledDataset(x, labels, classes)
+        groups = default_groups(np.bincount(labels))
+        hits = predicted == labels
+        loop = [float(np.mean(hits[labels == k])) for k in range(classes)]
+        report = evaluate(params, test, groups)
+        assert np.array_equal(report.per_class_recall, loop)
+        assert report.overall_accuracy == float(np.mean(hits))
+
+    def test_scores_without_softmax(self, monkeypatch):
+        import lobmix.trainer
+
+        rng = np.random.default_rng(29)
+        labels = rng.permutation(np.arange(200) % 7)
+        test = LabeledDataset(rng.normal(size=(200, 4)), labels, 7)
+        params, groups = init_params(4, 7, seed=2), default_groups([1] * 7)
+        report = evaluate(params, test, groups)
+
+        def refuse(logits):
+            raise AssertionError("evaluate took a softmax")
+
+        monkeypatch.setattr(lobmix.trainer, "_softmax", refuse)
+        assert evaluate(params, test, groups) == report
+
+    def test_evaluate_allocates_one_block(self):
+        # 20,000 x 64 -> 1000: the full logits would take 160 MB; one 32-row block takes 256 KB
+        rng = np.random.default_rng(31)
+        rows, dim, classes = 20_000, 64, 1000
+        test = LabeledDataset(rng.normal(size=(rows, dim)), np.arange(rows) % classes, classes)
+        params, groups = init_params(dim, classes, seed=5), default_groups([rows // classes] * classes)
+        report, peak = traced_peak(evaluate, params, test, groups)
+        assert peak < 2 * 2**20
+        predicted = forward(params, test.features).argmax(axis=1)
+        assert report.overall_accuracy == float(np.mean(predicted == test.labels))
+
 
 def sorted_groups(counts):
     """Oracle: the rank-tercile grouping as a class -> group-name dict, ranked with ``sorted``."""
