@@ -90,25 +90,26 @@ def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place over the fresh ``logits`` and returned.
+    """Softmax over the classes of fresh ``(C, B)`` logits, a column per example, computed in place and returned.
 
-    The row maxima are taken down the columns of a transposed copy: numpy
-    reduces short contiguous rows several times slower than it reduces
-    columns. A maximum is exact in any order and propagates NaN either way,
-    and a maximum of +0.0 or -0.0 gives ``exp(0) = 1`` whatever its sign, so
-    the result has the bits of subtracting ``logits.max(axis=-1)``.
+    Classes are held by rows, so the maxima and the sums over classes are
+    reductions down the columns, ``np.maximum.reduce(logits, axis=0)`` and
+    ``np.add.reduce(logits, axis=0)``, and subtracting and dividing by them
+    broadcasts one row of ``B`` values: whatever the number of classes, no
+    reduction or broadcast runs along the class axis. The sums add the
+    classes in order.
     """
-    logits -= np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
+    logits -= np.maximum.reduce(logits, axis=0)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=0)
     return logits
 
 
 def _forward(params: list[np.ndarray], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Probabilities of rows ``x``, the softmax of ``x @ w + b``, written into ``out`` if given (the same bits)."""
+    """Probabilities of rows ``x``, one a column: the softmax of ``w.T @ x.T + b[:, None]``, into ``out`` if given."""
     w, b = params
-    logits = np.matmul(x, w, out=out)
-    logits += b
+    logits = np.matmul(w.T, x.T, out=out)
+    logits += b[:, None]
     return _softmax(logits)
 
 
@@ -118,26 +119,37 @@ def forward(params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input features")
     single = x.ndim == 1
-    probs = _forward(params, np.atleast_2d(x))
+    probs = _forward(params, np.atleast_2d(x)).T
     return probs[0] if single else probs
 
 
 def _target_plan(
-    c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float, batch_size: int, num_classes: int
+    c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float, batch_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat logit positions and target weights of rows' two classes, one batch of rows per row.
 
     Row r of the draw is row ``r mod batch_size`` of its batch, so its
-    targets sit at flat positions ``(r mod batch_size) * num_classes + c``
-    of that batch's ``(batch_size, num_classes)`` logits. Both returned
-    arrays are ``(batches, 2 * batch_size)``: the c_i targets, then the c_j
+    targets sit at flat positions ``c * batch_size + (r mod batch_size)`` of
+    that batch's ``(num_classes, batch_size)`` logits. Both returned arrays
+    are ``(batches, 2 * batch_size)``: the c_i targets, then the c_j
     targets, with :func:`pair_weights` in the same layout.
     """
     w_i, w_j = pair_weights(c_i, c_j, lam)
     pos = np.concatenate((c_i.reshape(-1, batch_size), c_j.reshape(-1, batch_size)), axis=1)
-    pos += np.tile(np.arange(batch_size) * num_classes, 2)
+    pos *= batch_size
+    pos += np.tile(np.arange(batch_size), 2)
     weights = np.concatenate((w_i.reshape(-1, batch_size), w_j.reshape(-1, batch_size)), axis=1)
     return pos, weights
+
+
+def _step_buffers(params: list[np.ndarray], batch_size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A step's work buffers: ``(C, batch_size)`` logits and gradients ``[dw, db]`` shaped like ``[w, b]``.
+
+    ``dw`` is the ``.T`` view of a contiguous ``(C, dim)`` array, the layout
+    :func:`_grad_step` writes its product in.
+    """
+    w, b = params
+    return np.empty((b.shape[0], batch_size)), [np.empty(w.shape[::-1]).T, np.empty_like(b)]
 
 
 def _grad_step(
@@ -147,22 +159,24 @@ def _grad_step(
     """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
 
     Cross entropy is linear in the target, so the logit gradient is
-    ``probs`` minus ``weights`` scattered onto ``pos``; no (B, C) target is
+    ``probs`` minus ``weights`` scattered onto ``pos``; no (C, B) target is
     built. The probabilities at ``pos`` are first copied into ``taken``, from
     which :func:`_batch_losses` computes the loss. The logits, then the
     probabilities, then the logit gradient are written into ``logits``, a
-    ``(len(x), num_classes)`` array, and the gradients of ``w`` and ``b``
-    into ``grads``, arrays of their shapes: the same operations in the same
-    order as the expressions ``x.T @ dlogits`` and ``dlogits.sum(axis=0)``,
-    so the same bits, with no allocation the size of a batch.
+    ``(num_classes, len(x))`` array held classes by rows. The gradients go
+    into ``grads`` (see :func:`_step_buffers`): ``dlogits @ x`` into the
+    contiguous ``(C, dim)`` array under ``grads[0]``, and
+    ``np.add.reduce(dlogits, axis=1)`` into ``grads[1]``. A step allocates
+    only the softmax's two ``(len(x),)`` reductions and, for each in-place
+    broadcast, numpy's ufunc buffer of at most 8192 values.
     """
     dlogits = _forward(params, x, logits)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
     dlogits /= x.shape[0]
-    np.matmul(x.T, dlogits, out=grads[0])
-    dlogits.sum(axis=0, out=grads[1])
+    np.matmul(dlogits, x, out=grads[0].T)
+    np.add.reduce(dlogits, axis=1, out=grads[1])
 
 
 def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -186,13 +200,13 @@ def loss_and_grad(
 
     Row r's target carries :func:`pair_weights` on classes c_i and c_j. This
     is :func:`train`'s step on one batch: its target plan, gradient kernel
-    and loss reduction.
+    and loss reduction. The gradients are ``[dw, db]``, shaped like
+    ``params``; ``dw`` is the ``.T`` view of a contiguous ``(C, dim)`` array.
     """
-    n, num_classes = x.shape[0], params[1].shape[0]
-    pos, weights = _target_plan(c_i, c_j, lam, n, num_classes)
+    pos, weights = _target_plan(c_i, c_j, lam, x.shape[0])
     taken = np.empty(pos.shape)
-    grads = [np.empty_like(w) for w in params]
-    _grad_step(params, x, pos[0], weights[0], taken[0], np.empty((n, num_classes)), grads)
+    logits, grads = _step_buffers(params, x.shape[0])
+    _grad_step(params, x, pos[0], weights[0], taken[0], logits, grads)
     return float(_batch_losses(taken, weights)[0]), grads
 
 
@@ -347,7 +361,7 @@ def train(
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
     buffer = np.empty((per_chunk * size, train_ds.dim))
     scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim))  # blend's j rows, one row block
-    logits, grads = np.empty((size, train_ds.num_classes)), [np.empty_like(w) for w in params]
+    logits, grads = _step_buffers(params, size)
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -355,7 +369,7 @@ def train(
         # labels[i] and labels[j] raise on an index beyond the rows before any
         # batch is gathered, so the gathers below may clip (the samplers draw
         # from index.flat, which holds no negative index)
-        pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size, train_ds.num_classes)
+        pos, weights = _target_plan(train_ds.labels[i], train_ds.labels[j], lam, size)
         for first in range(0, cfg.batches_per_epoch, per_chunk):
             rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
             out = buffer[: rows.stop - rows.start]

@@ -36,6 +36,7 @@ from lobmix.trainer import (
     _forward,
     _grad_step,
     _softmax,
+    _step_buffers,
     _target_plan,
     default_groups,
     init_params,
@@ -64,10 +65,13 @@ def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
 
 
 def dense_loss_and_grad(params, x, targets):
-    """Reference: mean soft cross entropy and its gradient ``[dw, db]`` from (B, C) target rows."""
+    """Reference: mean soft cross entropy and its gradient ``[dw, db]`` from (B, C) target rows.
+
+    The probabilities and the logit gradient are held classes by rows, (C, B), as the step holds them.
+    """
     probs = _forward(params, x)
-    dlogits = (probs - targets) / x.shape[0]
-    return float(soft_cross_entropy(probs, targets).mean()), [x.T @ dlogits, dlogits.sum(axis=0)]
+    dlogits = (probs - targets.T) / x.shape[0]
+    return float(soft_cross_entropy(probs.T, targets).mean()), [(dlogits @ x).T, dlogits.sum(axis=1)]
 
 
 def flatten(weights):
@@ -138,11 +142,11 @@ class TestForward:
             forward(params, np.array([np.nan, 1.0]))
 
 
-def rowmax_softmax(logits):
-    """Row-wise softmax in place, shifted by ``logits.max(axis=-1)``: the bits ``_softmax`` must give."""
-    logits -= logits.max(axis=-1, keepdims=True)
+def colmax_softmax(logits):
+    """Softmax of each (C, B) logits column in place, less ``logits.max(axis=0)``: the bits ``_softmax`` must give."""
+    logits -= logits.max(axis=0)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= logits.sum(axis=0)
     return logits
 
 
@@ -173,20 +177,22 @@ class TestSoftmax:
         flat = z.reshape(-1)
         for at, value in marks:
             flat[at % flat.size] = value
+        z = np.ascontiguousarray(z.T)  # a row's logits are a column of the step's (C, B) logits
         with np.errstate(all="ignore"):
             got = _softmax(z.copy())
-            expect = rowmax_softmax(z.copy())
+            expect = colmax_softmax(z.copy())
         assert got.tobytes() == expect.tobytes()
 
     def test_forward_into_buffers_is_the_expression(self):
         rng = np.random.default_rng(71)
         w, b = params = init_params(6, 10, seed=3)
         x = rng.normal(scale=3.0, size=(20, 6))
-        expect = rowmax_softmax(x @ w + b)
-        out = np.empty((20, 10))
+        expect = colmax_softmax(w.T @ x.T + b[:, None])
+        out = np.empty((10, 20))
         probs = _forward(params, x, out)
         assert probs is out and probs.tobytes() == expect.tobytes()
         assert _forward(params, x).tobytes() == expect.tobytes()
+        assert np.array_equal(forward(params, x), expect.T)
 
     def test_train_and_evaluate_unchanged(self, monkeypatch):
         import lobmix.trainer
@@ -198,7 +204,7 @@ class TestSoftmax:
         )
         params, history = train(train_ds, test_ds, cfg)
         report = evaluate(params, test_ds, groups)
-        monkeypatch.setattr(lobmix.trainer, "_softmax", rowmax_softmax)
+        monkeypatch.setattr(lobmix.trainer, "_softmax", colmax_softmax)
         ref_params, ref_history = train(train_ds, test_ds, cfg)
         assert history == ref_history
         assert evaluate(params, test_ds, groups) == report == ref_history[-1].report
@@ -483,7 +489,7 @@ class TestTrain:
         train(train_ds, test_ds, cfg)
         assert len(seen) == epochs * bpe
         index, features, labels = train_ds.class_index(), train_ds.features, train_ds.labels
-        offsets = np.arange(size) * train_ds.num_classes
+        offsets = np.arange(size)
         for e in range(epochs):
             kinds = expected_kinds(strategy, e, switch)
             i, j, lam = draw_pairs(kinds, index, 0.7, make_rng(9, "epoch", e), bpe * size)
@@ -491,7 +497,7 @@ class TestTrain:
                 x, pos, weights = seen[e * bpe + b]
                 rows = slice(b * size, (b + 1) * size)
                 c_i, c_j = labels[i[rows]], labels[j[rows]]
-                assert np.array_equal(pos, np.concatenate([offsets + c_i, offsets + c_j]))
+                assert np.array_equal(pos, np.concatenate([c_i * size + offsets, c_j * size + offsets]))
                 if len(kinds) == 1:
                     assert np.array_equal(x, features[i[rows]])
                     assert np.array_equal(weights, np.concatenate([np.ones(size), np.zeros(size)]))
@@ -512,17 +518,18 @@ class TestTrain:
         for w, ref in zip(params, ref_params, strict=True):
             assert np.array_equal(w, ref)
 
-    def test_step_allocates_no_batch(self):
-        # what remains is the transposed copy of the logits and numpy's buffer
-        # (at most 64 KiB) for adding a bias row in place
+    @pytest.mark.parametrize("size, dim, classes", [(128, 256, 10), (128, 3072, 10)])
+    def test_step_allocates_no_batch(self, size, dim, classes):
+        # what remains is the softmax's two (batch_size,) reductions and
+        # numpy's ufunc buffer (at most 64 KiB) for each in-place broadcast:
+        # the bias column, then the row of maxima and the row of sums
         rng = np.random.default_rng(67)
-        size, dim, classes = 128, 256, 10
         params = init_params(dim, classes, seed=1)
         x = rng.normal(size=(size, dim))
         c_i, c_j = rng.integers(0, classes, size=(2, size))
         lam = rng.uniform(size=size)
-        pos, weights = _target_plan(c_i, c_j, lam, size, classes)
-        taken, logits, grads = np.empty(pos.shape), np.empty((size, classes)), [np.empty_like(w) for w in params]
+        pos, weights = _target_plan(c_i, c_j, lam, size)
+        taken, (logits, grads) = np.empty(pos.shape), _step_buffers(params, size)
         _, peak = traced_peak(_grad_step, params, x, pos[0], weights[0], taken[0], logits, grads)
         assert peak < min(x.nbytes, sum(g.nbytes for g in grads))
         for g, ref in zip(grads, loss_and_grad(params, x, c_i, c_j, lam)[1], strict=True):
