@@ -28,8 +28,8 @@ from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_c
 from .seeds import RNG_LAYOUT
 from .trainer import GROUP_NAMES, STRATEGIES, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
-PROFILE_ALIASES = {"exp": "exponential", "pareto": "pareto", "step": "step"}
 DONE_MARKER = "DONE"
+SYNTH_PER_CLASS = 1000  # examples per class of a build-lt --synth-classes base when --synth-per-class is left out
 
 
 def config_hash(payload: dict) -> str:
@@ -73,7 +73,7 @@ class ExperimentConfig:
             raise ValueError("dataset.train_paths must name at least one file")
         profile = ImbalanceProfile.from_dict(d["profile"])
         required = [f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING]
-        train = json_settings(d["train"], SCHEMA["train"], "train", required, nullable=("defer_epoch",))
+        train = json_settings(d["train"], SCHEMA["train"], "train", required)
         return cls(dataset, profile, TrainConfig(seed=d.get("seed", 0), **train), d.get("out_dir"))
 
     def family_dict(self) -> dict:
@@ -83,7 +83,6 @@ class ExperimentConfig:
         d.pop("out_dir")
         d.pop("rng_layout")  # from_dict admits one layout
         d["train"].pop("strategy")
-        d["train"].pop("defer_epoch")
         return d
 
 
@@ -117,18 +116,13 @@ def _cifar10_base(paths) -> tuple[np.ndarray, np.ndarray, str]:
     return pixels, labels, ";".join(str(p) for p in paths)
 
 
-def _synth_source(classes: int, dim: int, separation: float) -> str:
-    """The manifest source naming a balanced Gaussian-mixture base."""
-    return f"synth:classes={classes},dim={dim},separation={separation}"
-
-
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
     seed, spec = cfg.train.seed, cfg.dataset
     if spec["kind"] == "synth":
         classes, dim, separation = spec["classes"], spec["dim"], spec["separation"]
         base = longtail.synth_gaussian_mixture(classes, (spec["base_per_class"],) * classes, dim, separation, seed)
-        source = _synth_source(classes, dim, separation)
+        source = f"synth:classes={classes},dim={dim},separation={separation}"
         counts = cfg.profile.class_counts(spec["classes"])
         test_idx, manifest = longtail.longtail_split(
             base.class_index(), counts, spec["test_per_class"], seed, source=source, profile=cfg.profile
@@ -155,37 +149,25 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     return train_ds, test_ds, manifest
 
 
-def _profile_from_args(args, n_max: int) -> ImbalanceProfile:
-    kind = PROFILE_ALIASES.get(args.profile, args.profile)
-    return ImbalanceProfile(kind=kind, rho=args.rho, n_max=n_max)
-
-
-# settings of a --synth-classes base that build-lt takes, and their values when left out
-SYNTH_DEFAULTS = {"synth_dim": 10, "synth_separation": 3.0, "synth_per_class": 1000}
-
-
 def cmd_build_lt(args: argparse.Namespace) -> int:
     if args.base and args.synth_classes is not None:
         raise ValueError("provide --base file(s) or a --synth-classes spec, not both")
-    synth = {name: getattr(args, name) for name in SYNTH_DEFAULTS if getattr(args, name) is not None}
     if args.base:
-        if synth:
-            flag = "--" + next(iter(synth)).replace("_", "-")
-            raise ValueError(f"{flag} applies to a --synth-classes spec, not to --base")
+        if args.synth_per_class is not None:
+            raise ValueError("--synth-per-class applies to a --synth-classes spec, not to --base")
         _, labels, source = _cifar10_base(args.base)
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
     elif args.synth_classes is not None:
-        synth = {**SYNTH_DEFAULTS, **synth}
-        classes, dim, separation = args.synth_classes, synth["synth_dim"], synth["synth_separation"]
-        index = longtail.synth_class_index(classes, (synth["synth_per_class"],) * classes, dim, separation, args.seed)
-        source = _synth_source(classes, dim, separation)
+        per_class = SYNTH_PER_CLASS if args.synth_per_class is None else args.synth_per_class
+        index = longtail.ClassIndex.from_counts((per_class,) * args.synth_classes)
+        source = f"labels-only:classes={args.synth_classes},per_class={per_class}"
     else:
         raise ValueError("provide --base file(s) or a --synth-classes spec")
 
     if np.any(index.counts == 0):
         raise ValueError("base dataset is missing examples for some class")
     n_max = int(index.counts.min()) if args.n_max is None else args.n_max
-    profile = _profile_from_args(args, n_max)
+    profile = ImbalanceProfile(kind=args.profile, rho=args.rho, n_max=n_max)
     counts = profile.class_counts(index.num_classes)
     manifest = longtail.subsample_longtail(index, counts, args.seed, source=source, profile=profile)
     out = Path(args.out)
@@ -367,15 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-lt", help="construct a long-tailed dataset and write its manifest")
     p.add_argument("--base", nargs="+", help="CIFAR-10 binary batch file(s) to subsample")
-    p.add_argument("--synth-classes", type=int, help="generate a balanced Gaussian-mixture base with this many classes")
-    for flag, kind, what in (
-        ("--synth-dim", int, "feature dimension"),
-        ("--synth-separation", float, "radius of the class means"),
-        ("--synth-per-class", int, "examples per class"),
-    ):
-        default = SYNTH_DEFAULTS[flag[2:].replace("-", "_")]
-        p.add_argument(flag, type=kind, help=f"{what} of the --synth-classes base (default: {default})")
-    p.add_argument("--profile", choices=sorted(PROFILE_ALIASES), default="exp")
+    p.add_argument("--synth-classes", type=int, help="subsample a balanced labels-only base with this many classes")
+    p.add_argument(
+        "--synth-per-class", type=int, help=f"examples per class of the --synth-classes base (default: {SYNTH_PER_CLASS})"
+    )
+    p.add_argument("--profile", choices=longtail.PROFILE_KINDS, default="exponential")
     p.add_argument("--rho", type=float, default=10.0, help="imbalance ratio: largest over smallest class")
     p.add_argument("--n-max", type=int, default=None, help="largest class size (default: smallest base class)")
     p.add_argument("--seed", type=int, default=0)

@@ -69,7 +69,6 @@ SCHEMA = {
     "train": {
         "epochs": int, "batches_per_epoch": int, "batch_size": int, "lr": float,
         "lr_decay_epochs": [int], "lr_decay_factor": float, "alpha": float, "strategy": str,
-        "defer_epoch": int,
     },
     "manifest": {
         "manifest_layout": int, "source": str, "profile": dict, "seed": int, "counts": [int], "kept_indices": str,
@@ -221,6 +220,20 @@ class ClassIndex:
             raise ValueError(f"labels must lie in [0, {num_classes})")
         return cls(np.argsort(labels, kind="stable"), np.bincount(labels, minlength=num_classes))
 
+    @classmethod
+    def from_counts(cls, counts: Sequence[int]) -> "ClassIndex":
+        """The index of ``counts[k]`` examples of class k, stored class by class: ``flat`` is ``arange(N)``.
+
+        It equals ``from_labels(np.repeat(arange(C), counts), C)``, made without
+        the labels. At least 2 classes, each of at least one example.
+        """
+        if len(counts) < 2:
+            raise ValueError(f"need at least 2 classes, got {len(counts)}")
+        if min(counts) < 1:
+            raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
+        counts = np.asarray(counts, dtype=np.int64)
+        return cls(np.arange(counts.sum()), counts)
+
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
@@ -371,24 +384,6 @@ def synth_gaussian_mixture(
     seed: int,
 ) -> LabeledDataset:
     """Isotropic unit-variance Gaussian blobs with centers on a sphere of radius ``separation``."""
-    centers = _checked_centers(num_classes, counts, dim, separation, seed)
-    points_rng = make_rng(seed, "points")
-    blocks = []
-    labels = []
-    for k, n_k in enumerate(counts):
-        blocks.append(centers[k] + points_rng.standard_normal((n_k, dim)))
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    return LabeledDataset(np.concatenate(blocks), np.concatenate(labels), num_classes)
-
-
-def synth_class_index(num_classes: int, counts: Sequence[int], dim: int, separation: float, seed: int) -> ClassIndex:
-    """:func:`synth_gaussian_mixture`'s class index (its rows come class by class), after its checks, drawing no row."""
-    _checked_centers(num_classes, counts, dim, separation, seed)
-    return ClassIndex(np.arange(sum(counts)), np.asarray(counts, dtype=np.int64))
-
-
-def _checked_centers(num_classes: int, counts: Sequence[int], dim: int, separation: float, seed: int) -> np.ndarray:
-    """:func:`mixture_centers` of a mixture with ``counts[k]`` rows in class k, once its settings are checked."""
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if dim < 2:
@@ -399,7 +394,14 @@ def _checked_centers(num_classes: int, counts: Sequence[int], dim: int, separati
         raise ValueError(f"counts cover {len(counts)} classes but num_classes={num_classes}")
     if min(counts) < 1:
         raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
-    return mixture_centers(num_classes, dim, separation, seed)
+    centers = mixture_centers(num_classes, dim, separation, seed)
+    points_rng = make_rng(seed, "points")
+    blocks = []
+    labels = []
+    for k, n_k in enumerate(counts):
+        blocks.append(centers[k] + points_rng.standard_normal((n_k, dim)))
+        labels.append(np.full(n_k, k, dtype=np.int64))
+    return LabeledDataset(np.concatenate(blocks), np.concatenate(labels), num_classes)
 
 
 def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:

@@ -147,12 +147,8 @@ def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, s
         raise ValueError(f"--seed must fit in 64 bits, got {seed}")
     if samples < 0:
         raise ValueError(f"--samples must be >= 0, got {samples}")
-    if len(counts) < 2:
-        raise ValueError("need at least 2 classes")
-    if min(counts) < 1:
-        raise ValueError(f"every class needs at least one example, got {counts}")
+    index = ClassIndex.from_counts(counts)
     labels = np.repeat(np.arange(len(counts)), counts)
-    index = ClassIndex(np.arange(labels.size), np.asarray(counts, dtype=np.int64))  # the stable sort of labels
     head = default_groups(counts) == 0
     results = []
     for name in combos:

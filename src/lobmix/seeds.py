@@ -2,7 +2,7 @@
 
 Every draw in lobmix comes from :func:`make_rng`. A stream is named by a
 root seed and a label ("epoch", "init", "subsample", ...), which together
-fix the Philox key; the counter words address a block inside that keyed
+fix the Philox key; the counter addresses a block inside that keyed
 stream, e.g. ``make_rng(seed, "epoch", epoch)`` for the rows of one training
 epoch (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
 """
@@ -27,21 +27,18 @@ def _word(value: int, what: str) -> int:
     return value
 
 
-def make_rng(root: int, name: str, *counter: int) -> np.random.Generator:
+def make_rng(root: int, name: str, counter: int = 0) -> np.random.Generator:
     """Philox generator keyed by ``(root, name)`` and started at ``counter``.
 
     The key is the first two little-endian 64-bit words of the sha256 digest
-    of the 8-byte big-endian root followed by the UTF-8 name. Up to three
-    counter words fill Philox counter words 1-3; word 0 is the block counter
-    Philox advances as it draws. The same address always gives the same
-    draws, and changing the root, the name or any counter word gives another
+    of the 8-byte big-endian root followed by the UTF-8 name. ``counter``
+    fills Philox counter word 1; word 0 is the block counter Philox advances
+    as it draws, and words 2-3 are 0. The same address always gives the same
+    draws, and changing the root, the name or the counter gives another
     stream.
     """
     _word(root, "root seed")
-    if len(counter) > 3:
-        raise ValueError(f"at most 3 counter words, got {len(counter)}")
-    words = [0, *(_word(c, "counter word") for c in counter)]
-    words += [0] * (4 - len(words))
+    words = np.array([0, _word(counter, "counter word"), 0, 0], dtype=np.uint64)
     digest = hashlib.sha256(root.to_bytes(8, "big") + name.encode("utf-8")).digest()
     key = np.frombuffer(digest, dtype="<u8", count=2)
-    return np.random.Generator(np.random.Philox(key=key, counter=np.array(words, dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(key=key, counter=words))

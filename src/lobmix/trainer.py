@@ -223,7 +223,6 @@ class TrainConfig:
     alpha: float = 1.0  # the usual choice at this scale; 0.2 is common for very large image corpora
     strategy: str = "mixup"  # a key of STRATEGIES
     seed: int = 0
-    defer_epoch: int | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -243,18 +242,15 @@ class TrainConfig:
         if not 0 <= self.lr_decay_factor < np.inf:  # NaN fails too
             kind = "non-negative" if self.lr_decay_factor < 0 else "finite"
             raise ValueError(f"lr_decay_factor must be {kind}, got {self.lr_decay_factor}")
-        two_phase = len(STRATEGIES[self.strategy]) > 1
-        if two_phase and self.switch_epoch is None:
-            raise ValueError(f"{self.strategy} strategy needs defer_epoch or at least one lr decay epoch")
-        switch = self.switch_epoch if two_phase else self.defer_epoch  # a one-phase run ignores, but records, it
-        if switch is not None and not 0 < switch < self.epochs:
-            raise ValueError(f"defer epoch {switch} must lie strictly inside (0, epochs={self.epochs})")
+        if len(STRATEGIES[self.strategy]) > 1 and not 0 < (self.switch_epoch or 0) < self.epochs:
+            raise ValueError(
+                f"{self.strategy} strategy needs a first lr decay epoch strictly inside (0, epochs={self.epochs}), "
+                f"got {self.lr_decay_epochs}"
+            )
 
     @property
     def switch_epoch(self) -> int | None:
-        """Epoch at which a two-phase strategy (``deferred``) switches to its second phase."""
-        if self.defer_epoch is not None:
-            return self.defer_epoch
+        """Epoch at which a two-phase strategy (``deferred``) switches to its second phase: the first lr decay epoch."""
         return self.lr_decay_epochs[0] if self.lr_decay_epochs else None
 
 

@@ -58,8 +58,8 @@ CIFAR_CONFIG = {
 }
 
 COMMANDS = [
-    ["build-lt", "--synth-classes", "10", "--synth-dim", "10", "--synth-per-class", "700",
-     "--profile", "exp", "--rho", "100", "--seed", "0", "--out", "lt-synth"],
+    ["build-lt", "--synth-classes", "10", "--synth-per-class", "700",
+     "--profile", "exponential", "--rho", "100", "--seed", "0", "--out", "lt-synth"],
     ["analyze", "--manifest", "lt-synth/manifest.json", "--samples", "20000", "--seed", "1", "--out", "occ"],
     ["analyze", "--manifest", "lt-synth/manifest.json", "--samples", "0", "--out", "occ0"],
     *(["train", "--config", "synth.json", "--strategy", s, "--out", f"runs/{s}"] for s in STRATEGIES),

@@ -282,8 +282,8 @@ def test_criterion_9_cli_reproducibility(tmp_path):
     for attempt in ("first", "second"):
         root = tmp_path / attempt
         assert main([
-            "build-lt", "--synth-classes", "6", "--synth-dim", "6", "--synth-per-class", "120",
-            "--profile", "exp", "--rho", "10", "--seed", "3", "--out", str(root / "lt"),
+            "build-lt", "--synth-classes", "6", "--synth-per-class", "120",
+            "--rho", "10", "--seed", "3", "--out", str(root / "lt"),
         ]) == 0
         assert main([
             "analyze", "--manifest", str(root / "lt" / "manifest.json"),

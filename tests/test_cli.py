@@ -6,6 +6,7 @@ import json
 import mmap
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -26,7 +27,7 @@ from lobmix import (
     write_cifar10_binary,
 )
 from lobmix import longtail
-from lobmix.cli import ExperimentConfig, config_hash, load_config, main, resolve_datasets
+from lobmix.cli import ExperimentConfig, build_parser, config_hash, load_config, main, resolve_datasets
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
@@ -98,7 +99,7 @@ class TestBuildLt:
     def test_counts_match_profile(self, tmp_path, cifar_file, capsys):
         out = tmp_path / "lt"
         code = main([
-            "build-lt", "--base", str(cifar_file), "--rho", "10", "--profile", "exp",
+            "build-lt", "--base", str(cifar_file), "--rho", "10", "--profile", "exponential",
             "--seed", "4", "--out", str(out),
         ])
         assert code == 0
@@ -156,14 +157,8 @@ class TestBuildLt:
         assert err == ["error: provide --base file(s) or a --synth-classes spec, not both"]
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--synth-dim", "5", "--synth-per-class", "3"],
-            ["--synth-separation", "3.0"],  # the default value, given: still rejected
-            ["--synth-per-class", "1000"],
-        ],
-    )
+    # the default value, given: still rejected; the id is the name the case had beside the retired flags
+    @pytest.mark.parametrize("flags", [pytest.param(["--synth-per-class", "1000"], id="flags2")])
     def test_base_and_synth_settings_rejected(self, tmp_path, cifar_file, capsys, flags):
         out = tmp_path / "lt"
         assert main(["build-lt", "--base", str(cifar_file), *flags, "--out", str(out)]) == 2
@@ -171,8 +166,7 @@ class TestBuildLt:
         assert not out.exists()
 
     def test_synth_defaults_filled_in(self, tmp_path):
-        given = ["--synth-dim", "10", "--synth-separation", "3.0", "--synth-per-class", "1000"]
-        for name, flags in (("left-out", []), ("given", given)):
+        for name, flags in (("left-out", []), ("given", ["--synth-per-class", "1000"])):
             assert main(["build-lt", "--synth-classes", "3", *flags, "--out", str(tmp_path / name)]) == 0
         for file in ("manifest.json", "build_info.json"):
             assert (tmp_path / "left-out" / file).read_bytes() == (tmp_path / "given" / file).read_bytes()
@@ -180,21 +174,22 @@ class TestBuildLt:
     def test_synth_base(self, tmp_path):
         out = tmp_path / "synth"
         code = main([
-            "build-lt", "--synth-classes", "5", "--synth-dim", "4", "--synth-per-class", "60",
+            "build-lt", "--synth-classes", "5", "--synth-per-class", "60",
             "--profile", "step", "--rho", "4", "--out", str(out),
         ])
         assert code == 0
         manifest = DatasetManifest.load(out / "manifest.json")
         assert manifest.counts == (60, 60, 15, 15, 15)
+        assert manifest.source == "labels-only:classes=5,per_class=60"
 
     def test_synth_base_draws_no_feature_rows(self, tmp_path, capsys):
         # build-lt reads only the base's class index, which the class counts give
-        classes, dim, per_class = 20, 64, 1000
-        argv = ["build-lt", "--synth-classes", str(classes), "--synth-dim", str(dim),
-                "--synth-per-class", str(per_class), "--rho", "10", "--out", str(tmp_path / "lt")]
+        classes, per_class = 20, 1000
+        argv = ["build-lt", "--synth-classes", str(classes), "--synth-per-class", str(per_class),
+                "--rho", "10", "--out", str(tmp_path / "lt")]
         code, peak = traced_peak(main, argv)
         assert code == 0
-        assert peak < classes * per_class * dim * 8  # the bytes of the base's feature rows
+        assert peak < classes * per_class * 64 * 8  # the bytes of such a base's feature rows at 64 dimensions
         manifest = DatasetManifest.load(tmp_path / "lt" / "manifest.json")
         assert manifest.counts[0] == per_class and manifest.counts[-1] == per_class // 10
 
@@ -726,21 +721,12 @@ class TestTrainCommand:
 
     def test_deferred_past_end_rejected(self, tmp_path, capsys):
         cfg = base_config()
-        cfg["train"]["strategy"] = "deferred"
-        cfg["train"]["defer_epoch"] = 3  # epochs == 3
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) != 0
-        assert "defer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("strategy,defer_epoch", [("lob", -5), ("lob", 99), ("mixup", 99), ("erm", 0)])
-    def test_one_phase_defer_epoch_checked(self, tmp_path, capsys, strategy, defer_epoch):
-        # a one-phase strategy never switches, but config.json would record the value
-        cfg = base_config()
-        cfg["train"].update(strategy=strategy, defer_epoch=defer_epoch)
-        out = tmp_path / "run"
+        cfg["train"].update(strategy="deferred", lr_decay_epochs=[3])  # epochs == 3
+        out = tmp_path / "x"
         assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: defer epoch {defer_epoch} must lie strictly inside (0, epochs=3)\n"
+        assert capsys.readouterr().err.splitlines() == [
+            "error: deferred strategy needs a first lr decay epoch strictly inside (0, epochs=3), got (3,)"
+        ]
         assert not out.exists()
 
     def test_missing_out_dir_rejected(self, tmp_path, capsys):
@@ -766,7 +752,9 @@ class TestTrainCommand:
         config_path = self.deferred_without_switch(tmp_path)
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--strategy", "deferred", "--out", str(out)]) == 2
-        assert_one_error(capsys, "deferred strategy needs defer_epoch or at least one lr decay epoch")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: deferred strategy needs a first lr decay epoch strictly inside (0, epochs=3), got ()"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("batches_per_epoch", [2, 4])
@@ -849,7 +837,6 @@ class TestMalformedConfig:
                 "train", "lr_decay_epochs", [2.5], "train.lr_decay_epochs entry must be an integer",
                 id="train-lr_decay_epochs-value3-train.lr_decay_epochs entry must be an integer",
             ),
-            ("train", "defer_epoch", "2", "train.defer_epoch must be an integer"),
             ("train", "lr_decay_factor", True, "train.lr_decay_factor must be a number"),
             ("profile", "rho", None, "profile.rho must be a number"),
             ("dataset", "classes", None, "dataset.classes must be an integer"),
@@ -866,6 +853,9 @@ class TestMalformedConfig:
             ("train", "hidden", 32, "unknown train settings: ['hidden']"),
             ("train", "momentum", 0.0, "unknown train settings: ['momentum']"),
             ("train", "weight_decay", 0.0, "unknown train settings: ['weight_decay']"),
+            # a two-phase strategy switches at its first decay epoch, so the switch-epoch key is gone too
+            ("train", "defer_epoch", None, "unknown train settings: ['defer_epoch']"),
+            ("train", "defer_epoch", 2, "unknown train settings: ['defer_epoch']"),
             # range checks of TrainConfig, by field name
             ("train", "lr_decay_factor", -3.0, "lr_decay_factor must be non-negative, got -3.0"),
             pytest.param(
@@ -1057,8 +1047,9 @@ class TestReport:
             f"error: {run / 'config.json'}: rng_layout {layout or 1} is not this version's random-stream layout {RNG_LAYOUT}"
         ]
 
-    # a train key no version has, and one that runs written before plain SGD recorded
-    @pytest.mark.parametrize("key,value", [("dropout", 0.5), ("momentum", 0.0)])
+    # a train key no version has, one that runs written before plain SGD recorded, and the
+    # switch-epoch key that runs recorded before deferred switched at the first decay epoch
+    @pytest.mark.parametrize("key,value", [("dropout", 0.5), ("momentum", 0.0), ("defer_epoch", None)])
     def test_config_failing_schema_named(self, tmp_path, capsys, key, value):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
         config = json.loads((dirs[1] / "config.json").read_text())
@@ -1366,6 +1357,18 @@ class TestReadme:
         exec(compile(blocks[0], "README.md", "exec"), {})
         printed = capsys.readouterr().out.splitlines()
         assert printed[-1] == "10.0"  # the analytic ib-ib balance the snippet's comment states
+
+    def test_cli_blocks_parse(self):
+        # a retired flag or choice left in README's commands fails here; nothing is run
+        lines = []
+        for block in re.findall(r"^```bash\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M):
+            lines += [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("lobmix ")]
+        assert len(lines) >= 7  # the CLI block's five commands and the occurrence table's two
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
     def test_config_block_is_a_valid_config(self):
         # a stale or misspelled key in a committed config fails here

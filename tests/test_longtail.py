@@ -102,7 +102,7 @@ class TestImbalanceRatio:
     def printed_ratio(tmp_path, capsys, classes, per_class, profile, rho):
         out = tmp_path / "lt"
         argv = [
-            "build-lt", "--synth-classes", str(classes), "--synth-dim", "2", "--synth-per-class", str(per_class),
+            "build-lt", "--synth-classes", str(classes), "--synth-per-class", str(per_class),
             "--profile", profile, "--rho", str(rho), "--out", str(out),
         ]
         assert main(argv) == 0
@@ -110,12 +110,12 @@ class TestImbalanceRatio:
         return DatasetManifest.load(out / "manifest.json").counts, lines[1]
 
     def test_exponential_profile(self, tmp_path, capsys):
-        counts, line = self.printed_ratio(tmp_path, capsys, 10, 5000, "exp", 10)
+        counts, line = self.printed_ratio(tmp_path, capsys, 10, 5000, "exponential", 10)
         assert counts == CIFAR_LT_RHO10
         assert line == "imbalance ratio: 10"
 
     def test_balanced(self, tmp_path, capsys):
-        counts, line = self.printed_ratio(tmp_path, capsys, 5, 7, "exp", 1)
+        counts, line = self.printed_ratio(tmp_path, capsys, 5, 7, "exponential", 1)
         assert counts == (7,) * 5
         assert line == "imbalance ratio: 1"
 
@@ -276,7 +276,7 @@ class TestManifestLayout:
         # build-lt --synth-classes 1000 --rho 10: 391,012 kept indices, a 6.27 MB file
         profile = ImbalanceProfile("exponential", 10.0, 1000)
         counts = profile.class_counts(1000)
-        index = longtail.synth_class_index(1000, (1000,) * 1000, 10, 3.0, 0)
+        index = ClassIndex.from_counts((1000,) * 1000)
         manifest = subsample_longtail(index, counts, 0, profile=profile)
         assert manifest.kept_indices.size == 391_012
         _, peak = traced_peak(manifest.save, tmp_path / "manifest.json")
@@ -532,6 +532,15 @@ class TestClassIndex:
         for k in range(num_classes):
             assert index.offsets[k] == counts[:k].sum()
             assert np.array_equal(index.members(k), np.flatnonzero(labels == k))
+
+    @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_from_counts_is_from_labels(self, counts):
+        # the index of the class-ordered labels, dtypes included
+        want = ClassIndex.from_labels(np.repeat(np.arange(len(counts)), counts), len(counts))
+        index = ClassIndex.from_counts(counts)
+        for got, ref in ((index.flat, want.flat), (index.counts, want.counts)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 3, 1]])
     def test_rejects_labels_outside_range(self, labels):

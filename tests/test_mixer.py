@@ -186,11 +186,11 @@ class TestBatchMakers:
 
     def test_metadata_regenerates_batch(self):
         ds = self._dataset([30, 12])
-        batch = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
-        again = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 5))
+        batch = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 5))
+        again = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 5))
         for a, b in zip(batch, again):
             assert np.array_equal(a, b)
-        other = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 2, 6))
+        other = mixed_rows(ds, 32, 0.7, (IB, CB), make_rng(1234, "batch", 6))
         assert not np.array_equal(batch[4], other[4])
         assert not np.array_equal(np.stack(batch[:4]), np.stack(other[:4]))
 

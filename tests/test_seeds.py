@@ -12,36 +12,37 @@ def draws(*address):
 
 class TestMakeRng:
     def test_same_address_same_draws(self):
-        assert np.array_equal(draws(7, "batch", 3, 4), draws(7, "batch", 3, 4))
+        assert np.array_equal(draws(7, "batch", 3), draws(7, "batch", 3))
         assert np.array_equal(draws(MAX_SEED, "init"), draws(MAX_SEED, "init"))
 
+    # pytest names a tuple by its place in the list, so the cases carry explicit ids (the names
+    # they had): removing one renames no other
     @pytest.mark.parametrize(
         "other",
         [
-            (8, "batch", 3, 4),
-            (7, "batchx", 3, 4),
-            (7, "init", 3, 4),
-            (7, "batch", 4, 4),
-            (7, "batch", 3, 5),
-            (7, "batch", 3, 4, 1),
-            (7, "batch", 3),
-            (7, "batch", MAX_SEED, 4),
+            pytest.param((8, "batch", 3), id="other0"),
+            pytest.param((7, "batchx", 3), id="other1"),
+            pytest.param((7, "init", 3), id="other2"),
+            pytest.param((7, "batch", 4), id="other3"),
+            pytest.param((7, "batch"), id="other6"),
+            pytest.param((7, "batch", MAX_SEED), id="other7"),
         ],
     )
     def test_any_changed_word_changes_draws(self, other):
-        assert not np.array_equal(draws(7, "batch", 3, 4), draws(*other))
+        assert not np.array_equal(draws(7, "batch", 3), draws(*other))
 
     def test_counter_words_do_not_shift_into_each_other(self):
-        # (e, b) and (b, e) name different batches
-        assert not np.array_equal(draws(1, "batch", 2, 3), draws(1, "batch", 3, 2))
+        # the root is hashed into the key and the counter fills a counter word: (r, c) and (c, r) differ
+        assert not np.array_equal(draws(1, "batch", 2), draws(2, "batch", 1))
 
     def test_layout(self):
         # the documented key and counter layout; changing it needs a new RNG_LAYOUT
-        state = make_rng(1, "batch", 2, 3).bit_generator.state
         digest = hashlib.sha256(bytes([0, 0, 0, 0, 0, 0, 0, 1]) + b"batch").digest()
-        assert state["bit_generator"] == "Philox"
-        assert state["state"]["key"].tolist() == [int.from_bytes(digest[k:k + 8], "little") for k in (0, 8)]
-        assert state["state"]["counter"].tolist() == [0, 2, 3, 0]
+        for address, counter in (((1, "batch"), 0), ((1, "batch", 2), 2)):
+            state = make_rng(*address).bit_generator.state
+            assert state["bit_generator"] == "Philox"
+            assert state["state"]["key"].tolist() == [int.from_bytes(digest[k:k + 8], "little") for k in (0, 8)]
+            assert state["state"]["counter"].tolist() == [0, counter, 0, 0]
 
     @pytest.mark.parametrize("root", [-1, MAX_SEED + 1])
     def test_root_out_of_range_rejected(self, root):
@@ -56,14 +57,9 @@ class TestMakeRng:
     @pytest.mark.parametrize("word", [-1, MAX_SEED + 1])
     def test_counter_out_of_range_rejected(self, word):
         with pytest.raises(ValueError, match="counter word must fit in 64 bits"):
-            make_rng(0, "batch", 0, word)
+            make_rng(0, "batch", word)
 
     @pytest.mark.parametrize("word", [True, False, 1.0, "1", None])
     def test_counter_of_wrong_type_rejected(self, word):
         with pytest.raises(TypeError, match="counter word must be an int"):
             make_rng(0, "batch", word)
-
-    def test_at_most_three_counter_words(self):
-        make_rng(0, "batch", 1, 2, 3)
-        with pytest.raises(ValueError, match="at most 3 counter words"):
-            make_rng(0, "batch", 1, 2, 3, 4)

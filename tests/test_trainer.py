@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -654,10 +655,10 @@ class TestStrategies:
     def test_table_is_the_written_out_schedule(self):
         assert tuple(STRATEGIES) == ("erm", "mixup", "lob", "deferred")
         for strategy in STRATEGIES:
-            for switch, extra in ((2, {}), (3, {"defer_epoch": 3})):
+            for decay in ((2, 4), (3,)):
+                switch = decay[0]
                 cfg = TrainConfig(
-                    epochs=6, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_epochs=(2, 4),
-                    strategy=strategy, **extra,
+                    epochs=6, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_epochs=decay, strategy=strategy,
                 )
                 for e in range(cfg.epochs):
                     assert _epoch_sampler_kinds(cfg, e) == expected_kinds(strategy, e, switch)
@@ -687,17 +688,19 @@ class TestStrategies:
 
 class TestTrainConfigValidation:
     def test_deferred_needs_valid_switch(self):
-        with pytest.raises(ValueError, match="defer"):
-            TrainConfig(epochs=5, batches_per_epoch=1, batch_size=1, lr=0.1,
-                        strategy="deferred", defer_epoch=5)
-        with pytest.raises(ValueError, match="defer"):
-            TrainConfig(epochs=5, batches_per_epoch=1, batch_size=1, lr=0.1,
-                        strategy="deferred")
+        for decay, shown in (((5,), "(5,)"), ((7, 9), "(7, 9)"), ((), "()")):
+            want = f"deferred strategy needs a first lr decay epoch strictly inside (0, epochs=5), got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                TrainConfig(epochs=5, batches_per_epoch=1, batch_size=1, lr=0.1,
+                            lr_decay_epochs=decay, strategy="deferred")
 
     def test_defer_defaults_to_first_decay(self):
-        cfg = TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1,
-                          lr_decay_epochs=(6, 8), strategy="deferred")
-        assert cfg.switch_epoch == 6
+        # the switch epoch is the first decay epoch, for every strategy; only deferred reads it
+        for strategy in STRATEGIES:
+            cfg = TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1,
+                              lr_decay_epochs=(6, 8), strategy=strategy)
+            assert cfg.switch_epoch == 6
+        assert TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1).switch_epoch is None
 
     def test_decay_epochs_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
