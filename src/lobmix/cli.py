@@ -191,10 +191,12 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     raw = Path(args.manifest).read_bytes()
-    manifest = DatasetManifest.from_dict(read_json(args.manifest, raw))
+    d = read_json(args.manifest, raw)
     # identify the manifest by content so outputs are relocatable
     manifest_sha256 = hashlib.sha256(raw).hexdigest()
-    del raw  # not held while the batches are drawn
+    del raw  # freed before the index block is decoded, so file, text and indices are never all held
+    manifest = DatasetManifest.from_dict(d)
+    del d
     counts = manifest.counts
     combo_names = list(COMBOS) if args.combo == "all" else [args.combo]
     # every combo is measured before the output directory exists

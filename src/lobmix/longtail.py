@@ -26,7 +26,7 @@ from .seeds import make_rng
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-major pixels
 CIFAR10_CLASSES = 10
 BLOCK_BYTES = 1 << 18  # rows are scanned in blocks of about this size, so their temporaries stay in cache
-MANIFEST_LAYOUT = 2  # manifest.json format: kept indices as one hex block of little-endian int64
+MANIFEST_LAYOUT = 3  # manifest.json format: kept indices as one hex block of little-endian uint32
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -260,11 +260,11 @@ class DatasetManifest:
     ``kept_indices`` is one int64 array of the kept source indices, class by
     class, ``counts[k]`` of them for class k: the ``(flat, counts)`` layout of
     :class:`ClassIndex`. The constructor takes one sequence of integer
-    indices per class; the JSON file (layout :data:`MANIFEST_LAYOUT`) holds
-    the whole array as one hex string, 16 digits (8 little-endian bytes) an
-    index. The source's ``features[kept_indices]`` are the subsampled rows,
-    and re-running the subsampler on the source's class index with the
-    recorded seed returns the identical indices.
+    indices per class, each in ``[0, 2**32)``; the JSON file (layout
+    :data:`MANIFEST_LAYOUT`) holds the whole array as one hex string, 8 digits
+    (4 little-endian bytes) an index. The source's ``features[kept_indices]``
+    are the subsampled rows, and re-running the subsampler on the source's
+    class index with the recorded seed returns the identical indices.
     """
 
     source: str
@@ -290,6 +290,8 @@ class DatasetManifest:
             start += n
         if flat.size and flat.min() < 0:
             raise ValueError(f"kept indices must be non-negative, got {int(flat.min())}")
+        if flat.size and flat.max() >= 2**32:  # the file holds 4 bytes an index
+            raise ValueError(f"kept indices must be below 2**32, got {int(flat.max())}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kept_indices", flat)
 
@@ -300,7 +302,7 @@ class DatasetManifest:
             "profile": self.profile.to_dict() if self.profile else None,
             "seed": self.seed,
             "counts": list(self.counts),
-            "kept_indices": self.kept_indices.astype("<i8", copy=False).tobytes().hex(),
+            "kept_indices": self.kept_indices.astype("<u4").data.hex(),
         }
 
     @classmethod
@@ -317,15 +319,15 @@ class DatasetManifest:
         if min(counts, default=0) < 0:
             raise ValueError(f"manifest.counts entry must be non-negative, got {min(counts)}")
         total, block = sum(counts), d["kept_indices"]
-        if len(block) != 16 * total:
+        if len(block) != 8 * total:
             raise ValueError(
-                f"manifest.kept_indices must hold 16 hex digits an index, {16 * total} for {total}, got {len(block)}"
+                f"manifest.kept_indices must hold 8 hex digits an index, {8 * total} for {total}, got {len(block)}"
             )
         try:  # bytes.fromhex skips ASCII whitespace, so a block with some decodes short of ``total`` indices
-            flat = np.frombuffer(bytes.fromhex(block), dtype="<i8", count=total)
+            flat = np.frombuffer(bytes.fromhex(block), dtype="<u4", count=total)
         except ValueError:
             pos = re.search("[^0-9a-fA-F]", block).start()
-            raise ValueError(f"manifest.kept_indices entry {pos // 16} holds {block[pos]!r}, not a hex digit") from None
+            raise ValueError(f"manifest.kept_indices entry {pos // 8} holds {block[pos]!r}, not a hex digit") from None
         return cls(
             source=d["source"],
             profile=None if d["profile"] is None else ImbalanceProfile.from_dict(d["profile"], "manifest.profile"),

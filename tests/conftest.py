@@ -63,8 +63,8 @@ def split_datasets(base: LabeledDataset, counts, test_per_class: int, seed: int)
 
 
 def hex_block(indices) -> str:
-    """The ``kept_indices`` block of a layout-2 manifest holding ``indices``: 16 hex digits, 8 little-endian bytes, each."""
-    return "".join(int(i).to_bytes(8, "little", signed=True).hex() for i in indices)
+    """The ``kept_indices`` block of a layout-3 manifest holding ``indices``: 8 hex digits, 4 little-endian bytes, each."""
+    return "".join(int(i).to_bytes(4, "little").hex() for i in indices)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -500,34 +500,44 @@ class TestMalformedManifest:
         assert_one_error(capsys, message)
         assert not out.exists()
 
-    def test_index_beyond_64_bits_rejected(self, tmp_path, capsys, manifest_dict):
-        # 2**70 takes 9 little-endian bytes, 18 hex digits, where an entry has 16
+    def test_index_beyond_32_bits_rejected(self, tmp_path, capsys, manifest_dict):
+        # 2**40 takes 6 little-endian bytes, 12 hex digits, where an entry has 8
         block = manifest_dict["kept_indices"]
-        manifest_dict["kept_indices"] = (2**70).to_bytes(9, "little").hex() + block[16:]
+        manifest_dict["kept_indices"] = (2**40).to_bytes(6, "little").hex() + block[8:]
         n = sum(manifest_dict["counts"])
-        message = f"manifest.kept_indices must hold 16 hex digits an index, {16 * n} for {n}, got {16 * n + 2}"
+        message = f"manifest.kept_indices must hold 8 hex digits an index, {8 * n} for {n}, got {8 * n + 4}"
         self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     def test_layout_1_rejected(self, tmp_path, capsys, manifest_dict):
         # as layout 1 wrote it: no layout key, and one JSON list of ints per class
         d = manifest_dict
-        flat = np.frombuffer(bytes.fromhex(d.pop("kept_indices")), "<i8").tolist()
+        flat = np.frombuffer(bytes.fromhex(d.pop("kept_indices")), "<u4").tolist()
         del d["manifest_layout"]
         d["kept_indices"] = [flat[end - n : end] for n, end in zip(d["counts"], np.cumsum(d["counts"]).tolist())]
-        message = "manifest layout 1 is not read by this lobmix (layout 2); rebuild it with build-lt"
+        message = "manifest layout 1 is not read by this lobmix (layout 3); rebuild it with build-lt"
         self.assert_analyze_rejects(tmp_path, capsys, d, message)
 
-    @pytest.mark.parametrize("layout,shown", [(3, "3"), ("2", "'2'"), (None, "None")])
+    def test_layout_2_rejected(self, tmp_path, capsys, manifest_dict):
+        # as layout 2 wrote it: one hex block of little-endian int64, 16 digits an index
+        d = manifest_dict
+        d["kept_indices"] = np.frombuffer(bytes.fromhex(d["kept_indices"]), "<u4").astype("<i8").tobytes().hex()
+        d["manifest_layout"] = 2
+        message = "manifest layout 2 is not read by this lobmix (layout 3); rebuild it with build-lt"
+        self.assert_analyze_rejects(tmp_path, capsys, d, message)
+
+    @pytest.mark.parametrize("layout,shown", [(4, "4"), ("2", "'2'"), (None, "None")])
     def test_other_layout_rejected(self, tmp_path, capsys, manifest_dict, layout, shown):
         manifest_dict["manifest_layout"] = layout
-        message = f"manifest layout {shown} is not read by this lobmix (layout 2); rebuild it with build-lt"
+        message = f"manifest layout {shown} is not read by this lobmix (layout 3); rebuild it with build-lt"
         self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     @pytest.mark.parametrize("length", [737, 735])
     def test_block_length_checked(self, tmp_path, capsys, manifest_dict, length):
-        assert sum(manifest_dict["counts"]) == 46  # 736 digits
-        manifest_dict["kept_indices"] = (manifest_dict["kept_indices"] + "0")[:length]
-        message = f"manifest.kept_indices must hold 16 hex digits an index, 736 for 46, got {length}"
+        # every class twice over: 92 indices, 736 digits
+        manifest_dict["counts"] = [2 * n for n in manifest_dict["counts"]]
+        assert sum(manifest_dict["counts"]) == 92
+        manifest_dict["kept_indices"] = (2 * manifest_dict["kept_indices"] + "0")[:length]
+        message = f"manifest.kept_indices must hold 8 hex digits an index, 736 for 92, got {length}"
         self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     @pytest.mark.parametrize(
@@ -537,12 +547,11 @@ class TestMalformedManifest:
             # bytes.fromhex skips whitespace between digit pairs: the block decodes a byte short
             (9, "00  ", "manifest.kept_indices entry 9 holds ' ', not a hex digit"),
             (2, "\n0", "manifest.kept_indices entry 2 holds '\\n', not a hex digit"),
-            (3, "f" * 16, "kept indices must be non-negative, got -1"),
         ],
     )
     def test_bad_entry_rejected(self, tmp_path, capsys, manifest_dict, entry, text, message):
         block = manifest_dict["kept_indices"]
-        manifest_dict["kept_indices"] = block[: 16 * entry] + text + block[16 * entry + len(text) :]
+        manifest_dict["kept_indices"] = block[: 8 * entry] + text + block[8 * entry + len(text) :]
         self.assert_analyze_rejects(tmp_path, capsys, manifest_dict, message)
 
     def test_directory_rejected(self, tmp_path, capsys):
@@ -595,6 +604,18 @@ class TestAnalyze:
         with (out / "occurrence_ib_ib.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["gamma_empirical"] == "" for row in rows)
+
+    def test_manifest_read_holds_three_copies_of_the_file(self, tmp_path):
+        # the file's bytes are hashed and freed before the block is decoded, so the bytes, their text, the
+        # parsed block and the decoded indices are never all held: the peak is read_json's, about 3x the file
+        lt = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", "1000", "--rho", "10", "--out", str(lt)]) == 0
+        path = lt / "manifest.json"
+        assert DatasetManifest.load(path).kept_indices.size == 391_012
+        argv = ["analyze", "--manifest", str(path), "--samples", "0", "--combo", "ib-ib", "--out", str(tmp_path / "o")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak < 3.5 * path.stat().st_size
 
     def test_rng_layout_recorded(self, tmp_path, manifest_path):
         out = tmp_path / "occ"

@@ -217,7 +217,7 @@ class TestManifestLayout:
         assert manifest.kept_indices.dtype == np.int64
         assert manifest.kept_indices.tolist() == flat
         d = manifest.to_dict()
-        assert d["manifest_layout"] == 2 and d["kept_indices"] == hex_block(flat)
+        assert d["manifest_layout"] == 3 and d["kept_indices"] == hex_block(flat)
         loaded = DatasetManifest.from_dict(json.loads(json.dumps(d)))
         assert loaded.to_dict() == d and loaded.counts == tuple(sizes)
         assert loaded.kept_indices.tolist() == flat
@@ -233,15 +233,15 @@ class TestManifestLayout:
     def test_long_list_names_its_first_bad_entry(self, key, bad, shown):
         # a later bad entry of another kind must not be the one named
         n = 10**5 + 3
-        d = {"manifest_layout": 2, "source": "test", "profile": None, "seed": 0, "counts": [2, n - 2]}
+        d = {"manifest_layout": 3, "source": "test", "profile": None, "seed": 0, "counts": [2, n - 2]}
         d["kept_indices"] = hex_block(range(n))
         if key == "counts":
             d["counts"] = list(range(10**5)) + [bad, 3, [4]]
             message = f"manifest.counts entry must be an integer, got {shown}"
         else:
             # entry 10**5 holds the bad value's JSON text, entry 10**5 + 1 a space
-            text = json.dumps(bad).ljust(16, "0")
-            d["kept_indices"] = d["kept_indices"][: 16 * 10**5] + text + " " * 16 + d["kept_indices"][-16:]
+            text = json.dumps(bad).ljust(8, "0")
+            d["kept_indices"] = d["kept_indices"][: 8 * 10**5] + text + " " * 8 + d["kept_indices"][-8:]
             first = next(c for c in text if c not in "0123456789abcdef")
             message = f"manifest.kept_indices entry 100000 holds {first!r}, not a hex digit"
         with pytest.raises(ValueError) as excinfo:
@@ -265,22 +265,45 @@ class TestManifestLayout:
         assert manifest.kept_indices.tolist() == [4, 1, 7, 2, 0, 5]
 
     @pytest.mark.parametrize("case", ["upper", "plain"])
-    def test_block_decodes_as_little_endian_int64(self, case):
-        # index 0x0102 is bytes 02 01 00 ..: read big-endian it would be 2**57 + 2**48
-        block = "0201000000000000" + "ff" * 7 + "7f"
-        d = {"manifest_layout": 2, "source": "test", "profile": None, "seed": 0, "counts": [1, 1]}
+    def test_block_decodes_as_little_endian_uint32(self, case):
+        # index 0x0102 is bytes 02 01 00 00: read big-endian it would be 2**25 + 2**16;
+        # ffffffff is 2**32 - 1, not the -1 a signed read would give
+        block = "02010000" + "ff" * 4
+        d = {"manifest_layout": 3, "source": "test", "profile": None, "seed": 0, "counts": [1, 1]}
         d["kept_indices"] = block.upper() if case == "upper" else block
-        assert DatasetManifest.from_dict(d).kept_indices.tolist() == [0x0102, 2**63 - 1]
+        manifest = DatasetManifest.from_dict(d)
+        assert manifest.kept_indices.dtype == np.int64
+        assert manifest.kept_indices.tolist() == [0x0102, 2**32 - 1]
+
+    @pytest.mark.parametrize(
+        "index,message",
+        [
+            (-1, "kept indices must be non-negative, got -1"),
+            (2**32, "kept indices must be below 2**32, got 4294967296"),
+        ],
+    )
+    def test_out_of_range_index_rejected(self, index, message):
+        # a file entry holds 4 bytes, so it can be neither; the constructor rejects what to_dict would wrap
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest("test", None, 0, [2, 1], [[3, index], [5]])
+        assert str(excinfo.value) == message
+
+    def test_largest_index_round_trips(self, tmp_path):
+        manifest = DatasetManifest("test", None, 0, [1, 2], [[2**32 - 1], np.array([0, 2**32 - 2], dtype=np.uint32)])
+        manifest.save(tmp_path / "manifest.json")
+        loaded = DatasetManifest.load(tmp_path / "manifest.json")
+        assert loaded.to_dict() == manifest.to_dict()
+        assert loaded.kept_indices.dtype == np.int64 and loaded.kept_indices.tolist() == [2**32 - 1, 0, 2**32 - 2]
 
     def test_save_holds_a_few_copies_of_the_block(self, tmp_path):
-        # build-lt --synth-classes 1000 --rho 10: 391,012 kept indices, a 6.27 MB file
+        # build-lt --synth-classes 1000 --rho 10: 391,012 kept indices, a 3.13 MB file
         profile = ImbalanceProfile("exponential", 10.0, 1000)
         counts = profile.class_counts(1000)
         index = ClassIndex.from_counts((1000,) * 1000)
         manifest = subsample_longtail(index, counts, 0, profile=profile)
         assert manifest.kept_indices.size == 391_012
         _, peak = traced_peak(manifest.save, tmp_path / "manifest.json")
-        block_bytes = 16 * manifest.kept_indices.size
+        block_bytes = 8 * manifest.kept_indices.size
         assert peak < 4 * block_bytes
         assert DatasetManifest.load(tmp_path / "manifest.json").to_dict() == manifest.to_dict()
 
