@@ -20,7 +20,6 @@ from .trainer import (
     EvalReport,
     TrainConfig,
     evaluate,
-    forward,
     loss_and_grad,
     standardize,
     train,
@@ -43,7 +42,6 @@ __all__ = [
     "draw_pairs",
     "empirical_occurrence",
     "evaluate",
-    "forward",
     "load_cifar10_binary",
     "longtail_split",
     "loss_and_grad",

@@ -42,7 +42,7 @@ def sample_batch(kind: str, index: ClassIndex, rng: np.random.Generator, batch_s
         classes = rng.integers(0, index.num_classes, size=batch_size)
         within = rng.integers(0, counts[classes])
         out = index.flat[index.offsets[classes] + within]
-    return out.astype(np.int64)
+    return out.astype(np.int64, copy=False)
 
 
 def class_masses(kind: str, counts: list[int]) -> tuple[list[int], int]:

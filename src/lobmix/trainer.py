@@ -36,14 +36,16 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
-def init_params(dim: int, num_classes: int, seed: int) -> list[np.ndarray]:
-    """The model, a weight list ``[w, b]``: logits are ``x @ w + b``.
+def init_params(dim: int, num_classes: int, seed: int) -> np.ndarray:
+    """The model, one ``(num_classes, dim + 1)`` array ``W``: a row of logits is ``W[:, :-1] @ x + W[:, -1]``.
 
-    A Gaussian ``(dim, num_classes)`` weight scaled by 1/sqrt(dim) and a zero
-    bias. The model reads feature rows as given (see :func:`standardize`).
+    ``W[:, :-1]`` is a Gaussian ``(dim, num_classes)`` draw scaled by
+    1/sqrt(dim), transposed, and the last column, the bias, is zero. The
+    model reads feature rows as given (see :func:`standardize`).
     """
-    rng = make_rng(seed, "init")
-    return [rng.standard_normal((dim, num_classes)) / np.sqrt(dim), np.zeros(num_classes)]
+    W = np.zeros((num_classes, dim + 1))
+    W[:, :-1] = (make_rng(seed, "init").standard_normal((dim, num_classes)) / np.sqrt(dim)).T
+    return W
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -105,22 +107,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(params: list[np.ndarray], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Probabilities of rows ``x``, one a column: the softmax of ``w.T @ x.T + b[:, None]``, into ``out`` if given."""
-    w, b = params
-    logits = np.matmul(w.T, x.T, out=out)
-    logits += b[:, None]
+def _forward(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Probabilities of rows ``x``, one a column: softmax of ``W[:, :-1] @ x.T + W[:, -1:]``, into ``out`` if given."""
+    logits = np.matmul(W[:, :-1], x.T, out=out)
+    logits += W[:, -1:]
     return _softmax(logits)
-
-
-def forward(params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector or a batch of rows, scaled like the rows the model trained on."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input features")
-    single = x.ndim == 1
-    probs = _forward(params, np.atleast_2d(x)).T
-    return probs[0] if single else probs
 
 
 def _target_plan(
@@ -142,19 +133,14 @@ def _target_plan(
     return pos, weights
 
 
-def _step_buffers(params: list[np.ndarray], batch_size: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A step's work buffers: ``(C, batch_size)`` logits and gradients ``[dw, db]`` shaped like ``[w, b]``.
-
-    ``dw`` is the ``.T`` view of a contiguous ``(C, dim)`` array, the layout
-    :func:`_grad_step` writes its product in.
-    """
-    w, b = params
-    return np.empty((b.shape[0], batch_size)), [np.empty(w.shape[::-1]).T, np.empty_like(b)]
+def _step_buffers(W: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A step's work buffers: ``(C, batch_size)`` logits and a gradient shaped like ``W``."""
+    return np.empty((W.shape[0], batch_size)), np.empty_like(W)
 
 
 def _grad_step(
-    params: list[np.ndarray], x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray,
-    logits: np.ndarray, grads: list[np.ndarray],
+    W: np.ndarray, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray,
+    logits: np.ndarray, grad: np.ndarray,
 ) -> None:
     """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
 
@@ -163,20 +149,20 @@ def _grad_step(
     built. The probabilities at ``pos`` are first copied into ``taken``, from
     which :func:`_batch_losses` computes the loss. The logits, then the
     probabilities, then the logit gradient are written into ``logits``, a
-    ``(num_classes, len(x))`` array held classes by rows. The gradients go
-    into ``grads`` (see :func:`_step_buffers`): ``dlogits @ x`` into the
-    contiguous ``(C, dim)`` array under ``grads[0]``, and
-    ``np.add.reduce(dlogits, axis=1)`` into ``grads[1]``. A step allocates
-    only the softmax's two ``(len(x),)`` reductions and, for each in-place
-    broadcast, numpy's ufunc buffer of at most 8192 values.
+    ``(num_classes, len(x))`` array held classes by rows. The gradient goes
+    into ``grad``, shaped like ``W`` (see :func:`_step_buffers`):
+    ``dlogits @ x`` into ``grad[:, :-1]`` and ``np.add.reduce(dlogits,
+    axis=1)`` into ``grad[:, -1]``. A step allocates only the softmax's two
+    ``(len(x),)`` reductions and, for each in-place broadcast, numpy's ufunc
+    buffer of at most 8192 values.
     """
-    dlogits = _forward(params, x, logits)
+    dlogits = _forward(W, x, logits)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
     dlogits /= x.shape[0]
-    np.matmul(dlogits, x, out=grads[0].T)
-    np.add.reduce(dlogits, axis=1, out=grads[1])
+    np.matmul(dlogits, x, out=grad[:, :-1])
+    np.add.reduce(dlogits, axis=1, out=grad[:, -1])
 
 
 def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -194,20 +180,19 @@ def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(
-    params: list[np.ndarray], x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
-) -> tuple[float, list[np.ndarray]]:
+    W: np.ndarray, x: np.ndarray, c_i: np.ndarray, c_j: np.ndarray, lam: np.ndarray | float
+) -> tuple[float, np.ndarray]:
     """Mean mixed cross entropy and its gradient for targets given as class pairs.
 
     Row r's target carries :func:`pair_weights` on classes c_i and c_j. This
     is :func:`train`'s step on one batch: its target plan, gradient kernel
-    and loss reduction. The gradients are ``[dw, db]``, shaped like
-    ``params``; ``dw`` is the ``.T`` view of a contiguous ``(C, dim)`` array.
+    and loss reduction. The gradient is one array shaped like ``W``.
     """
     pos, weights = _target_plan(c_i, c_j, lam, x.shape[0])
     taken = np.empty(pos.shape)
-    logits, grads = _step_buffers(params, x.shape[0])
-    _grad_step(params, x, pos[0], weights[0], taken[0], logits, grads)
-    return float(_batch_losses(taken, weights)[0]), grads
+    logits, grad = _step_buffers(W, x.shape[0])
+    _grad_step(W, x, pos[0], weights[0], taken[0], logits, grad)
+    return float(_batch_losses(taken, weights)[0]), grad
 
 
 @dataclass(frozen=True)
@@ -272,10 +257,11 @@ class EpochStats:
     report: EvalReport
 
 
-def evaluate(params: list[np.ndarray], test: LabeledDataset, groups: np.ndarray) -> EvalReport:
+def evaluate(W: np.ndarray, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
     """Argmax predictions on the rows of ``test`` scored as per-class recall plus group means.
 
-    A prediction is the argmax of the logits ``x @ w + b``, taken with no
+    A prediction is the argmax of the logits ``x @ W[:, :-1].T + W[:, -1]``
+    (contiguous copies of both, made once a call), taken with no
     softmax one block of ``max(1, BLOCK_BYTES // (8 * C))`` rows at a time;
     it differs from the argmax of the rounded probabilities only where
     rounding ties two classes. ``groups`` holds one GROUP_NAMES index per
@@ -284,7 +270,8 @@ def evaluate(params: list[np.ndarray], test: LabeledDataset, groups: np.ndarray)
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
-    (w, b), n, step = params, len(test.labels), max(1, BLOCK_BYTES // (8 * test.num_classes))
+    w, b = np.ascontiguousarray(W[:, :-1].T), W[:, -1].copy()
+    n, step = len(test.labels), max(1, BLOCK_BYTES // (8 * test.num_classes))
     logits, predicted = np.empty((min(step, n), test.num_classes)), np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
         block = np.matmul(test.features[start : start + step], w, out=logits[: min(step, n - start)])
@@ -320,8 +307,8 @@ def train(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
     cfg: TrainConfig,
-) -> tuple[list[np.ndarray], list[EpochStats]]:
-    """Plain SGD, ``w -= lr * g``, on soft cross entropy with the configured batch source.
+) -> tuple[np.ndarray, list[EpochStats]]:
+    """Plain SGD, ``W -= lr * grad``, on soft cross entropy with the configured batch source.
 
     An epoch's ``batches_per_epoch * batch_size`` rows are drawn at once from
     ``make_rng(cfg.seed, "epoch", epoch)`` whatever the strategy, and batch
@@ -332,14 +319,14 @@ def train(
     batch at least) into one buffer, with a scratch of one row block
     (:func:`~lobmix.mixer.blend`'s ``out``), both made once a run; each batch
     is a row slice of its chunk, the bits of blending it alone. Each step
-    writes its logits and gradients into work buffers made once a run and scales the
-    gradients in place, so it allocates nothing the size of a batch, and the
+    writes its logits and gradient into work buffers made once a run and scales the
+    gradient in place, so it allocates nothing the size of a batch, and the
     batch losses are reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
     The model works on the rows it is given: :func:`standardize` the two
     datasets once beforehand. The test set is evaluated once an epoch, so
-    ``history[-1].report`` scores the returned params.
+    ``history[-1].report`` scores the returned ``W``.
 
     Numpy's overflow warnings are silenced. A non-finite batch loss raises
     :class:`TrainingDiverged` naming the epoch's first such batch, checked
@@ -349,7 +336,7 @@ def train(
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ValueError("train and test sets must share feature dim and class count")
     index = train_ds.class_index()
-    params = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
+    W = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
     groups = default_groups(index.counts)
     history: list[EpochStats] = []
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
@@ -357,7 +344,7 @@ def train(
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
     buffer = np.empty((per_chunk * size, train_ds.dim))
     scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim))  # blend's j rows, one row block
-    logits, grads = _step_buffers(params, size)
+    logits, grad = _step_buffers(W, size)
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         kinds = _epoch_sampler_kinds(cfg, epoch)
@@ -375,19 +362,18 @@ def train(
                 chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=(out, scratch))
             for start in range(0, len(chunk), size):
                 b = first + start // size
-                _grad_step(params, chunk[start : start + size], pos[b], weights[b], taken[b], logits, grads)
-                for w, g in zip(params, grads):
-                    g *= lr
-                    w -= g
+                _grad_step(W, chunk[start : start + size], pos[b], weights[b], taken[b], logits, grad)
+                grad *= lr
+                W -= grad
         losses = _batch_losses(taken, weights)
         finite = np.isfinite(losses)
         if not finite.all():
             b = int(finite.argmin())  # the first non-finite batch
             raise TrainingDiverged(f"non-finite loss {float(losses[b])} at epoch {epoch}, batch {b}")
-        if not all(np.isfinite(w).all() for w in params):
+        if not np.isfinite(W).all():
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
-        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
-    return params, history
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(W, test_ds, groups)))
+    return W, history
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:

@@ -209,9 +209,9 @@ def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
-    """``(params, history)`` of plain SGD, ``w -= lr * g``, run batch by batch through ``loss_and_grad``."""
+    """``(W, history)`` of plain SGD, ``W -= lr * grad``, run batch by batch through ``loss_and_grad``."""
     index = train_ds.class_index()
-    params = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
+    W = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
     groups = default_groups(index.counts)
     history = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
@@ -224,13 +224,12 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
         for b in range(cfg.batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             x = blend(train_ds.features, i[rows], j[rows], lam[rows])  # unmixed rows too: (i, i, ones)
-            loss, grads = loss_and_grad(params, x, c_i[rows], c_j[rows], lam[rows])
+            loss, grad = loss_and_grad(W, x, c_i[rows], c_j[rows], lam[rows])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}, batch {b}")
             losses[b] = loss
-            for w, g in zip(params, grads):
-                w -= lr * g
-        if not all(np.isfinite(w).all() for w in params):
+            W -= lr * grad
+        if not np.isfinite(W).all():
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}")
-        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(params, test_ds, groups)))
-    return params, history
+        history.append(EpochStats(epoch, lr, float(losses.mean()), evaluate(W, test_ds, groups)))
+    return W, history

@@ -21,7 +21,6 @@ from lobmix import (
     blend,
     draw_pairs,
     empirical_occurrence,
-    forward,
     loss_and_grad,
     pair_weights,
     sample_batch,
@@ -32,7 +31,7 @@ from lobmix import (
 )
 from lobmix.cli import main
 from lobmix.seeds import make_rng
-from lobmix.trainer import init_params
+from lobmix.trainer import _forward, init_params
 
 from conftest import dense_targets, selection_probability, soft_cross_entropy, split_datasets
 
@@ -170,10 +169,6 @@ def test_criterion_5_mixer_algebra():
     announce(5, f"mixer algebra over {cases} randomized cases")
 
 
-def _flatten(ws):
-    return np.concatenate([w.ravel() for w in ws])
-
-
 def test_criterion_6_gradient_matches_finite_differences():
     rng = np.random.default_rng(1312)
     step = 1e-5
@@ -186,24 +181,17 @@ def test_criterion_6_gradient_matches_finite_differences():
         i, j, lam = draw_pairs((IB, IB), ds.class_index(), 1.0, batch_rng, batch_size)
         x = blend(ds.features, i, j, lam)
         targets = dense_targets(ds, i, j, lam)
-        params = init_params(dim, num_classes, seed=int(rng.integers(1 << 31)))
+        W = init_params(dim, num_classes, seed=int(rng.integers(1 << 31)))
 
-        analytic = _flatten(loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)[1])
-        shapes = [w.shape for w in params]
-        sizes = [w.size for w in params]
-        flat = _flatten(params)
-        numeric = np.empty_like(flat)
-        for idx in range(flat.size):
+        analytic = loss_and_grad(W, x, ds.labels[i], ds.labels[j], lam)[1]
+        numeric = np.empty_like(W)
+        for idx in np.ndindex(W.shape):
             losses = []
             for sign in (1.0, -1.0):
-                probe = flat.copy()
+                probe = W.copy()
                 probe[idx] += sign * step
-                chunks = np.split(probe, np.cumsum(sizes)[:-1])
-                params = [c.reshape(s) for c, s in zip(chunks, shapes)]
-                loss = float(soft_cross_entropy(forward(params, x), targets).mean())
-                losses.append(loss)
+                losses.append(float(soft_cross_entropy(_forward(probe, x).T, targets).mean()))
             numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
-        params = [c.reshape(s) for c, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-4, f"case {case}: relative error {rel}"

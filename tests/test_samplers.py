@@ -9,6 +9,7 @@ from scipy import stats
 from lobmix import (
     CB,
     IB,
+    ClassIndex,
     analytic_occurrence,
     draw_pairs,
     make_rng,
@@ -134,6 +135,13 @@ class TestSampleBatch:
         a = sample_batch(CB, index, make_rng(31, "x"), 256)
         b = sample_batch(CB, index, make_rng(31, "x"), 256)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [IB, CB])
+    def test_indices_are_int64(self, kind):
+        # an index from labels (argsort) or from counts (arange) holds int64, as rng.integers draws
+        for index in (ClassIndex.from_labels(np.array([1, 0, 1, 1, 0]), 2), ClassIndex.from_counts([2, 3])):
+            batch = sample_batch(kind, index, make_rng(0, "test"), 16)
+            assert batch.dtype == np.int64 and 0 <= batch.min() and batch.max() < 5
 
 
 class TestPairStream:

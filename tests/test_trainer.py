@@ -21,7 +21,6 @@ from lobmix import (
     draw_pairs,
     empirical_occurrence,
     evaluate,
-    forward,
     loss_and_grad,
     make_rng,
     standardize,
@@ -56,7 +55,7 @@ def random_dataset(rng, dim, num_classes):
 
 
 def mixed_batch(ds, batch_size, kinds, rng):
-    """``(x, c_i, c_j, lam)`` of drawn mixed rows, the arguments of ``loss_and_grad`` after ``params``."""
+    """``(x, c_i, c_j, lam)`` of drawn mixed rows, the arguments of ``loss_and_grad`` after ``W``."""
     i, j, lam = draw_pairs(kinds, ds.class_index(), 1.0, make_rng(int(rng.integers(1 << 31)), "test"), batch_size)
     return blend(ds.features, i, j, lam), ds.labels[i], ds.labels[j], lam
 
@@ -65,82 +64,62 @@ def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
     return mixed_batch(random_dataset(rng, dim, num_classes), batch_size, kinds, rng)
 
 
-def dense_loss_and_grad(params, x, targets):
-    """Reference: mean soft cross entropy and its gradient ``[dw, db]`` from (B, C) target rows.
+def dense_loss_and_grad(W, x, targets):
+    """Reference: mean soft cross entropy and its gradient, shaped like ``W``, from (B, C) target rows.
 
     The probabilities and the logit gradient are held classes by rows, (C, B), as the step holds them.
     """
-    probs = _forward(params, x)
+    probs = _forward(W, x)
     dlogits = (probs - targets.T) / x.shape[0]
-    return float(soft_cross_entropy(probs.T, targets).mean()), [(dlogits @ x).T, dlogits.sum(axis=1)]
+    return float(soft_cross_entropy(probs.T, targets).mean()), np.column_stack((dlogits @ x, dlogits.sum(axis=1)))
 
 
-def flatten(weights):
-    return np.concatenate([w.ravel() for w in weights])
-
-
-def numeric_grad(params, batch, step=1e-5):
-    """Central finite differences of the mean loss over a flattened parameter vector."""
-    base = [w.copy() for w in params]
-    flat = flatten(base)
-    out = np.empty_like(flat)
-    shapes = [w.shape for w in base]
-    sizes = [w.size for w in base]
-
-    def unflatten(vec):
-        chunks = np.split(vec, np.cumsum(sizes)[:-1])
-        return [c.reshape(s) for c, s in zip(chunks, shapes)]
-
-    def loss_at(vec):
-        return loss_and_grad(unflatten(vec), *batch)[0]
-
-    for idx in range(flat.size):
-        plus = flat.copy()
+def numeric_grad(W, batch, step=1e-5):
+    """Central finite differences of the mean loss in each entry of ``W``."""
+    out = np.empty_like(W)
+    for idx in np.ndindex(W.shape):
+        plus, minus = W.copy(), W.copy()
         plus[idx] += step
-        minus = flat.copy()
         minus[idx] -= step
-        out[idx] = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
+        out[idx] = (loss_and_grad(plus, *batch)[0] - loss_and_grad(minus, *batch)[0]) / (2.0 * step)
     return out
 
 
 class TestInitParams:
     def test_layout(self):
-        # the model is its weight list [w, b]: a (dim, classes) weight drawn from the "init" stream, then a zero bias
-        params = init_params(6, 4, seed=0)
-        assert isinstance(params, list) and [w.shape for w in params] == [(6, 4), (4,)]
-        assert np.array_equal(params[0], make_rng(0, "init").standard_normal((6, 4)) / np.sqrt(6))
-        assert not params[1].any()
+        # the model is one (classes, dim + 1) array: the "init" stream's (dim, classes) draw transposed, then a zero bias
+        W = init_params(6, 4, seed=0)
+        assert W.shape == (4, 7) and W.dtype == np.float64 and W.flags.c_contiguous
+        draw = make_rng(0, "init").standard_normal((6, 4)) / np.sqrt(6)
+        assert np.ascontiguousarray(W[:, :-1]).tobytes() == np.ascontiguousarray(draw.T).tobytes()
+        assert W[:, -1].tobytes() == np.zeros(4).tobytes()
 
 
 class TestForward:
     def test_zero_params_uniform(self):
-        params = init_params(4, 5, seed=0)
-        params[0][:] = 0.0
-        probs = forward(params, np.array([1.0, -2.0, 3.0, 0.5]))
-        assert np.allclose(probs, 0.2, rtol=0, atol=1e-15)
+        W = init_params(4, 5, seed=0)
+        W[:, :-1] = 0.0
+        probs = _forward(W, np.array([[1.0, -2.0, 3.0, 0.5]])).T
+        assert probs.shape == (1, 5) and np.allclose(probs, 0.2, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
-        params = init_params(3, 4, seed=1)
-        probs = forward(params, np.random.default_rng(0).normal(size=(32, 3)))
+        W = init_params(3, 4, seed=1)
+        probs = _forward(W, np.random.default_rng(0).normal(size=(32, 3))).T
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_dominant_logit(self):
-        params = init_params(2, 3, seed=0)
-        params[0][:] = 0.0
-        params[1][:] = np.array([50.0, 0.0, 0.0])
-        probs = forward(params, np.zeros(2))
-        assert probs[0] > 1.0 - 1e-12
+        W = init_params(2, 3, seed=0)
+        W[:] = 0.0
+        W[:, -1] = [50.0, 0.0, 0.0]
+        probs = _forward(W, np.zeros((1, 2))).T
+        assert probs[0, 0] > 1.0 - 1e-12
 
     def test_shift_invariance(self):
-        params = init_params(2, 3, seed=3)
-        shifted = [params[0].copy(), params[1] + 7.5]
-        x = np.array([0.3, -1.2])
-        assert np.allclose(forward(params, x), forward(shifted, x), rtol=0, atol=1e-12)
-
-    def test_non_finite_input(self):
-        params = init_params(2, 3, seed=0)
-        with pytest.raises(ValueError, match="finite"):
-            forward(params, np.array([np.nan, 1.0]))
+        W = init_params(2, 3, seed=3)
+        shifted = W.copy()
+        shifted[:, -1] += 7.5
+        x = np.array([[0.3, -1.2]])
+        assert np.allclose(_forward(W, x).T, _forward(shifted, x).T, rtol=0, atol=1e-12)
 
 
 def colmax_softmax(logits):
@@ -186,14 +165,13 @@ class TestSoftmax:
 
     def test_forward_into_buffers_is_the_expression(self):
         rng = np.random.default_rng(71)
-        w, b = params = init_params(6, 10, seed=3)
+        W = init_params(6, 10, seed=3)
         x = rng.normal(scale=3.0, size=(20, 6))
-        expect = colmax_softmax(w.T @ x.T + b[:, None])
+        expect = colmax_softmax(W[:, :-1] @ x.T + W[:, -1:])
         out = np.empty((10, 20))
-        probs = _forward(params, x, out)
+        probs = _forward(W, x, out)
         assert probs is out and probs.tobytes() == expect.tobytes()
-        assert _forward(params, x).tobytes() == expect.tobytes()
-        assert np.array_equal(forward(params, x), expect.T)
+        assert _forward(W, x).tobytes() == expect.tobytes()
 
     def test_train_and_evaluate_unchanged(self, monkeypatch):
         import lobmix.trainer
@@ -203,14 +181,13 @@ class TestSoftmax:
         cfg = TrainConfig(
             epochs=3, batches_per_epoch=5, batch_size=16, lr=0.3, strategy="lob", seed=29
         )
-        params, history = train(train_ds, test_ds, cfg)
-        report = evaluate(params, test_ds, groups)
+        W, history = train(train_ds, test_ds, cfg)
+        report = evaluate(W, test_ds, groups)
         monkeypatch.setattr(lobmix.trainer, "_softmax", colmax_softmax)
-        ref_params, ref_history = train(train_ds, test_ds, cfg)
+        ref_W, ref_history = train(train_ds, test_ds, cfg)
         assert history == ref_history
-        assert evaluate(params, test_ds, groups) == report == ref_history[-1].report
-        for w, ref in zip(params, ref_params, strict=True):
-            assert np.array_equal(w, ref)
+        assert evaluate(W, test_ds, groups) == report == ref_history[-1].report
+        assert np.array_equal(W, ref_W)
 
 
 class TestSoftCrossEntropy:
@@ -260,9 +237,9 @@ class TestGrad:
         rng = np.random.default_rng(42)
         for _ in range(10):
             batch = random_mixed_batch(rng, dim=4, num_classes=3, batch_size=6)
-            params = init_params(4, 3, seed=int(rng.integers(1 << 31)))
-            analytic = flatten(loss_and_grad(params, *batch)[1])
-            numeric = numeric_grad(params, batch)
+            W = init_params(4, 3, seed=int(rng.integers(1 << 31)))
+            analytic = loss_and_grad(W, *batch)[1]
+            numeric = numeric_grad(W, batch)
             denom = max(np.linalg.norm(numeric), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom <= 1e-4
 
@@ -270,9 +247,8 @@ class TestGrad:
         rng = np.random.default_rng(7)
         batch = random_mixed_batch(rng, dim=3, num_classes=4, batch_size=8)
         doubled = [np.concatenate([column, column]) for column in batch]
-        params = init_params(3, 4, seed=11)
-        for g1, g2 in zip(loss_and_grad(params, *batch)[1], loss_and_grad(params, *doubled)[1]):
-            assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
+        W = init_params(3, 4, seed=11)
+        assert np.allclose(loss_and_grad(W, *batch)[1], loss_and_grad(W, *doubled)[1], rtol=1e-12, atol=1e-15)
 
     def test_gradient_small_after_convergence(self):
         base = synth_gaussian_mixture(2, (200, 200), 3, 10.0, seed=4)
@@ -282,9 +258,9 @@ class TestGrad:
             epochs=120, batches_per_epoch=10, batch_size=64, lr=1.0,
             lr_decay_epochs=(), strategy="erm", seed=0,
         )
-        params, _ = train(train_ds, test_ds, cfg)
-        _, grads = loss_and_grad(params, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
-        assert np.linalg.norm(flatten(grads)) <= 1e-3
+        W, _ = train(train_ds, test_ds, cfg)
+        _, grad = loss_and_grad(W, train_ds.features, train_ds.labels, train_ds.labels, 1.0)
+        assert np.linalg.norm(grad) <= 1e-3
 
 
 class TestTwoHotLoss:
@@ -296,25 +272,23 @@ class TestTwoHotLoss:
             seed = int(rng.integers(1 << 31))
             i, j, lam = draw_pairs(kinds, ds.class_index(), 1.0, make_rng(seed, "test"), 64)
             x = blend(ds.features, i, j, lam)
-            params = init_params(5, 4, seed=int(rng.integers(1 << 31)))
+            W = init_params(5, 4, seed=int(rng.integers(1 << 31)))
             targets = dense_targets(ds, i, j, lam)
-            loss, grads = loss_and_grad(params, x, ds.labels[i], ds.labels[j], lam)
-            ref_loss, ref_grads = dense_loss_and_grad(params, x, targets)
+            loss, grad = loss_and_grad(W, x, ds.labels[i], ds.labels[j], lam)
+            ref_loss, ref_grad = dense_loss_and_grad(W, x, targets)
             assert np.array_equal(loss, ref_loss)
-            assert np.array_equal(loss, soft_cross_entropy(forward(params, x), targets).mean())
-            for g, ref in zip(grads, ref_grads):
-                assert np.array_equal(g, ref)
+            assert np.array_equal(loss, soft_cross_entropy(_forward(W, x).T, targets).mean())
+            assert grad.shape == W.shape and np.array_equal(grad, ref_grad)
 
     def test_unmixed_rows_equal_one_hot(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, dim=3, num_classes=5)
-        params = init_params(3, 5, seed=4)
+        W = init_params(3, 5, seed=4)
         one_hot = np.eye(5)[ds.labels]
-        loss, grads = loss_and_grad(params, ds.features, ds.labels, ds.labels, 1.0)
-        ref_loss, ref_grads = dense_loss_and_grad(params, ds.features, one_hot)
+        loss, grad = loss_and_grad(W, ds.features, ds.labels, ds.labels, 1.0)
+        ref_loss, ref_grad = dense_loss_and_grad(W, ds.features, one_hot)
         assert loss == ref_loss
-        for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
+        assert np.array_equal(grad, ref_grad)
 
 
 def labeled(features):
@@ -444,10 +418,8 @@ class TestTrain:
     def test_zero_lr_keeps_params(self):
         train_ds, test_ds, _ = quick_split()
         cfg = TrainConfig(epochs=4, batches_per_epoch=5, batch_size=16, lr=0.0, seed=3)
-        params, history = train(train_ds, test_ds, cfg)
-        fresh = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
-        for w, w0 in zip(params, fresh, strict=True):
-            assert np.array_equal(w, w0)
+        W, history = train(train_ds, test_ds, cfg)
+        assert np.array_equal(W, init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed))
         accs = [row.report.balanced_accuracy for row in history]
         assert len(set(accs)) == 1
 
@@ -476,9 +448,9 @@ class TestTrain:
         seen = []
         kernel = lobmix.trainer._grad_step
 
-        def recording(params, x, pos, weights, taken, logits, grads):
+        def recording(W, x, pos, weights, taken, logits, grad):
             seen.append((x.copy(), pos.copy(), weights.copy()))
-            kernel(params, x, pos, weights, taken, logits, grads)
+            kernel(W, x, pos, weights, taken, logits, grad)
 
         monkeypatch.setattr(lobmix.trainer, "_grad_step", recording)
         train_ds, test_ds, _ = quick_split()
@@ -513,11 +485,10 @@ class TestTrain:
             epochs=4, batches_per_epoch=5, batch_size=16, lr=0.3, lr_decay_epochs=(2,), alpha=0.5,
             strategy=strategy, seed=23,
         )
-        params, history = train(train_ds, test_ds, cfg)
-        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        W, history = train(train_ds, test_ds, cfg)
+        ref_W, ref_history = reference_train(train_ds, test_ds, cfg)
         assert history == ref_history
-        for w, ref in zip(params, ref_params, strict=True):
-            assert np.array_equal(w, ref)
+        assert np.array_equal(W, ref_W)
 
     @pytest.mark.parametrize("size, dim, classes", [(128, 256, 10), (128, 3072, 10)])
     def test_step_allocates_no_batch(self, size, dim, classes):
@@ -525,16 +496,34 @@ class TestTrain:
         # numpy's ufunc buffer (at most 64 KiB) for each in-place broadcast:
         # the bias column, then the row of maxima and the row of sums
         rng = np.random.default_rng(67)
-        params = init_params(dim, classes, seed=1)
+        W = init_params(dim, classes, seed=1)
         x = rng.normal(size=(size, dim))
         c_i, c_j = rng.integers(0, classes, size=(2, size))
         lam = rng.uniform(size=size)
         pos, weights = _target_plan(c_i, c_j, lam, size)
-        taken, (logits, grads) = np.empty(pos.shape), _step_buffers(params, size)
-        _, peak = traced_peak(_grad_step, params, x, pos[0], weights[0], taken[0], logits, grads)
-        assert peak < min(x.nbytes, sum(g.nbytes for g in grads))
-        for g, ref in zip(grads, loss_and_grad(params, x, c_i, c_j, lam)[1], strict=True):
-            assert np.array_equal(g, ref)
+        taken, (logits, grad) = np.empty(pos.shape), _step_buffers(W, size)
+        _, peak = traced_peak(_grad_step, W, x, pos[0], weights[0], taken[0], logits, grad)
+        assert peak < min(x.nbytes, grad.nbytes)
+        assert np.array_equal(grad, loss_and_grad(W, x, c_i, c_j, lam)[1])
+
+    @pytest.mark.parametrize("size, dim, classes", [(128, 10, 10), (128, 256, 10), (128, 3072, 10)])
+    def test_update_allocates_nothing(self, size, dim, classes):
+        # train's update, grad *= lr; W -= grad: the gradient is laid out like W, so
+        # both passes run contiguous, with no temporary and no ufunc buffer
+        rng = np.random.default_rng(73)
+        W = init_params(dim, classes, seed=2)
+        x = rng.normal(size=(size, dim))
+        c_i, c_j = rng.integers(0, classes, size=(2, size))
+        _, grad = loss_and_grad(W, x, c_i, c_j, rng.uniform(size=size))
+        expect = W - grad * 0.3
+
+        def update(W, grad, lr):
+            grad *= lr
+            W -= grad
+
+        _, peak = traced_peak(update, W, grad, 0.3)
+        assert peak < 1024
+        assert W.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("dim", [10, 3072])
     def test_one_blend_per_chunk_of_batches(self, monkeypatch, dim):
@@ -552,15 +541,14 @@ class TestTrain:
         standardize(train_ds, test_ds)
         size, bpe = 128, (40 if dim == 10 else 3)
         cfg = TrainConfig(epochs=2, batches_per_epoch=bpe, batch_size=size, lr=0.1, strategy="lob", seed=31)
-        params, history = train(train_ds, test_ds, cfg)
+        W, history = train(train_ds, test_ds, cfg)
         per_chunk = max(1, BLOCK_BYTES // (size * dim * 8))
         assert per_chunk == (25 if dim == 10 else 1)
         chunks = [min(per_chunk, bpe - first) * size for first in range(0, bpe, per_chunk)]
         assert calls == chunks * cfg.epochs
-        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        ref_W, ref_history = reference_train(train_ds, test_ds, cfg)
         assert history == ref_history
-        for w, ref in zip(params, ref_params, strict=True):
-            assert np.array_equal(w, ref)
+        assert np.array_equal(W, ref_W)
 
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
@@ -601,7 +589,7 @@ class TestTrain:
                 epochs=2, batches_per_epoch=4, batch_size=16, lr=0.2,
                 lr_decay_epochs=(1,), strategy=strategy, seed=2,
             )
-            params, history = train(train_ds, test_ds, cfg)
+            _, history = train(train_ds, test_ds, cfg)
             assert len(history) == 2
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
@@ -620,9 +608,9 @@ class TestTrain:
             epochs=3, batches_per_epoch=4, batch_size=16, lr=0.2,
             lr_decay_epochs=(1,), strategy=strategy, seed=4,
         )
-        params, history = train(train_ds, test_ds, cfg)
+        W, history = train(train_ds, test_ds, cfg)
         assert len(calls) == cfg.epochs
-        assert history[-1].report == evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
+        assert history[-1].report == evaluate(W, test_ds, default_groups(train_ds.class_index().counts))
 
     # deferred needs a switch epoch strictly inside the run, so it has no 1-epoch run
     @pytest.mark.parametrize(
@@ -635,8 +623,8 @@ class TestTrain:
             epochs=epochs, batches_per_epoch=4, batch_size=16, lr=0.2,
             lr_decay_epochs=(1,) if epochs > 1 else (), strategy=strategy, seed=5,
         )
-        params, history = train(train_ds, test_ds, cfg)
-        assert history[-1].report == evaluate(params, test_ds, default_groups(train_ds.class_index().counts))
+        W, history = train(train_ds, test_ds, cfg)
+        assert history[-1].report == evaluate(W, test_ds, default_groups(train_ds.class_index().counts))
 
     def test_divergence_in_last_step_aborts(self):
         # the loss is taken before each step, so only the weight check sees the last step overflow;
@@ -732,10 +720,10 @@ class TestEvaluate:
         return LabeledDataset(features, labels, 3)
 
     def _identity_params(self):
-        params = init_params(3, 3, seed=0)
-        params[0][:] = np.eye(3)
-        params[1][:] = 0.0
-        return params
+        W = init_params(3, 3, seed=0)
+        W[:, :-1] = np.eye(3)
+        W[:, -1] = 0.0
+        return W
 
     def test_perfect_predictor(self):
         test = self._three_class_test_set()
@@ -748,26 +736,26 @@ class TestEvaluate:
 
     def test_constant_predictor(self):
         test = self._three_class_test_set()
-        params = init_params(3, 3, seed=0)
-        params[0][:] = 0.0
-        params[1][:] = np.array([10.0, 0.0, 0.0])
-        report = evaluate(params, test, np.array([0, 1, 2]))
+        W = init_params(3, 3, seed=0)
+        W[:] = 0.0
+        W[:, -1] = [10.0, 0.0, 0.0]
+        report = evaluate(W, test, np.array([0, 1, 2]))
         assert report.balanced_accuracy == pytest.approx(1.0 / 3.0)
 
     def test_balanced_accuracy_is_mean_recall(self):
         test = self._three_class_test_set()
-        params = init_params(3, 3, seed=4)
-        report = evaluate(params, test, default_groups([10, 10, 10]))
+        W = init_params(3, 3, seed=4)
+        report = evaluate(W, test, default_groups([10, 10, 10]))
         assert report.balanced_accuracy == pytest.approx(np.mean(report.per_class_recall))
 
     def test_recalls_equal_per_class_loop(self):
         rng = np.random.default_rng(23)
         labels = rng.permutation(np.repeat(np.arange(7), [1, 3, 7, 12, 29, 50, 97]))
         test = LabeledDataset(rng.normal(size=(labels.size, 4)), labels, 7)
-        params = init_params(4, 7, seed=6)
-        predicted = forward(params, test.features).argmax(axis=1)
+        W = init_params(4, 7, seed=6)
+        predicted = _forward(W, test.features).T.argmax(axis=1)
         loop = [float(np.mean(predicted[labels == k] == k)) for k in range(7)]
-        assert np.array_equal(evaluate(params, test, default_groups([1] * 7)).per_class_recall, loop)
+        assert np.array_equal(evaluate(W, test, default_groups([1] * 7)).per_class_recall, loop)
 
     def test_missing_class_rejected(self):
         labels = np.zeros(5, dtype=np.int64)
@@ -786,8 +774,8 @@ class TestEvaluate:
         # C=10: a block of 3,276 rows and a partial one; C=1000: 31 blocks of 32 rows and a partial one
         rng = np.random.default_rng(classes)
         x = rng.normal(scale=2.0, size=(rows, dim))
-        params = init_params(dim, classes, seed=classes)
-        probs = forward(params, x)
+        W = init_params(dim, classes, seed=classes)
+        probs = _forward(W, x).T
         top = np.sort(probs, axis=1)[:, -2:]
         assert (top[:, 1] > top[:, 0]).all()  # no ties
         predicted = probs.argmax(axis=1)
@@ -803,7 +791,7 @@ class TestEvaluate:
         groups = default_groups(np.bincount(labels))
         hits = predicted == labels
         loop = [float(np.mean(hits[labels == k])) for k in range(classes)]
-        report = evaluate(params, test, groups)
+        report = evaluate(W, test, groups)
         assert np.array_equal(report.per_class_recall, loop)
         assert report.overall_accuracy == float(np.mean(hits))
 
@@ -813,24 +801,24 @@ class TestEvaluate:
         rng = np.random.default_rng(29)
         labels = rng.permutation(np.arange(200) % 7)
         test = LabeledDataset(rng.normal(size=(200, 4)), labels, 7)
-        params, groups = init_params(4, 7, seed=2), default_groups([1] * 7)
-        report = evaluate(params, test, groups)
+        W, groups = init_params(4, 7, seed=2), default_groups([1] * 7)
+        report = evaluate(W, test, groups)
 
         def refuse(logits):
             raise AssertionError("evaluate took a softmax")
 
         monkeypatch.setattr(lobmix.trainer, "_softmax", refuse)
-        assert evaluate(params, test, groups) == report
+        assert evaluate(W, test, groups) == report
 
     def test_evaluate_allocates_one_block(self):
         # 20,000 x 64 -> 1000: the full logits would take 160 MB; one 32-row block takes 256 KB
         rng = np.random.default_rng(31)
         rows, dim, classes = 20_000, 64, 1000
         test = LabeledDataset(rng.normal(size=(rows, dim)), np.arange(rows) % classes, classes)
-        params, groups = init_params(dim, classes, seed=5), default_groups([rows // classes] * classes)
-        report, peak = traced_peak(evaluate, params, test, groups)
+        W, groups = init_params(dim, classes, seed=5), default_groups([rows // classes] * classes)
+        report, peak = traced_peak(evaluate, W, test, groups)
         assert peak < 2 * 2**20
-        predicted = forward(params, test.features).argmax(axis=1)
+        predicted = _forward(W, test.features).T.argmax(axis=1)
         assert report.overall_accuracy == float(np.mean(predicted == test.labels))
 
 
