@@ -198,9 +198,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.from_dict(d)
     del d
     counts = manifest.counts
-    combo_names = list(COMBOS) if args.combo == "all" else [args.combo]
     # every combo is measured before the output directory exists
-    summary_rows = measure_combos(counts, combo_names, args.alpha, args.seed, args.samples)
+    summary_rows = measure_combos(counts, args.alpha, args.seed, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, analytic, empirical in summary_rows:
@@ -219,7 +218,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     resolved = {
         "command": "analyze",
         "manifest_sha256": manifest_sha256,
-        "combos": combo_names,
+        "combos": list(COMBOS),
         "samples": args.samples,
         "alpha": args.alpha,
         "seed": args.seed,
@@ -269,6 +268,8 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
     runs, seen = [], set()
     for d in run_dirs:
         path = Path(d)
+        if not path.is_dir():  # a mistyped path is no run to skip
+            raise ValueError(f"no run directory at {path}")
         if path.resolve() in seen:
             raise ValueError(f"run directory {path} is named twice")
         seen.add(path.resolve())
@@ -364,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="label-occurrence reports per sampler combo")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--combo", choices=[*COMBOS, "all"], default="all")
     p.add_argument("--samples", type=int, default=100_000, help="mixed examples per combo; 0 = analytic only")
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     p.add_argument("--seed", type=int, default=0)

@@ -23,7 +23,7 @@ from .samplers import CB, IB, class_masses, kind_pair
 from .seeds import MAX_SEED, make_rng
 
 
-# The sampler kinds feeding the mixer, by the combo names the CLI accepts.
+# The sampler kinds feeding the mixer, by combo name; `analyze` measures each, in this order.
 COMBOS = {f"{a}-{b}": (a, b) for a, b in ((IB, IB), (IB, CB), (CB, CB))}
 
 
@@ -130,14 +130,15 @@ def default_groups(counts) -> np.ndarray:
     return groups
 
 
-def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, seed: int, samples: int) -> list[tuple]:
-    """``(name, analytic, empirical)`` for each named combo on ``counts[k]`` examples of class k, in class order.
+def measure_combos(counts: Sequence[int], alpha: float, seed: int, samples: int) -> list[tuple]:
+    """``(name, analytic, empirical)`` for each combo, in :data:`COMBOS` order, on ``counts[k]`` examples of class k.
 
-    ``empirical`` is None when ``samples`` is 0. Otherwise it tallies
-    ``samples`` rows drawn from ``make_rng(seed, "analyze:" + name)``, with
-    head incidence over the mask ``default_groups(counts) == 0``. ``alpha``
-    and ``seed`` are checked even when nothing is drawn; a bad setting is
-    named by its ``lobmix analyze`` flag.
+    The examples are in class order. ``empirical`` is None when ``samples``
+    is 0. Otherwise it tallies ``samples`` rows drawn from ``make_rng(seed,
+    "analyze:" + name)``, with head incidence over the mask
+    ``default_groups(counts) == 0``. ``alpha`` and ``seed`` are checked even
+    when nothing is drawn; a bad setting is named by its ``lobmix analyze``
+    flag.
     """
     if not alpha > 0:
         raise ValueError(f"--alpha must be positive, got {alpha}")
@@ -151,10 +152,10 @@ def measure_combos(counts: Sequence[int], combos: Sequence[str], alpha: float, s
     labels = np.repeat(np.arange(len(counts)), counts)
     head = default_groups(counts) == 0
     results = []
-    for name in combos:
-        analytic, empirical = analytic_occurrence(COMBOS[name], index), None
+    for name, kinds in COMBOS.items():
+        analytic, empirical = analytic_occurrence(kinds, index), None
         if samples > 0:
-            i, j, lam = draw_pairs(COMBOS[name], index, alpha, make_rng(seed, "analyze:" + name), samples)
+            i, j, lam = draw_pairs(kinds, index, alpha, make_rng(seed, "analyze:" + name), samples)
             empirical = empirical_occurrence(labels[i], labels[j], lam, len(counts), head=head)
             del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
         results.append((name, analytic, empirical))

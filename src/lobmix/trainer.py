@@ -22,8 +22,8 @@ from .seeds import make_rng
 GROUP_NAMES = ("head", "medium", "tail")
 
 
-# Each strategy's phases: the sampler kinds (:func:`draw_pairs`; one kind is
-# unmixed) of its rows before the switch epoch and, for a second phase, from it on.
+# Each strategy's phases: the sampler kinds (:func:`draw_pairs`; one kind is unmixed)
+# of its rows before the first decay epoch and, for a second phase, from it on.
 STRATEGIES: dict[str, tuple[tuple[str, ...], ...]] = {
     "erm": ((IB,),),
     "mixup": ((IB, IB),),
@@ -212,7 +212,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {', '.join(STRATEGIES)}")
-        object.__setattr__(self, "lr_decay_epochs", tuple(int(e) for e in self.lr_decay_epochs))
+        sizes = {"epochs": self.epochs, "batches_per_epoch": self.batches_per_epoch, "batch_size": self.batch_size}
+        for name, value in (*sizes.items(), *(("decay epoch", e) for e in self.lr_decay_epochs)):  # int() truncates
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "lr_decay_epochs", tuple(map(int, self.lr_decay_epochs)))
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
         if not 0 <= self.lr < np.inf:  # written so that NaN fails too
@@ -227,16 +231,21 @@ class TrainConfig:
         if not 0 <= self.lr_decay_factor < np.inf:  # NaN fails too
             kind = "non-negative" if self.lr_decay_factor < 0 else "finite"
             raise ValueError(f"lr_decay_factor must be {kind}, got {self.lr_decay_factor}")
-        if len(STRATEGIES[self.strategy]) > 1 and not 0 < (self.switch_epoch or 0) < self.epochs:
+        if len(STRATEGIES[self.strategy]) > 1 and not (self.lr_decay_epochs and self.lr_decay_epochs[0] < self.epochs):
             raise ValueError(
                 f"{self.strategy} strategy needs a first lr decay epoch strictly inside (0, epochs={self.epochs}), "
                 f"got {self.lr_decay_epochs}"
             )
 
-    @property
-    def switch_epoch(self) -> int | None:
-        """Epoch at which a two-phase strategy (``deferred``) switches to its second phase: the first lr decay epoch."""
-        return self.lr_decay_epochs[0] if self.lr_decay_epochs else None
+    def schedule(self, epoch: int) -> tuple[float, tuple[str, ...]]:
+        """Learning rate and sampler kinds of ``epoch``, both set by the number ``d`` of decay epochs it has reached.
+
+        The rate is ``lr * lr_decay_factor**d`` and the kinds are the strategy's phase ``min(d, phases - 1)``
+        in :data:`STRATEGIES`: ``deferred`` switches at the first decay epoch (Cao et al., arXiv:1906.07413).
+        """
+        d = sum(1 for e in self.lr_decay_epochs if epoch >= e)
+        phases = STRATEGIES[self.strategy]
+        return self.lr * self.lr_decay_factor**d, phases[min(d, len(phases) - 1)]
 
 
 @dataclass(frozen=True)
@@ -291,17 +300,6 @@ def evaluate(W: np.ndarray, test: LabeledDataset, groups: np.ndarray) -> EvalRep
     )
 
 
-def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
-    decayed = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
-    return cfg.lr * cfg.lr_decay_factor**decayed
-
-
-def _epoch_sampler_kinds(cfg: TrainConfig, epoch: int) -> tuple[str, ...]:
-    """Sampler kinds of this epoch's rows: the strategy's phase in :data:`STRATEGIES`."""
-    phases = STRATEGIES[cfg.strategy]
-    return phases[1] if len(phases) > 1 and epoch >= cfg.switch_epoch else phases[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     train_ds: LabeledDataset,
@@ -323,7 +321,7 @@ def train(
     gradient in place, so it allocates nothing the size of a batch, and the
     batch losses are reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
-    batch sources first differ (the deferred/vanilla equivalence before the switch epoch).
+    batch sources first differ (the deferred/vanilla equivalence before the first decay epoch).
     The model works on the rows it is given: :func:`standardize` the two
     datasets once beforehand. The test set is evaluated once an epoch, so
     ``history[-1].report`` scores the returned ``W``.
@@ -346,8 +344,7 @@ def train(
     scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim))  # blend's j rows, one row block
     logits, grad = _step_buffers(W, size)
     for epoch in range(cfg.epochs):
-        lr = _epoch_lr(cfg, epoch)
-        kinds = _epoch_sampler_kinds(cfg, epoch)
+        lr, kinds = cfg.schedule(epoch)
         i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(cfg.seed, "epoch", epoch), rows_per_epoch)
         # labels[i] and labels[j] raise on an index beyond the rows before any
         # batch is gathered, so the gathers below may clip (the samplers draw

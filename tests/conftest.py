@@ -20,7 +20,6 @@ from lobmix import (
 from lobmix.trainer import (
     EpochStats,
     TrainingDiverged,
-    _epoch_lr,
     default_groups,
     init_params,
 )
@@ -216,8 +215,8 @@ def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
     history = []
     rows_per_epoch = cfg.batches_per_epoch * cfg.batch_size
     for epoch in range(cfg.epochs):
-        lr = _epoch_lr(cfg, epoch)
-        kinds = expected_kinds(cfg.strategy, epoch, cfg.switch_epoch)
+        lr = cfg.lr * cfg.lr_decay_factor ** sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
+        kinds = expected_kinds(cfg.strategy, epoch, cfg.lr_decay_epochs[0] if cfg.lr_decay_epochs else None)
         i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(cfg.seed, "epoch", epoch), rows_per_epoch)
         c_i, c_j = train_ds.labels[i], train_ds.labels[j]
         losses = np.empty(cfg.batches_per_epoch)

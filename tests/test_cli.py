@@ -150,6 +150,20 @@ class TestBuildLt:
         assert_one_error(capsys, message)
         assert not out.exists()
 
+    def test_no_base_rejected(self, tmp_path, capsys):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: provide --base file(s) or a --synth-classes spec\n"
+        assert not out.exists()
+
+    def test_base_missing_a_class_rejected(self, tmp_path, capsys):
+        labels = np.repeat(np.arange(9), 4)  # no example of class 9
+        path, out = tmp_path / "nine.bin", tmp_path / "lt"
+        write_cifar10_binary(LabeledDataset(np.zeros((labels.size, 3072)), labels, 10), path)
+        assert main(["build-lt", "--base", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: base dataset is missing examples for some class\n"
+        assert not out.exists()
+
     def test_base_and_synth_classes_rejected(self, tmp_path, cifar_file, capsys):
         out = tmp_path / "lt"
         assert main(["build-lt", "--base", str(cifar_file), "--synth-classes", "4", "--out", str(out)]) == 2
@@ -612,7 +626,7 @@ class TestAnalyze:
         assert main(["build-lt", "--synth-classes", "1000", "--rho", "10", "--out", str(lt)]) == 0
         path = lt / "manifest.json"
         assert DatasetManifest.load(path).kept_indices.size == 391_012
-        argv = ["analyze", "--manifest", str(path), "--samples", "0", "--combo", "ib-ib", "--out", str(tmp_path / "o")]
+        argv = ["analyze", "--manifest", str(path), "--samples", "0", "--out", str(tmp_path / "o")]
         code, peak = traced_peak(main, argv)
         assert code == 0
         assert peak < 3.5 * path.stat().st_size
@@ -693,18 +707,9 @@ class TestAnalyze:
         monkeypatch.setattr("lobmix.occurrence.draw_pairs", draw_pairs)
         out = tmp_path / "occ"
         capsys.readouterr()
-        assert main(["analyze", "--manifest", str(manifest_path), "--combo", "ib-ib", "--out", str(out)]) == 2
+        assert main(["analyze", "--manifest", str(manifest_path), "--out", str(out)]) == 2
         assert_one_error(capsys, "Unable to allocate 745. GiB")
         assert not out.exists()
-
-    def test_single_combo(self, tmp_path, manifest_path):
-        out = tmp_path / "occ1"
-        assert main([
-            "analyze", "--manifest", str(manifest_path), "--combo", "cb-cb",
-            "--samples", "1000", "--out", str(out),
-        ]) == 0
-        assert (out / "occurrence_cb_cb.csv").exists()
-        assert not (out / "occurrence_ib_ib.csv").exists()
 
 
 class TestTrainCommand:
@@ -1159,6 +1164,20 @@ class TestReport:
         with out_csv.open() as fh:
             row = next(csv.DictReader(fh))
         assert row["runs"] == "1"
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_path_that_is_no_directory_rejected(self, tmp_path, capsys, kind):
+        # a mistyped run path is an error, not an incomplete run to skip
+        (run,) = self._run_many(tmp_path, seeds=(0,), strategies=("erm",))
+        typo = tmp_path / "mixpu"
+        if kind == "file":
+            typo.write_text("")
+        out_csv = tmp_path / "aggregate.csv"
+        capsys.readouterr()
+        assert main(["report", str(run), str(typo), "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: no run directory at {typo}\n"
+        assert not out_csv.exists()
 
     def test_run_named_twice_rejected(self, tmp_path, capsys, monkeypatch):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("mixup",))

@@ -258,6 +258,18 @@ class TestManifestLayout:
             DatasetManifest("test", None, 0, [1, 2], [[3], indices])
         assert str(excinfo.value) == f"kept indices must be integers, got {dtype} in class 1"
 
+    @pytest.mark.parametrize(
+        "kept,message",
+        [
+            ([[0, 1]], "one kept-index list per class required"),
+            ([[0], [1]], "kept-index list length must match the class count"),
+        ],
+    )
+    def test_kept_lists_must_match_the_counts(self, kept, message):
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest("test", None, 0, [2, 1], kept)
+        assert str(excinfo.value) == message
+
     def test_integer_sequences_and_empty_classes_accepted(self):
         kept = ([4, 1], np.array([7], dtype=np.uint16), np.array([]), (), np.array([2, 0], dtype=np.int32), (5,))
         manifest = DatasetManifest("test", None, 0, [2, 1, 0, 0, 2, 1], kept)
@@ -328,6 +340,11 @@ class TestLongtailSplit:
         with pytest.raises(ValueError, match="^counts cover 2 classes but dataset has 4$"):
             longtail_split(base.class_index(), (30, 10), 5, seed=0)
 
+    def test_empty_test_set_rejected(self):
+        base = _balanced_base(50, num_classes=2)
+        with pytest.raises(ValueError, match="^test_per_class must be >= 1$"):
+            longtail_split(base.class_index(), (30, 10), 0, seed=0)
+
 
 class TestSynthGaussianMixture:
     def test_sizes(self):
@@ -358,6 +375,10 @@ class TestSynthGaussianMixture:
             synth_gaussian_mixture(2, (5, 5), 2, float("nan"), seed=0)
         with pytest.raises(ValueError):
             synth_gaussian_mixture(3, (5, 5), 2, 3.0, seed=0)
+
+    def test_one_class_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 classes, got 1$"):
+            synth_gaussian_mixture(1, (5,), 2, 3.0, seed=0)
 
     @pytest.mark.parametrize("size", [0, -2])
     def test_class_without_examples_rejected(self, size):
@@ -504,6 +525,23 @@ class TestCifar10Binary:
         path = tmp_path / "bad.bin"
         with pytest.raises(ValueError, match=f"label {label} out of range 0-9"):
             write_cifar10_binary(ds, path)
+        assert not path.exists()
+
+
+    def test_writer_rejects_other_widths(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match="^expected 3072 features per row, got 3071$"):
+            write_cifar10_binary(LabeledDataset(np.zeros((2, 3071)), np.array([0, 1]), 10), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1.01, -0.01])
+    def test_writer_rejects_features_outside_unit_range(self, tmp_path, value):
+        # each rounds to a pixel outside 0-255 (257.55 and -2.55), which a byte would wrap
+        features = np.zeros((2, 3072))
+        features[1, -1] = value
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match=r"^features must lie in \[0, 1\]$"):
+            write_cifar10_binary(LabeledDataset(features, np.array([0, 1]), 10), path)
         assert not path.exists()
 
 

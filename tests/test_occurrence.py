@@ -18,7 +18,6 @@ from lobmix import (
     make_rng,
 )
 from lobmix import occurrence
-from lobmix.cli import build_parser
 from lobmix.occurrence import measure_combos, write_occurrence_csv
 from lobmix.trainer import default_groups
 
@@ -49,6 +48,12 @@ class TestAnalytic:
         assert np.array_equal(report.ratios, np.full(10, 0.1))
         assert report.balance_ratio == 1.0
         assert report.sample_count == 0
+
+    @pytest.mark.parametrize("kinds", [(IB, IB), (CB,), (IB, CB)])
+    def test_empty_class_rejected(self, kinds):
+        index = ClassIndex.from_labels(np.array([0, 0, 0, 2, 2]), 3)  # class 1 is empty
+        with pytest.raises(ValueError, match="^analytic occurrence requires every class to be populated$"):
+            analytic_occurrence(kinds, index)
 
     def test_ib_ib_matches_class_shares(self, lt_counts, lt_dataset):
         report = analytic_occurrence((IB, IB), lt_dataset.class_index())
@@ -245,7 +250,6 @@ class TestHelpers:
     def test_combos(self):
         assert (IB, CB) == ("ib", "cb")
         assert list(COMBOS.items()) == [("ib-ib", ("ib", "ib")), ("ib-cb", ("ib", "cb")), ("cb-cb", ("cb", "cb"))]
-        assert build_parser().parse_args(["analyze", "--manifest", "m", "--out", "o", "--combo", "ib-cb"]).combo == "ib-cb"
 
     def test_csv_emission(self, tmp_path, lt_counts, lt_dataset):
         index = lt_dataset.class_index()
@@ -285,11 +289,12 @@ class TestMeasureCombos:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(occurrence, "draw_pairs", spy)
-            ((_, _, empirical),) = measure_combos(counts, ["ib-cb"], 1.0, 3, 64)
-        (index,) = seen
-        for got, ref in ((index.flat, want.flat), (index.counts, want.counts)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        i, j, lam = draw_pairs(COMBOS["ib-cb"], want, 1.0, make_rng(3, "analyze:ib-cb"), 64)
-        oracle = empirical_occurrence(labels[i], labels[j], lam, len(counts), head=default_groups(counts) == 0)
-        assert empirical.ratios.tobytes() == oracle.ratios.tobytes()
-        assert empirical.head_incidence == oracle.head_incidence
+            results = measure_combos(counts, 1.0, 3, 64)
+        assert [name for name, _, _ in results] == list(COMBOS) and len(seen) == len(COMBOS)
+        for index, (name, _, empirical) in zip(seen, results):
+            for got, ref in ((index.flat, want.flat), (index.counts, want.counts)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            i, j, lam = draw_pairs(COMBOS[name], want, 1.0, make_rng(3, "analyze:" + name), 64)
+            oracle = empirical_occurrence(labels[i], labels[j], lam, len(counts), head=default_groups(counts) == 0)
+            assert empirical.ratios.tobytes() == oracle.ratios.tobytes()
+            assert empirical.head_incidence == oracle.head_incidence

@@ -104,6 +104,11 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(CB, lt_dataset.class_index(), make_rng(3, "test"), 0)
 
+    def test_class_balanced_rejects_empty_class(self):
+        index = ClassIndex.from_labels(np.zeros(10, dtype=np.int64), 2)  # class 1 is empty
+        with pytest.raises(ValueError, match="^class-balanced sampling requires every class to be populated$"):
+            sample_batch(CB, index, make_rng(3, "test"), 4)
+
     @pytest.mark.parametrize("kind", ["instance_balanced", "class_balanced", "IB"])
     def test_unknown_kind_is_rejected(self, kind, lt_dataset):
         # a name other than ib or cb is one error naming it, not the other kind's draw or ratios

@@ -32,7 +32,6 @@ from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights
 from lobmix.trainer import (
     GROUP_NAMES,
     TrainingDiverged,
-    _epoch_sampler_kinds,
     _forward,
     _grad_step,
     _softmax,
@@ -626,6 +625,15 @@ class TestTrain:
         W, history = train(train_ds, test_ds, cfg)
         assert history[-1].report == evaluate(W, test_ds, default_groups(train_ds.class_index().counts))
 
+    @pytest.mark.parametrize("dim,classes", [(5, 3), (4, 4)])
+    def test_train_and_test_sets_must_match(self, dim, classes):
+        train_ds, _, _ = quick_split()
+        test_ds = LabeledDataset(np.zeros((classes, dim)), np.arange(classes), classes)
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1)
+        with pytest.raises(ValueError) as excinfo:
+            train(train_ds, test_ds, cfg)
+        assert str(excinfo.value) == "train and test sets must share feature dim and class count"
+
     def test_divergence_in_last_step_aborts(self):
         # the loss is taken before each step, so only the weight check sees the last step overflow;
         # at the largest finite learning rate a weight overflows where the step's gradient exceeds 1,
@@ -641,15 +649,30 @@ class TestStrategies:
     README = dict(epochs=40, batches_per_epoch=40, batch_size=128, lr=0.5, lr_decay_epochs=(30, 37))
 
     def test_table_is_the_written_out_schedule(self):
+        # a strategy's first phase runs before the switch epoch (here 1), and its last from it on
         assert tuple(STRATEGIES) == ("erm", "mixup", "lob", "deferred")
-        for strategy in STRATEGIES:
-            for decay in ((2, 4), (3,)):
-                switch = decay[0]
-                cfg = TrainConfig(
-                    epochs=6, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_epochs=decay, strategy=strategy,
-                )
-                for e in range(cfg.epochs):
-                    assert _epoch_sampler_kinds(cfg, e) == expected_kinds(strategy, e, switch)
+        for strategy, phases in STRATEGIES.items():
+            assert (phases[0], phases[-1]) == (expected_kinds(strategy, 0, 1), expected_kinds(strategy, 1, 1))
+
+    # TrainConfig.schedule, at every epoch, against the number of decay epochs reached, written out
+    @pytest.mark.parametrize(
+        "decay,reached",
+        [((), [0] * 6), ((3,), [0, 0, 0, 1, 1, 1]), ((2, 4), [0, 0, 1, 1, 2, 2]), ((1, 2, 5), [0, 1, 2, 2, 2, 3])],
+    )
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_schedule_is_the_written_out_rate_and_phase(self, strategy, decay, reached):
+        settings = dict(epochs=6, batches_per_epoch=1, batch_size=1, lr=0.8, lr_decay_epochs=decay, lr_decay_factor=0.5)
+        if strategy == "deferred" and not decay:
+            with pytest.raises(ValueError, match="needs a first lr decay epoch"):
+                TrainConfig(strategy=strategy, **settings)
+            return
+        cfg = TrainConfig(strategy=strategy, **settings)
+        rates = [cfg.schedule(e)[0] for e in range(6)]
+        assert rates == [[0.8, 0.4, 0.2, 0.1][d] for d in reached]  # 0.8 halved: exact in binary
+        kinds = [cfg.schedule(e)[1] for e in range(6)]
+        assert kinds == [expected_kinds(strategy, e, decay[0] if decay else None) for e in range(6)]
+        switches = [e for e in range(1, 6) if kinds[e] != kinds[e - 1]]
+        assert switches == ([decay[0]] if len(STRATEGIES[strategy]) > 1 else [])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_phase_has_its_analytic_occurrence(self, seed):
@@ -663,8 +686,8 @@ class TestStrategies:
         for strategy, phases in STRATEGIES.items():
             cfg = TrainConfig(strategy=strategy, seed=seed, **self.README)
             n = cfg.batches_per_epoch * cfg.batch_size
-            for first, kinds in zip((0, cfg.switch_epoch), phases):
-                assert _epoch_sampler_kinds(cfg, first) == kinds
+            for first, kinds in zip((0, cfg.lr_decay_epochs[0]), phases):
+                assert cfg.schedule(first)[1] == kinds
                 i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(seed, "epoch", first), n)
                 if len(kinds) == 1:
                     lam = np.ones(n)
@@ -683,12 +706,45 @@ class TestTrainConfigValidation:
                             lr_decay_epochs=decay, strategy="deferred")
 
     def test_defer_defaults_to_first_decay(self):
-        # the switch epoch is the first decay epoch, for every strategy; only deferred reads it
-        for strategy in STRATEGIES:
+        # the switch epoch is the first decay epoch, for every strategy; only deferred has a second phase
+        for strategy, phases in STRATEGIES.items():
             cfg = TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1,
                               lr_decay_epochs=(6, 8), strategy=strategy)
-            assert cfg.switch_epoch == 6
-        assert TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1).switch_epoch is None
+            assert [cfg.schedule(e)[1] for e in range(10)] == [phases[0]] * 6 + [phases[-1]] * 4
+        cfg = TrainConfig(epochs=10, batches_per_epoch=1, batch_size=1, lr=0.1)  # no decay: no switch
+        assert [cfg.schedule(e)[1] for e in range(10)] == [STRATEGIES["mixup"][0]] * 10
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+            (dict(batches_per_epoch=True), "batches_per_epoch must be an integer, got True"),
+            (dict(batch_size=np.float64(4.0)), "batch_size must be an integer, got np.float64(4.0)"),
+            (dict(epochs="8"), "epochs must be an integer, got '8'"),
+            (dict(lr_decay_epochs=(2.5, 6.9)), "decay epoch must be an integer, got 2.5"),
+            (dict(lr_decay_epochs=(True, 3)), "decay epoch must be an integer, got True"),
+            (dict(lr_decay_epochs=(2, np.bool_(True))), "decay epoch must be an integer, got np.True_"),
+        ],
+    )
+    def test_non_integer_count_rejected(self, settings, message):
+        # int() would train (2.5, 6.9) as (2, 6) and (True, 3) as (1, 3), moving both the rate and the phase
+        counts = {"epochs": 8, "batches_per_epoch": 1, "batch_size": 1, "lr_decay_epochs": (3,), **settings}
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(lr=0.1, strategy="deferred", **counts)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(6), batches_per_epoch=np.uint8(2), batch_size=np.int32(4), lr=0.1,
+                          lr_decay_epochs=(np.int64(2), np.int16(4)), strategy="deferred")
+        assert cfg.lr_decay_epochs == (2, 4) and all(type(e) is int for e in cfg.lr_decay_epochs)
+        assert [cfg.schedule(e)[1] for e in range(6)] == [(IB, IB)] * 2 + [(CB, CB)] * 4
+
+    @pytest.mark.parametrize("field", ["epochs", "batches_per_epoch", "batch_size"])
+    def test_count_below_one_rejected(self, field):
+        counts = {"epochs": 1, "batches_per_epoch": 1, "batch_size": 1, field: 0}
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(lr=0.1, **counts)
+        assert str(excinfo.value) == "epochs, batches_per_epoch and batch_size must all be >= 1"
 
     def test_decay_epochs_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
