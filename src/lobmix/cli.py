@@ -121,9 +121,9 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     seed, spec = cfg.train.seed, cfg.dataset
     if spec["kind"] == "synth":
         classes, dim, separation = spec["classes"], spec["dim"], spec["separation"]
-        base = longtail.synth_gaussian_mixture(classes, (spec["base_per_class"],) * classes, dim, separation, seed)
+        counts = cfg.profile.class_counts(classes)  # first: it names a class count below 2 as given
+        base = longtail.synth_gaussian_mixture((spec["base_per_class"],) * classes, dim, separation, seed)
         source = f"synth:classes={classes},dim={dim},separation={separation}"
-        counts = cfg.profile.class_counts(spec["classes"])
         test_idx, manifest = longtail.longtail_split(
             base.class_index(), counts, spec["test_per_class"], seed, source=source, profile=cfg.profile
         )
@@ -158,6 +158,8 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
         _, labels, source = _cifar10_base(args.base)
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
     elif args.synth_classes is not None:
+        if args.synth_classes < 2:  # (per_class,) * n would hide a negative n
+            raise ValueError(f"need at least 2 classes, got {args.synth_classes}")
         per_class = SYNTH_PER_CLASS if args.synth_per_class is None else args.synth_per_class
         index = longtail.ClassIndex.from_counts((per_class,) * args.synth_classes)
         source = f"labels-only:classes={args.synth_classes},per_class={per_class}"

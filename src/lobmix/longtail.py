@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
+import numbers
 import os
 import re
 import sys
@@ -51,6 +52,19 @@ def json_value(value, kind: type | list, name: str):
     if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
+
+
+_KIND_TYPES = {int: (int, np.integer), float: numbers.Real, str: str}
+
+
+def require_kind(value, kind: type, name: str) -> None:
+    """Raise ValueError unless ``value`` is of ``kind``: int (numpy integers too), float (any real number) or str.
+
+    A boolean is of no kind. The constructors check their fields with it before
+    any range; unlike :func:`json_value`, it checks no range itself.
+    """
+    if isinstance(value, bool) or not isinstance(value, _KIND_TYPES[kind]):
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
 
 
 # JSON kind of every setting of each section of a config or manifest, ``[k]``
@@ -141,6 +155,8 @@ class ImbalanceProfile:
     n_max: int
 
     def __post_init__(self) -> None:
+        for name, kind in SCHEMA["profile"].items():  # the kinds of the fields are those of the config section
+            require_kind(getattr(self, name), kind, name)
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
         if not self.rho >= 1:  # written so that NaN fails too
@@ -225,10 +241,13 @@ class ClassIndex:
         """The index of ``counts[k]`` examples of class k, stored class by class: ``flat`` is ``arange(N)``.
 
         It equals ``from_labels(np.repeat(arange(C), counts), C)``, made without
-        the labels. At least 2 classes, each of at least one example.
+        the labels. At least 2 classes, each of at least one example, every
+        count an integer (numpy integers too).
         """
         if len(counts) < 2:
             raise ValueError(f"need at least 2 classes, got {len(counts)}")
+        for n in counts:  # a float would be truncated
+            require_kind(n, int, "class count")
         if min(counts) < 1:
             raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
         counts = np.asarray(counts, dtype=np.int64)
@@ -378,32 +397,25 @@ def subsample_longtail(
     return _pick(pools, counts, make_rng(seed, "subsample"), seed, source, profile)
 
 
-def synth_gaussian_mixture(
-    num_classes: int,
-    counts: Sequence[int],
-    dim: int,
-    separation: float,
-    seed: int,
-) -> LabeledDataset:
-    """Isotropic unit-variance Gaussian blobs with centers on a sphere of radius ``separation``."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
+def synth_gaussian_mixture(counts: Sequence[int], dim: int, separation: float, seed: int) -> LabeledDataset:
+    """``counts[k]`` rows of class k: unit-variance Gaussian blobs, centers on a sphere of radius ``separation``.
+
+    The rows are stored class by class: one ``(N, dim)`` standard normal draw,
+    each row then shifted by its class's center in place, one row block
+    (:func:`row_blocks`) at a time, so no second copy of the rows is made.
+    ``counts`` are checked as :meth:`ClassIndex.from_counts` checks them.
+    """
+    index = ClassIndex.from_counts(counts)
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
     if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
-    if len(counts) != num_classes:
-        raise ValueError(f"counts cover {len(counts)} classes but num_classes={num_classes}")
-    if min(counts) < 1:
-        raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
-    centers = mixture_centers(num_classes, dim, separation, seed)
-    points_rng = make_rng(seed, "points")
-    blocks = []
-    labels = []
-    for k, n_k in enumerate(counts):
-        blocks.append(centers[k] + points_rng.standard_normal((n_k, dim)))
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    return LabeledDataset(np.concatenate(blocks), np.concatenate(labels), num_classes)
+    centers = mixture_centers(index.num_classes, dim, separation, seed)
+    labels = np.repeat(np.arange(index.num_classes), index.counts)
+    x = make_rng(seed, "points").standard_normal((index.total, dim))
+    for rows in row_blocks(x):
+        x[rows] += centers[labels[rows]]
+    return LabeledDataset(x, labels, index.num_classes)
 
 
 def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_csv
-from .longtail import BLOCK_BYTES, LabeledDataset, row_blocks
+from .longtail import BLOCK_BYTES, SCHEMA, LabeledDataset, require_kind, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
 from .samplers import CB, IB
@@ -30,6 +30,11 @@ STRATEGIES: dict[str, tuple[tuple[str, ...], ...]] = {
     "lob": ((CB, CB),),
     "deferred": ((IB, IB), (CB, CB)),
 }
+
+
+# The kind of each TrainConfig field (:func:`~lobmix.longtail.require_kind`), that of its config
+# setting, but ``lr_decay_epochs``, whose entries are counts, each named a "decay epoch".
+FIELD_KINDS = {k: kind for k, kind in {**SCHEMA["train"], "seed": int}.items() if k != "lr_decay_epochs"}
 
 
 class TrainingDiverged(RuntimeError):
@@ -210,12 +215,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, kind in FIELD_KINDS.items():  # first, so the checks below compare numbers and hash a string
+            require_kind(getattr(self, name), kind, name)
+        for e in self.lr_decay_epochs:  # int() truncates
+            require_kind(e, int, "decay epoch")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {', '.join(STRATEGIES)}")
-        sizes = {"epochs": self.epochs, "batches_per_epoch": self.batches_per_epoch, "batch_size": self.batch_size}
-        for name, value in (*sizes.items(), *(("decay epoch", e) for e in self.lr_decay_epochs)):  # int() truncates
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "lr_decay_epochs", tuple(map(int, self.lr_decay_epochs)))
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
@@ -353,7 +358,7 @@ def train(
         for first in range(0, cfg.batches_per_epoch, per_chunk):
             rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
             out = buffer[: rows.stop - rows.start]
-            if j is i:  # unmixed rows: blending at λ = 1 gives the same bits but gathers them twice
+            if len(kinds) == 1:  # unmixed rows: blending at λ = 1 gives the same bits but gathers them twice
                 chunk = train_ds.features.take(i[rows], axis=0, out=out, mode="clip")
             else:
                 chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=(out, scratch))

@@ -199,7 +199,7 @@ def test_criterion_6_gradient_matches_finite_differences():
 
 
 def test_criterion_7_deferred_prefix_equivalence():
-    base = synth_gaussian_mixture(6, (150,) * 6, 6, 3.0, seed=77)
+    base = synth_gaussian_mixture((150,) * 6, 6, 3.0, seed=77)
     train_ds, test_ds, _ = split_datasets(base, ImbalanceProfile("exponential", 10, 100).class_counts(6), 40, seed=77)
     standardize(train_ds, test_ds)  # once: both runs train on these rows
     switch = 5
@@ -219,7 +219,7 @@ def test_criterion_8_lob_beats_vanilla_on_longtail():
     counts = ImbalanceProfile("exponential", 100, 500).class_counts(10)
 
     def run(seed, strategy):
-        base = synth_gaussian_mixture(10, (700,) * 10, 10, 3.0, seed)
+        base = synth_gaussian_mixture((700,) * 10, 10, 3.0, seed)
         train_ds, test_ds, _ = split_datasets(base, counts, 200, seed)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(

@@ -150,6 +150,13 @@ class TestBuildLt:
         assert_one_error(capsys, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", ["-3", "1"])
+    def test_fewer_than_two_synth_classes_named_as_given(self, tmp_path, capsys, classes):
+        out = tmp_path / "lt"
+        assert main(["build-lt", "--synth-classes", classes, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: need at least 2 classes, got {classes}\n"
+        assert not out.exists()
+
     def test_no_base_rejected(self, tmp_path, capsys):
         out = tmp_path / "lt"
         assert main(["build-lt", "--out", str(out)]) == 2
@@ -809,6 +816,15 @@ class TestTrainCommand:
         cfg["dataset"]["separation"] = separation
         assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert_one_error(capsys, message)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("classes", [-3, 1])
+    def test_fewer_than_two_classes_named_as_given(self, tmp_path, capsys, classes):
+        # (base_per_class,) * -3 is an empty tuple: the class count is checked before the base is built
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["dataset"]["classes"] = classes
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"error: need at least 2 classes, got {classes}\n"
         assert not (tmp_path / "run").exists()
 
     def test_missing_cifar_train_file_leaves_no_directory(self, tmp_path, capsys, cifar_file):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobmix import (
@@ -19,6 +19,7 @@ from lobmix import (
 from lobmix import longtail
 from lobmix.cli import main
 from lobmix.longtail import BLOCK_BYTES, mixture_centers, read_cifar10_records, row_blocks
+from lobmix.seeds import make_rng
 
 from conftest import CIFAR_LT_RHO10, hex_block, traced_peak
 
@@ -137,6 +138,26 @@ class TestImbalanceProfile:
         assert type(counts) is tuple and all(type(n) is int and n >= 1 for n in counts)
         assert json.loads(json.dumps(counts)) == list(counts)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("exponential", True, 5), "rho must be a number, got True"),
+            (("exponential", "10", 50), "rho must be a number, got '10'"),
+            (("pareto", 2.0, 5.5), "n_max must be an integer, got 5.5"),
+            (("pareto", 2.0, True), "n_max must be an integer, got True"),
+            ((["step"], 2.0, 5), "kind must be a string, got ['step']"),
+        ],
+    )
+    def test_field_of_another_kind_rejected(self, args, message):
+        # rho=True was written to a manifest as true; n_max=5.5 was recorded beside a largest class of 6
+        with pytest.raises(ValueError) as excinfo:
+            ImbalanceProfile(*args)
+        assert str(excinfo.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        profile = ImbalanceProfile("step", np.float64(2.0), np.int64(6))
+        assert profile.class_counts(4) == (6, 6, 3, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ImbalanceProfile("exp", 10.0, 5000)  # long names only
@@ -150,7 +171,7 @@ class TestImbalanceProfile:
 
 def _balanced_base(per_class, num_classes=2, dim=3, seed=11):
     counts = (per_class,) * num_classes
-    return synth_gaussian_mixture(num_classes, counts, dim, 4.0, seed)
+    return synth_gaussian_mixture(counts, dim, 4.0, seed)
 
 
 class TestSubsample:
@@ -346,21 +367,55 @@ class TestLongtailSplit:
             longtail_split(base.class_index(), (30, 10), 0, seed=0)
 
 
+def per_class_mixture(counts, dim, separation, seed):
+    """Features and labels of the mixture drawn one class at a time and concatenated: the reference."""
+    centers = mixture_centers(len(counts), dim, separation, seed)
+    rng = make_rng(seed, "points")
+    features = np.concatenate([centers[k] + rng.standard_normal((n, dim)) for k, n in enumerate(counts)])
+    return features, np.concatenate([np.full(n, k, dtype=np.int64) for k, n in enumerate(counts)])
+
+
 class TestSynthGaussianMixture:
+    @given(
+        counts=st.lists(st.integers(1, 40), min_size=2, max_size=8),
+        dim=st.integers(2, 6),
+        block_rows=st.integers(1, 50),
+        seed=st.integers(0, 2**32),
+    )
+    @example(counts=[1, 7, 1, 1, 3], dim=3, block_rows=2, seed=0)  # 1-row classes; blocks straddle classes
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_the_per_class_draws(self, counts, dim, block_rows, seed):
+        # BLOCK_BYTES holds block_rows rows, so row blocks start and end inside classes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(longtail, "BLOCK_BYTES", block_rows * dim * 8)
+            ds = synth_gaussian_mixture(counts, dim, 3.0, seed)
+        features, labels = per_class_mixture(counts, dim, 3.0, seed)
+        assert ds.features.tobytes() == features.tobytes() and ds.features.shape == features.shape
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+        assert ds.num_classes == len(counts)
+
+    def test_base_is_allocated_once(self):
+        # one (N, dim) draw shifted in place: no per-class blocks, no concatenated copy
+        synth_gaussian_mixture((2, 3), 32, 3.0, 5)  # a first call's one-time allocations (about 650 kB) are not traced
+        ds, peak = traced_peak(synth_gaussian_mixture, (400,) * 50, 32, 3.0, 5)
+        assert peak < ds.features.nbytes + ds.labels.nbytes + 4 * BLOCK_BYTES
+        features, _ = per_class_mixture((400,) * 50, 32, 3.0, 5)
+        assert ds.features.tobytes() == features.tobytes()
+
     def test_sizes(self):
-        ds = synth_gaussian_mixture(2, (100, 10), 2, 5.0, seed=8)
+        ds = synth_gaussian_mixture((100, 10), 2, 5.0, seed=8)
         assert len(ds) == 110
         assert list(ds.class_index().counts) == [100, 10]
 
     def test_deterministic(self):
-        a = synth_gaussian_mixture(3, (50, 20, 10), 4, 3.0, seed=21)
-        b = synth_gaussian_mixture(3, (50, 20, 10), 4, 3.0, seed=21)
+        a = synth_gaussian_mixture((50, 20, 10), 4, 3.0, seed=21)
+        b = synth_gaussian_mixture((50, 20, 10), 4, 3.0, seed=21)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_class_means_near_centers(self):
         counts = (400, 200, 100)
-        ds = synth_gaussian_mixture(3, counts, 4, 6.0, seed=17)
+        ds = synth_gaussian_mixture(counts, 4, 6.0, seed=17)
         centers = mixture_centers(3, 4, 6.0, seed=17)
         for k, n_k in enumerate(counts):
             mean = ds.features[ds.labels == k].mean(axis=0)
@@ -368,27 +423,33 @@ class TestSynthGaussianMixture:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(2, (5, 5), 1, 3.0, seed=0)
+            synth_gaussian_mixture((5, 5), 1, 3.0, seed=0)
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(2, (5, 5), 2, 0.0, seed=0)
+            synth_gaussian_mixture((5, 5), 2, 0.0, seed=0)
         with pytest.raises(ValueError, match="separation must be positive, got nan"):
-            synth_gaussian_mixture(2, (5, 5), 2, float("nan"), seed=0)
-        with pytest.raises(ValueError):
-            synth_gaussian_mixture(3, (5, 5), 2, 3.0, seed=0)
+            synth_gaussian_mixture((5, 5), 2, float("nan"), seed=0)
+
+    @pytest.mark.parametrize(
+        "counts,shown", [((5, 2.5), "2.5"), ((True, 5), "True"), ((5, np.float64(3.0)), "np.float64(3.0)")]
+    )
+    def test_non_integer_count_rejected(self, counts, shown):
+        with pytest.raises(ValueError) as excinfo:
+            synth_gaussian_mixture(counts, 4, 3.0, seed=0)
+        assert str(excinfo.value) == f"class count must be an integer, got {shown}"
 
     def test_one_class_rejected(self):
         with pytest.raises(ValueError, match="^need at least 2 classes, got 1$"):
-            synth_gaussian_mixture(1, (5,), 2, 3.0, seed=0)
+            synth_gaussian_mixture((5,), 2, 3.0, seed=0)
 
     @pytest.mark.parametrize("size", [0, -2])
     def test_class_without_examples_rejected(self, size):
         with pytest.raises(ValueError, match=f"every class needs at least one example, got \\(5, {size}, 5\\)"):
-            synth_gaussian_mixture(3, (5, size, 5), 4, 3.0, seed=0)
+            synth_gaussian_mixture((5, size, 5), 4, 3.0, seed=0)
 
     def test_centers_beyond_float_range_rejected(self):
         # numpy warnings are errors in this suite, so an overflow warning fails the test
         with pytest.raises(ValueError, match="separation 1e\\+308 puts class centers beyond the float range"):
-            synth_gaussian_mixture(3, (5, 5, 5), 4, 1e308, seed=0)
+            synth_gaussian_mixture((5, 5, 5), 4, 1e308, seed=0)
 
 
 # rows of float pixels in one row block: load_cifar10_binary reads a file a block at a time
@@ -602,6 +663,19 @@ class TestClassIndex:
         index = ClassIndex.from_counts(counts)
         for got, ref in ((index.flat, want.flat), (index.counts, want.counts)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "counts,shown", [([2.5, 3], "2.5"), ([2, True], "True"), ([3, np.bool_(True)], "np.True_"), ([2, "3"], "'3'")]
+    )
+    def test_from_counts_rejects_non_integer_count(self, counts, shown):
+        # np.asarray(counts, dtype=np.int64) would truncate 2.5 to 2
+        with pytest.raises(ValueError) as excinfo:
+            ClassIndex.from_counts(counts)
+        assert str(excinfo.value) == f"class count must be an integer, got {shown}"
+
+    def test_from_counts_takes_numpy_integers(self):
+        index = ClassIndex.from_counts([np.int64(2), np.uint8(3), 4])
+        assert index.counts.tolist() == [2, 3, 4] and index.flat.tolist() == list(range(9))
 
     @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 3, 1]])
     def test_rejects_labels_outside_range(self, labels):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -30,6 +31,7 @@ from lobmix import (
 from lobmix.longtail import BLOCK_BYTES
 from lobmix.mixer import LAMBDA_MAX, LAMBDA_MIN, pair_weights
 from lobmix.trainer import (
+    FIELD_KINDS,
     GROUP_NAMES,
     TrainingDiverged,
     _forward,
@@ -250,7 +252,7 @@ class TestGrad:
         assert np.allclose(loss_and_grad(W, *batch)[1], loss_and_grad(W, *doubled)[1], rtol=1e-12, atol=1e-15)
 
     def test_gradient_small_after_convergence(self):
-        base = synth_gaussian_mixture(2, (200, 200), 3, 10.0, seed=4)
+        base = synth_gaussian_mixture((200, 200), 3, 10.0, seed=4)
         train_ds, test_ds, _ = split_datasets(base, (150, 150), 50, seed=4)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(
@@ -407,7 +409,7 @@ class TestStandardize:
 
 def quick_split(seed=0, separation=4.0, counts=(120, 60, 30)):
     """(train, test, manifest) of a small Gaussian mixture, with both feature sets standardized."""
-    base = synth_gaussian_mixture(len(counts), (200,) * len(counts), 4, separation, seed)
+    base = synth_gaussian_mixture((200,) * len(counts), 4, separation, seed)
     train_ds, test_ds, manifest = split_datasets(base, counts, 40, seed)
     standardize(train_ds, test_ds)
     return train_ds, test_ds, manifest
@@ -535,7 +537,7 @@ class TestTrain:
             return blend(features, i, *args, **kwargs)
 
         monkeypatch.setattr(lobmix.trainer, "blend", counting)
-        base = synth_gaussian_mixture(3, (150,) * 3, dim, 4.0, seed=3)
+        base = synth_gaussian_mixture((150,) * 3, dim, 4.0, seed=3)
         train_ds, test_ds, _ = split_datasets(base, (120, 60, 30), 20, seed=3)
         standardize(train_ds, test_ds)
         size, bpe = 128, (40 if dim == 10 else 3)
@@ -549,6 +551,30 @@ class TestTrain:
         assert history == ref_history
         assert np.array_equal(W, ref_W)
 
+    def test_unmixed_phase_is_gathered_not_blended(self, monkeypatch):
+        # the phase's one kind picks the gather, not draw_pairs returning one index array twice
+        import lobmix.trainer
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].size)
+            return blend(*args, **kwargs)
+
+        def copying(kinds, *args):
+            i, j, lam = draw_pairs(kinds, *args)
+            return i, j.copy(), lam
+
+        monkeypatch.setattr(lobmix.trainer, "blend", counting)
+        monkeypatch.setattr(lobmix.trainer, "draw_pairs", copying)
+        train_ds, test_ds, _ = quick_split()
+        cfg = TrainConfig(epochs=2, batches_per_epoch=3, batch_size=8, lr=0.1, strategy="erm", seed=5)
+        W, history = train(train_ds, test_ds, cfg)
+        assert calls == []
+        ref_W, ref_history = reference_train(train_ds, test_ds, cfg)
+        assert history == ref_history
+        assert np.array_equal(W, ref_W)
+
     def test_deterministic_history(self):
         train_ds, test_ds, _ = quick_split(seed=5)
         cfg = TrainConfig(epochs=3, batches_per_epoch=8, batch_size=32, lr=0.3, strategy="lob", seed=21)
@@ -557,7 +583,7 @@ class TestTrain:
         assert h1 == h2
 
     def test_erm_converges_on_separable_data(self):
-        base = synth_gaussian_mixture(2, (300, 300), 4, 10.0, seed=6)
+        base = synth_gaussian_mixture((300, 300), 4, 10.0, seed=6)
         train_ds, test_ds, _ = split_datasets(base, (200, 200), 80, seed=6)
         standardize(train_ds, test_ds)
         cfg = TrainConfig(epochs=50, batches_per_epoch=10, batch_size=64, lr=0.5, strategy="erm", seed=0)
@@ -732,6 +758,35 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError) as excinfo:
             TrainConfig(lr=0.1, strategy="deferred", **counts)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            (dict(alpha=True), "alpha must be a number, got True"),
+            (dict(lr=True), "lr must be a number, got True"),
+            (dict(lr_decay_factor=np.True_), "lr_decay_factor must be a number, got np.True_"),
+            (dict(lr="0.1"), "lr must be a number, got '0.1'"),
+            (dict(seed=2.5), "seed must be an integer, got 2.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(strategy=["lob"]), "strategy must be a string, got ['lob']"),
+            (dict(strategy=None), "strategy must be a string, got None"),
+        ],
+    )
+    def test_field_of_another_kind_rejected(self, settings, message):
+        # alpha=True trained as 1 and was written to config.json as true; strategy=["lob"] raised TypeError
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(**{"epochs": 2, "batches_per_epoch": 1, "batch_size": 1, "lr": 0.1, **settings})
+        assert str(excinfo.value) == message
+
+    def test_every_field_has_a_kind(self):
+        # the decay epochs are checked one by one
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(FIELD_KINDS) == fields - {"lr_decay_epochs"}
+
+    def test_numpy_numbers_accepted(self):
+        cfg = TrainConfig(epochs=2, batches_per_epoch=1, batch_size=1, lr=np.float64(0.5),
+                          lr_decay_factor=np.float32(0.5), alpha=np.int64(2), seed=np.int64(7))
+        assert cfg.schedule(1) == (0.5, (IB, IB))
 
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(epochs=np.int64(6), batches_per_epoch=np.uint8(2), batch_size=np.int32(4), lr=0.1,
