@@ -37,6 +37,11 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def run_digest(config: dict) -> str:
+    """Hash of a run's resolved config: it identifies the experiment, not where its outputs land."""
+    return config_hash({k: v for k, v in config.items() if k != "out_dir"})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One training run: its checked ``dataset`` section, profile and train settings (``train.seed`` is the run's seed)."""
@@ -200,10 +205,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.from_dict(d)
     del d
     counts = manifest.counts
+    resolved = {
+        "command": "analyze",
+        "manifest_sha256": manifest_sha256,
+        "combos": list(COMBOS),
+        "samples": args.samples,
+        "alpha": args.alpha,
+        "seed": args.seed,
+        "rng_layout": RNG_LAYOUT,
+    }
+    digest = config_hash(resolved)
     # every combo is measured before the output directory exists
     summary_rows = measure_combos(counts, args.alpha, args.seed, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = []
     for name, analytic, empirical in summary_rows:
         stem = f"occurrence_{name.replace('-', '_')}"
         write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
@@ -216,19 +232,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "empirical": empirical.to_dict() if empirical else None,
             },
         )
-
-    resolved = {
-        "command": "analyze",
-        "manifest_sha256": manifest_sha256,
-        "combos": list(COMBOS),
-        "samples": args.samples,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "rng_layout": RNG_LAYOUT,
-    }
-    digest = config_hash(resolved)
-    rows = []
-    for name, analytic, empirical in summary_rows:
         measured = [empirical.balance_ratio, empirical.head_incidence] if empirical else [None, None]
         rows.append([name, args.samples, *map(format_float, [analytic.balance_ratio, *measured]), digest])
     header = ["combo", "samples", "balance_ratio_analytic", "balance_ratio_empirical", "head_incidence", "config_sha256"]
@@ -251,8 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
-    # hash identifies the experiment, not where its outputs land
-    digest = config_hash({k: v for k, v in resolved.items() if k != "out_dir"})
+    digest = run_digest(resolved)
     write_json(out / "config.json", resolved)
     manifest.save(out / "manifest.json")
     _, history = train(train_ds, test_ds, cfg.train)
@@ -266,8 +268,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
-    runs, seen = [], set()
+def _finished_runs(run_dirs: list[str]) -> list[tuple[ExperimentConfig, dict]]:
+    """The (experiment, evaluation) of each finished run, in order; a directory without DONE is skipped."""
+    runs, seen, experiments = [], set(), {}
     for d in run_dirs:
         path = Path(d)
         if not path.is_dir():  # a mistyped path is no run to skip
@@ -284,14 +287,22 @@ def _finished_runs(run_dirs: list[str]) -> list[tuple[Path, dict, dict]]:
         groups = dict.fromkeys(GROUP_NAMES, float)  # an empty group scores null
         json_settings(evaluation["group_accuracy"], groups, f"{name}.group_accuracy", nullable=GROUP_NAMES)
         # train writes DONE last, holding the hash it also wrote into eval.json
-        digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
         try:
             done = marker.read_text(encoding="utf-8").strip()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{marker} is not UTF-8: {exc}") from None
-        if not done == evaluation.get("config_sha256") == digest:
+        if not done == evaluation.get("config_sha256") == run_digest(config):
             raise ValueError(f"run directory {path} is partial or altered: DONE, eval.json and config.json disagree")
-        runs.append((path, config, evaluation))
+        try:  # a config.json without rng_layout was written under layout 1
+            experiment = ExperimentConfig.from_dict({"rng_layout": 1, **config})
+        except ValueError as exc:  # such as a train key or a random-stream layout this version no longer has
+            raise ValueError(f"{path / 'config.json'}: {exc}") from None
+        # a copy of a run directory trained the same config and seed: the same outputs, not a second run
+        digest = run_digest(experiment.to_dict())
+        if digest in experiments:
+            raise ValueError(f"run directories {experiments[digest]} and {path} hold the same experiment")
+        experiments[digest] = path
+        runs.append((experiment, evaluation))
     return runs
 
 
@@ -299,20 +310,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     runs = _finished_runs(args.runs)
     if not runs:
         raise ValueError("no completed runs found (missing DONE markers?)")
-    families = set()
-    for path, cfg, _ in runs:
-        try:  # a config.json without rng_layout was written under layout 1
-            experiment = ExperimentConfig.from_dict({"rng_layout": 1, **cfg})
-        except ValueError as exc:  # such as a train key or a random-stream layout this version no longer has
-            raise ValueError(f"{path / 'config.json'}: {exc}") from None
-        families.add(config_hash(experiment.family_dict()))
+    families = {config_hash(experiment.family_dict()) for experiment, _ in runs}
     if len(families) > 1:
         raise ValueError(f"runs mix {len(families)} incompatible configurations; aggregate one family at a time")
     family = families.pop()
 
     by_strategy: dict[str, list[dict]] = {}
-    for _, cfg, evaluation in runs:
-        by_strategy.setdefault(cfg["train"]["strategy"], []).append(evaluation)
+    for experiment, evaluation in runs:
+        by_strategy.setdefault(experiment.train.strategy, []).append(evaluation)
 
     def stats(values: list[float | None]) -> tuple[str, str]:
         present = [v for v in values if v is not None]
@@ -321,25 +326,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         arr = np.asarray(present)
         return format_float(float(arr.mean())), format_float(float(arr.std()))
 
-    header = [
-        "strategy",
-        "runs",
-        "balanced_mean",
-        "balanced_std",
-        "head_mean",
-        "head_std",
-        "medium_mean",
-        "medium_std",
-        "tail_mean",
-        "tail_std",
-        "family_sha256",
-    ]
+    columns = ("balanced", *GROUP_NAMES)
+    header = ["strategy", "runs", *(f"{c}_{s}" for c in columns for s in ("mean", "std")), "family_sha256"]
     rows = []
     for strategy in sorted(by_strategy):
         evals = by_strategy[strategy]
-        balanced = stats([e["balanced_accuracy"] for e in evals])
-        groups = [stats([e["group_accuracy"][g] for e in evals]) for g in GROUP_NAMES]
-        rows.append([strategy, len(evals), *balanced, *groups[0], *groups[1], *groups[2], family])
+        scores = [{"balanced": e["balanced_accuracy"], **e["group_accuracy"]} for e in evals]
+        rows.append([strategy, len(evals), *(s for c in columns for s in stats([x[c] for x in scores])), family])
 
     if args.out:
         write_csv(args.out, header, rows)

@@ -30,41 +30,46 @@ BLOCK_BYTES = 1 << 18  # rows are scanned in blocks of about this size, so their
 MANIFEST_LAYOUT = 3  # manifest.json format: kept indices as one hex block of little-endian uint32
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+# each kind's Python types and its name in messages; a boolean is of no kind
+_KINDS = {
+    int: ((int, np.integer), "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
+}
+
+
+def require_kind(value, kind: type, name: str) -> None:
+    """Raise ValueError unless ``value`` is of ``kind``: int (numpy integers too), float (any real), str, list or dict.
+
+    A boolean is of no kind. The constructors check their fields with it before
+    any range; unlike :func:`json_value`, it checks no range itself.
+    """
+    types, described = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {described}, got {value!r}")
 
 
 def json_value(value, kind: type | list, name: str):
     """Return ``value`` if it holds a JSON value of ``kind``, else raise ValueError.
 
-    ``kind`` is int, float, str, list or dict, or ``[k]``, a list whose every
-    entry is of kind ``k``. Any number that fits a finite float passes as a
-    float (``json`` reads ``NaN`` and ``Infinity``, which do not); booleans
-    pass as neither.
+    ``kind`` is int, float, str, list or dict, checked by :func:`require_kind`,
+    or ``[k]``, a list whose every entry is of kind ``k``. A float must also
+    be finite (``json`` reads ``NaN`` and ``Infinity``).
     """
     if isinstance(kind, list):
         for v in json_value(value, list, name):
             json_value(v, kind[0], f"{name} entry")
         return value
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
-    # NaN fails both comparisons; an int beyond them would overflow float()
-    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    require_kind(value, kind, name)
+    if kind is float:
+        # NaN fails both comparisons; an int beyond them would overflow float(), and a
+        # numpy float compared as itself would cast the bounds to its own precision
+        x = value if isinstance(value, int) else float(value)
+        if not -sys.float_info.max <= x <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
-
-
-_KIND_TYPES = {int: (int, np.integer), float: numbers.Real, str: str}
-
-
-def require_kind(value, kind: type, name: str) -> None:
-    """Raise ValueError unless ``value`` is of ``kind``: int (numpy integers too), float (any real number) or str.
-
-    A boolean is of no kind. The constructors check their fields with it before
-    any range; unlike :func:`json_value`, it checks no range itself.
-    """
-    if isinstance(value, bool) or not isinstance(value, _KIND_TYPES[kind]):
-        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
 
 
 # JSON kind of every setting of each section of a config or manifest, ``[k]``
@@ -100,7 +105,8 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
     Every key of ``d`` must be in ``types``, every key of ``required`` (by
     default every key of ``types``) must be in ``d``, and every value must
     be of its kind, or null for a key in ``nullable``. Returns a copy of
-    ``d`` that holds every float setting as a float.
+    ``d`` that holds every float setting as a float and every integer
+    setting as an int, so a numpy number is written back as JSON.
     """
     unknown = set(json_value(d, dict, name)) - set(types)
     if unknown:
@@ -112,7 +118,7 @@ def json_settings(d, types: dict, name: str, required=None, nullable=()) -> dict
     for k, v in d.items():
         if v is not None or k not in nullable:
             v = json_value(v, types[k], f"{name}.{k}")
-        checked[k] = float(v) if types[k] is float and v is not None else v
+        checked[k] = types[k](v) if types[k] in (int, float) and v is not None else v
     return checked
 
 
@@ -166,6 +172,7 @@ class ImbalanceProfile:
 
     def class_counts(self, num_classes: int) -> tuple[int, ...]:
         """Per-class counts of this profile over ``num_classes`` classes, largest first."""
+        require_kind(num_classes, int, "num_classes")
         if num_classes < 2:  # the formulas divide by C-1 and log C
             raise ValueError(f"need at least 2 classes, got {num_classes}")
         return tuple(_PROFILE_FORMULAS[self.kind](self.n_max, num_classes, self.rho))
@@ -405,6 +412,8 @@ def synth_gaussian_mixture(counts: Sequence[int], dim: int, separation: float, s
     (:func:`row_blocks`) at a time, so no second copy of the rows is made.
     ``counts`` are checked as :meth:`ClassIndex.from_counts` checks them.
     """
+    require_kind(dim, int, "dim")
+    require_kind(separation, float, "separation")
     index = ClassIndex.from_counts(counts)
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")

@@ -7,6 +7,7 @@ import mmap
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import weakref
@@ -27,7 +28,7 @@ from lobmix import (
     write_cifar10_binary,
 )
 from lobmix import longtail
-from lobmix.cli import ExperimentConfig, build_parser, config_hash, load_config, main, resolve_datasets
+from lobmix.cli import ExperimentConfig, build_parser, config_hash, load_config, main, resolve_datasets, run_digest
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
 
@@ -1026,7 +1027,7 @@ class TestReport:
     def _rewrite_config(run, config):
         """Write ``config`` as the run's config.json, with the eval.json and DONE hashes that match it."""
         (run / "config.json").write_text(json.dumps(config))
-        digest = config_hash({k: v for k, v in config.items() if k != "out_dir"})
+        digest = run_digest(config)
         evaluation = json.loads((run / "eval.json").read_text())
         (run / "eval.json").write_text(json.dumps({**evaluation, "config_sha256": digest}))
         (run / "DONE").write_text(digest + "\n")
@@ -1104,6 +1105,51 @@ class TestReport:
             f"error: {dirs[1] / 'config.json'}: unknown train settings: ['{key}']"
         ]
         assert not out.exists()
+
+    def test_config_without_strategy_reported_as_mixup(self, tmp_path, capsys):
+        # the parser reads a missing strategy as mixup, and so does report
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("mixup",))
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs)]) == 0
+        expected = capsys.readouterr().out
+        config = json.loads((dirs[1] / "config.json").read_text())
+        del config["train"]["strategy"]
+        self._rewrite_config(dirs[1], config)
+        assert main(["report", *map(str, dirs)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == expected
+        assert captured.out.splitlines()[1].startswith("mixup,2,")
+
+    # a copy, and a copy whose config.json leaves the strategy to its default, train the same experiment
+    @pytest.mark.parametrize("strategy_written", [True, False])
+    def test_copied_run_rejected(self, tmp_path, capsys, strategy_written):
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("mixup",))
+        copy = tmp_path / "copy"
+        shutil.copytree(dirs[0], copy)
+        if not strategy_written:
+            config = json.loads((copy / "config.json").read_text())
+            del config["train"]["strategy"]
+            self._rewrite_config(copy, config)
+        out = tmp_path / "aggregate.csv"
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs), str(copy), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: run directories {dirs[0]} and {copy} hold the same experiment\n"
+        assert not out.exists()
+
+    def test_errors_in_run_order(self, tmp_path, capsys):
+        # each run is read whole before the next: the first bad run is named, whatever its fault
+        dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
+        config = json.loads((dirs[0] / "config.json").read_text())
+        config["train"]["dropout"] = 0.5
+        self._rewrite_config(dirs[0], config)
+        (dirs[1] / "DONE").write_text("0" * 64 + "\n")
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dirs[0] / 'config.json'}: unknown train settings: ['dropout']"
+        ]
 
     def test_done_not_utf8_named(self, tmp_path, capsys):
         dirs = self._run_many(tmp_path, seeds=(0, 1), strategies=("erm",))
@@ -1369,6 +1415,15 @@ class TestConfigRoundTrip:
             cfg[section][k] = 1
         d = ExperimentConfig.from_dict(cfg).to_dict()
         assert [repr(d[section][k]) for section, k in floats] == ["1.0"] * 5
+
+    def test_numpy_numbers_stored_as_json_numbers(self):
+        # json_value takes numpy numbers as require_kind does; the parsed config still writes as JSON
+        cfg = base_config()
+        cfg["seed"] = np.int64(3)
+        cfg["dataset"].update(classes=np.int32(4), separation=np.float32(2.5))
+        d = ExperimentConfig.from_dict(cfg).to_dict()
+        assert [type(v) for v in (d["seed"], d["dataset"]["classes"], d["dataset"]["separation"])] == [int, int, float]
+        assert json.loads(json.dumps(d)) == d
 
     @staticmethod
     def strategy_comparison_script():

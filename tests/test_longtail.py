@@ -154,6 +154,12 @@ class TestImbalanceProfile:
             ImbalanceProfile(*args)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("num_classes,shown", [(3.0, "3.0"), (True, "True"), ("3", "'3'")])
+    def test_class_count_of_another_kind_rejected(self, num_classes, shown):
+        with pytest.raises(ValueError) as excinfo:
+            ImbalanceProfile("step", 2.0, 6).class_counts(num_classes)
+        assert str(excinfo.value) == f"num_classes must be an integer, got {shown}"
+
     def test_numpy_numbers_accepted(self):
         profile = ImbalanceProfile("step", np.float64(2.0), np.int64(6))
         assert profile.class_counts(4) == (6, 6, 3, 3)
@@ -430,6 +436,21 @@ class TestSynthGaussianMixture:
             synth_gaussian_mixture((5, 5), 2, float("nan"), seed=0)
 
     @pytest.mark.parametrize(
+        "dim,separation,message",
+        [
+            (2.5, 3.0, "dim must be an integer, got 2.5"),
+            (True, 3.0, "dim must be an integer, got True"),
+            (4, True, "separation must be a number, got True"),
+            (4, "3", "separation must be a number, got '3'"),
+        ],
+    )
+    def test_dim_or_separation_of_another_kind_rejected(self, dim, separation, message):
+        # each kind is checked before any range: dim=True is not "dim >= 2", separation=True not radius 1
+        with pytest.raises(ValueError) as excinfo:
+            synth_gaussian_mixture((3, 3), dim, separation, seed=0)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "counts,shown", [((5, 2.5), "2.5"), ((True, 5), "True"), ((5, np.float64(3.0)), "np.float64(3.0)")]
     )
     def test_non_integer_count_rejected(self, counts, shown):
@@ -681,3 +702,40 @@ class TestClassIndex:
     def test_rejects_labels_outside_range(self, labels):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             ClassIndex.from_labels(np.array(labels), 3)
+
+
+class TestKinds:
+    """One kind table: json_value checks a value's kind with require_kind, in the same words."""
+
+    @pytest.mark.parametrize(
+        "value,kind,message",
+        [
+            (True, int, "x must be an integer, got True"),
+            (2.5, int, "x must be an integer, got 2.5"),
+            (True, float, "x must be a number, got True"),
+            ("1", float, "x must be a number, got '1'"),
+            (1, str, "x must be a string, got 1"),
+            ({}, list, "x must be a list, got {}"),
+            ([], dict, "x must be an object, got []"),
+        ],
+    )
+    def test_json_value_and_require_kind_agree(self, value, kind, message):
+        for check in (longtail.json_value, longtail.require_kind):
+            with pytest.raises(ValueError) as excinfo:
+                check(value, kind, "x")
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "value,kind",
+        [([1], list), ({"a": 1}, dict), (3, float), (np.float32(2.5), float), (np.int64(3), int), ("s", str)],
+    )
+    def test_json_value_and_require_kind_accept(self, value, kind):
+        longtail.require_kind(value, kind, "x")
+        assert longtail.json_value(value, kind, "x") is value
+
+    @pytest.mark.parametrize("value", [np.float32("inf"), np.float16("nan")])
+    def test_numpy_float_must_be_finite(self, value):
+        # compared as a Python float, with no cast of the bounds to the value's precision
+        with pytest.raises(ValueError) as excinfo:
+            longtail.json_value(value, float, "x")
+        assert str(excinfo.value) == f"x must be a finite number, got {value!r}"
