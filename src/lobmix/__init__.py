@@ -7,7 +7,6 @@ from .longtail import (
     LabeledDataset,
     load_cifar10_binary,
     longtail_split,
-    subsample_longtail,
     synth_gaussian_mixture,
     write_cifar10_binary,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "sample_batch",
     "sample_lambda",
     "standardize",
-    "subsample_longtail",
     "synth_gaussian_mixture",
     "train",
     "write_cifar10_binary",

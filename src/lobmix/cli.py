@@ -127,27 +127,30 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     if spec["kind"] == "synth":
         classes, dim, separation = spec["classes"], spec["dim"], spec["separation"]
         counts = cfg.profile.class_counts(classes)  # first: it names a class count below 2 as given
-        base = longtail.synth_gaussian_mixture((spec["base_per_class"],) * classes, dim, separation, seed)
+        base_counts = (spec["base_per_class"],) * classes
+        base = longtail.synth_gaussian_mixture(base_counts, dim, separation, seed)
         source = f"synth:classes={classes},dim={dim},separation={separation}"
         test_idx, manifest = longtail.longtail_split(
-            base.class_index(), counts, spec["test_per_class"], seed, source=source, profile=cfg.profile
+            longtail.ClassIndex.from_counts(base_counts), counts, spec["test_per_class"], seed,
+            source=source, profile=cfg.profile,
         )
         kept = manifest.kept_indices
         train_ds = LabeledDataset(base.features[kept], base.labels[kept], base.num_classes)
-        return train_ds, LabeledDataset(base.features[test_idx], base.labels[test_idx], base.num_classes), manifest
-    pixels, labels, source = _cifar10_base(spec["train_paths"])
-    index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
-    counts = cfg.profile.class_counts(index.num_classes)
-    manifest = longtail.subsample_longtail(index, counts, seed, source=source, profile=cfg.profile)
-    features = np.empty((len(manifest.kept_indices), pixels.shape[1]))
-    # kept rows are gathered and scaled a block at a time, so no uint8 copy of
-    # them is made; scaling commutes with the gather: the bits of
-    # load_cifar10_binary's rows
-    for rows in longtail.row_blocks(features):
-        np.divide(pixels[manifest.kept_indices[rows]], 255.0, out=features[rows], dtype=np.float64)
-    del pixels  # unmaps the files' bytes before the test file is read
-    train_ds = LabeledDataset(features, labels[manifest.kept_indices], index.num_classes)
-    test_ds = longtail.load_cifar10_binary(spec["test_path"])
+        test_ds = LabeledDataset(base.features[test_idx], base.labels[test_idx], base.num_classes)
+    else:
+        pixels, labels, source = _cifar10_base(spec["train_paths"])
+        index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
+        counts = cfg.profile.class_counts(index.num_classes)
+        _, manifest = longtail.longtail_split(index, counts, 0, seed, source=source, profile=cfg.profile)
+        features = np.empty((len(manifest.kept_indices), pixels.shape[1]))
+        # kept rows are gathered and scaled a block at a time, so no uint8 copy of
+        # them is made; scaling commutes with the gather: the bits of
+        # load_cifar10_binary's rows
+        for rows in longtail.row_blocks(features):
+            np.divide(pixels[manifest.kept_indices[rows]], 255.0, out=features[rows], dtype=np.float64)
+        del pixels  # unmaps the files' bytes before the test file is read
+        train_ds = LabeledDataset(features, labels[manifest.kept_indices], index.num_classes)
+        test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
@@ -176,7 +179,7 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     n_max = int(index.counts.min()) if args.n_max is None else args.n_max
     profile = ImbalanceProfile(kind=args.profile, rho=args.rho, n_max=n_max)
     counts = profile.class_counts(index.num_classes)
-    manifest = longtail.subsample_longtail(index, counts, args.seed, source=source, profile=profile)
+    _, manifest = longtail.longtail_split(index, counts, 0, args.seed, source=source, profile=profile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest.save(out / "manifest.json")

@@ -169,6 +169,8 @@ class ImbalanceProfile:
             raise ValueError(f"imbalance ratio must be >= 1, got {self.rho}")
         if self.n_max < self.rho:
             raise ValueError(f"n_max={self.n_max} would shrink the smallest class below one example (rho={self.rho})")
+        for name, kind in SCHEMA["profile"].items():  # a numpy number, or an int rho, is stored as a Python one
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def class_counts(self, num_classes: int) -> tuple[int, ...]:
         """Per-class counts of this profile over ``num_classes`` classes, largest first."""
@@ -370,40 +372,6 @@ class DatasetManifest:
         return cls.from_dict(read_json(path))
 
 
-def _pick(
-    pools: list[np.ndarray],
-    counts: Sequence[int],
-    rng: np.random.Generator,
-    seed: int,
-    source: str,
-    profile: ImbalanceProfile | None,
-) -> DatasetManifest:
-    """The manifest keeping counts[k] indices of pools[k], drawn uniformly without replacement."""
-    kept = [np.sort(rng.choice(pool, size=want, replace=False)) for pool, want in zip(pools, counts)]
-    return DatasetManifest(source=source, profile=profile, seed=seed, counts=tuple(counts), kept_indices=kept)
-
-
-def subsample_longtail(
-    index: ClassIndex,
-    counts: Sequence[int],
-    seed: int,
-    source: str = "unspecified",
-    profile: ImbalanceProfile | None = None,
-) -> DatasetManifest:
-    """Draw counts[k] examples of each class of ``index`` uniformly without replacement.
-
-    The returned manifest records the kept indices per class (sorted), so the
-    subsample can be gathered or audited later.
-    """
-    if len(counts) != index.num_classes:
-        raise ValueError(f"counts cover {len(counts)} classes but dataset has {index.num_classes}")
-    pools = [index.members(k) for k in range(len(counts))]
-    for k, (have, want) in enumerate(zip(pools, counts)):
-        if have.size < want:
-            raise ValueError(f"class {k} has {have.size} examples, need {want}")
-    return _pick(pools, counts, make_rng(seed, "subsample"), seed, source, profile)
-
-
 def synth_gaussian_mixture(counts: Sequence[int], dim: int, separation: float, seed: int) -> LabeledDataset:
     """``counts[k]`` rows of class k: unit-variance Gaussian blobs, centers on a sphere of radius ``separation``.
 
@@ -447,26 +415,32 @@ def longtail_split(
     source: str = "split",
     profile: ImbalanceProfile | None = None,
 ) -> tuple[np.ndarray, DatasetManifest]:
-    """Carve a balanced held-out set from the classes of ``index``, then subsample the remainder long-tailed.
+    """Hold out ``test_per_class`` indices of each class of ``index``, then keep ``counts[k]`` of the rest of class k.
 
-    Returns (test_indices, train_manifest): ``test_per_class`` held-out
-    indices of every class, class by class, disjoint from the kept indices.
+    Both are drawn uniformly without replacement, the held-out indices from
+    the stream ``"holdout"`` and the kept ones from ``"train-pick"``. Returns
+    (test_indices, manifest): the held-out indices class by class, disjoint
+    from the manifest's kept indices, both sorted within each class. With
+    ``test_per_class`` 0 the test indices are empty and the manifest is a
+    plain long-tailed subsample of ``index``.
     """
-    if test_per_class < 1:
-        raise ValueError("test_per_class must be >= 1")
+    if test_per_class < 0:
+        raise ValueError("test_per_class must be >= 0")
     if len(counts) != index.num_classes:
         raise ValueError(f"counts cover {len(counts)} classes but dataset has {index.num_classes}")
-    rng = make_rng(seed, "holdout")
+    holdout, pick = make_rng(seed, "holdout"), make_rng(seed, "train-pick")
     test_idx: list[np.ndarray] = []
-    pools: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
     for k, want in enumerate(counts):
         have = index.members(k)
         if have.size < want + test_per_class:
             raise ValueError(f"class {k} has {have.size} examples, need {want + test_per_class}")
-        held = np.sort(rng.choice(have, size=test_per_class, replace=False))
+        held = np.sort(holdout.choice(have, size=test_per_class, replace=False))
         test_idx.append(held)
-        pools.append(np.setdiff1d(have, held, assume_unique=True))
-    return np.concatenate(test_idx), _pick(pools, counts, make_rng(seed, "train-pick"), seed, source, profile)
+        pool = np.setdiff1d(have, held, assume_unique=True)
+        kept.append(np.sort(pick.choice(pool, size=want, replace=False)))
+    manifest = DatasetManifest(source=source, profile=profile, seed=seed, counts=tuple(counts), kept_indices=kept)
+    return np.concatenate(test_idx), manifest
 
 
 def _record_count(path: str | Path) -> int:

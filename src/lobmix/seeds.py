@@ -1,7 +1,7 @@
 """Counter-addressed random streams: one keyed Philox generator per (root, name, counter).
 
 Every draw in lobmix comes from :func:`make_rng`. A stream is named by a
-root seed and a label ("epoch", "init", "subsample", ...), which together
+root seed and a label ("epoch", "init", "holdout", ...), which together
 fix the Philox key; the counter addresses a block inside that keyed
 stream, e.g. ``make_rng(seed, "epoch", epoch)`` for the rows of one training
 epoch (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
@@ -16,7 +16,7 @@ MAX_SEED = 2**64 - 1
 
 # Version of the mapping from (root, name, counter) to random numbers. Run
 # outputs record it, so runs drawn under different layouts are never mixed.
-RNG_LAYOUT = 3
+RNG_LAYOUT = 4
 
 
 def _word(value: int, what: str) -> int:

@@ -241,6 +241,8 @@ class TrainConfig:
                 f"{self.strategy} strategy needs a first lr decay epoch strictly inside (0, epochs={self.epochs}), "
                 f"got {self.lr_decay_epochs}"
             )
+        for name, kind in FIELD_KINDS.items():  # a numpy number, or an int float field, is stored as a Python one
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def schedule(self, epoch: int) -> tuple[float, tuple[str, ...]]:
         """Learning rate and sampler kinds of ``epoch``, both set by the number ``d`` of decay epochs it has reached.

@@ -24,10 +24,11 @@ from lobmix import (
     LabeledDataset,
     TrainConfig,
     load_cifar10_binary,
-    subsample_longtail,
+    longtail_split,
     write_cifar10_binary,
 )
 from lobmix import longtail
+from lobmix.atomic import write_json
 from lobmix.cli import ExperimentConfig, build_parser, config_hash, load_config, main, resolve_datasets, run_digest
 from lobmix.longtail import BLOCK_BYTES, SCHEMA
 from lobmix.seeds import RNG_LAYOUT
@@ -292,7 +293,7 @@ class TestTwoFileCifar:
         labels = np.concatenate([b.labels for b in bases])
         source = ";".join(str(p) for p in train_paths)
         index = ClassIndex.from_labels(labels, 10)
-        manifest = subsample_longtail(index, profile.class_counts(10), seed, source=source, profile=profile)
+        manifest = longtail_split(index, profile.class_counts(10), 0, seed, source=source, profile=profile)[1]
         train = LabeledDataset(features[manifest.kept_indices], labels[manifest.kept_indices], 10)
         return train, load_cifar10_binary(test_path), manifest
 
@@ -849,6 +850,14 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
         assert_one_error(capsys, "class 9 missing from the evaluation set")
+        assert not out.exists()
+
+    def test_synth_config_without_test_rows_leaves_no_directory(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["dataset"]["test_per_class"] = 0
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: class 0 missing from the evaluation set\n"
         assert not out.exists()
 
     def test_cifar_config_needs_train_path(self, tmp_path, capsys, cifar_file):
@@ -1424,6 +1433,15 @@ class TestConfigRoundTrip:
         d = ExperimentConfig.from_dict(cfg).to_dict()
         assert [type(v) for v in (d["seed"], d["dataset"]["classes"], d["dataset"]["separation"])] == [int, int, float]
         assert json.loads(json.dumps(d)) == d
+
+    def test_numpy_fields_written_as_json_numbers(self, tmp_path):
+        # the constructors store numpy numbers, and an integer float field, as Python numbers
+        cfg = ExperimentConfig.from_dict({**base_config(), "seed": 3})
+        train = dataclasses.replace(cfg.train, epochs=np.int32(3), lr=np.float64(0.4), alpha=1, seed=np.int64(3))
+        profile = ImbalanceProfile("exponential", np.int64(10), np.uint16(80))
+        write_json(tmp_path / "got.json", ExperimentConfig(cfg.dataset, profile, train).to_dict())
+        write_json(tmp_path / "want.json", cfg.to_dict())
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     @staticmethod
     def strategy_comparison_script():

@@ -12,11 +12,11 @@ from lobmix import (
     LabeledDataset,
     load_cifar10_binary,
     longtail_split,
-    subsample_longtail,
     synth_gaussian_mixture,
     write_cifar10_binary,
 )
 from lobmix import longtail
+from lobmix.atomic import write_json
 from lobmix.cli import main
 from lobmix.longtail import BLOCK_BYTES, mixture_centers, read_cifar10_records, row_blocks
 from lobmix.seeds import make_rng
@@ -164,6 +164,17 @@ class TestImbalanceProfile:
         profile = ImbalanceProfile("step", np.float64(2.0), np.int64(6))
         assert profile.class_counts(4) == (6, 6, 3, 3)
 
+    @pytest.mark.parametrize(
+        "rho,n_max",
+        [(np.float64(2.0), np.int64(6)), (np.float32(2.0), np.uint16(6)), (2, 6), (np.int8(2), 6)],
+        ids=["float64-int64", "float32-uint16", "int-int", "int8-int"],
+    )
+    def test_written_as_the_cli_writes_it(self, tmp_path, rho, n_max):
+        # numpy numbers and an integer ratio are stored as Python numbers: the bytes of the CLI's float rho
+        write_json(tmp_path / "got.json", ImbalanceProfile("step", rho, n_max).to_dict())
+        write_json(tmp_path / "want.json", ImbalanceProfile("step", 2.0, 6).to_dict())
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ImbalanceProfile("exp", 10.0, 5000)  # long names only
@@ -183,20 +194,20 @@ def _balanced_base(per_class, num_classes=2, dim=3, seed=11):
 class TestSubsample:
     def test_exact_sizes(self):
         base = _balanced_base(1000)
-        manifest = subsample_longtail(base.class_index(), (1000, 100), seed=5)
+        manifest = longtail_split(base.class_index(), (1000, 100), 0, seed=5)[1]
         assert list(ClassIndex.from_labels(base.labels[manifest.kept_indices], 2).counts) == [1000, 100]
         assert manifest.counts == (1000, 100)
 
     def test_same_seed_same_indices(self):
         base = _balanced_base(300)
-        m1 = subsample_longtail(base.class_index(), (300, 50), seed=9)
-        m2 = subsample_longtail(base.class_index(), (300, 50), seed=9)
+        m1 = longtail_split(base.class_index(), (300, 50), 0, seed=9)[1]
+        m2 = longtail_split(base.class_index(), (300, 50), 0, seed=9)[1]
         assert m1.kept_indices.dtype == np.int64
         assert np.array_equal(m1.kept_indices, m2.kept_indices)
 
     def test_full_counts_reproduce_base(self):
         base = _balanced_base(120)
-        kept = subsample_longtail(base.class_index(), (120, 120), seed=1).kept_indices
+        kept = longtail_split(base.class_index(), (120, 120), 0, seed=1)[1].kept_indices
         # same rows up to ordering: compare per-class sorted feature blocks
         for k in range(2):
             got = np.sort(base.features[kept][base.labels[kept] == k], axis=0)
@@ -206,16 +217,16 @@ class TestSubsample:
     def test_insufficient_class(self):
         base = _balanced_base(40)
         with pytest.raises(ValueError, match="^class 1 has 40 examples, need 41$"):
-            subsample_longtail(base.class_index(), (40, 41), seed=0)
+            longtail_split(base.class_index(), (40, 41), 0, seed=0)
 
     def test_counts_must_cover_every_class(self):
         base = _balanced_base(50, num_classes=4)
         with pytest.raises(ValueError, match="^counts cover 2 classes but dataset has 4$"):
-            subsample_longtail(base.class_index(), (30, 10), seed=0)
+            longtail_split(base.class_index(), (30, 10), 0, seed=0)
 
     def test_manifest_roundtrip(self, tmp_path):
         base = _balanced_base(200, num_classes=3)
-        manifest = subsample_longtail(base.class_index(), (200, 60, 20), seed=3)
+        manifest = longtail_split(base.class_index(), (200, 60, 20), 0, seed=3)[1]
         path = tmp_path / "manifest.json"
         manifest.save(path)
         loaded = DatasetManifest.load(path)
@@ -227,8 +238,8 @@ class TestSubsample:
 
     def test_rerun_from_manifest_seed(self):
         base = _balanced_base(200, num_classes=3)
-        manifest = subsample_longtail(base.class_index(), (200, 60, 20), seed=3)
-        again = subsample_longtail(base.class_index(), manifest.counts, seed=manifest.seed)
+        manifest = longtail_split(base.class_index(), (200, 60, 20), 0, seed=3)[1]
+        again = longtail_split(base.class_index(), manifest.counts, 0, seed=manifest.seed)[1]
         assert np.array_equal(base.features[manifest.kept_indices], base.features[again.kept_indices])
         assert np.array_equal(base.labels[manifest.kept_indices], base.labels[again.kept_indices])
 
@@ -339,12 +350,26 @@ class TestManifestLayout:
         profile = ImbalanceProfile("exponential", 10.0, 1000)
         counts = profile.class_counts(1000)
         index = ClassIndex.from_counts((1000,) * 1000)
-        manifest = subsample_longtail(index, counts, 0, profile=profile)
+        manifest = longtail_split(index, counts, 0, 0, profile=profile)[1]
         assert manifest.kept_indices.size == 391_012
         _, peak = traced_peak(manifest.save, tmp_path / "manifest.json")
         block_bytes = 8 * manifest.kept_indices.size
         assert peak < 4 * block_bytes
         assert DatasetManifest.load(tmp_path / "manifest.json").to_dict() == manifest.to_dict()
+
+
+def two_pass_split(index, counts, test_per_class, seed):
+    """Test and kept indices of the split drawn in two passes, every held-out set first: the reference."""
+    rng = make_rng(seed, "holdout")
+    test_idx, pools = [], []
+    for k in range(len(counts)):
+        have = index.members(k)
+        held = np.sort(rng.choice(have, size=test_per_class, replace=False))
+        test_idx.append(held)
+        pools.append(np.setdiff1d(have, held, assume_unique=True))
+    rng = make_rng(seed, "train-pick")
+    kept = [np.sort(rng.choice(pool, size=want, replace=False)) for pool, want in zip(pools, counts)]
+    return np.concatenate(test_idx), np.concatenate(kept).astype(np.int64)
 
 
 class TestLongtailSplit:
@@ -367,10 +392,47 @@ class TestLongtailSplit:
         with pytest.raises(ValueError, match="^counts cover 2 classes but dataset has 4$"):
             longtail_split(base.class_index(), (30, 10), 5, seed=0)
 
-    def test_empty_test_set_rejected(self):
+    def test_negative_test_set_rejected(self):
         base = _balanced_base(50, num_classes=2)
-        with pytest.raises(ValueError, match="^test_per_class must be >= 1$"):
-            longtail_split(base.class_index(), (30, 10), 0, seed=0)
+        with pytest.raises(ValueError) as excinfo:
+            longtail_split(base.class_index(), (30, 10), -1, seed=0)
+        assert str(excinfo.value) == "test_per_class must be >= 0"
+
+    @given(
+        counts=st.lists(st.integers(0, 12), min_size=2, max_size=6),
+        test_per_class=st.integers(1, 8),
+        spare=st.integers(0, 5),
+        seed=st.integers(0, 2**64 - 1),
+        shuffled=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_the_two_pass_split(self, counts, test_per_class, spare, seed, shuffled):
+        # the classes of a from_labels index interleave; those of a from_counts index lie in blocks
+        sizes = [n + test_per_class + spare for n in counts]
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        if shuffled:
+            index = ClassIndex.from_labels(np.random.default_rng(seed % 97).permutation(labels), len(sizes))
+        else:
+            index = ClassIndex.from_counts(sizes)
+        test_idx, manifest = longtail_split(index, counts, test_per_class, seed, source="s")
+        want_test, want_kept = two_pass_split(index, counts, test_per_class, seed)
+        assert test_idx.dtype == want_test.dtype and test_idx.tobytes() == want_test.tobytes()
+        assert manifest.kept_indices.tobytes() == want_kept.tobytes()
+        assert manifest.counts == tuple(counts) and manifest.seed == seed and manifest.source == "s"
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_no_held_out_rows_is_the_train_pick_draw(self, shuffled):
+        counts, sizes = (9, 4, 0, 1), (12, 4, 3, 6)
+        labels = np.repeat(np.arange(4), sizes)
+        if shuffled:
+            index = ClassIndex.from_labels(np.random.default_rng(1).permutation(labels), 4)
+        else:
+            index = ClassIndex.from_counts(sizes)
+        test_idx, manifest = longtail_split(index, counts, 0, 17)
+        assert test_idx.dtype == np.int64 and test_idx.size == 0
+        rng = make_rng(17, "train-pick")
+        want = [np.sort(rng.choice(index.members(k), size=n, replace=False)) for k, n in enumerate(counts)]
+        assert manifest.kept_indices.tobytes() == np.concatenate(want).tobytes()
 
 
 def per_class_mixture(counts, dim, separation, seed):

@@ -1,9 +1,23 @@
+import ast
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lobmix.seeds import MAX_SEED, make_rng
+from lobmix import seeds
+from lobmix.seeds import MAX_SEED, RNG_LAYOUT, make_rng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The stream names passed to make_rng under each random-stream layout; "analyze:"
+# is the prefix of analyze's "analyze:<combo>". Adding or retiring a stream
+# changes the draws of some output, so it needs a new RNG_LAYOUT and a new row.
+STREAMS = {
+    3: {"epoch", "init", "centers", "points", "holdout", "train-pick", "subsample", "analyze:"},
+    4: {"epoch", "init", "centers", "points", "holdout", "train-pick", "analyze:"},
+}
 
 
 def draws(*address):
@@ -63,3 +77,34 @@ class TestMakeRng:
     def test_counter_of_wrong_type_rejected(self, word):
         with pytest.raises(TypeError, match="counter word must be an int"):
             make_rng(0, "batch", word)
+
+
+def stream_name(node: ast.expr) -> str:
+    """The stream name of a ``make_rng`` name argument: a string, or the string that starts a concatenation."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        node = node.left
+    elif isinstance(node, ast.JoinedStr):
+        node = node.values[0]
+    assert isinstance(node, ast.Constant) and isinstance(node.value, str), ast.dump(node)
+    return node.value
+
+
+class TestStreamLayout:
+    @staticmethod
+    def streams_in_source() -> set:
+        names = set()
+        for path in Path(seeds.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                # a name given by keyword fails at args[1], so no call escapes the scan
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_rng":
+                    names.add(stream_name(node.args[1]))
+        return names
+
+    def test_streams_are_those_of_the_layout(self):
+        assert self.streams_in_source() == STREAMS[RNG_LAYOUT]
+
+    def test_readme_names_every_stream(self):
+        text = " ".join(README.read_text().split())
+        sentence = re.search(r"The stream names are (.*?)\. ", text).group(1)
+        named = {name.removesuffix("<combo>") for name in re.findall(r'`"([^"`]+)"`', sentence)}
+        assert named == STREAMS[RNG_LAYOUT]
