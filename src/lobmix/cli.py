@@ -135,21 +135,21 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
             source=source, profile=cfg.profile,
         )
         kept = manifest.kept_indices
-        train_ds = LabeledDataset(base.features[kept], base.labels[kept], base.num_classes)
-        test_ds = LabeledDataset(base.features[test_idx], base.labels[test_idx], base.num_classes)
+        train_ds = LabeledDataset.from_rows(base.rows[kept], base.labels[kept], base.num_classes)
+        test_ds = LabeledDataset.from_rows(base.rows[test_idx], base.labels[test_idx], base.num_classes)
     else:
         pixels, labels, source = _cifar10_base(spec["train_paths"])
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
         counts = cfg.profile.class_counts(index.num_classes)
         _, manifest = longtail.longtail_split(index, counts, 0, seed, source=source, profile=cfg.profile)
-        features = np.empty((len(manifest.kept_indices), pixels.shape[1]))
-        # kept rows are gathered and scaled a block at a time, so no uint8 copy of
-        # them is made; scaling commutes with the gather: the bits of
+        out = np.empty((len(manifest.kept_indices), pixels.shape[1] + 1))  # the pixels and the column of ones
+        # kept rows are gathered and scaled a block at a time, so no full-size uint8
+        # copy of them is made; scaling commutes with the gather: the bits of
         # load_cifar10_binary's rows
-        for rows in longtail.row_blocks(features):
-            np.divide(pixels[manifest.kept_indices[rows]], 255.0, out=features[rows], dtype=np.float64)
+        for rows in longtail.row_blocks(out):
+            longtail.scale_pixels(pixels[manifest.kept_indices[rows]], out[rows])
         del pixels  # unmaps the files' bytes before the test file is read
-        train_ds = LabeledDataset(features, labels[manifest.kept_indices], index.num_classes)
+        train_ds = LabeledDataset.from_rows(out, labels[manifest.kept_indices], index.num_classes)
         test_ds = longtail.load_cifar10_binary(spec["test_path"])
     sizes = np.bincount(test_ds.labels, minlength=test_ds.num_classes)
     if np.any(sizes == 0):

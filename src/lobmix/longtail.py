@@ -51,6 +51,16 @@ def require_kind(value, kind: type, name: str) -> None:
         raise ValueError(f"{name} must be {described}, got {value!r}")
 
 
+def in_float_range(value) -> bool:
+    """Whether the real ``value`` lies within the float range: False for NaN, an infinity or an int beyond it.
+
+    An int is compared as itself (``float()`` of a huge one overflows), a numpy float as a Python
+    float (compared as itself, it would cast the bounds to its own precision).
+    """
+    x = value if isinstance(value, int) else float(value)
+    return -sys.float_info.max <= x <= sys.float_info.max
+
+
 def json_value(value, kind: type | list, name: str):
     """Return ``value`` if it holds a JSON value of ``kind``, else raise ValueError.
 
@@ -63,12 +73,8 @@ def json_value(value, kind: type | list, name: str):
             json_value(v, kind[0], f"{name} entry")
         return value
     require_kind(value, kind, name)
-    if kind is float:
-        # NaN fails both comparisons; an int beyond them would overflow float(), and a
-        # numpy float compared as itself would cast the bounds to its own precision
-        x = value if isinstance(value, int) else float(value)
-        if not -sys.float_info.max <= x <= sys.float_info.max:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if kind is float and not in_float_range(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -187,34 +193,66 @@ class ImbalanceProfile:
         return cls(**json_settings(d, SCHEMA["profile"], name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledDataset:
-    """Feature matrix (one row per example) with integer class labels."""
+    """Feature rows (one per example) with integer class labels.
 
-    features: np.ndarray
+    ``rows``, the one storage form, is C-contiguous float64 ``(N, D + 1)`` with a last column of
+    exactly 1.0, so a model ``(C, D + 1)`` whose last column is the bias applies as one product;
+    ``features`` is the view ``rows[:, :-1]`` and ``dim`` is D. ``LabeledDataset(features, labels,
+    num_classes)`` copies an ``(N, D)`` matrix into fresh rows a row block at a time.
+    """
+
+    rows: np.ndarray
     labels: np.ndarray
     num_classes: int
 
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+    def __init__(self, features, labels, num_classes: int) -> None:
+        features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got shape {features.shape}")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
+        rows = np.empty((features.shape[0], features.shape[1] + 1))
+        for block in row_blocks(rows):
+            rows[block, :-1] = features[block]
+            rows[block, -1] = 1.0
+        self.__post_init__(rows, labels, num_classes)
+
+    @classmethod
+    def from_rows(cls, rows, labels, num_classes: int) -> "LabeledDataset":
+        """The dataset of ``(N, D + 1)`` rows whose last column is 1.0, kept as they are if C-contiguous float64."""
+        dataset = cls.__new__(cls)
+        dataset.__post_init__(rows, labels, num_classes)
+        return dataset
+
+    def __post_init__(self, rows, labels, num_classes: int) -> None:
+        """Check and store the fields: both constructors end here (``bench/spans.py`` traces this name)."""
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] < 1:
+            raise ValueError(f"rows must be a 2-D matrix with a last column of ones, got shape {rows.shape}")
+        if labels.ndim != 1 or labels.shape[0] != rows.shape[0]:
             raise ValueError("labels must be one per feature row")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if not all(np.isfinite(features[rows]).all() for rows in row_blocks(features)):
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ValueError(f"labels must lie in [0, {num_classes})")
+        if not all(np.isfinite(rows[block]).all() for block in row_blocks(rows)):
             raise ValueError("features must be finite, got NaN or infinity")
-        object.__setattr__(self, "features", features)
+        if not (rows[:, -1] == 1.0).all():
+            raise ValueError("rows must end in a column of ones")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_classes", num_classes)
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The ``(N, D)`` view of the rows without their column of ones."""
+        return self.rows[:, :-1]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.rows.shape[1] - 1
 
     def class_index(self) -> "ClassIndex":
         return ClassIndex.from_labels(self.labels, self.num_classes)
@@ -302,6 +340,7 @@ class DatasetManifest:
     kept_indices: np.ndarray
 
     def __post_init__(self) -> None:
+        require_kind(self.seed, int, "seed")
         counts = tuple(map(int, self.counts))
         per_class = self.kept_indices
         if len(counts) != len(per_class):
@@ -320,6 +359,7 @@ class DatasetManifest:
             raise ValueError(f"kept indices must be non-negative, got {int(flat.min())}")
         if flat.size and flat.max() >= 2**32:  # the file holds 4 bytes an index
             raise ValueError(f"kept indices must be below 2**32, got {int(flat.max())}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is written as JSON
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kept_indices", flat)
 
@@ -375,9 +415,10 @@ class DatasetManifest:
 def synth_gaussian_mixture(counts: Sequence[int], dim: int, separation: float, seed: int) -> LabeledDataset:
     """``counts[k]`` rows of class k: unit-variance Gaussian blobs, centers on a sphere of radius ``separation``.
 
-    The rows are stored class by class: one ``(N, dim)`` standard normal draw,
-    each row then shifted by its class's center in place, one row block
-    (:func:`row_blocks`) at a time, so no second copy of the rows is made.
+    The rows are stored class by class: the bytes of one ``(N, dim)`` standard
+    normal draw, each row shifted by its class's center. They are drawn one
+    row block (:func:`row_blocks`) at a time into a one-block scratch and
+    shifted into the dataset's rows, so no second copy of the rows is made.
     ``counts`` are checked as :meth:`ClassIndex.from_counts` checks them.
     """
     require_kind(dim, int, "dim")
@@ -389,10 +430,14 @@ def synth_gaussian_mixture(counts: Sequence[int], dim: int, separation: float, s
         raise ValueError(f"separation must be positive, got {separation}")
     centers = mixture_centers(index.num_classes, dim, separation, seed)
     labels = np.repeat(np.arange(index.num_classes), index.counts)
-    x = make_rng(seed, "points").standard_normal((index.total, dim))
-    for rows in row_blocks(x):
-        x[rows] += centers[labels[rows]]
-    return LabeledDataset(x, labels, index.num_classes)
+    rng, rows = make_rng(seed, "points"), np.empty((index.total, dim + 1))
+    blocks = row_blocks(rows)
+    scratch = np.empty((blocks[0].stop, dim))  # from_counts leaves at least 2 rows, so a first block
+    for block in blocks:
+        draw = rng.standard_normal(out=scratch[: block.stop - block.start])  # consecutive draws: one draw's bytes
+        np.add(draw, centers[labels[block]], out=rows[block, :-1])
+        rows[block, -1] = 1.0
+    return LabeledDataset.from_rows(rows, labels, index.num_classes)
 
 
 def mixture_centers(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:
@@ -501,26 +546,39 @@ def read_cifar10_records(*paths: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return records[:, 1:], labels
 
 
+def scale_pixels(pixels: np.ndarray, out: np.ndarray) -> None:
+    """Write uint8 ``pixels`` scaled to [0, 1] into float64 rows ``out``, one column wider: its last column becomes 1.0.
+
+    The pixel rows are copied into byte rows that end in 255, so one contiguous divide writes the
+    ones (255 / 255) too; a divide into the strided ``out[:, :-1]`` takes about a quarter longer.
+    """
+    widened = np.empty((len(pixels), pixels.shape[1] + 1), dtype=np.uint8)
+    widened[:, :-1] = pixels
+    widened[:, -1] = 255
+    np.divide(widened, 255.0, out=out, dtype=np.float64)
+
+
 def load_cifar10_binary(path: str | Path) -> LabeledDataset:
     """Parse a CIFAR-10 binary file with every pixel scaled to [0,1] as float64.
 
     The records are read in blocks of about BLOCK_BYTES of floats
     (:func:`row_blocks`) into one small reused buffer, and each block is
-    scaled into the float array: no copy of the whole file is made. To keep
+    scaled into the dataset's rows: no copy of the whole file is made. To keep
     some rows of files, read their uint8 pixels with
-    :func:`read_cifar10_records` and scale only the kept rows:
-    ``np.divide(pixels[kept], 255.0, dtype=np.float64)`` holds the same bits
-    as ``load_cifar10_binary(path).features[kept]``.
+    :func:`read_cifar10_records` and scale only the kept rows
+    (:func:`scale_pixels`): ``np.divide(pixels[kept], 255.0,
+    dtype=np.float64)`` holds the same bits as
+    ``load_cifar10_binary(path).features[kept]``.
     """
     count = _record_count(path)
-    features = np.empty((count, CIFAR10_RECORD_BYTES - 1))
+    out = np.empty((count, CIFAR10_RECORD_BYTES))  # 3072 pixels and the column of ones
     labels = np.empty(count, dtype=np.int64)
-    blocks = row_blocks(features)
+    blocks = row_blocks(out)
     buffer = np.empty((blocks[0].stop if blocks else 0, CIFAR10_RECORD_BYTES), dtype=np.uint8)
     for rows, block in _read_records(path, blocks, buffer):
-        np.divide(block[:, 1:], 255.0, out=features[rows], dtype=np.float64)
+        scale_pixels(block[:, 1:], out[rows])
         labels[rows] = block[:, 0]
-    return LabeledDataset(features, labels, CIFAR10_CLASSES)
+    return LabeledDataset.from_rows(out, labels, CIFAR10_CLASSES)
 
 
 def write_cifar10_binary(dataset: LabeledDataset, path: str | Path) -> None:

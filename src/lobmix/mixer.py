@@ -77,7 +77,9 @@ def blend(features: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray, o
     gathered ``features[i]`` in their block of the result and ``features[j]``
     in a one-block scratch, scaled and summed in place: the same IEEE
     operations in the same order as the expression, so the same bits.
-    ``features`` is not changed. Without ``out`` the result is new; with
+    Blended dataset ``rows`` keep their last column of ones exactly, as
+    complement-stable ratios (:func:`sample_lambda`) make ``lam * 1 + (1 -
+    lam) * 1`` round to 1. ``features`` is not changed. Without ``out`` the result is new; with
     ``out=(a, b)``, float64 arrays of ``len(i)`` rows and of at least one
     block's rows, ``a`` is the result and ``b`` the scratch. The gathers
     into ``out`` clip an index outside ``[0, N)`` to the nearest row instead

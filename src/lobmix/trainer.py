@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_csv
-from .longtail import BLOCK_BYTES, SCHEMA, LabeledDataset, require_kind, row_blocks
+from .longtail import BLOCK_BYTES, SCHEMA, LabeledDataset, in_float_range, require_kind, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
 from .occurrence import default_groups, format_float
 from .samplers import CB, IB
@@ -42,11 +42,12 @@ class TrainingDiverged(RuntimeError):
 
 
 def init_params(dim: int, num_classes: int, seed: int) -> np.ndarray:
-    """The model, one ``(num_classes, dim + 1)`` array ``W``: a row of logits is ``W[:, :-1] @ x + W[:, -1]``.
+    """The model, one ``(num_classes, dim + 1)`` array ``W``: the logits of a dataset row ``x`` are ``W @ x``.
 
     ``W[:, :-1]`` is a Gaussian ``(dim, num_classes)`` draw scaled by
-    1/sqrt(dim), transposed, and the last column, the bias, is zero. The
-    model reads feature rows as given (see :func:`standardize`).
+    1/sqrt(dim), transposed, and the last column, the bias, is zero: it
+    meets the 1.0 that ends every row of a dataset's ``rows``. The model
+    reads feature rows as given (see :func:`standardize`).
     """
     W = np.zeros((num_classes, dim + 1))
     W[:, :-1] = (make_rng(seed, "init").standard_normal((dim, num_classes)) / np.sqrt(dim)).T
@@ -57,22 +58,23 @@ def init_params(dim: int, num_classes: int, seed: int) -> np.ndarray:
 def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
     """Scale both feature matrices in place by the train split's column means and spreads.
 
-    Every column becomes ``(x - mean) / std`` of the train column, with a
-    zero spread taken as 1. The trainer works on the rows it is given, so
-    call this once on a pair of datasets before :func:`train`, as ``lobmix
-    train`` does; the rows of both change, and no copy is made. Train
-    features whose mean or spread overflows raise ValueError before any row
-    changes, and test features that overflow once scaled raise ValueError
-    after. Scaled train rows stay finite: each lies within sqrt(N) spreads
-    of the mean. The rows are read in blocks (:func:`row_blocks`), so no
-    full-size temporary is made. For C-contiguous rows of two or more
-    columns, as every ``lobmix`` command passes, the spreads have the bits
-    of ``x.std(axis=0)``; numpy sums other layouts pairwise, so their
-    spreads may differ from it in the last bits.
+    Every feature column, ``rows[:, :-1]``, becomes ``(x - mean) / std`` of
+    the train column, with a zero spread taken as 1; the column of ones is
+    not touched. The trainer works on the rows it is given, so call this
+    once on a pair of datasets before :func:`train`, as ``lobmix train``
+    does; the rows of both change, and no copy is made. Train features
+    whose mean or spread overflows raise ValueError before any row changes,
+    and test features that overflow once scaled raise ValueError after.
+    Scaled train rows stay finite: each lies within sqrt(N) spreads of the
+    mean. The rows are read in blocks (:func:`row_blocks`), so no full-size
+    temporary is made. For two or more feature columns, as every ``lobmix``
+    command passes, the spreads have the bits of ``x.std(axis=0)`` of a
+    C-contiguous copy of the features; numpy sums other layouts pairwise,
+    so their spreads may differ from it in the last bits.
     """
-    if np.may_share_memory(train.features, test.features):  # their rows would be scaled twice
+    if np.may_share_memory(train.rows, test.rows):  # their rows would be scaled twice
         raise ValueError("train and test features must be separate arrays")
-    x = train.features
+    x, y = train.features, test.features
     offset = x.mean(axis=0)
     # x.std adds the squared deviations row after row; so does the reduce of
     # each block, whose first row holds the running column sums
@@ -87,12 +89,12 @@ def standardize(train: LabeledDataset, test: LabeledDataset) -> None:
     scale[scale == 0] = 1.0
     if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
         raise ValueError("train features are too large to standardize: their mean or spread overflows")
-    for features in (x, test.features):
+    for features in (x, y):
         for rows in row_blocks(features):
             block = features[rows]
             block -= offset
             block /= scale
-            if features is test.features and not np.isfinite(block).all():
+            if features is y and not np.isfinite(block).all():
                 raise ValueError("test features overflow when scaled by the train split's mean and spread")
 
 
@@ -113,10 +115,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Probabilities of rows ``x``, one a column: softmax of ``W[:, :-1] @ x.T + W[:, -1:]``, into ``out`` if given."""
-    logits = np.matmul(W[:, :-1], x.T, out=out)
-    logits += W[:, -1:]
-    return _softmax(logits)
+    """Probabilities of rows ``x`` ending in 1.0, one a column: softmax of ``W @ x.T``, into ``out`` if given."""
+    return _softmax(np.matmul(W, x.T, out=out))
 
 
 def _target_plan(
@@ -147,27 +147,25 @@ def _grad_step(
     W: np.ndarray, x: np.ndarray, pos: np.ndarray, weights: np.ndarray, taken: np.ndarray,
     logits: np.ndarray, grad: np.ndarray,
 ) -> None:
-    """Gradient of the mean mixed cross entropy of rows ``x``, given one batch row of a :func:`_target_plan`.
+    """Gradient of the mixed cross entropy summed over rows ``x``, given one batch row of a :func:`_target_plan`.
 
-    Cross entropy is linear in the target, so the logit gradient is
-    ``probs`` minus ``weights`` scattered onto ``pos``; no (C, B) target is
-    built. The probabilities at ``pos`` are first copied into ``taken``, from
-    which :func:`_batch_losses` computes the loss. The logits, then the
-    probabilities, then the logit gradient are written into ``logits``, a
-    ``(num_classes, len(x))`` array held classes by rows. The gradient goes
-    into ``grad``, shaped like ``W`` (see :func:`_step_buffers`):
-    ``dlogits @ x`` into ``grad[:, :-1]`` and ``np.add.reduce(dlogits,
-    axis=1)`` into ``grad[:, -1]``. A step allocates only the softmax's two
-    ``(len(x),)`` reductions and, for each in-place broadcast, numpy's ufunc
-    buffer of at most 8192 values.
+    ``x`` holds dataset rows, each ending in 1.0. Cross entropy is linear in
+    the target, so the logit gradient is ``probs`` minus ``weights``
+    scattered onto ``pos``; no (C, B) target is built. The probabilities at
+    ``pos`` are first copied into ``taken``, from which :func:`_batch_losses`
+    computes the loss. The logits, then the probabilities, then the logit
+    gradient are written into ``logits``, a ``(num_classes, len(x))`` array
+    held classes by rows. ``dlogits @ x`` goes into ``grad``, shaped like
+    ``W`` (see :func:`_step_buffers`): the column of ones makes its last
+    column the bias gradient. The mean's 1/len(x) is left to the caller:
+    :func:`train` folds it into its learning rate. A step allocates only the
+    softmax's two ``(len(x),)`` reductions.
     """
     dlogits = _forward(W, x, logits)
     flat = dlogits.reshape(-1)  # a view: the probabilities become the logit gradient in place
     flat.take(pos, out=taken)
     np.subtract.at(flat, pos, weights)  # unbuffered: coinciding classes take both weights, the second 0
-    dlogits /= x.shape[0]
-    np.matmul(dlogits, x, out=grad[:, :-1])
-    np.add.reduce(dlogits, axis=1, out=grad[:, -1])
+    np.matmul(dlogits, x, out=grad)
 
 
 def _batch_losses(taken: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -189,14 +187,20 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean mixed cross entropy and its gradient for targets given as class pairs.
 
-    Row r's target carries :func:`pair_weights` on classes c_i and c_j. This
-    is :func:`train`'s step on one batch: its target plan, gradient kernel
-    and loss reduction. The gradient is one array shaped like ``W``.
+    ``x`` holds ``(B, D)`` feature rows, which are widened by a column of
+    ones. Row r's target carries :func:`pair_weights` on classes c_i and
+    c_j. This is :func:`train`'s step on one batch: its target plan,
+    gradient kernel and loss reduction, with the gradient divided by B. The
+    gradient is one array shaped like ``W``.
     """
-    pos, weights = _target_plan(c_i, c_j, lam, x.shape[0])
+    size = x.shape[0]
+    rows = np.ones((size, x.shape[1] + 1))
+    rows[:, :-1] = x
+    pos, weights = _target_plan(c_i, c_j, lam, size)
     taken = np.empty(pos.shape)
-    logits, grad = _step_buffers(W, x.shape[0])
-    _grad_step(W, x, pos[0], weights[0], taken[0], logits, grad)
+    logits, grad = _step_buffers(W, size)
+    _grad_step(W, rows, pos[0], weights[0], taken[0], logits, grad)
+    grad /= size
     return float(_batch_losses(taken, weights)[0]), grad
 
 
@@ -224,16 +228,16 @@ class TrainConfig:
         object.__setattr__(self, "lr_decay_epochs", tuple(map(int, self.lr_decay_epochs)))
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must all be >= 1")
-        if not 0 <= self.lr < np.inf:  # written so that NaN fails too
+        if not (self.lr >= 0 and in_float_range(self.lr)):  # NaN and an int beyond the float range fail too
             kind = "non-negative" if self.lr < 0 else "finite"
             raise ValueError(f"learning rate must be {kind}, got {self.lr}")
-        if not 0 < self.alpha < np.inf:
+        if not (self.alpha > 0 and in_float_range(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if any(b <= a for a, b in zip(self.lr_decay_epochs, self.lr_decay_epochs[1:])):
             raise ValueError(f"decay epochs must be strictly increasing, got {self.lr_decay_epochs}")
         if min(self.lr_decay_epochs, default=1) < 1:
             raise ValueError(f"decay epochs must be >= 1, got {self.lr_decay_epochs}")
-        if not 0 <= self.lr_decay_factor < np.inf:  # NaN fails too
+        if not (self.lr_decay_factor >= 0 and in_float_range(self.lr_decay_factor)):
             kind = "non-negative" if self.lr_decay_factor < 0 else "finite"
             raise ValueError(f"lr_decay_factor must be {kind}, got {self.lr_decay_factor}")
         if len(STRATEGIES[self.strategy]) > 1 and not (self.lr_decay_epochs and self.lr_decay_epochs[0] < self.epochs):
@@ -276,8 +280,8 @@ class EpochStats:
 def evaluate(W: np.ndarray, test: LabeledDataset, groups: np.ndarray) -> EvalReport:
     """Argmax predictions on the rows of ``test`` scored as per-class recall plus group means.
 
-    A prediction is the argmax of the logits ``x @ W[:, :-1].T + W[:, -1]``
-    (contiguous copies of both, made once a call), taken with no
+    A prediction is the argmax of the logits ``x @ W.T`` of a row ``x`` of
+    ``test.rows`` (a contiguous copy of ``W.T``, made once a call), taken with no
     softmax one block of ``max(1, BLOCK_BYTES // (8 * C))`` rows at a time;
     it differs from the argmax of the rounded probabilities only where
     rounding ties two classes. ``groups`` holds one GROUP_NAMES index per
@@ -286,12 +290,11 @@ def evaluate(W: np.ndarray, test: LabeledDataset, groups: np.ndarray) -> EvalRep
     sizes = np.bincount(test.labels, minlength=test.num_classes)
     if np.any(sizes == 0):
         raise ValueError(f"class {int(np.argmin(sizes))} missing from the evaluation set")
-    w, b = np.ascontiguousarray(W[:, :-1].T), W[:, -1].copy()
+    w = np.ascontiguousarray(W.T)
     n, step = len(test.labels), max(1, BLOCK_BYTES // (8 * test.num_classes))
     logits, predicted = np.empty((min(step, n), test.num_classes)), np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
-        block = np.matmul(test.features[start : start + step], w, out=logits[: min(step, n - start)])
-        block += b
+        block = np.matmul(test.rows[start : start + step], w, out=logits[: min(step, n - start)])
         block.argmax(axis=1, out=predicted[start : start + step])
     hits = predicted == test.labels
     recalls = np.bincount(test.labels, weights=hits, minlength=test.num_classes) / sizes
@@ -324,9 +327,11 @@ def train(
     batch at least) into one buffer, with a scratch of one row block
     (:func:`~lobmix.mixer.blend`'s ``out``), both made once a run; each batch
     is a row slice of its chunk, the bits of blending it alone. Each step
-    writes its logits and gradient into work buffers made once a run and scales the
-    gradient in place, so it allocates nothing the size of a batch, and the
-    batch losses are reduced once the epoch's steps are done.
+    writes its logits and gradient into work buffers made once a run and
+    scales the gradient in place by ``lr / batch_size``, which folds in the
+    mean over the batch (the bits of ``lr * (grad / batch_size)`` at a
+    power-of-two batch size), so it allocates nothing the size of a batch,
+    and the batch losses are reduced once the epoch's steps are done.
     Runs that share a seed follow identical trajectories until their
     batch sources first differ (the deferred/vanilla equivalence before the first decay epoch).
     The model works on the rows it is given: :func:`standardize` the two
@@ -347,11 +352,12 @@ def train(
     size, rows_per_epoch = cfg.batch_size, cfg.batches_per_epoch * cfg.batch_size
     taken = np.empty((cfg.batches_per_epoch, 2 * size))
     per_chunk = min(cfg.batches_per_epoch, max(1, BLOCK_BYTES // max(1, 8 * size * train_ds.dim)))
-    buffer = np.empty((per_chunk * size, train_ds.dim))
-    scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim))  # blend's j rows, one row block
+    buffer = np.empty((per_chunk * size, train_ds.dim + 1))  # gathered or blended rows, each ending in 1.0
+    scratch = np.empty((row_blocks(buffer)[0].stop, train_ds.dim + 1))  # blend's j rows, one row block
     logits, grad = _step_buffers(W, size)
     for epoch in range(cfg.epochs):
         lr, kinds = cfg.schedule(epoch)
+        rate = lr / size  # a step's gradient sums over its batch: the fold of the mean's 1/size
         i, j, lam = draw_pairs(kinds, index, cfg.alpha, make_rng(cfg.seed, "epoch", epoch), rows_per_epoch)
         # labels[i] and labels[j] raise on an index beyond the rows before any
         # batch is gathered, so the gathers below may clip (the samplers draw
@@ -361,13 +367,13 @@ def train(
             rows = slice(first * size, min(first + per_chunk, cfg.batches_per_epoch) * size)
             out = buffer[: rows.stop - rows.start]
             if len(kinds) == 1:  # unmixed rows: blending at λ = 1 gives the same bits but gathers them twice
-                chunk = train_ds.features.take(i[rows], axis=0, out=out, mode="clip")
-            else:
-                chunk = blend(train_ds.features, i[rows], j[rows], lam[rows], out=(out, scratch))
+                chunk = train_ds.rows.take(i[rows], axis=0, out=out, mode="clip")
+            else:  # complement-stable λ keeps the column of ones: λ + (1 - λ) is exactly 1
+                chunk = blend(train_ds.rows, i[rows], j[rows], lam[rows], out=(out, scratch))
             for start in range(0, len(chunk), size):
                 b = first + start // size
                 _grad_step(W, chunk[start : start + size], pos[b], weights[b], taken[b], logits, grad)
-                grad *= lr
+                grad *= rate
                 W -= grad
         losses = _batch_losses(taken, weights)
         finite = np.isfinite(losses)

@@ -52,6 +52,11 @@ def lt_dataset(lt_counts) -> LabeledDataset:
     return labels_only_dataset(lt_counts)
 
 
+def with_ones(x) -> np.ndarray:
+    """The ``(B, D)`` feature rows ``x`` widened by a last column of ones, as a dataset's ``rows`` hold them."""
+    return np.column_stack((x, np.ones(len(x))))
+
+
 def split_datasets(base: LabeledDataset, counts, test_per_class: int, seed: int):
     """``(train, test, manifest)``: the rows of ``base`` at the indices ``longtail_split`` returns for it."""
     test_idx, manifest = longtail_split(base.class_index(), counts, test_per_class, seed)
@@ -202,13 +207,15 @@ def expected_kinds(strategy: str, epoch: int, switch_epoch: int | None) -> tuple
 
 # Reference of the trainer's loop: one loss_and_grad call per batch, with the
 # loss checked batch by batch, and every draw blended, unmixed rows too. train
-# hoists the per-row target work out of its batch loop and only gathers
-# unmixed rows, and must return the same bits.
+# hoists the per-row target work out of its batch loop, only gathers unmixed
+# rows, and folds loss_and_grad's 1/batch_size into its learning rate, and must
+# return the same bits: at a power-of-two batch size both scalings are exact.
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_train(train_ds: LabeledDataset, test_ds: LabeledDataset, cfg):
     """``(W, history)`` of plain SGD, ``W -= lr * grad``, run batch by batch through ``loss_and_grad``."""
+    assert cfg.batch_size & (cfg.batch_size - 1) == 0, "the fold of 1/batch_size is exact at a power of two"
     index = train_ds.class_index()
     W = init_params(train_ds.dim, train_ds.num_classes, seed=cfg.seed)
     groups = default_groups(index.counts)

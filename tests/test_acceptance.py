@@ -179,18 +179,18 @@ def test_criterion_6_gradient_matches_finite_differences():
         ds = LabeledDataset(rng.normal(size=(labels.size, dim)), labels, num_classes)
         batch_rng = make_rng(int(rng.integers(1 << 31)), "test")
         i, j, lam = draw_pairs((IB, IB), ds.class_index(), 1.0, batch_rng, batch_size)
-        x = blend(ds.features, i, j, lam)
+        rows = blend(ds.rows, i, j, lam)  # the mixed rows, each ending in 1.0: the bias's input
         targets = dense_targets(ds, i, j, lam)
         W = init_params(dim, num_classes, seed=int(rng.integers(1 << 31)))
 
-        analytic = loss_and_grad(W, x, ds.labels[i], ds.labels[j], lam)[1]
+        analytic = loss_and_grad(W, rows[:, :-1], ds.labels[i], ds.labels[j], lam)[1]
         numeric = np.empty_like(W)
         for idx in np.ndindex(W.shape):
             losses = []
             for sign in (1.0, -1.0):
                 probe = W.copy()
                 probe[idx] += sign * step
-                losses.append(float(soft_cross_entropy(_forward(probe, x).T, targets).mean()))
+                losses.append(float(soft_cross_entropy(_forward(probe, rows).T, targets).mean()))
             numeric[idx] = (losses[0] - losses[1]) / (2.0 * step)
 
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -345,6 +345,19 @@ class TestManifestLayout:
         assert loaded.to_dict() == manifest.to_dict()
         assert loaded.kept_indices.dtype == np.int64 and loaded.kept_indices.tolist() == [2**32 - 1, 0, 2**32 - 2]
 
+    def test_numpy_seed_saved(self, tmp_path):
+        # a numpy seed was stored as given, and json could not write it
+        manifest = DatasetManifest("test", None, np.int64(5), [1, 1], [[0], [1]])
+        manifest.save(tmp_path / "manifest.json")
+        assert type(manifest.seed) is int
+        assert DatasetManifest.load(tmp_path / "manifest.json").seed == 5
+
+    @pytest.mark.parametrize("seed", [5.0, True, "5", None])
+    def test_seed_of_another_kind_rejected(self, seed):
+        with pytest.raises(ValueError) as excinfo:
+            DatasetManifest("test", None, seed, [1, 1], [[0], [1]])
+        assert str(excinfo.value) == f"seed must be an integer, got {seed!r}"
+
     def test_save_holds_a_few_copies_of_the_block(self, tmp_path):
         # build-lt --synth-classes 1000 --rho 10: 391,012 kept indices, a 3.13 MB file
         profile = ImbalanceProfile("exponential", 10.0, 1000)
@@ -463,10 +476,11 @@ class TestSynthGaussianMixture:
         assert ds.num_classes == len(counts)
 
     def test_base_is_allocated_once(self):
-        # one (N, dim) draw shifted in place: no per-class blocks, no concatenated copy
+        # one (N, dim + 1) array of rows, drawn into and shifted a block at a time: no
+        # per-class blocks, no concatenated copy, no second full-size draw
         synth_gaussian_mixture((2, 3), 32, 3.0, 5)  # a first call's one-time allocations (about 650 kB) are not traced
         ds, peak = traced_peak(synth_gaussian_mixture, (400,) * 50, 32, 3.0, 5)
-        assert peak < ds.features.nbytes + ds.labels.nbytes + 4 * BLOCK_BYTES
+        assert peak < ds.rows.nbytes + ds.labels.nbytes + 4 * BLOCK_BYTES
         features, _ = per_class_mixture((400,) * 50, 32, 3.0, 5)
         assert ds.features.tobytes() == features.tobytes()
 
@@ -706,6 +720,44 @@ class TestLabeledDataset:
         features[2, 1] = bad
         with pytest.raises(ValueError, match="features must be finite, got NaN or infinity"):
             LabeledDataset(features, np.array([0, 1, 1]), 2)
+
+    def test_rows_end_in_ones_and_features_are_a_view(self):
+        features = np.arange(12.0).reshape(4, 3)
+        ds = LabeledDataset(features, np.array([0, 1, 0, 1]), 2)
+        assert ds.rows.shape == (4, 4) and ds.rows.flags.c_contiguous and ds.rows.dtype == np.float64
+        assert ds.rows[:, -1].tobytes() == np.ones(4).tobytes()
+        assert ds.features.base is ds.rows and np.array_equal(ds.features, features) and ds.dim == 3
+        assert not np.shares_memory(ds.rows, features)  # the plain constructor copies
+
+    def test_plain_constructor_copies_a_row_block_at_a_time(self):
+        features = np.random.default_rng(3).normal(size=(20 * BLOCK_BYTES // (8 * 64) + 7, 64))
+        labels = np.zeros(len(features), dtype=np.int64)
+        ds, peak = traced_peak(LabeledDataset, features, labels, 1)
+        assert peak < ds.rows.nbytes + 2 * BLOCK_BYTES
+        assert ds.features.tobytes() == features.tobytes()
+
+    def test_from_rows_adopts_without_a_copy(self):
+        rows = np.ones((5, 3))
+        rows[:, :-1] = np.random.default_rng(4).normal(size=(5, 2))
+        ds = LabeledDataset.from_rows(rows, np.arange(5) % 2, 2)
+        assert ds.rows is rows and ds.dim == 2 and len(ds) == 5
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (np.array([[0.5, 1.0], [0.25, 1.0 + 2**-52]]), "rows must end in a column of ones"),
+            (np.array([[0.5, 0.0], [0.25, 1.0]]), "rows must end in a column of ones"),
+            (np.ones(4), "rows must be a 2-D matrix with a last column of ones, got shape (4,)"),
+            (np.ones((2, 0)), "rows must be a 2-D matrix with a last column of ones, got shape (2, 0)"),
+            (np.array([[np.nan, 1.0], [0.25, 1.0]]), "features must be finite, got NaN or infinity"),
+            (np.array([[0.5, 1.0], [0.25, np.inf]]), "features must be finite, got NaN or infinity"),
+        ],
+    )
+    def test_from_rows_rejects(self, rows, message):
+        labels = np.zeros(len(rows), dtype=np.int64)
+        with pytest.raises(ValueError) as excinfo:
+            LabeledDataset.from_rows(rows, labels, 1)
+        assert str(excinfo.value) == message
 
     def test_non_finite_in_last_block_rejected(self):
         features = np.zeros((3 * (BLOCK_BYTES // 32) + 7, 4))

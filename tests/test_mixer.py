@@ -227,6 +227,34 @@ class TestBatchMakers:
         assert np.all(np.abs(report.ratios - 0.1) <= 0.005)
 
 
+class TestColumnOfOnes:
+    """A dataset's rows end in 1.0, the bias's input: blending them must keep it exactly 1.0."""
+
+    @staticmethod
+    def _rows(n=64, dim=3, seed=0):
+        labels = np.arange(n) % 2
+        return LabeledDataset(np.random.default_rng(seed).normal(scale=10.0, size=(n, dim)), labels, 2).rows
+
+    @pytest.mark.parametrize("value", [LAMBDA_MIN, LAMBDA_MAX, 0.5])
+    def test_kept_at_clamp_bounds_and_half(self, value):
+        rows = self._rows()
+        i, j = np.arange(64), np.arange(64)[::-1].copy()
+        mixed = blend(rows, i, j, np.full(64, value))
+        assert mixed[:, -1].tobytes() == np.ones(64).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 4.0])
+    def test_kept_for_sampled_ratios(self, alpha):
+        # complement-stable λ: λ + (1 - λ) rounds to exactly 1 for every draw
+        n = 10_000
+        lam = sample_lambda(alpha, make_rng(17, "test"), size=n)
+        rows = self._rows(n=n, seed=1)
+        rng = np.random.default_rng(2)
+        i, j = rng.integers(0, n, size=(2, n))
+        out = (np.empty_like(rows), np.empty((row_blocks(rows)[0].stop, rows.shape[1])))
+        for mixed in (blend(rows, i, j, lam), blend(rows, i, j, lam, out=out)):
+            assert mixed[:, -1].tobytes() == np.ones(n).tobytes()
+
+
 class TestBatchMatchesMixPair:
     @given(
         counts=st.lists(st.integers(1, 6), min_size=2, max_size=4),

@@ -44,7 +44,9 @@ from lobmix.trainer import (
     write_history_csv,
 )
 
-from conftest import dense_targets, expected_kinds, reference_train, soft_cross_entropy, split_datasets, traced_peak
+from conftest import (
+    dense_targets, expected_kinds, reference_train, soft_cross_entropy, split_datasets, traced_peak, with_ones,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -68,11 +70,14 @@ def random_mixed_batch(rng, dim, num_classes, batch_size, kinds=(IB, IB)):
 def dense_loss_and_grad(W, x, targets):
     """Reference: mean soft cross entropy and its gradient, shaped like ``W``, from (B, C) target rows.
 
-    The probabilities and the logit gradient are held classes by rows, (C, B), as the step holds them.
+    The probabilities and the logit gradient are held classes by rows, (C, B), as the step holds them, and
+    the feature rows ``x`` are widened by a column of ones, whose products with the logit gradient are the
+    bias gradient.
     """
-    probs = _forward(W, x)
-    dlogits = (probs - targets.T) / x.shape[0]
-    return float(soft_cross_entropy(probs.T, targets).mean()), np.column_stack((dlogits @ x, dlogits.sum(axis=1)))
+    rows = with_ones(x)
+    probs = _forward(W, rows)
+    dlogits = probs - targets.T
+    return float(soft_cross_entropy(probs.T, targets).mean()), (dlogits @ rows) / x.shape[0]
 
 
 def numeric_grad(W, batch, step=1e-5):
@@ -100,26 +105,26 @@ class TestForward:
     def test_zero_params_uniform(self):
         W = init_params(4, 5, seed=0)
         W[:, :-1] = 0.0
-        probs = _forward(W, np.array([[1.0, -2.0, 3.0, 0.5]])).T
+        probs = _forward(W, with_ones([[1.0, -2.0, 3.0, 0.5]])).T
         assert probs.shape == (1, 5) and np.allclose(probs, 0.2, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         W = init_params(3, 4, seed=1)
-        probs = _forward(W, np.random.default_rng(0).normal(size=(32, 3))).T
+        probs = _forward(W, with_ones(np.random.default_rng(0).normal(size=(32, 3)))).T
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_dominant_logit(self):
         W = init_params(2, 3, seed=0)
         W[:] = 0.0
         W[:, -1] = [50.0, 0.0, 0.0]
-        probs = _forward(W, np.zeros((1, 2))).T
+        probs = _forward(W, with_ones(np.zeros((1, 2)))).T
         assert probs[0, 0] > 1.0 - 1e-12
 
     def test_shift_invariance(self):
         W = init_params(2, 3, seed=3)
         shifted = W.copy()
         shifted[:, -1] += 7.5
-        x = np.array([[0.3, -1.2]])
+        x = with_ones([[0.3, -1.2]])
         assert np.allclose(_forward(W, x).T, _forward(shifted, x).T, rtol=0, atol=1e-12)
 
 
@@ -167,12 +172,14 @@ class TestSoftmax:
     def test_forward_into_buffers_is_the_expression(self):
         rng = np.random.default_rng(71)
         W = init_params(6, 10, seed=3)
-        x = rng.normal(scale=3.0, size=(20, 6))
-        expect = colmax_softmax(W[:, :-1] @ x.T + W[:, -1:])
+        x = with_ones(rng.normal(scale=3.0, size=(20, 6)))
+        expect = colmax_softmax(W @ x.T)
         out = np.empty((10, 20))
         probs = _forward(W, x, out)
         assert probs is out and probs.tobytes() == expect.tobytes()
         assert _forward(W, x).tobytes() == expect.tobytes()
+        # the column of ones carries the bias: the logits of the features plus the bias, to rounding
+        assert np.allclose(probs, colmax_softmax(W[:, :-1] @ x[:, :-1].T + W[:, -1:]), rtol=0, atol=1e-14)
 
     def test_train_and_evaluate_unchanged(self, monkeypatch):
         import lobmix.trainer
@@ -278,7 +285,7 @@ class TestTwoHotLoss:
             loss, grad = loss_and_grad(W, x, ds.labels[i], ds.labels[j], lam)
             ref_loss, ref_grad = dense_loss_and_grad(W, x, targets)
             assert np.array_equal(loss, ref_loss)
-            assert np.array_equal(loss, soft_cross_entropy(_forward(W, x).T, targets).mean())
+            assert np.array_equal(loss, soft_cross_entropy(_forward(W, with_ones(x)).T, targets).mean())
             assert grad.shape == W.shape and np.array_equal(grad, ref_grad)
 
     def test_unmixed_rows_equal_one_hot(self):
@@ -302,13 +309,27 @@ class TestStandardize:
         raw = np.random.default_rng(41).normal(loc=3.0, scale=2.0, size=(50, 4))
         raw[:, 2] = 7.25  # no spread: the column is divided by 1
         train_ds, test_ds = labeled(raw.copy()), labeled(raw[:9].copy())
-        rows = train_ds.features
+        rows = train_ds.rows
         mean, std = raw.mean(axis=0), raw.std(axis=0)
         assert std[2] == 0.0
         standardize(train_ds, test_ds)
-        assert train_ds.features is rows
+        assert train_ds.rows is rows
         assert train_ds.features.tobytes() == ((raw - mean) / np.where(std == 0, 1.0, std)).tobytes()
         assert np.array_equal(train_ds.features[:, 2], np.zeros(50))
+
+    @pytest.mark.parametrize("dim", [2, 10, 3072])
+    def test_column_of_ones_kept_and_features_bitwise_a_contiguous_copy(self, dim):
+        # rows of 3072 floats: 10 a row block, so 37 rows end in a partial block
+        rng = np.random.default_rng(dim)
+        raw = rng.normal(loc=2.0, scale=3.0, size=(37 if dim == 3072 else 3 * BLOCK_BYTES // (8 * dim) + 7, dim))
+        raw[:, 1] = 4.5  # no spread
+        train_ds, test_ds = labeled(raw), labeled(raw[:9] * 2.0)
+        want = [np.ascontiguousarray(ds.features) for ds in (train_ds, test_ds)]  # (N, D) copies, standardized below
+        mean, std = want[0].mean(axis=0), want[0].std(axis=0)
+        standardize(train_ds, test_ds)
+        for ds, copy in zip((train_ds, test_ds), want):
+            assert ds.rows[:, -1].tobytes() == np.ones(len(ds)).tobytes()
+            assert ds.features.tobytes() == ((copy - mean) / np.where(std == 0, 1.0, std)).tobytes()
 
     def test_test_set_uses_the_train_moments(self):
         rng = np.random.default_rng(43)
@@ -382,7 +403,7 @@ class TestStandardize:
     def test_shared_rows_rejected(self):
         raw = np.random.default_rng(47).normal(size=(12, 3))
         ds = labeled(raw.copy())
-        for test_ds in (ds, LabeledDataset(ds.features[:6], ds.labels[:6], 3)):
+        for test_ds in (ds, LabeledDataset.from_rows(ds.rows[:6], ds.labels[:6], 3)):
             with pytest.raises(ValueError, match="train and test features must be separate arrays"):
                 standardize(ds, test_ds)
         assert np.array_equal(ds.features, raw)
@@ -462,7 +483,7 @@ class TestTrain:
         )
         train(train_ds, test_ds, cfg)
         assert len(seen) == epochs * bpe
-        index, features, labels = train_ds.class_index(), train_ds.features, train_ds.labels
+        index, features, labels = train_ds.class_index(), train_ds.rows, train_ds.labels
         offsets = np.arange(size)
         for e in range(epochs):
             kinds = expected_kinds(strategy, e, switch)
@@ -493,19 +514,18 @@ class TestTrain:
 
     @pytest.mark.parametrize("size, dim, classes", [(128, 256, 10), (128, 3072, 10)])
     def test_step_allocates_no_batch(self, size, dim, classes):
-        # what remains is the softmax's two (batch_size,) reductions and
-        # numpy's ufunc buffer (at most 64 KiB) for each in-place broadcast:
-        # the bias column, then the row of maxima and the row of sums
+        # what remains is the softmax's two (batch_size,) reductions; the
+        # rows' column of ones carries the bias, so no bias column is broadcast
         rng = np.random.default_rng(67)
         W = init_params(dim, classes, seed=1)
-        x = rng.normal(size=(size, dim))
+        x = with_ones(rng.normal(size=(size, dim)))
         c_i, c_j = rng.integers(0, classes, size=(2, size))
         lam = rng.uniform(size=size)
         pos, weights = _target_plan(c_i, c_j, lam, size)
         taken, (logits, grad) = np.empty(pos.shape), _step_buffers(W, size)
         _, peak = traced_peak(_grad_step, W, x, pos[0], weights[0], taken[0], logits, grad)
         assert peak < min(x.nbytes, grad.nbytes)
-        assert np.array_equal(grad, loss_and_grad(W, x, c_i, c_j, lam)[1])
+        assert np.array_equal(grad / size, loss_and_grad(W, x[:, :-1], c_i, c_j, lam)[1])  # the step leaves out 1/size
 
     @pytest.mark.parametrize("size, dim, classes", [(128, 10, 10), (128, 256, 10), (128, 3072, 10)])
     def test_update_allocates_nothing(self, size, dim, classes):
@@ -823,6 +843,24 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
             TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1, alpha=math.inf)
 
+    # an int beyond the float range: float() of it raised OverflowError, a traceback instead of one error line
+    HUGE = 10**400
+
+    def test_huge_int_lr_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=self.HUGE)
+        assert str(excinfo.value) == f"learning rate must be finite, got {self.HUGE}"
+
+    def test_huge_int_alpha_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1, alpha=self.HUGE)
+        assert str(excinfo.value) == f"alpha must be positive and finite, got {self.HUGE}"
+
+    def test_huge_int_lr_decay_factor_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_factor=self.HUGE)
+        assert str(excinfo.value) == f"lr_decay_factor must be finite, got {self.HUGE}"
+
 
 class TestEvaluate:
     def _three_class_test_set(self):
@@ -864,7 +902,7 @@ class TestEvaluate:
         labels = rng.permutation(np.repeat(np.arange(7), [1, 3, 7, 12, 29, 50, 97]))
         test = LabeledDataset(rng.normal(size=(labels.size, 4)), labels, 7)
         W = init_params(4, 7, seed=6)
-        predicted = _forward(W, test.features).T.argmax(axis=1)
+        predicted = _forward(W, test.rows).T.argmax(axis=1)
         loop = [float(np.mean(predicted[labels == k] == k)) for k in range(7)]
         assert np.array_equal(evaluate(W, test, default_groups([1] * 7)).per_class_recall, loop)
 
@@ -886,7 +924,7 @@ class TestEvaluate:
         rng = np.random.default_rng(classes)
         x = rng.normal(scale=2.0, size=(rows, dim))
         W = init_params(dim, classes, seed=classes)
-        probs = _forward(W, x).T
+        probs = _forward(W, with_ones(x)).T
         top = np.sort(probs, axis=1)[:, -2:]
         assert (top[:, 1] > top[:, 0]).all()  # no ties
         predicted = probs.argmax(axis=1)
@@ -929,7 +967,7 @@ class TestEvaluate:
         W, groups = init_params(dim, classes, seed=5), default_groups([rows // classes] * classes)
         report, peak = traced_peak(evaluate, W, test, groups)
         assert peak < 2 * 2**20
-        predicted = _forward(W, test.features).T.argmax(axis=1)
+        predicted = _forward(W, test.rows).T.argmax(axis=1)
         assert report.overall_accuracy == float(np.mean(predicted == test.labels))
 
 
