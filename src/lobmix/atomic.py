@@ -1,7 +1,7 @@
-"""Artifact files: the one JSON reader, JSON writer and CSV writer, and atomic writes.
+"""Artifact files: the one JSON reader, JSON writer and CSV writer, the CSV float format, and atomic writes.
 
 A file written here appears at its final path whole or not at all. JSON is written with 2-space indent, sorted keys
-and a final newline; CSV in the ``csv`` module's default dialect, rows ending in CRLF.
+and a final newline; CSV in the ``csv`` module's default dialect, rows ending in CRLF, floats by :func:`format_float`.
 """
 from __future__ import annotations
 
@@ -52,6 +52,11 @@ def write_json(path: str | Path, value) -> None:
         # streamed: a large value, such as a manifest's index block, is not copied into one whole-file string
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def format_float(x: float | None) -> str:
+    """Six significant digits, the CSV emission convention; None is the empty cell."""
+    return "" if x is None else f"{x:.6g}"
 
 
 def write_csv(path: str | Path, header: list, rows: list[list]) -> None:

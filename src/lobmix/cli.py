@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import longtail
-from .atomic import atomic_write, read_json, write_csv, write_json
+from .atomic import atomic_write, format_float, read_json, write_csv, write_json
 from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_settings, json_value
-from .occurrence import COMBOS, format_float, measure_combos, write_occurrence_csv
+from .occurrence import COMBOS, measure_combos, write_occurrence_csv
 from .seeds import RNG_LAYOUT
 from .trainer import GROUP_NAMES, STRATEGIES, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
@@ -95,7 +95,6 @@ def load_config(
     path: str | Path,
     seed: int | None = None,
     strategy: str | None = None,
-    alpha: float | None = None,
     out_dir: str | None = None,
 ) -> ExperimentConfig:
     """Parse and check a config file.
@@ -106,9 +105,8 @@ def load_config(
     """
     d = json_value(read_json(path), dict, "config")
     top = {k: v for k, v in (("seed", seed), ("out_dir", out_dir)) if v is not None}
-    settings = {k: v for k, v in (("strategy", strategy), ("alpha", alpha)) if v is not None}
-    if settings and isinstance(d.get("train"), dict):  # otherwise from_dict names what is wrong
-        top["train"] = {**d["train"], **settings}
+    if strategy is not None and isinstance(d.get("train"), dict):  # otherwise from_dict names what is wrong
+        top["train"] = {**d["train"], "strategy": strategy}
     return ExperimentConfig.from_dict({**d, **top})
 
 
@@ -213,13 +211,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "manifest_sha256": manifest_sha256,
         "combos": list(COMBOS),
         "samples": args.samples,
-        "alpha": args.alpha,
+        "alpha": TrainConfig.alpha,
         "seed": args.seed,
         "rng_layout": RNG_LAYOUT,
     }
     digest = config_hash(resolved)
     # every combo is measured before the output directory exists
-    summary_rows = measure_combos(counts, args.alpha, args.seed, args.samples)
+    summary_rows = measure_combos(counts, TrainConfig.alpha, args.seed, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -247,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, seed=args.seed, strategy=args.strategy, alpha=args.alpha, out_dir=args.out)
+    cfg = load_config(args.config, seed=args.seed, strategy=args.strategy, out_dir=args.out)
     if cfg.out_dir is None:
         raise ValueError("no output directory: set out_dir in the config or pass --out")
     # every input is read, and the features standardized in place, before the run directory exists
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="label-occurrence reports per sampler combo")
     p.add_argument("--manifest", required=True)
     p.add_argument("--samples", type=int, default=100_000, help="mixed examples per combo; 0 = analytic only")
-    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -373,11 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument(
-        "--alpha", type=float, default=None,
-        help=f"Beta shape override (config default {TrainConfig.alpha}; "
-        "0.2 is the usual choice for very large image corpora)",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import write_csv
+from .atomic import format_float, write_csv
 from .longtail import ClassIndex
 from .mixer import draw_pairs
 from .samplers import CB, IB, class_masses, kind_pair
@@ -136,14 +136,10 @@ def measure_combos(counts: Sequence[int], alpha: float, seed: int, samples: int)
     The examples are in class order. ``empirical`` is None when ``samples``
     is 0. Otherwise it tallies ``samples`` rows drawn from ``make_rng(seed,
     "analyze:" + name)``, with head incidence over the mask
-    ``default_groups(counts) == 0``. ``alpha`` and ``seed`` are checked even
-    when nothing is drawn; a bad setting is named by its ``lobmix analyze``
-    flag.
+    ``default_groups(counts) == 0``. ``seed`` and ``samples`` are checked
+    even when nothing is drawn, each named by its ``lobmix analyze`` flag;
+    ``alpha`` is checked by :func:`~lobmix.mixer.sample_lambda` when rows are drawn.
     """
-    if not alpha > 0:
-        raise ValueError(f"--alpha must be positive, got {alpha}")
-    if alpha == math.inf:  # Beta(inf, inf) ratios come out NaN
-        raise ValueError("--alpha must be finite, got inf")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"--seed must fit in 64 bits, got {seed}")
     if samples < 0:
@@ -160,11 +156,6 @@ def measure_combos(counts: Sequence[int], alpha: float, seed: int, samples: int)
             del i, j, lam  # freed before the next combo's rows are drawn, which keeps peak RSS down
         results.append((name, analytic, empirical))
     return results
-
-
-def format_float(x: float | None) -> str:
-    """Six significant digits, the CSV emission convention; None is the empty cell."""
-    return "" if x is None else f"{x:.6g}"
 
 
 def write_occurrence_csv(

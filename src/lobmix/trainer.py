@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_csv
+from .atomic import format_float, write_csv
 from .longtail import BLOCK_BYTES, SCHEMA, LabeledDataset, in_float_range, require_kind, row_blocks
 from .mixer import blend, draw_pairs, pair_weights
-from .occurrence import default_groups, format_float
+from .occurrence import default_groups
 from .samplers import CB, IB
 from .seeds import make_rng
 
@@ -247,6 +247,14 @@ class TrainConfig:
             )
         for name, kind in FIELD_KINDS.items():  # a numpy number, or an int float field, is stored as a Python one
             object.__setattr__(self, name, kind(getattr(self, name)))
+        # the rate after the last decay is the largest if any overflows; float ** raises where * gives inf
+        try:
+            top = self.schedule(max(self.lr_decay_epochs, default=0))[0]
+        except OverflowError:
+            top = float("inf")
+        if not in_float_range(top):
+            n = len(self.lr_decay_epochs)
+            raise ValueError(f"learning rate lr * lr_decay_factor**{n} overflows: {self.lr} * {self.lr_decay_factor}**{n}")
 
     def schedule(self, epoch: int) -> tuple[float, tuple[str, ...]]:
         """Learning rate and sampler kinds of ``epoch``, both set by the number ``d`` of decay epochs it has reached.

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -405,6 +406,17 @@ def test_artifact_formats_live_in_atomic():
     assert [(name, use) for name, use in found if name != "atomic.py"] == [("cli.py", "json.dumps")]
 
 
+@pytest.mark.parametrize(
+    "argv", [["train", "--config", "c.json"], ["analyze", "--manifest", "m.json", "--out", "o"]], ids=["train", "analyze"]
+)
+def test_alpha_is_no_flag(capsys, argv):
+    # alpha is set in a config's train section only; analyze draws at TrainConfig.alpha
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--alpha", "0.5"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "lobmix: error: unrecognized arguments: --alpha 0.5"
+
+
 def test_package_exports_resolve_sorted_and_unique():
     """``lobmix.__all__`` names only live objects, once each and in order, so a retired export cannot linger."""
     import lobmix
@@ -654,15 +666,10 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "args,message",
         [
-            bad_setting("--alpha", "0", message="--alpha must be positive, got 0.0"),
-            bad_setting("--alpha", "inf", message="--alpha must be finite, got inf"),
             bad_setting("--seed", "-5", message="--seed must fit in 64 bits, got -5"),
             bad_setting("--samples", "-3", message="--samples must be >= 0, got -3"),
             bad_setting("--seed", "-1", message="--seed must fit in 64 bits, got -1"),
             # the checks hold also when nothing is drawn
-            bad_setting("--samples", "0", "--alpha", "-1", message="--alpha must be positive, got -1.0"),
-            bad_setting("--samples", "0", "--alpha", "inf", message="--alpha must be finite, got inf"),
-            bad_setting("--samples", "0", "--alpha", "nan", message="--alpha must be positive, got nan"),
             bad_setting("--samples", "0", "--seed", "-5", message="--seed must fit in 64 bits, got -5"),
             bad_setting("--samples", "0", "--seed", str(2**64), message=f"--seed must fit in 64 bits, got {2**64}"),
         ],
@@ -897,6 +904,7 @@ class TestMalformedConfig:
             (None, "out_dir", 5, "out_dir must be a string"),
             # json reads NaN and Infinity as floats
             ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
+            ("train", "alpha", float("inf"), "train.alpha must be a finite number, got inf"),
             ("dataset", "separation", float("inf"), "dataset.separation must be a finite number, got inf"),
             ("profile", "rho", 10**400, "profile.rho must be a finite number"),
             # the settings of the one-hidden-layer model, momentum and weight decay are gone, so each
@@ -939,10 +947,19 @@ class TestMalformedConfig:
         assert capsys.readouterr().err.splitlines() == [want]
         assert not (tmp_path / "run").exists()
 
-    def test_non_finite_alpha_override_rejected(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, base_config(out_dir=str(tmp_path / "run")))
-        assert main(["train", "--config", str(config_path), "--alpha", "inf"]) == 2
-        assert_one_error(capsys, "train.alpha must be a finite number, got inf")
+    @pytest.mark.parametrize(
+        "train",
+        [
+            pytest.param(dict(lr_decay_epochs=[1, 2], lr_decay_factor=1e200), id="factor-power-overflows"),
+            pytest.param(dict(lr=1e300, lr_decay_epochs=[1], lr_decay_factor=1e10), id="rate-overflows"),
+        ],
+    )
+    def test_overflowing_decay_rejected(self, tmp_path, capsys, train):
+        # 1e200**2 raised OverflowError at epoch 2, a traceback after the run directory was made
+        cfg = base_config(out_dir=str(tmp_path / "run"))
+        cfg["train"].update(train)
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert_one_error(capsys, "learning rate lr * lr_decay_factor**")
         assert not (tmp_path / "run").exists()
 
     def test_missing_train_setting_rejected(self, tmp_path, capsys):
@@ -995,7 +1012,7 @@ class TestMalformedConfig:
     def test_override_without_train_section(self, tmp_path, capsys):
         cfg = base_config(out_dir=str(tmp_path / "run"))
         del cfg["train"]
-        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--strategy", "lob", "--alpha", "0.5"]) == 2
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--strategy", "lob"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: missing config settings: ['train']"]
         assert not (tmp_path / "run").exists()
 
@@ -1498,6 +1515,16 @@ class TestReadme:
                 build_parser().parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    # the flags README names that are not lobmix options, each with the program it belongs to
+    OTHER_PROGRAMS_FLAGS = {"--seeds": "scripts/run_strategy_comparison.py", "--no-build-isolation": "pip install"}
+
+    def test_flags_are_cli_options(self):
+        # a retired flag named anywhere in README, prose included, fails here
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {flag for p in commands.choices.values() for flag in p._option_string_actions}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (REPO / "README.md").read_text()))
+        assert named - options <= set(self.OTHER_PROGRAMS_FLAGS), sorted(named - options)
 
     def test_config_block_is_a_valid_config(self):
         # a stale or misspelled key in a committed config fails here

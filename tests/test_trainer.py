@@ -861,6 +861,32 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=1, batches_per_epoch=1, batch_size=1, lr=0.1, lr_decay_factor=self.HUGE)
         assert str(excinfo.value) == f"lr_decay_factor must be finite, got {self.HUGE}"
 
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            # float ** raised OverflowError from schedule(2), a traceback in the middle of a run
+            (dict(lr=0.1, lr_decay_epochs=(1, 2), lr_decay_factor=1e200), "0.1 * 1e+200**2"),
+            (dict(lr=0.0, lr_decay_epochs=(1, 2), lr_decay_factor=1e200), "0.0 * 1e+200**2"),
+            # the product overflowed to an infinite rate, with no error
+            (dict(lr=1e300, lr_decay_epochs=(1,), lr_decay_factor=1e10), "1e+300 * 10000000000.0**1"),
+            (dict(lr=1e300, lr_decay_epochs=(1, 2), lr_decay_factor=1e5), "1e+300 * 100000.0**2"),
+        ],
+    )
+    def test_overflowing_schedule_rejected(self, settings, message):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(epochs=3, batches_per_epoch=1, batch_size=1, **settings)
+        n = len(settings["lr_decay_epochs"])
+        assert str(excinfo.value) == f"learning rate lr * lr_decay_factor**{n} overflows: {message}"
+
+    def test_largest_finite_schedule_kept(self):
+        # the check rejects only overflow: every accepted rate is schedule's product, bit for bit
+        cfg = TrainConfig(epochs=3, batches_per_epoch=1, batch_size=1, lr=1e300, lr_decay_epochs=(1, 2),
+                          lr_decay_factor=1e4)
+        assert [cfg.schedule(e)[0] for e in range(3)] == [1e300, 1e300 * 1e4, 1e300 * 1e4**2]
+        tiny = TrainConfig(epochs=3, batches_per_epoch=1, batch_size=1, lr=1e-300, lr_decay_epochs=(1, 2),
+                           lr_decay_factor=1e-200)
+        assert tiny.schedule(2)[0] == 0.0  # underflow to zero is no overflow
+
 
 class TestEvaluate:
     def _three_class_test_set(self):
