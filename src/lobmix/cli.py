@@ -24,7 +24,7 @@ import numpy as np
 from . import longtail
 from .atomic import atomic_write, format_float, read_json, write_csv, write_json
 from .longtail import SCHEMA, DatasetManifest, ImbalanceProfile, LabeledDataset, json_settings, json_value
-from .occurrence import COMBOS, measure_combos, write_occurrence_csv
+from .occurrence import COMBOS, measure_combos
 from .seeds import RNG_LAYOUT
 from .trainer import GROUP_NAMES, STRATEGIES, TrainConfig, TrainingDiverged, standardize, train, write_history_csv
 
@@ -166,6 +166,8 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
     elif args.synth_classes is not None:
         if args.synth_classes < 2:  # (per_class,) * n would hide a negative n
             raise ValueError(f"need at least 2 classes, got {args.synth_classes}")
+        if args.synth_classes > sys.maxsize:
+            raise ValueError(f"--synth-classes must be at most {sys.maxsize}, got {args.synth_classes}")
         per_class = SYNTH_PER_CLASS if args.synth_per_class is None else args.synth_per_class
         index = longtail.ClassIndex.from_counts((per_class,) * args.synth_classes)
         source = f"labels-only:classes={args.synth_classes},per_class={per_class}"
@@ -222,10 +224,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, analytic, empirical in summary_rows:
-        stem = f"occurrence_{name.replace('-', '_')}"
-        write_occurrence_csv(out / f"{stem}.csv", list(counts), analytic, empirical)
         write_json(
-            out / f"{stem}.json",
+            out / f"occurrence_{name.replace('-', '_')}.json",
             {
                 "combo": name,
                 "counts": list(counts),

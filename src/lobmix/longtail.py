@@ -175,6 +175,8 @@ class ImbalanceProfile:
             raise ValueError(f"imbalance ratio must be >= 1, got {self.rho}")
         if self.n_max < self.rho:
             raise ValueError(f"n_max={self.n_max} would shrink the smallest class below one example (rho={self.rho})")
+        if not in_float_range(self.n_max):  # the profile formulas scale it as a float
+            raise ValueError(f"n_max must fit in a float, got {self.n_max}")
         for name, kind in SCHEMA["profile"].items():  # a numpy number, or an int rho, is stored as a Python one
             object.__setattr__(self, name, kind(getattr(self, name)))
 
@@ -289,7 +291,7 @@ class ClassIndex:
 
         It equals ``from_labels(np.repeat(arange(C), counts), C)``, made without
         the labels. At least 2 classes, each of at least one example, every
-        count an integer (numpy integers too).
+        count an integer (numpy integers too), all of them below 2**63 in total.
         """
         if len(counts) < 2:
             raise ValueError(f"need at least 2 classes, got {len(counts)}")
@@ -297,6 +299,9 @@ class ClassIndex:
             require_kind(n, int, "class count")
         if min(counts) < 1:
             raise ValueError(f"every class needs at least one example, got {tuple(map(int, counts))}")
+        total = sum(map(int, counts))
+        if total > np.iinfo(np.int64).max:  # so each count and their sum fit in int64, and no sum wraps
+            raise ValueError(f"class counts must total below 2**63, got {total}")
         counts = np.asarray(counts, dtype=np.int64)
         return cls(np.arange(counts.sum()), counts)
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import format_float, write_csv
 from .longtail import ClassIndex
 from .mixer import draw_pairs
 from .samplers import CB, IB, class_masses, kind_pair
@@ -157,16 +155,3 @@ def measure_combos(counts: Sequence[int], alpha: float, seed: int, samples: int)
         results.append((name, analytic, empirical))
     return results
 
-
-def write_occurrence_csv(
-    path: str | Path,
-    counts: Sequence[int],
-    analytic: OccurrenceReport,
-    empirical: OccurrenceReport | None = None,
-) -> None:
-    """Per-class ratio table: class, n_k, gamma_analytic, gamma_empirical."""
-    rows = []
-    for k, n_k in enumerate(counts):
-        empirical_cell = format_float(float(empirical.ratios[k])) if empirical is not None else ""
-        rows.append([k, int(n_k), format_float(float(analytic.ratios[k])), empirical_cell])
-    write_csv(path, ["class", "n_k", "gamma_analytic", "gamma_empirical"], rows)

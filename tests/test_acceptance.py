@@ -285,11 +285,11 @@ def test_criterion_9_cli_reproducibility(tmp_path):
     compared = 0
     for rel in (
         "lt/manifest.json",
-        "occ/occurrence_ib_ib.csv",
-        "occ/occurrence_ib_cb.csv",
-        "occ/occurrence_cb_cb.csv",
         "occ/occurrence_ib_ib.json",
+        "occ/occurrence_ib_cb.json",
+        "occ/occurrence_cb_cb.json",
         "occ/occurrence_summary.csv",
+        "occ/analyze_info.json",
         "run/history.csv",
         "run/eval.json",
         "run/manifest.json",

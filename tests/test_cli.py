@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 from lobmix import (
+    COMBOS,
     STRATEGIES,
     ClassIndex,
     DatasetManifest,
     ImbalanceProfile,
     LabeledDataset,
     TrainConfig,
+    analytic_occurrence,
     load_cifar10_binary,
     longtail_split,
     write_cifar10_binary,
@@ -222,6 +224,36 @@ class TestBuildLt:
         for out in outs:
             main(["build-lt", "--base", str(cifar_file), "--rho", "5", "--seed", "7", "--out", str(out)])
         assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,setting,message",
+    [
+        pytest.param(["build-lt", "--synth-classes", "4", "--n-max", str(10**400)], None,
+                     f"n_max must fit in a float, got {10**400}", id="build-lt-n-max"),
+        pytest.param(["build-lt", "--synth-classes", "4", "--synth-per-class", str(10**20)], None,
+                     f"class counts must total below 2**63, got {4 * 10**20}", id="build-lt-synth-per-class"),
+        pytest.param(["build-lt", "--synth-classes", str(10**20)], None,
+                     f"--synth-classes must be at most {sys.maxsize}, got {10**20}", id="build-lt-synth-classes"),
+        pytest.param(["train"], ("profile", "n_max", 10**400),
+                     f"n_max must fit in a float, got {10**400}", id="train-profile.n_max"),
+        pytest.param(["train"], ("dataset", "base_per_class", 10**20),
+                     f"class counts must total below 2**63, got {6 * 10**20}", id="train-dataset.base_per_class"),
+    ],
+)
+def test_huge_integer_is_one_error_line(tmp_path, capsys, argv, setting, message):
+    # each is checked where it first becomes a float, an int64 or a tuple length, which would raise OverflowError
+    out = tmp_path / "out"
+    if setting is None:
+        argv = [*argv, "--out", str(out)]
+    else:
+        cfg = base_config(out_dir=str(out))
+        section, key, value = setting
+        cfg[section][key] = value
+        argv = [*argv, "--config", str(write_config(tmp_path, cfg))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # Prints the rise of the peak RSS over resolve_datasets of the config named
@@ -607,6 +639,32 @@ class TestAnalyze:
         main(["build-lt", "--base", str(cifar_file), "--rho", "10", "--seed", "1", "--out", str(out)])
         return out / "manifest.json"
 
+    @staticmethod
+    def assert_combo_reports(out, manifest_path, samples):
+        """Each combo's JSON holds the manifest's counts, its exact analytic ratios and its draws (null for none)."""
+        counts = DatasetManifest.load(manifest_path).counts
+        index = ClassIndex.from_counts(counts)
+        for name, kinds in COMBOS.items():
+            stem = f"occurrence_{name.replace('-', '_')}"
+            assert not (out / f"{stem}.csv").exists()
+            report = json.loads((out / f"{stem}.json").read_text())
+            assert set(report) == {"combo", "counts", "analytic", "empirical"}
+            assert report["combo"] == name and report["counts"] == list(counts)
+            # JSON round-trips floats: the ratios written are the analytic ones bit for bit
+            written = np.array(report["analytic"]["ratios"])
+            assert written.tobytes() == analytic_occurrence(kinds, index).ratios.tobytes()
+            if samples == 0:
+                assert report["empirical"] is None
+            else:
+                assert report["empirical"]["sample_count"] == samples
+
+    @pytest.mark.parametrize("samples", ["20000", "0"])
+    def test_output_files(self, tmp_path, manifest_path, samples):
+        out = tmp_path / "occ"
+        assert main(["analyze", "--manifest", str(manifest_path), "--samples", samples, "--out", str(out)]) == 0
+        names = {"occurrence_ib_ib.json", "occurrence_ib_cb.json", "occurrence_cb_cb.json"}
+        assert {p.name for p in out.iterdir()} == {*names, "occurrence_summary.csv", "analyze_info.json"}
+
     def test_all_combos(self, tmp_path, manifest_path):
         out = tmp_path / "occ"
         code = main([
@@ -614,11 +672,7 @@ class TestAnalyze:
             "--seed", "2", "--out", str(out),
         ])
         assert code == 0
-        for name in ("ib_ib", "ib_cb", "cb_cb"):
-            assert (out / f"occurrence_{name}.csv").exists()
-            report = json.loads((out / f"occurrence_{name}.json").read_text())
-            assert set(report) == {"combo", "counts", "analytic", "empirical"}
-            assert report["empirical"]["sample_count"] == 20000
+        self.assert_combo_reports(out, manifest_path, 20000)
         with (out / "occurrence_summary.csv").open() as fh:
             rows = {row["combo"]: row for row in csv.DictReader(fh)}
         assert float(rows["ib-ib"]["balance_ratio_analytic"]) == 10.0
@@ -636,9 +690,11 @@ class TestAnalyze:
     def test_analytic_only(self, tmp_path, manifest_path):
         out = tmp_path / "occ0"
         assert main(["analyze", "--manifest", str(manifest_path), "--samples", "0", "--out", str(out)]) == 0
-        with (out / "occurrence_ib_ib.csv").open() as fh:
+        self.assert_combo_reports(out, manifest_path, 0)
+        with (out / "occurrence_summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert all(row["gamma_empirical"] == "" for row in rows)
+        assert [row["combo"] for row in rows] == list(COMBOS)
+        assert all(row["balance_ratio_empirical"] == row["head_incidence"] == "" for row in rows)
 
     def test_manifest_read_holds_three_copies_of_the_file(self, tmp_path):
         # the file's bytes are hashed and freed before the block is decoded, so the bytes, their text, the

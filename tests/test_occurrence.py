@@ -1,4 +1,3 @@
-import csv
 import math
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from lobmix import (
     make_rng,
 )
 from lobmix import occurrence
-from lobmix.occurrence import measure_combos, write_occurrence_csv
+from lobmix.occurrence import measure_combos
 from lobmix.trainer import default_groups
 
 from conftest import labels_only_dataset
@@ -250,27 +249,6 @@ class TestHelpers:
     def test_combos(self):
         assert (IB, CB) == ("ib", "cb")
         assert list(COMBOS.items()) == [("ib-ib", ("ib", "ib")), ("ib-cb", ("ib", "cb")), ("cb-cb", ("cb", "cb"))]
-
-    def test_csv_emission(self, tmp_path, lt_counts, lt_dataset):
-        index = lt_dataset.class_index()
-        analytic = analytic_occurrence((IB, CB), index)
-        empirical = empirical_occurrence(*drawn_classes(lt_dataset, 2_000, 1.0, (IB, CB), make_rng(5, "test")), 10)
-        path = tmp_path / "occurrence.csv"
-        write_occurrence_csv(path, list(lt_counts), analytic, empirical)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["class", "n_k", "gamma_analytic", "gamma_empirical"]
-        assert len(rows) == 11
-        assert rows[1][1] == "5000"
-        assert float(rows[1][2]) == pytest.approx(0.172345, abs=1e-6)
-
-    def test_csv_analytic_only(self, tmp_path, lt_counts, lt_dataset):
-        analytic = analytic_occurrence((CB, CB), lt_dataset.class_index())
-        path = tmp_path / "occurrence.csv"
-        write_occurrence_csv(path, list(lt_counts), analytic, None)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert all(row[3] == "" for row in rows[1:])
 
 
 class TestMeasureCombos:
