@@ -36,12 +36,19 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
         raise
 
 
-def read_json(path: str | Path, data: bytes | None = None):
-    """The JSON value of ``data``, else of the file's bytes; one ValueError naming ``path`` if not UTF-8 JSON."""
-    if data is None:
-        data = Path(path).read_bytes()
+def read_json(path: str | Path, digest=None):
+    """The JSON value of the file; one ValueError naming ``path`` if not UTF-8 JSON.
+
+    The file's bytes update the hash object ``digest``, if one is given, and
+    are freed before the parse, so at most two copies of the file are held.
+    """
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from None
 
@@ -50,7 +57,7 @@ def write_json(path: str | Path, value) -> None:
     """Write ``value`` to ``path`` atomically as JSON: 2-space indent, sorted keys and a final newline."""
     with atomic_write(path) as fh:
         # streamed: a large value, such as a manifest's index block, is not copied into one whole-file string
-        json.dump(value, fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=2, sort_keys=True, allow_nan=False)  # NaN and Infinity are not JSON
         fh.write("\n")
 
 

@@ -200,17 +200,12 @@ def cmd_build_lt(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    raw = Path(args.manifest).read_bytes()
-    d = read_json(args.manifest, raw)
-    # identify the manifest by content so outputs are relocatable
-    manifest_sha256 = hashlib.sha256(raw).hexdigest()
-    del raw  # freed before the index block is decoded, so file, text and indices are never all held
-    manifest = DatasetManifest.from_dict(d)
-    del d
-    counts = manifest.counts
+    sha = hashlib.sha256()  # identifies the manifest by content, so outputs are relocatable
+    # the whole block is decoded and checked, but only the counts are kept for the draws
+    counts = DatasetManifest.from_dict(read_json(args.manifest, sha)).counts
     resolved = {
         "command": "analyze",
-        "manifest_sha256": manifest_sha256,
+        "manifest_sha256": sha.hexdigest(),
         "combos": list(COMBOS),
         "samples": args.samples,
         "alpha": TrainConfig.alpha,

@@ -143,7 +143,8 @@ def measure_combos(counts: Sequence[int], alpha: float, seed: int, samples: int)
     if samples < 0:
         raise ValueError(f"--samples must be >= 0, got {samples}")
     index = ClassIndex.from_counts(counts)
-    labels = np.repeat(np.arange(len(counts)), counts)
+    # the smallest unsigned dtype holding every class id: at C=1000, 2 bytes an example in place of 8
+    labels = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
     head = default_groups(counts) == 0
     results = []
     for name, kinds in COMBOS.items():

@@ -253,6 +253,9 @@ class TestHelpers:
 
 class TestMeasureCombos:
     @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=12))
+    # measure_combos looks labels up as uint8 up to 256 classes and as uint16 beyond: one fixed case of each
+    @example(counts=[9, 2, 5])
+    @example(counts=[1 + k % 7 for k in range(300)])
     @settings(max_examples=100, deadline=None)
     def test_index_from_counts_is_the_stable_sort(self, counts):
         # measure_combos builds its class index from the counts, without a sort; it must be the
