@@ -110,15 +110,6 @@ def load_config(
     return ExperimentConfig.from_dict({**d, **top})
 
 
-def _cifar10_base(paths) -> tuple[np.ndarray, np.ndarray, str]:
-    """The (N, 3072) uint8 pixels and (N,) labels of CIFAR-10 binary files, in order, and the source naming them."""
-    for p in paths:
-        if not Path(p).exists():
-            raise FileNotFoundError(f"base dataset file not found: {p}")
-    pixels, labels = longtail.read_cifar10_records(*paths)
-    return pixels, labels, ";".join(str(p) for p in paths)
-
-
 def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, DatasetManifest]:
     """Materialize (train, test, manifest) for an experiment config."""
     seed, spec = cfg.train.seed, cfg.dataset
@@ -136,7 +127,11 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
         train_ds = LabeledDataset.from_rows(base.rows[kept], base.labels[kept], base.num_classes)
         test_ds = LabeledDataset.from_rows(base.rows[test_idx], base.labels[test_idx], base.num_classes)
     else:
-        pixels, labels, source = _cifar10_base(spec["train_paths"])
+        for path in (*spec["train_paths"], spec["test_path"]):  # every file, before any is read
+            if not Path(path).is_file():
+                raise FileNotFoundError(f"dataset file not found: {path}")
+        pixels, labels = longtail.read_cifar10_records(*spec["train_paths"])
+        source = ";".join(spec["train_paths"])
         index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
         counts = cfg.profile.class_counts(index.num_classes)
         _, manifest = longtail.longtail_split(index, counts, 0, seed, source=source, profile=cfg.profile)
@@ -156,27 +151,13 @@ def resolve_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
 
 
 def cmd_build_lt(args: argparse.Namespace) -> int:
-    if args.base and args.synth_classes is not None:
-        raise ValueError("provide --base file(s) or a --synth-classes spec, not both")
-    if args.base:
-        if args.synth_per_class is not None:
-            raise ValueError("--synth-per-class applies to a --synth-classes spec, not to --base")
-        _, labels, source = _cifar10_base(args.base)
-        index = longtail.ClassIndex.from_labels(labels, longtail.CIFAR10_CLASSES)
-    elif args.synth_classes is not None:
-        if args.synth_classes < 2:  # (per_class,) * n would hide a negative n
-            raise ValueError(f"need at least 2 classes, got {args.synth_classes}")
-        if args.synth_classes > sys.maxsize:
-            raise ValueError(f"--synth-classes must be at most {sys.maxsize}, got {args.synth_classes}")
-        per_class = SYNTH_PER_CLASS if args.synth_per_class is None else args.synth_per_class
-        index = longtail.ClassIndex.from_counts((per_class,) * args.synth_classes)
-        source = f"labels-only:classes={args.synth_classes},per_class={per_class}"
-    else:
-        raise ValueError("provide --base file(s) or a --synth-classes spec")
-
-    if np.any(index.counts == 0):
-        raise ValueError("base dataset is missing examples for some class")
-    n_max = int(index.counts.min()) if args.n_max is None else args.n_max
+    if args.synth_classes < 2:  # (per_class,) * n would hide a negative n
+        raise ValueError(f"need at least 2 classes, got {args.synth_classes}")
+    if args.synth_classes > sys.maxsize:
+        raise ValueError(f"--synth-classes must be at most {sys.maxsize}, got {args.synth_classes}")
+    index = longtail.ClassIndex.from_counts((args.synth_per_class,) * args.synth_classes)
+    source = f"labels-only:classes={args.synth_classes},per_class={args.synth_per_class}"
+    n_max = args.synth_per_class if args.n_max is None else args.n_max
     profile = ImbalanceProfile(kind=args.profile, rho=args.rho, n_max=n_max)
     counts = profile.class_counts(index.num_classes)
     _, manifest = longtail.longtail_split(index, counts, 0, args.seed, source=source, profile=profile)
@@ -342,14 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-lt", help="construct a long-tailed dataset and write its manifest")
-    p.add_argument("--base", nargs="+", help="CIFAR-10 binary batch file(s) to subsample")
-    p.add_argument("--synth-classes", type=int, help="subsample a balanced labels-only base with this many classes")
+    p.add_argument("--synth-classes", type=int, required=True, help="classes of the balanced labels-only base")
     p.add_argument(
-        "--synth-per-class", type=int, help=f"examples per class of the --synth-classes base (default: {SYNTH_PER_CLASS})"
+        "--synth-per-class", type=int, default=SYNTH_PER_CLASS, help="examples per base class (default: %(default)s)"
     )
     p.add_argument("--profile", choices=longtail.PROFILE_KINDS, default="exponential")
     p.add_argument("--rho", type=float, default=10.0, help="imbalance ratio: largest over smallest class")
-    p.add_argument("--n-max", type=int, default=None, help="largest class size (default: smallest base class)")
+    p.add_argument("--n-max", type=int, default=None, help="largest class size (default: --synth-per-class)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_lt)

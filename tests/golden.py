@@ -3,9 +3,9 @@
 The flows run in one directory with relative paths, so no absolute path
 reaches an output. They cover synthetic ``build-lt`` plus ``analyze`` with
 and without sampling, ``train`` with each strategy of ``lobmix.STRATEGIES``
-on a shortened README config plus ``report``, and two-file CIFAR ``build-lt
---base`` plus ``train``; a strategy added to the table shows up as new files
-until the digests are regenerated. ``tests/golden/digests.json`` holds the
+on a shortened README config plus ``report``, and ``train`` on two CIFAR
+train files; a strategy added to the table shows up as new files until the
+digests are regenerated. ``tests/golden/digests.json`` holds the
 sha256 of every file they leave and of each command's stdout, each command's
 exit code, and the numpy version and random-stream layout they were written
 under.
@@ -64,7 +64,6 @@ COMMANDS = [
     ["analyze", "--manifest", "lt-synth/manifest.json", "--samples", "0", "--out", "occ0"],
     *(["train", "--config", "synth.json", "--strategy", s, "--out", f"runs/{s}"] for s in STRATEGIES),
     ["report", *(f"runs/{s}" for s in STRATEGIES), "--out", "runs/aggregate.csv"],
-    ["build-lt", "--base", "cifar/a.bin", "cifar/b.bin", "--rho", "10", "--seed", "3", "--out", "lt-cifar"],
     ["train", "--config", "cifar.json", "--out", "runs-cifar/deferred"],
 ]
 
